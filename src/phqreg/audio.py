@@ -17,11 +17,22 @@ merged vector |M| = 1440.
 Spectral analysis runs on Hamming-windowed frames; time-domain periodicity
 measures (f0, jitter, shimmer, HNR) use the raw frame samples so that a
 perfectly periodic tone reports zero cycle variation.
+
+A session is processed in one pass: it is framed once, the power spectrum
+feeds S, and one normalised autocorrelation (ACF) per frame, cached on the
+FrameSet, feeds both P and VQ; VQ reuses the f0 track from P. The merged
+vector M is assembled from that single pass and equals merge_groups(P, S, VQ)
+byte for byte: a group's values do not depend on which other groups share
+the pass. The spectrum and the ACF are computed in blocks of BLOCK_FRAMES
+frames, so their FFT working sets are bounded by the block rather than
+growing with the session: what a session keeps is its frames and their ACF
+lags, each n_frames x frame_len.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +70,14 @@ FUNCTIONAL_NAMES = (
 GROUP_LLDS = {"S": SPECTRAL_LLDS, "P": PROSODY_LLDS, "VQ": VQ_LLDS}
 GROUP_DIMS = {"S": 864, "P": 288, "VQ": 288, "M": 1440}
 
+# frames per block of the spectrum and the ACF: bounds their FFT temporaries
+# (about 20 MB at 16 kHz) whatever the session length
+BLOCK_FRAMES = 1024
+
+# regression-delta window +-DELTA_WIDTH; shorter sessions cannot be described
+DELTA_WIDTH = 2
+MIN_FRAMES = 2 * DELTA_WIDTH + 1
+
 _LOUDNESS_FLOOR = 1e-30
 
 
@@ -93,6 +112,11 @@ class FrameSet:
     def windowed(self) -> np.ndarray:
         return self.samples * np.hamming(self.frame_len)
 
+    @cached_property
+    def acf(self) -> np.ndarray:
+        """Normalised ACF per frame (lags 0..frame_len-1), computed on first use."""
+        return _normalized_acf(self.samples)
+
 
 @dataclass(frozen=True)
 class AcousticVector:
@@ -123,7 +147,7 @@ def frame_signal(audio: AudioSignal, turns) -> FrameSet:
     window contribute no frames.
     """
     if audio.rate < MIN_SAMPLE_RATE:
-        raise ValueError(f"sample rate {audio.rate} below minimum {MIN_SAMPLE_RATE} Hz")
+        raise EmptyInputError(f"sample rate {audio.rate} below minimum {MIN_SAMPLE_RATE} Hz")
     spans = [t for t in turns if t.speaker is Speaker.PARTICIPANT]
     if not spans:
         raise EmptyInputError("no participant turns")
@@ -132,17 +156,15 @@ def frame_signal(audio: AudioSignal, turns) -> FrameSet:
     hop = int(round(HOP_SECONDS * audio.rate))
     n = len(audio.samples)
 
-    frames = []
+    offsets = []
     for t in spans:
         lo = min(max(int(round(t.start * audio.rate)), 0), n)
         hi = min(max(int(round(t.stop * audio.rate)), 0), n)
-        for off in range(lo, hi - flen + 1, hop):
-            frames.append(audio.samples[off : off + flen])
-    if frames:
-        mat = np.array(frames, dtype=np.float64)
-    else:
-        mat = np.zeros((0, flen))
-    return FrameSet(mat, audio.rate)
+        offsets.extend(range(lo, hi - flen + 1, hop))
+    if not offsets:
+        return FrameSet(np.zeros((0, flen)), audio.rate)
+    windows = np.lib.stride_tricks.sliding_window_view(audio.samples, flen)
+    return FrameSet(windows[offsets], audio.rate)
 
 
 # ---------------------------------------------------------------------------
@@ -153,42 +175,49 @@ def frame_signal(audio: AudioSignal, turns) -> FrameSet:
 def spectral_llds(frames: FrameSet) -> list[LLDTrack]:
     """12 spectral tracks from the power spectrum of Hamming-windowed frames.
 
-    All-zero frames report 0 for band energies, roll-offs and centroid.
+    All-zero frames report 0 for band energies, roll-offs and centroid. The
+    spectrum is taken BLOCK_FRAMES frames at a time.
     """
     if len(frames) == 0:
         raise EmptyInputError("empty frame set")
-    spec = np.fft.rfft(frames.windowed(), axis=1)
-    power = np.abs(spec) ** 2
-    mag = np.abs(spec)
     freqs = np.fft.rfftfreq(frames.frame_len, d=1.0 / frames.rate)
+    window = np.hamming(frames.frame_len)
+    band_masks = [(freqs >= lo) & (freqs <= hi) for lo, hi in SPECTRAL_BANDS]
+    tracks = {name: np.zeros(len(frames)) for name in SPECTRAL_LLDS}
+    prev_norm = None
 
-    total = power.sum(axis=1)
-    nonzero = total > 0.0
+    for lo in range(0, len(frames), BLOCK_FRAMES):
+        rows = slice(lo, lo + BLOCK_FRAMES)
+        spec = np.fft.rfft(frames.samples[rows] * window, axis=1)
+        power = np.abs(spec) ** 2
+        mag = np.abs(spec)
 
-    tracks = {}
-    for (lo, hi), name in zip(SPECTRAL_BANDS, SPECTRAL_LLDS[:4]):
-        mask = (freqs >= lo) & (freqs <= hi)
-        tracks[name] = power[:, mask].sum(axis=1)
+        total = power.sum(axis=1)
+        nonzero = total > 0.0
 
-    cum = np.cumsum(power, axis=1)
-    for pct, name in zip(ROLLOFF_PERCENTS, SPECTRAL_LLDS[4:8]):
-        idx = np.argmax(cum >= pct * total[:, None], axis=1)
-        roll = freqs[idx]
-        tracks[name] = np.where(nonzero, roll, 0.0)
+        for mask, name in zip(band_masks, SPECTRAL_LLDS[:4]):
+            tracks[name][rows] = power[:, mask].sum(axis=1)
 
-    centroid = np.zeros(len(frames))
-    centroid[nonzero] = (power[nonzero] * freqs).sum(axis=1) / total[nonzero]
-    tracks["centroid"] = centroid
+        cum = np.cumsum(power, axis=1)
+        for pct, name in zip(ROLLOFF_PERCENTS, SPECTRAL_LLDS[4:8]):
+            idx = np.argmax(cum >= pct * total[:, None], axis=1)
+            tracks[name][rows] = np.where(nonzero, freqs[idx], 0.0)
 
-    mag_sum = mag.sum(axis=1, keepdims=True)
-    norm = np.divide(mag, mag_sum, out=np.zeros_like(mag), where=mag_sum > 0)
-    flux = np.zeros(len(frames))
-    if len(frames) > 1:
-        flux[1:] = np.sqrt(((norm[1:] - norm[:-1]) ** 2).sum(axis=1))
-    tracks["flux"] = flux
+        centroid = np.zeros(len(power))
+        centroid[nonzero] = (power[nonzero] * freqs).sum(axis=1) / total[nonzero]
+        tracks["centroid"][rows] = centroid
 
-    tracks["max_pos"] = freqs[np.argmax(power, axis=1)]
-    tracks["min_pos"] = freqs[np.argmin(power, axis=1)]
+        mag_sum = mag.sum(axis=1, keepdims=True)
+        norm = np.divide(mag, mag_sum, out=np.zeros_like(mag), where=mag_sum > 0)
+        # flux compares each frame with the one before it, across block edges;
+        # the session's first frame keeps flux 0
+        paired = norm if prev_norm is None else np.concatenate([prev_norm, norm])
+        first = lo + len(norm) - len(paired) + 1
+        tracks["flux"][first : lo + len(norm)] = np.sqrt(((paired[1:] - paired[:-1]) ** 2).sum(axis=1))
+        prev_norm = norm[-1:]
+
+        tracks["max_pos"][rows] = freqs[np.argmax(power, axis=1)]
+        tracks["min_pos"][rows] = freqs[np.argmin(power, axis=1)]
 
     return [LLDTrack(name, tracks[name], "S") for name in SPECTRAL_LLDS]
 
@@ -198,17 +227,22 @@ def spectral_llds(frames: FrameSet) -> list[LLDTrack]:
 # ---------------------------------------------------------------------------
 
 
-def _normalized_acf(frames: FrameSet) -> np.ndarray:
-    """Bias-corrected normalized autocorrelation r(tau) per frame (FFT-based)."""
-    x = frames.samples
+def _normalized_acf(x: np.ndarray) -> np.ndarray:
+    """Bias-corrected normalized autocorrelation r(tau) per frame (FFT-based).
+
+    Rows are transformed BLOCK_FRAMES at a time; each row's result does
+    not depend on the block split.
+    """
     n, flen = x.shape
     nfft = 1 << int(np.ceil(np.log2(2 * flen)))
-    spec = np.fft.rfft(x, n=nfft, axis=1)
-    acf = np.fft.irfft(np.abs(spec) ** 2, n=nfft, axis=1)[:, :flen]
-    r0 = acf[:, 0:1]
     lags = np.arange(flen)
     corr = flen / np.maximum(flen - lags, 1)
-    out = np.divide(acf, r0, out=np.zeros_like(acf), where=r0 > 0) * corr
+    out = np.empty((n, flen))
+    for lo in range(0, n, BLOCK_FRAMES):
+        spec = np.fft.rfft(x[lo : lo + BLOCK_FRAMES], n=nfft, axis=1)
+        acf = np.fft.irfft(np.abs(spec) ** 2, n=nfft, axis=1)[:, :flen]
+        r0 = acf[:, 0:1]
+        out[lo : lo + BLOCK_FRAMES] = np.divide(acf, r0, out=np.zeros_like(acf), where=r0 > 0) * corr
     return out
 
 
@@ -229,9 +263,8 @@ def prosodic_llds(frames: FrameSet) -> list[LLDTrack]:
     """
     if len(frames) == 0:
         raise EmptyInputError("empty frame set")
-    acf = _normalized_acf(frames)
     lag_min, lag_max = _pitch_lags(frames)
-    window = acf[:, lag_min : lag_max + 1]
+    window = frames.acf[:, lag_min : lag_max + 1]
     # for exactly periodic signals the corrected ACF is ~1 at every period
     # multiple; take the smallest lag within tolerance of the peak so the
     # fundamental wins over its subharmonics
@@ -244,12 +277,9 @@ def prosodic_llds(frames: FrameSet) -> list[LLDTrack]:
     voiced = voicing >= VOICING_THRESHOLD
     f0 = np.where(voiced, frames.rate / best, 0.0)
 
-    env = np.zeros(len(frames))
-    last = 0.0
-    for i, v in enumerate(f0):
-        if v > 0:
-            last = v
-        env[i] = last
+    # index of the latest voiced frame at or before each frame (-1: none yet)
+    last = np.maximum.accumulate(np.where(f0 > 0, np.arange(len(frames)), -1))
+    env = np.where(last >= 0, f0[last], 0.0)
 
     energy = np.mean(frames.samples**2, axis=1)
     loudness = np.log(np.maximum(energy, _LOUDNESS_FLOOR))
@@ -263,66 +293,92 @@ def prosodic_llds(frames: FrameSet) -> list[LLDTrack]:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_peaks(x: np.ndarray, period: float) -> np.ndarray:
-    """Indices of one amplitude peak per pitch cycle (greedy, taller wins)."""
-    if len(x) < 3:
-        return np.array([], dtype=int)
-    interior = (x[1:-1] > x[:-2]) & (x[1:-1] > x[2:])
-    cand = np.where(interior)[0] + 1
-    peak_floor = 0.5 * x.max()
-    cand = cand[x[cand] >= peak_floor]
-    kept: list[int] = []
-    # generous separation so the picker survives a period-doubled f0 estimate
-    min_sep = 0.4 * period
-    for i in cand:
-        if kept and i - kept[-1] < min_sep:
-            if x[i] > x[kept[-1]]:
-                kept[-1] = int(i)
+def _mean(values: list[float]) -> float:
+    """np.mean's value, summed in its order: left to right below 8 elements."""
+    if len(values) >= 8:
+        return float(np.mean(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def _merge_cycle_peaks(positions: list[int], heights: list[float], min_sep: float) -> tuple[list[int], list[float]]:
+    """One peak per pitch cycle: a candidate closer than min_sep to the last
+    kept peak replaces it when taller (greedy, left to right)."""
+    kept, amps = [positions[0]], [heights[0]]
+    for i, h in zip(positions[1:], heights[1:]):
+        if i - kept[-1] < min_sep:
+            if h > amps[-1]:
+                kept[-1], amps[-1] = i, h
         else:
-            kept.append(int(i))
-    return np.array(kept, dtype=int)
+            kept.append(i)
+            amps.append(h)
+    return kept, amps
 
 
 def voice_quality_llds(frames: FrameSet, f0_track: LLDTrack) -> list[LLDTrack]:
-    """Jitter (local, DDP), shimmer (local) and logHNR; all 0 on unvoiced frames."""
+    """Jitter (local, DDP), shimmer (local) and logHNR; all 0 on unvoiced frames.
+
+    HNR reads the frame's normalised ACF at the pitch period. Jitter and
+    shimmer come from one amplitude peak per pitch cycle: interior maxima of
+    at least half the frame maximum, merged greedily when closer than 0.4
+    periods (generous, so the picker survives a period-doubled f0 estimate).
+    Periods outside 0.3-1.7 pitch periods are ignored.
+    """
     if len(frames) == 0:
         raise EmptyInputError("empty frame set")
     f0 = np.asarray(f0_track.values)
     if len(f0) != len(frames):
         raise ValueError("f0 track and frames disagree in length")
 
-    acf = _normalized_acf(frames)
     n = len(frames)
     jit_loc = np.zeros(n)
     jit_ddp = np.zeros(n)
     shim = np.zeros(n)
     hnr = np.zeros(n)
 
-    for t in range(n):
-        if f0[t] <= 0:
-            continue
-        period = frames.rate / f0[t]
-        x = frames.samples[t]
-        if x.max() <= 0:
-            continue
+    active = np.flatnonzero(f0 > 0)
+    x = frames.samples[active]
+    xmax = x.max(axis=1)
+    keep = xmax > 0
+    active, x, xmax = active[keep], x[keep], xmax[keep]
+    period = frames.rate / f0[active]
 
-        lag = int(round(period))
-        if 0 < lag < frames.frame_len:
-            r = float(np.clip(acf[t, lag], 1e-10, 1.0 - 1e-10))
-            hnr[t] = 10.0 * np.log10(r / (1.0 - r))
+    lag = np.rint(period)
+    has_lag = (lag > 0) & (lag < frames.frame_len)
+    r = np.clip(frames.acf[active[has_lag], lag[has_lag].astype(np.intp)], 1e-10, 1.0 - 1e-10)
+    hnr[active[has_lag]] = 10.0 * np.log10(r / (1.0 - r))
 
-        peaks = _cycle_peaks(x, period)
-        if len(peaks) >= 2:
-            periods = np.diff(peaks).astype(np.float64)
-            ok = (periods >= 0.3 * period) & (periods <= 1.7 * period)
-            periods = periods[ok]
-            amps = x[peaks]
-            if len(periods) >= 2:
-                jit_loc[t] = np.mean(np.abs(np.diff(periods))) / np.mean(periods)
-            if len(periods) >= 3:
-                jit_ddp[t] = np.mean(np.abs(np.diff(periods, n=2))) / np.mean(periods)
-            if len(amps) >= 2 and np.mean(amps) > 0:
-                shim[t] = np.mean(np.abs(np.diff(amps))) / np.mean(amps)
+    # candidate cycle peaks of every frame at once, row-major
+    mid = x[:, 1:-1]
+    cand = (mid > x[:, :-2]) & (mid > x[:, 2:]) & (mid >= 0.5 * xmax[:, None])
+    rows, cols = np.nonzero(cand)
+    cols += 1
+    heights = x[rows, cols].tolist()
+    bounds = np.searchsorted(rows, np.arange(len(active) + 1)).tolist()
+    cols = cols.tolist()
+
+    for j, (t, tau) in enumerate(zip(active.tolist(), period.tolist())):
+        lo, hi = bounds[j], bounds[j + 1]
+        if hi - lo < 2:
+            continue
+        peaks, amps = _merge_cycle_peaks(cols[lo:hi], heights[lo:hi], 0.4 * tau)
+        if len(peaks) < 2:
+            continue
+        # periods are whole samples: their sums are exact in any order, and
+        # int / int rounds once, as np.mean's float sum / count does
+        short, long = 0.3 * tau, 1.7 * tau
+        periods = [b - a for a, b in zip(peaks, peaks[1:]) if short <= b - a <= long]
+        if len(periods) >= 2:
+            steps = [b - a for a, b in zip(periods, periods[1:])]
+            mean_period = sum(periods) / len(periods)
+            jit_loc[t] = sum(map(abs, steps)) / len(steps) / mean_period
+            if len(steps) >= 2:
+                jit_ddp[t] = sum(abs(b - a) for a, b in zip(steps, steps[1:])) / (len(steps) - 1) / mean_period
+        mean_amp = _mean(amps)
+        if mean_amp > 0:
+            shim[t] = _mean([abs(b - a) for a, b in zip(amps, amps[1:])]) / mean_amp
 
     vals = {"jitter_local": jit_loc, "jitter_ddp": jit_ddp, "shimmer_local": shim, "log_hnr": hnr}
     return [LLDTrack(name, vals[name], "VQ") for name in VQ_LLDS]
@@ -343,7 +399,7 @@ def add_derivatives(track: LLDTrack) -> tuple[LLDTrack, LLDTrack]:
     )
 
 
-def _delta(values: np.ndarray, width: int = 2) -> np.ndarray:
+def _delta(values: np.ndarray, width: int = DELTA_WIDTH) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if len(values) < 2 * width + 1:
         raise ValueError(f"track length {len(values)} too short for delta window +-{width}")
@@ -410,39 +466,46 @@ def apply_functionals(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _base_tracks(frames: FrameSet, group: str) -> list[LLDTrack]:
-    if group == "S":
-        return spectral_llds(frames)
-    prosody = prosodic_llds(frames)
-    if group == "P":
-        return prosody
-    if group == "VQ":
-        return voice_quality_llds(frames, prosody[0])
-    raise ValueError(f"unknown group {group!r}")
-
-
-def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
-    """Extract one acoustic group (S, P or VQ) for a session.
-
-    Each base LLD contributes itself plus its delta and delta-delta tracks,
-    each projected on the 24 functionals.
-    """
-    if group not in ("S", "P", "VQ"):
-        raise ValueError(f"unknown group {group!r}")
-    if session.audio is None:
-        raise EmptyInputError(f"session {session.id} has no audio")
-    frames = frame_signal(session.audio, session.turns)
-    if len(frames) == 0:
-        raise EmptyInputError(f"session {session.id}: no frames (all turns shorter than one window)")
-
+def _group_vector(session_id: str, group: str, bases: list[LLDTrack]) -> AcousticVector:
+    """Each base LLD plus its delta and delta-delta, projected on the 24 functionals."""
     names: list[str] = []
     chunks: list[np.ndarray] = []
-    for base in _base_tracks(frames, group):
+    for base in bases:
         d1, d2 = add_derivatives(base)
         for track in (base, d1, d2):
             names.extend(f"{group}.{track.name}.{f}" for f in FUNCTIONAL_NAMES)
             chunks.append(apply_functionals(track.values))
-    return AcousticVector(group, tuple(names), np.concatenate(chunks), session.id)
+    return AcousticVector(group, tuple(names), np.concatenate(chunks), session_id)
+
+
+def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
+    """Extract one acoustic group (S, P, VQ or the merge M) for a session.
+
+    The session is framed once; M is built from one pass over those frames
+    and equals merge_groups(P, S, VQ). Sessions the recipe cannot describe
+    (no audio, no participant turns, a sample rate below 8 kHz, fewer frames
+    than the delta window) raise EmptyInputError.
+    """
+    if group not in GROUP_DIMS:
+        raise ValueError(f"unknown group {group!r}")
+    if session.audio is None:
+        raise EmptyInputError(f"session {session.id} has no audio")
+    frames = frame_signal(session.audio, session.turns)
+    if len(frames) < MIN_FRAMES:
+        raise EmptyInputError(f"session {session.id}: {len(frames)} frames, fewer than the delta window ({MIN_FRAMES})")
+
+    vectors = {}
+    if group in ("S", "M"):
+        vectors["S"] = _group_vector(session.id, "S", spectral_llds(frames))
+    if group != "S":
+        prosody = prosodic_llds(frames)
+        if group in ("P", "M"):
+            vectors["P"] = _group_vector(session.id, "P", prosody)
+        if group in ("VQ", "M"):
+            vectors["VQ"] = _group_vector(session.id, "VQ", voice_quality_llds(frames, prosody[0]))
+    if group == "M":
+        return merge_groups(vectors["P"], vectors["S"], vectors["VQ"])
+    return vectors[group]
 
 
 def merge_groups(p: AcousticVector, s: AcousticVector, vq: AcousticVector) -> AcousticVector:

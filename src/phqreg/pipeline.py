@@ -1,14 +1,22 @@
 """Orchestration: corpus scanning, extraction jobs, training, evaluation, CV.
 
-All artifacts live under the configured output directory:
+All artifacts live under the configured output directory and are named by
+artifact_path alone:
 
-    features_<tag>_<split>.csv         feature store (tabular modalities)
+    features_<ftag>_<split>.csv        feature store (tabular modalities)
     visual_<split>_windows.npy/.json   window batches + sidecar (visual)
     visual_pca.json                    PCA model (mean + components, versioned)
     model_<tag>.json                   trained model envelope
     predictions_<tag>_<split>.csv      session_id,y_true,y_pred
     report_<tag>.txt / .csv            run report (recomputable from predictions)
     selected_features_<tag>.txt        Relief selection, when active
+    relief_tuning_<tag>.csv            Relief (threshold, k) grid
+    cv_predictions_<tag>.csv           per-fold CV predictions
+    cv_report_<tag>.txt                CV report
+
+<tag> is the modality with ":" replaced by "_" (acoustic:M+FS ->
+acoustic_M+FS), so M+FS never overwrites the plain M model, reports or
+predictions; <ftag> drops "+FS", so M+FS reads the M feature store.
 
 Outputs are deterministic for a fixed config + seed; wall-clock timing goes
 to the log only, never into report files.
@@ -25,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, face, relief, textfeats, turns
-from .audio import EmptyInputError, merge_groups, session_acoustic_vector
+from .audio import EmptyInputError, session_acoustic_vector
 from .config import PipelineConfig
 from .metrics import MetricError, evs as evs_fn, mae as mae_fn, rmse as rmse_fn
 from .models import (
@@ -105,9 +113,36 @@ def load_session(index: CorpusIndex, sid: str, need: tuple[str, ...]) -> corpus.
 # ---------------------------------------------------------------------------
 
 
+ARTIFACT_NAMES = {
+    "features": "features_{ftag}_{split}.csv",
+    "windows": "visual_{split}_windows.npy",
+    "windows_meta": "visual_{split}_windows.json",
+    "pca": "visual_pca.json",
+    "model": "model_{tag}.json",
+    "predictions": "predictions_{tag}_{split}.csv",
+    "report": "report_{tag}.txt",
+    "report_csv": "report_{tag}.csv",
+    "selection": "selected_features_{tag}.txt",
+    "relief_tuning": "relief_tuning_{tag}.csv",
+    "cv_predictions": "cv_predictions_{tag}.csv",
+    "cv_report": "cv_report_{tag}.txt",
+}
+
+
+def run_tag(modality: str) -> str:
+    """Tag of a modality's models, predictions and reports; keeps +FS."""
+    return modality.replace(":", "_")
+
+
 def feature_tag(modality: str) -> str:
     """Feature-store tag; M+FS shares extracted features with M."""
-    return modality.replace(":", "_").replace("+FS", "")
+    return run_tag(modality).replace("+FS", "")
+
+
+def artifact_path(out_dir, kind: str, modality: str, split: str = "") -> Path:
+    """Path of one artifact of ``modality``; see the module docstring for the names."""
+    name = ARTIFACT_NAMES[kind].format(tag=run_tag(modality), ftag=feature_tag(modality), split=split)
+    return Path(out_dir) / name
 
 
 def write_feature_csv(path, names, rows: dict) -> None:
@@ -153,14 +188,8 @@ def _extract_acoustic(index, cfg: PipelineConfig, variant: str):
                 logger.warning("skipping %s: %s", sid, exc)
                 continue
             try:
-                if variant == "M":
-                    p = session_acoustic_vector(session, "P")
-                    s = session_acoustic_vector(session, "S")
-                    vq = session_acoustic_vector(session, "VQ")
-                    vec = merge_groups(p, s, vq)
-                else:
-                    vec = session_acoustic_vector(session, variant)
-            except (EmptyInputError, ValueError) as exc:
+                vec = session_acoustic_vector(session, variant)
+            except EmptyInputError as exc:
                 logger.warning("skipping %s: %s", sid, exc)
                 continue
             rows[sid] = vec.values
@@ -229,7 +258,7 @@ def _extract_text(index, cfg: PipelineConfig, variant: str):
 
 
 def _windows_paths(out_dir: Path, split: str) -> tuple[Path, Path]:
-    return out_dir / f"visual_{split}_windows.npy", out_dir / f"visual_{split}_windows.json"
+    return artifact_path(out_dir, "windows", "visual", split), artifact_path(out_dir, "windows_meta", "visual", split)
 
 
 def _extract_visual(index, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
@@ -248,7 +277,7 @@ def _extract_visual(index, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
     pca = face.fit_pca(train_frames, cfg.visual_variance_keep)
     logger.info("visual PCA: %d -> %d dims (%.4f%% variance)", train_frames.shape[1], pca.q, 100 * pca.explained_ratio)
 
-    pca_path = out_dir / "visual_pca.json"
+    pca_path = artifact_path(out_dir, "pca", "visual")
     pca_path.write_text(
         json.dumps(
             {
@@ -332,10 +361,9 @@ def run_extract(cfg: PipelineConfig) -> list[Path]:
             names, per_split = _extract_behavioral(index, cfg)
         else:
             names, per_split = _extract_text(index, cfg, variant)
-        tag = feature_tag(cfg.modality)
         written = []
         for split in SPLITS:
-            path = out_dir / f"features_{tag}_{split}.csv"
+            path = artifact_path(out_dir, "features", cfg.modality, split)
             write_feature_csv(path, names, per_split[split])
             written.append(path)
     logger.info("extract %s done in %.2fs", cfg.modality, time.monotonic() - t0)
@@ -348,8 +376,7 @@ def run_extract(cfg: PipelineConfig) -> list[Path]:
 
 
 def _load_matrix(cfg: PipelineConfig, index: CorpusIndex, split: str, require_labels: bool):
-    tag = feature_tag(cfg.modality)
-    names, rows = read_feature_csv(Path(cfg.out_dir) / f"features_{tag}_{split}.csv")
+    names, rows = read_feature_csv(artifact_path(cfg.out_dir, "features", cfg.modality, split))
     sids = sorted(rows)
     if not sids:
         raise PipelineError(f"feature store for split {split} is empty")
@@ -404,10 +431,9 @@ def run_train(cfg: PipelineConfig) -> Path:
     index = scan_corpus(cfg.root)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tag = feature_tag(cfg.modality)
     model_kind = cfg.effective_model()
 
-    extra = {"modality": cfg.modality, "seed": cfg.seed, "tag": tag}
+    extra = {"modality": cfg.modality, "seed": cfg.seed, "tag": run_tag(cfg.modality)}
 
     if cfg.family() == "visual" and model_kind != "lstm":
         raise PipelineError(f"the visual modality trains an lstm, not {model_kind!r}")
@@ -455,14 +481,14 @@ def run_train(cfg: PipelineConfig) -> Path:
             selected, info = _relief_select(cfg, names, X, y)
             X = X[:, selected]
             extra["relief"] = info
-            sel_path = out_dir / f"selected_features_{tag}.txt"
+            sel_path = artifact_path(out_dir, "selection", cfg.modality)
             sel_path.write_text("\n".join(info["selected_names"]) + "\n", encoding="utf-8")
         if model_kind == "mean":
             model = mean_train(y)
         else:
             model = _make_regressor(cfg).fit(X, y).model
 
-    path = out_dir / f"model_{tag}.json"
+    path = artifact_path(out_dir, "model", cfg.modality)
     save_model(model, path, extra)
     logger.info("train %s (%s) done in %.2fs -> %s", cfg.modality, model_kind, time.monotonic() - t0, path)
     return path
@@ -540,11 +566,12 @@ def _metric_rows(prefix: str, y, yhat, with_evs: bool) -> dict:
     return rows
 
 
-def write_report(out_dir, tag, cfg: PipelineConfig, rows: dict, selected=None) -> tuple[Path, Path]:
+def write_report(out_dir, cfg: PipelineConfig, rows: dict, selected=None) -> tuple[Path, Path]:
     from .config import config_text
 
-    txt_path = Path(out_dir) / f"report_{tag}.txt"
-    csv_path = Path(out_dir) / f"report_{tag}.csv"
+    tag = run_tag(cfg.modality)
+    txt_path = artifact_path(out_dir, "report", cfg.modality)
+    csv_path = artifact_path(out_dir, "report_csv", cfg.modality)
     lines = [f"phqreg run report: {tag}", "=" * (19 + len(tag)), ""]
     lines += [f"{k} = {v}" for k, v in rows.items()]
     if selected:
@@ -561,8 +588,7 @@ def run_eval(cfg: PipelineConfig) -> dict:
     t0 = time.monotonic()
     index = scan_corpus(cfg.root)
     out_dir = Path(cfg.out_dir)
-    tag = feature_tag(cfg.modality)
-    model_path = out_dir / f"model_{tag}.json"
+    model_path = artifact_path(out_dir, "model", cfg.modality)
     if not model_path.is_file():
         raise PipelineError(f"missing model file {model_path}; run `train` first")
     model, extra = load_model(model_path)
@@ -581,7 +607,7 @@ def run_eval(cfg: PipelineConfig) -> dict:
         if missing:
             raise PipelineError(f"unlabeled {split} sessions: {', '.join(missing)}")
         y = np.array([float(index.labels[sid]) for sid in sids])
-        write_predictions(out_dir / f"predictions_{tag}_{split}.csv", sids, y, preds)
+        write_predictions(artifact_path(out_dir, "predictions", cfg.modality, split), sids, y, preds)
         rows[f"n_{split}"] = len(sids)
         rows.update(_metric_rows(split, y, preds, with_evs))
         if fallbacks:
@@ -602,7 +628,7 @@ def run_eval(cfg: PipelineConfig) -> dict:
     elif "q" in extra:
         rows["n_features_used"] = extra["q"]
 
-    write_report(out_dir, tag, cfg, rows, selected=extra.get("relief", {}).get("selected_names"))
+    write_report(out_dir, cfg, rows, selected=extra.get("relief", {}).get("selected_names"))
     logger.info("eval %s done in %.2fs", cfg.modality, time.monotonic() - t0)
     return rows
 
@@ -618,7 +644,6 @@ def run_cv(cfg: PipelineConfig, scheme: str = "kfold") -> dict:
     index = scan_corpus(cfg.root)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tag = feature_tag(cfg.modality)
 
     if cfg.family() == "visual":
         if cfg.effective_model() != "lstm":
@@ -695,13 +720,13 @@ def run_cv(cfg: PipelineConfig, scheme: str = "kfold") -> dict:
     except MetricError:
         rows["pooled_evs"] = ""
 
-    pred_path = out_dir / f"cv_predictions_{tag}.csv"
+    pred_path = artifact_path(out_dir, "cv_predictions", cfg.modality)
     lines = ["fold,session_id,y_true,y_pred"]
     lines += [f"{f},{sid},{repr(float(a))},{repr(float(b))}" for f, sid, a, b in all_rows]
     pred_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    txt = Path(out_dir) / f"cv_report_{tag}.txt"
-    txt.write_text("\n".join([f"phqreg cv report: {tag} ({scheme})", ""] + [f"{k} = {v}" for k, v in rows.items()]) + "\n", encoding="utf-8")
+    txt = artifact_path(out_dir, "cv_report", cfg.modality)
+    txt.write_text("\n".join([f"phqreg cv report: {run_tag(cfg.modality)} ({scheme})", ""] + [f"{k} = {v}" for k, v in rows.items()]) + "\n", encoding="utf-8")
     logger.info("cv %s (%s) done in %.2fs", cfg.modality, scheme, time.monotonic() - t0)
     return rows
 
@@ -720,11 +745,10 @@ def run_tune_relief(cfg: PipelineConfig) -> tuple[float, int]:
     )
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tag = feature_tag(cfg.modality)
     lines = ["threshold,k,mean_mae"]
     for (t, kk), v in sorted(scores.items()):
         lines.append(f"{t},{kk},{v}")
     lines.append(f"# chosen: threshold={th} k={k}")
-    (out_dir / f"relief_tuning_{tag}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    artifact_path(out_dir, "relief_tuning", cfg.modality).write_text("\n".join(lines) + "\n", encoding="utf-8")
     logger.info("relief tuning chose threshold=%g k=%d", th, k)
     return th, k

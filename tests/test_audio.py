@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phqreg.audio import (
+    BLOCK_FRAMES,
     FUNCTIONAL_NAMES,
+    MIN_FRAMES,
     EmptyInputError,
+    FrameSet,
+    LLDTrack,
     add_derivatives,
     apply_functionals,
     frame_signal,
@@ -213,6 +219,203 @@ class TestVoiceQuality:
         assert np.all(tracks["log_hnr"] <= 100.0)
 
 
+# ---------------------------------------------------------------------------
+# reference implementations: voice quality one frame at a time, ACF and
+# spectrum of all frames in one FFT
+# ---------------------------------------------------------------------------
+
+
+def acf_oracle(x):
+    """Normalized ACF of all frames in one FFT (no blocks)."""
+    n, flen = x.shape
+    nfft = 1 << int(np.ceil(np.log2(2 * flen)))
+    spec = np.fft.rfft(x, n=nfft, axis=1)
+    acf = np.fft.irfft(np.abs(spec) ** 2, n=nfft, axis=1)[:, :flen]
+    r0 = acf[:, 0:1]
+    lags = np.arange(flen)
+    corr = flen / np.maximum(flen - lags, 1)
+    return np.divide(acf, r0, out=np.zeros_like(acf), where=r0 > 0) * corr
+
+
+def cycle_peaks_oracle(x, period):
+    if len(x) < 3:
+        return np.array([], dtype=int)
+    interior = (x[1:-1] > x[:-2]) & (x[1:-1] > x[2:])
+    cand = np.where(interior)[0] + 1
+    peak_floor = 0.5 * x.max()
+    cand = cand[x[cand] >= peak_floor]
+    kept = []
+    min_sep = 0.4 * period
+    for i in cand:
+        if kept and i - kept[-1] < min_sep:
+            if x[i] > x[kept[-1]]:
+                kept[-1] = int(i)
+        else:
+            kept.append(int(i))
+    return np.array(kept, dtype=int)
+
+
+def voice_quality_oracle(samples, rate, f0):
+    """One frame at a time, numpy reductions throughout."""
+    acf = acf_oracle(samples)
+    n, flen = samples.shape
+    out = {name: np.zeros(n) for name in ("jitter_local", "jitter_ddp", "shimmer_local", "log_hnr")}
+    for t in range(n):
+        if f0[t] <= 0:
+            continue
+        period = rate / f0[t]
+        x = samples[t]
+        if x.max() <= 0:
+            continue
+        lag = int(round(period))
+        if 0 < lag < flen:
+            r = float(np.clip(acf[t, lag], 1e-10, 1.0 - 1e-10))
+            out["log_hnr"][t] = 10.0 * np.log10(r / (1.0 - r))
+        peaks = cycle_peaks_oracle(x, period)
+        if len(peaks) >= 2:
+            periods = np.diff(peaks).astype(np.float64)
+            ok = (periods >= 0.3 * period) & (periods <= 1.7 * period)
+            periods = periods[ok]
+            amps = x[peaks]
+            if len(periods) >= 2:
+                out["jitter_local"][t] = np.mean(np.abs(np.diff(periods))) / np.mean(periods)
+            if len(periods) >= 3:
+                out["jitter_ddp"][t] = np.mean(np.abs(np.diff(periods, n=2))) / np.mean(periods)
+            if len(amps) >= 2 and np.mean(amps) > 0:
+                out["shimmer_local"][t] = np.mean(np.abs(np.diff(amps))) / np.mean(amps)
+    return out
+
+
+def jittered_pulses(flen, period, rng):
+    """Decaying pulses with +-5% cycle jitter and random heights, over a noise floor."""
+    x = rng.normal(0.0, 0.01, flen)
+    pos = rng.uniform(0.0, period)
+    while pos < flen:
+        i = int(pos)
+        k = min(flen - i, int(period) + 1)
+        x[i : i + k] += rng.uniform(0.5, 1.0) * np.exp(-np.arange(k) / (0.18 * period))
+        pos += period * rng.uniform(0.95, 1.05)
+    return x
+
+
+@st.composite
+def vq_inputs(draw):
+    rate = draw(st.sampled_from([8000, 16000]))
+    flen = int(round(0.025 * rate))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, f0 = [], []
+    kinds = st.sampled_from(["zero", "noise", "negative", "pulses", "coarse"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=8)):
+        freq = draw(st.floats(55.0, 400.0))
+        if kind == "zero":
+            rows.append(np.zeros(flen))
+        elif kind == "noise":
+            rows.append(rng.normal(0.0, 0.3, flen))
+        elif kind == "negative":
+            rows.append(-np.abs(rng.normal(0.0, 0.3, flen)))
+        elif kind == "pulses":
+            rows.append(jittered_pulses(flen, rate / freq, rng))
+        else:
+            # few amplitude levels: equal peak heights, as in low-level 16-bit audio
+            rows.append(np.round(4.0 * jittered_pulses(flen, rate / freq, rng)) / 4.0)
+        f0.append(draw(st.sampled_from([
+            0.0,  # unvoiced
+            freq,  # the true pitch
+            freq * draw(st.floats(0.5, 2.0)),  # a wrong estimate
+            rate / (draw(st.integers(20, 140)) + 0.5),  # period halfway between two lags
+            1.7 * rate / round(rate / freq),  # the true cycle is 1.7 periods: the longest accepted
+        ])))
+    return np.array(rows), rate, np.array(f0)
+
+
+class TestVoiceQualityOracle:
+    def check(self, samples, rate, f0):
+        got = voice_quality_llds(FrameSet(samples, rate), LLDTrack("f0", f0, "P"))
+        want = voice_quality_oracle(samples, rate, f0)
+        for track in got:
+            assert track.values.tobytes() == want[track.name].tobytes(), track.name
+
+    @settings(max_examples=150, deadline=None)
+    @given(vq_inputs())
+    def test_matches_per_frame_loop_bytes(self, case):
+        self.check(*case)
+
+    def test_many_cycle_frames_take_the_pairwise_mean_path(self):
+        # 390 Hz at 16 kHz: about ten cycles per 25 ms frame
+        rng = np.random.default_rng(4)
+        samples = np.array([jittered_pulses(400, RATE / 390.0, rng) for _ in range(40)])
+        f0 = np.full(40, 390.0)
+        counts = [len(cycle_peaks_oracle(x, RATE / 390.0)) for x in samples]
+        assert max(counts) >= 9  # >= 8 amplitude differences: np.mean sums pairwise
+        self.check(samples, RATE, f0)
+
+    def test_equal_peaks_within_a_cycle_keep_the_first(self):
+        x = np.zeros(400)
+        for m, start in enumerate(range(10, 390, 100)):
+            x[start] = 1.0
+            if m % 2:
+                x[start + 3] = 1.0  # an equal maximum closer than 0.4 periods
+        got = voice_quality_llds(FrameSet(x[None, :], RATE), LLDTrack("f0", np.array([RATE / 100.0]), "P"))
+        assert {t.name: t.values[0] for t in got}["jitter_local"] == 0.0
+        self.check(x[None, :], RATE, np.array([RATE / 100.0]))
+
+    def test_prosody_f0_on_speech_like_frames(self):
+        for x in (sawtooth(180, 0.6, amp=0.4), pulse_train([102 if m % 2 else 98 for m in range(80)])):
+            frames = frames_of(x)
+            f0 = prosodic_llds(frames)[0].values
+            self.check(frames.samples, RATE, f0)
+
+
+def spectral_oracle(frames):
+    """All frames in one FFT (no blocks)."""
+    spec = np.fft.rfft(frames.windowed(), axis=1)
+    power = np.abs(spec) ** 2
+    mag = np.abs(spec)
+    freqs = np.fft.rfftfreq(frames.frame_len, d=1.0 / frames.rate)
+    total = power.sum(axis=1)
+    nonzero = total > 0.0
+    tracks = {}
+    for (lo, hi), name in zip(((0.0, 250.0), (0.0, 650.0), (250.0, 650.0), (1000.0, 4000.0)),
+                              ("band_0_250", "band_0_650", "band_250_650", "band_1000_4000")):
+        tracks[name] = power[:, (freqs >= lo) & (freqs <= hi)].sum(axis=1)
+    cum = np.cumsum(power, axis=1)
+    for pct in (25, 50, 70, 90):
+        idx = np.argmax(cum >= pct / 100 * total[:, None], axis=1)
+        tracks[f"rolloff_{pct}"] = np.where(nonzero, freqs[idx], 0.0)
+    centroid = np.zeros(len(frames))
+    centroid[nonzero] = (power[nonzero] * freqs).sum(axis=1) / total[nonzero]
+    tracks["centroid"] = centroid
+    mag_sum = mag.sum(axis=1, keepdims=True)
+    norm = np.divide(mag, mag_sum, out=np.zeros_like(mag), where=mag_sum > 0)
+    flux = np.zeros(len(frames))
+    flux[1:] = np.sqrt(((norm[1:] - norm[:-1]) ** 2).sum(axis=1))
+    tracks["flux"] = flux
+    tracks["max_pos"] = freqs[np.argmax(power, axis=1)]
+    tracks["min_pos"] = freqs[np.argmin(power, axis=1)]
+    return tracks
+
+
+class TestBlocks:
+    @pytest.fixture(scope="class")
+    def long_frames(self):
+        rate = 8000
+        rng = np.random.default_rng(9)
+        n = int(26.0 * rate)
+        x = 0.3 * (2.0 * ((170.0 * np.arange(n) / rate) % 1.0) - 1.0) + rng.normal(0.0, 0.05, n)
+        x[int(5.0 * rate) : int(6.0 * rate)] = 0.0  # all-zero frames: r0 = 0 rows
+        frames = frames_of(x, rate)
+        assert len(frames) > 2 * BLOCK_FRAMES
+        return frames
+
+    def test_blocked_acf_equals_single_block(self, long_frames):
+        assert long_frames.acf.tobytes() == acf_oracle(long_frames.samples).tobytes()
+
+    def test_blocked_spectrum_equals_single_block(self, long_frames):
+        want = spectral_oracle(long_frames)
+        for track in spectral_llds(long_frames):
+            assert track.values.tobytes() == want[track.name].tobytes(), track.name
+
+
 def delta_oracle(values, width=2):
     """Brute-force regression-window delta with replicated edges."""
     n = len(values)
@@ -391,6 +594,35 @@ class TestSessionVectors:
                 session_acoustic_vector(b, "S"),
                 session_acoustic_vector(a, "VQ"),
             )
+
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    def test_one_pass_merge_equals_merge_groups(self, rate):
+        s = two_turn_session(rate=rate)
+        m = session_acoustic_vector(s, "M")
+        want = merge_groups(
+            session_acoustic_vector(s, "P"),
+            session_acoustic_vector(s, "S"),
+            session_acoustic_vector(s, "VQ"),
+        )
+        assert (m.group, m.session_id) == ("M", s.id)
+        assert m.names == want.names
+        assert m.values.tobytes() == want.values.tobytes()
+
+    def test_fewer_frames_than_delta_window(self):
+        audio = AudioSignal(np.zeros(RATE), RATE)
+        # 25 ms window + (MIN_FRAMES - 2) hops: one frame short of the delta window
+        stop = 0.025 + 0.010 * (MIN_FRAMES - 2) + 0.001
+        s = Session(id="x", turns=(TurnRecord(0.0, stop, Speaker.PARTICIPANT, ()),), audio=audio)
+        assert len(frames_of(np.zeros(RATE))) >= MIN_FRAMES
+        assert len(frame_signal(audio, s.turns)) == MIN_FRAMES - 1
+        for group in ("S", "M"):
+            with pytest.raises(EmptyInputError, match="delta window"):
+                session_acoustic_vector(s, group)
+
+    def test_low_sample_rate_is_an_input_skip(self):
+        s = session_with(np.zeros(4000), rate=4000)
+        with pytest.raises(EmptyInputError, match="sample rate"):
+            session_acoustic_vector(s, "M")
 
     def test_empty_frames_error(self):
         audio = AudioSignal(np.zeros(RATE), RATE)

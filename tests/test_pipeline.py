@@ -158,6 +158,17 @@ class TestExtract:
         assert len(names) == 1440
         assert len(rows) == 6
 
+    def test_lld_value_error_is_not_a_skipped_session(self, full_corpus, tmp_path, monkeypatch):
+        from phqreg import audio
+
+        def broken(frames):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(audio, "spectral_llds", broken)
+        cfg = cfg_for(full_corpus, tmp_path / "out_broken", modality="acoustic:S")
+        with pytest.raises(ValueError, match="broadcast"):
+            run_extract(cfg)
+
     def test_acoustic_group_train_eval(self, full_corpus, tmp_path):
         out = tmp_path / "out_s"
         cfg = cfg_for(full_corpus, out, modality="acoustic:S")
@@ -344,7 +355,7 @@ class TestReliefIntegration:
         cfg = cfg_for(small_corpus, out, modality="acoustic:M+FS")
         cfg.relief_k = 3
         run_train(cfg)
-        sel_file = out / "selected_features_acoustic_M.txt"
+        sel_file = out / "selected_features_acoustic_M+FS.txt"
         assert sel_file.is_file()
         selected = sel_file.read_text().split()
         assert 0 < len(selected) <= 20
@@ -352,6 +363,31 @@ class TestReliefIntegration:
         rows = run_eval(cfg)
         assert rows["n_features_used"] == len(selected)
         assert rows["relief_k"] == 3
+
+    def test_selection_artifacts_do_not_overwrite_plain_m(self, small_corpus, tmp_path):
+        out = tmp_path / "fs_vs_m"
+        self.fabricate_acoustic_store(small_corpus, out)
+        plain = cfg_for(small_corpus, out, modality="acoustic:M")
+        run_train(plain)
+        m_rows = run_eval(plain)
+        m_bytes = {name: (out / name).read_bytes() for name in (
+            "model_acoustic_M.json", "report_acoustic_M.txt", "report_acoustic_M.csv",
+            "predictions_acoustic_M_train.csv", "predictions_acoustic_M_dev.csv",
+        )}
+        fs = cfg_for(small_corpus, out, modality="acoustic:M+FS")
+        fs.relief_k = 3
+        run_train(fs)
+        fs_rows = run_eval(fs)
+        for name, before in m_bytes.items():
+            assert (out / name).read_bytes() == before, name
+        for name in ("model_acoustic_M+FS.json", "report_acoustic_M+FS.csv", "predictions_acoustic_M+FS_dev.csv",
+                     "selected_features_acoustic_M+FS.txt"):
+            assert (out / name).is_file(), name
+        assert not (out / "selected_features_acoustic_M.txt").exists()
+        assert m_rows["n_features_used"] == 30
+        assert fs_rows["n_features_used"] <= 20
+        # the plain M model still evaluates as the plain M model afterwards
+        assert run_eval(plain) == m_rows
 
     def test_cv_refits_selection_per_fold(self, small_corpus, tmp_path):
         out = tmp_path / "fs_cv"
@@ -376,7 +412,7 @@ class TestReliefIntegration:
         th, k = run_tune_relief(cfg)
         assert th in (0.02, 0.0, -0.02)
         assert k in (5, 10, 15, 20)
-        assert (out / "relief_tuning_acoustic_M.csv").is_file()
+        assert (out / "relief_tuning_acoustic_M+FS.csv").is_file()
 
 
 class TestTextPipeline:
