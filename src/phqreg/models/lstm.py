@@ -35,12 +35,16 @@ class LstmDivergenceError(RuntimeError):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
+    """Logistic function, stable for large |x|, without boolean-mask indexing.
+
+    Each element takes the same float operations as the two-branch form
+    1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) otherwise, so the result
+    is bit-identical to it (signed zeros and NaN signs included).
+    """
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, e / d)
 
 
 @dataclass
@@ -88,10 +92,10 @@ def _layer_forward(W, U, b, X):
     steps = []
     for t in range(T):
         a = X[:, t] @ W.T + h @ U.T + b
-        i = _sigmoid(a[:, :H])
-        f = _sigmoid(a[:, H : 2 * H])
+        # one activation call for i, f and o (the g block's sigmoid is unused)
+        s = _sigmoid(a)
+        i, f, o = s[:, :H], s[:, H : 2 * H], s[:, 3 * H :]
         g = np.tanh(a[:, 2 * H : 3 * H])
-        o = _sigmoid(a[:, 3 * H :])
         c_new = f * c + i * g
         tanh_c = np.tanh(c_new)
         steps.append((X[:, t], h, c, i, f, g, o, tanh_c))
@@ -109,19 +113,15 @@ def _layer_backward(W, U, dHs, steps):
     dX = np.zeros((B, T, W.shape[1]))
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
+    da = np.empty((B, 4 * H))  # gate gradients, rewritten every step
     for t in reversed(range(T)):
         x_t, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
         dh = dHs[:, t] + dh_next
         dc = dc_next + dh * o * (1.0 - tanh_c**2)
-        da = np.concatenate(
-            [
-                dc * g * i * (1.0 - i),
-                dc * c_prev * f * (1.0 - f),
-                dc * i * (1.0 - g**2),
-                dh * tanh_c * o * (1.0 - o),
-            ],
-            axis=1,
-        )
+        da[:, :H] = dc * g * i * (1.0 - i)
+        da[:, H : 2 * H] = dc * c_prev * f * (1.0 - f)
+        da[:, 2 * H : 3 * H] = dc * i * (1.0 - g**2)
+        da[:, 3 * H :] = dh * tanh_c * o * (1.0 - o)
         dW += da.T @ x_t
         dU += da.T @ h_prev
         db += da.sum(axis=0)
