@@ -187,16 +187,27 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     return cfg
 
 
-def config_text(cfg: PipelineConfig) -> str:
-    """Render the effective config as INI text (deterministic order)."""
+# fields holding locations on the machine that runs the pipeline
+MACHINE_PATHS = ("root", "out_dir")
+
+
+def config_text(cfg: PipelineConfig, omit: tuple[str, ...] = ()) -> str:
+    """Render the effective config as INI text (deterministic order).
+
+    Fields named in ``omit`` are left out, and so is a section they empty.
+    """
     sections: dict[str, list[str]] = {}
     for field_name, (section, key) in _LAYOUT.items():
+        if field_name in omit:
+            continue
         value = getattr(cfg, field_name)
         if value is None:
             value = ""
         sections.setdefault(section, []).append(f"{key} = {value}")
     out = []
     for section in ("corpus", "run", "svr", "reptree", "lstm", "visual", "relief", "text", "synth"):
+        if section not in sections:
+            continue
         out.append(f"[{section}]")
         out.extend(sections[section])
         out.append("")

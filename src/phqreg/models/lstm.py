@@ -10,6 +10,12 @@ batch-norm statistics).
 
 Everything is plain numpy in double precision so the analytic gradients can
 be verified against central finite differences.
+
+Each time step takes one sigmoid call over all four gate pre-activations (the
+input, forget and output gates are column views of it) and writes its gate
+gradients into one reused buffer. Parameters, loss curves and predictions are
+bit-identical to a step that activates each gate separately with a
+boolean-mask sigmoid; tests/test_lstm.py keeps that form as its oracle.
 """
 
 from __future__ import annotations

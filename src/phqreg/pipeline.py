@@ -506,7 +506,7 @@ def _predict_tabular(cfg: PipelineConfig, index, model, extra, split: str):
     if "relief" in extra:
         keep = [names.index(n) for n in extra["relief"]["selected_names"]]
         X = X[:, keep]
-    return sids, model.predict(X), []
+    return sids, model.predict(X), {}
 
 
 def _predict_visual(cfg: PipelineConfig, index, model, extra, split: str):
@@ -524,10 +524,12 @@ def _predict_visual(cfg: PipelineConfig, index, model, extra, split: str):
         else:
             preds.append(extra["train_mean"])
             fallbacks.append(sid)
+    counters = {f"n_windows_{split}": len(windows)}
     if fallbacks:
         logger.warning("%d %s sessions had no clean windows; used training-mean fallback: %s",
                        len(fallbacks), split, ", ".join(fallbacks))
-    return sids, np.array(preds), fallbacks
+        counters[f"{split}_fallback_sessions"] = ";".join(fallbacks)
+    return sids, np.array(preds), counters
 
 
 def _split_predictions(cfg: PipelineConfig, index, model, extra, split: str):
@@ -567,7 +569,8 @@ def _metric_rows(prefix: str, y, yhat, with_evs: bool) -> dict:
 
 
 def write_report(out_dir, cfg: PipelineConfig, rows: dict, selected=None) -> tuple[Path, Path]:
-    from .config import config_text
+    """Write the run report; its bytes do not depend on where corpus and outputs live."""
+    from .config import MACHINE_PATHS, config_text
 
     tag = run_tag(cfg.modality)
     txt_path = artifact_path(out_dir, "report", cfg.modality)
@@ -576,7 +579,7 @@ def write_report(out_dir, cfg: PipelineConfig, rows: dict, selected=None) -> tup
     lines += [f"{k} = {v}" for k, v in rows.items()]
     if selected:
         lines += ["", "[selected features]"] + list(selected)
-    lines += ["", "[config]", config_text(cfg)]
+    lines += ["", "[config]", config_text(cfg, omit=MACHINE_PATHS)]
     txt_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     csv_lines = ["key,value"] + [f"{k},{v}" for k, v in rows.items()]
     csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
@@ -600,7 +603,7 @@ def run_eval(cfg: PipelineConfig) -> dict:
 
     all_y = {}
     for split in SPLITS:
-        sids, preds, fallbacks = _split_predictions(cfg, index, model, extra, split)
+        sids, preds, counters = _split_predictions(cfg, index, model, extra, split)
         if split == "dev" and not sids:
             raise PipelineError("empty dev split")
         missing = [sid for sid in sids if sid not in index.labels]
@@ -610,8 +613,7 @@ def run_eval(cfg: PipelineConfig) -> dict:
         write_predictions(artifact_path(out_dir, "predictions", cfg.modality, split), sids, y, preds)
         rows[f"n_{split}"] = len(sids)
         rows.update(_metric_rows(split, y, preds, with_evs))
-        if fallbacks:
-            rows[f"{split}_fallback_sessions"] = ";".join(fallbacks)
+        rows.update(counters)
         all_y[split] = y
 
     # mean-predictor baseline on dev, for reference in every report
@@ -627,6 +629,8 @@ def run_eval(cfg: PipelineConfig) -> dict:
         rows["n_features_used"] = len(extra["feature_names"])
     elif "q" in extra:
         rows["n_features_used"] = extra["q"]
+    if model.kind == "lstm":
+        rows["lstm_best_epoch"] = model.best_epoch
 
     write_report(out_dir, cfg, rows, selected=extra.get("relief", {}).get("selected_names"))
     logger.info("eval %s done in %.2fs", cfg.modality, time.monotonic() - t0)

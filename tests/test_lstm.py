@@ -3,12 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phqreg.models import load_model, save_model
+from phqreg.models import lstm as lstm_mod
 from phqreg.models.lstm import (
     LstmConfig,
     LstmDivergenceError,
     LstmModel,
+    _sigmoid,
     forward,
     gradient_check,
     init_params,
@@ -17,6 +22,97 @@ from phqreg.models.lstm import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+# ---------------------------------------------------------------------------
+# oracles: the boolean-mask sigmoid and the per-gate step code that the
+# production hot path must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+
+def sigmoid_oracle(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def layer_forward_oracle(W, U, b, X):
+    B, T, _ = X.shape
+    H = W.shape[0] // 4
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    Hs = np.zeros((B, T, H))
+    steps = []
+    for t in range(T):
+        a = X[:, t] @ W.T + h @ U.T + b
+        i = sigmoid_oracle(a[:, :H])
+        f = sigmoid_oracle(a[:, H : 2 * H])
+        g = np.tanh(a[:, 2 * H : 3 * H])
+        o = sigmoid_oracle(a[:, 3 * H :])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        steps.append((X[:, t], h, c, i, f, g, o, tanh_c))
+        h = o * tanh_c
+        c = c_new
+        Hs[:, t] = h
+    return Hs, steps
+
+
+def layer_backward_oracle(W, U, dHs, steps):
+    B, T, H = dHs.shape
+    dW = np.zeros_like(W)
+    dU = np.zeros_like(U)
+    db = np.zeros(4 * H)
+    dX = np.zeros((B, T, W.shape[1]))
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    for t in reversed(range(T)):
+        x_t, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
+        dh = dHs[:, t] + dh_next
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        da = np.concatenate(
+            [
+                dc * g * i * (1.0 - i),
+                dc * c_prev * f * (1.0 - f),
+                dc * i * (1.0 - g**2),
+                dh * tanh_c * o * (1.0 - o),
+            ],
+            axis=1,
+        )
+        dW += da.T @ x_t
+        dU += da.T @ h_prev
+        db += da.sum(axis=0)
+        dX[:, t] = da @ W
+        dh_next = da @ U
+        dc_next = dc * f
+    return dX, dW, dU, db
+
+
+def train_oracle(monkeypatch, *args, **kwargs):
+    """lstm_train with the oracle step code swapped in."""
+    with monkeypatch.context() as m:
+        m.setattr(lstm_mod, "_layer_forward", layer_forward_oracle)
+        m.setattr(lstm_mod, "_layer_backward", layer_backward_oracle)
+        return lstm_train(*args, **kwargs)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+           1e-310, -1e-310, 709.8, -745.2, 800.0, -800.0, np.nan, -np.nan]
+elements = st.one_of(
+    st.floats(min_value=-800.0, max_value=800.0, allow_subnormal=True),
+    st.floats(min_value=-1e-300, max_value=1e-300, allow_subnormal=True),
+    st.sampled_from(SPECIAL),
+)
+
+
+gate_matrices = hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 70)), elements=elements)
+
+
+def same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def tiny_model(q=3, seed=7):
@@ -132,6 +228,64 @@ class TestTraining:
         assert a.train_curve == b.train_curve
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
+
+
+class TestBitIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(gate_matrices, st.data())
+    def test_sigmoid_bytes_match_mask_oracle(self, x, data):
+        assert same_bytes(_sigmoid(x), sigmoid_oracle(x))
+        lo = data.draw(st.integers(0, x.shape[1] - 1))
+        hi = data.draw(st.integers(lo + 1, x.shape[1]))
+        step = data.draw(st.integers(1, 3))
+        view = x[:, lo:hi:step]  # non-contiguous column slice
+        assert same_bytes(_sigmoid(view), sigmoid_oracle(view))
+        # the forward pass slices gates out of one activation of the whole row
+        assert same_bytes(_sigmoid(x)[:, lo:hi:step], sigmoid_oracle(view))
+
+    def test_sigmoid_special_values(self):
+        payload_nan = np.frombuffer(bytes.fromhex("010000000000f87f"), dtype=np.float64)[0]
+        x = np.array(SPECIAL + [payload_nan, -payload_nan, np.inf, -np.inf])
+        assert same_bytes(_sigmoid(x), sigmoid_oracle(x))
+
+    def test_forward_and_grads_match_oracle(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        model = tiny_model(q=5)
+        X = rng.normal(0, 3, size=(7, 9, 5))
+        y = rng.normal(size=7)
+        mask = (rng.random((7, 16)) < 0.5) / 0.5
+        got = mse_loss_and_grads(model.params, model.state, X, y, training=True, dropout_mask=mask)
+        with monkeypatch.context() as m:
+            m.setattr(lstm_mod, "_layer_forward", layer_forward_oracle)
+            m.setattr(lstm_mod, "_layer_backward", layer_backward_oracle)
+            want = mse_loss_and_grads(model.params, model.state, X, y, training=True, dropout_mask=mask)
+        assert got[0] == want[0]
+        for k in want[1]:
+            assert same_bytes(got[1][k], want[1][k]), k
+        for key in ("steps1", "steps2"):
+            for got_step, want_step in zip(got[2][key], want[2][key]):
+                assert len(got_step) == 8
+                for a, b in zip(got_step, want_step):
+                    assert same_bytes(np.ascontiguousarray(a), np.ascontiguousarray(b))
+
+    @pytest.mark.parametrize("with_val", [True, False])
+    def test_training_matches_oracle(self, monkeypatch, with_val):
+        rng = np.random.default_rng(12)
+        X = rng.normal(0, 2, size=(30, 7, 4))
+        y = 4.0 * X[:, :, 2].mean(axis=1) + rng.normal(0, 0.1, size=30)
+        cfg = LstmConfig(input_dim=4, seed=5, max_epochs=12, batch_size=8, dropout=0.5)
+        val = dict(X_val=X[22:], y_val=y[22:]) if with_val else {}
+        got = lstm_train(X[:22], y[:22], cfg, **val)
+        want = train_oracle(monkeypatch, X[:22], y[:22], cfg, **val)
+        assert got.train_curve == want.train_curve
+        assert got.val_curve == want.val_curve
+        assert (len(got.val_curve) == 13) == with_val
+        assert got.best_epoch == want.best_epoch
+        for k in want.params:
+            assert same_bytes(got.params[k], want.params[k]), k
+        assert same_bytes(got.running_mean, want.running_mean)
+        assert same_bytes(got.running_var, want.running_var)
+        assert same_bytes(got.predict(X), want.predict(X))
 
 
 class TestGolden:

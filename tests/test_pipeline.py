@@ -232,6 +232,26 @@ class TestTrainEval:
         assert "[config]" in report
         assert "dev_mae" in report
 
+    def test_report_bytes_independent_of_corpus_and_output_paths(self, tmp_path):
+        spec = SynthSpec(n_train=12, n_dev=5, modalities=("transcript",), turn_pairs=6)
+        reports = []
+        for name in ("first", "second_checkout"):
+            root, out = tmp_path / name / "corpus", tmp_path / f"{name}_out"
+            gen_synthetic(spec, root, seed=5)
+            cfg = cfg_for(root, out, modality="behavioral")
+            run_extract(cfg)
+            run_train(cfg)
+            run_eval(cfg)
+            reports.append({n: (out / n).read_bytes() for n in ("report_behavioral.txt", "report_behavioral.csv")})
+            # the rendered config itself still names both locations
+            assert f"root = {root}" in config_text(cfg)
+            assert f"out_dir = {out}" in config_text(cfg)
+        assert reports[0] == reports[1]
+        text = reports[0]["report_behavioral.txt"].decode()
+        assert str(tmp_path) not in text
+        assert "\n[run]\nmodality = behavioral\n" in text and "seed = 7" in text
+        assert "[corpus]" not in text
+
     def test_mean_model_available(self, small_corpus, tmp_path, behavioral_run):
         cfg, out0, _ = behavioral_run
         out = tmp_path / "out_mean"
@@ -441,6 +461,33 @@ class TestVisualPipeline:
         _, y, yhat = read_predictions(out / "predictions_visual_dev.csv")
         assert len(y) == 3
         assert np.all(np.isfinite(yhat))
+        # LSTM counters: best epoch from the model, windows per split
+        model = json.loads((out / "model_visual.json").read_text())
+        assert rows["lstm_best_epoch"] == model["model"]["best_epoch"]
+        assert rows["n_windows_train"] == len(np.load(out / "visual_train_windows.npy"))
+        assert rows["n_windows_dev"] == len(np.load(out / "visual_dev_windows.npy"))
+        assert rows["n_windows_train"] > 0
+        csv_rows = dict(line.split(",", 1) for line in (out / "report_visual.csv").read_text().splitlines()[1:])
+        for key in ("lstm_best_epoch", "n_windows_train", "n_windows_dev"):
+            assert csv_rows[key] == str(rows[key])
+
+    def test_visual_artifacts_byte_identical_across_runs(self, full_corpus, tmp_path):
+        ini = tmp_path / "visual.ini"
+        ini.write_text("[run]\nmodality = visual\nseed = 13\n[lstm]\nmax_epochs = 4\n", encoding="utf-8")
+        digests = []
+        for name in ("first", "second"):
+            out = tmp_path / name
+            cfg = load_config(ini, {"root": str(full_corpus), "out_dir": str(out)})
+            assert cfg.lstm_max_epochs == 4
+            run_extract(cfg)
+            run_train(cfg)
+            run_eval(cfg)
+            digests.append({p.name: sha(p) for p in sorted(out.iterdir())})
+        assert digests[0] == digests[1]
+        assert {
+            "visual_pca.json", "visual_train_windows.npy", "visual_dev_windows.json", "model_visual.json",
+            "predictions_visual_train.csv", "predictions_visual_dev.csv", "report_visual.txt", "report_visual.csv",
+        } <= set(digests[0])
 
     def test_visual_kfold_cv(self, full_corpus, tmp_path):
         out = tmp_path / "vis_cv"
