@@ -49,8 +49,7 @@ def _sigmoid(x):
     """
     pos = x >= 0
     e = np.exp(np.where(pos, -x, x))
-    d = 1.0 + e
-    return np.where(pos, 1.0 / d, e / d)
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -89,13 +88,18 @@ def init_params(config: LstmConfig) -> dict:
 
 
 def _layer_forward(W, U, b, X):
-    """One LSTM layer over (B, T, D) input; returns hidden sequence + cache."""
+    """One LSTM layer over (B, T, D) input.
+
+    Returns the hidden sequence, the per-step cache tuples and each step's
+    (B, 4H) sigmoid of all four gate pre-activations, of which the cached
+    i, f and o are column views.
+    """
     B, T, _ = X.shape
     H = W.shape[0] // 4
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     Hs = np.zeros((B, T, H))
-    steps = []
+    steps, gates = [], []
     for t in range(T):
         a = X[:, t] @ W.T + h @ U.T + b
         # one activation call for i, f and o (the g block's sigmoid is unused)
@@ -105,33 +109,43 @@ def _layer_forward(W, U, b, X):
         c_new = f * c + i * g
         tanh_c = np.tanh(c_new)
         steps.append((X[:, t], h, c, i, f, g, o, tanh_c))
+        gates.append(s)
         h = o * tanh_c
         c = c_new
         Hs[:, t] = h
-    return Hs, steps
+    return Hs, steps, gates
 
 
-def _layer_backward(W, U, dHs, steps):
+def _layer_backward(W, U, dHs, steps, gates, input_grad=True):
+    """Backprop through one layer; dX is None unless ``input_grad``."""
     B, T, H = dHs.shape
     dW = np.zeros_like(W)
     dU = np.zeros_like(U)
     db = np.zeros(4 * H)
-    dX = np.zeros((B, T, W.shape[1]))
+    dX = np.zeros((B, T, W.shape[1])) if input_grad else None
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
-    da = np.empty((B, 4 * H))  # gate gradients, rewritten every step
+    # the i, f and o gradients are upstream * s * (1 - s) over the whole
+    # (B, 4H) row; the g block of upstream stays 0 and its gradient is
+    # written separately
+    upstream = np.zeros((B, 4 * H))
+    da = np.empty((B, 4 * H))
     for t in reversed(range(T)):
         x_t, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
+        s = gates[t]
         dh = dHs[:, t] + dh_next
         dc = dc_next + dh * o * (1.0 - tanh_c**2)
-        da[:, :H] = dc * g * i * (1.0 - i)
-        da[:, H : 2 * H] = dc * c_prev * f * (1.0 - f)
+        np.multiply(dc, g, out=upstream[:, :H])
+        np.multiply(dc, c_prev, out=upstream[:, H : 2 * H])
+        np.multiply(dh, tanh_c, out=upstream[:, 3 * H :])
+        np.multiply(upstream, s, out=da)
+        da *= 1.0 - s
         da[:, 2 * H : 3 * H] = dc * i * (1.0 - g**2)
-        da[:, 3 * H :] = dh * tanh_c * o * (1.0 - o)
         dW += da.T @ x_t
         dU += da.T @ h_prev
         db += da.sum(axis=0)
-        dX[:, t] = da @ W
+        if input_grad:
+            dX[:, t] = da @ W
         dh_next = da @ U
         dc_next = dc * f
     return dX, dW, dU, db
@@ -139,8 +153,8 @@ def _layer_backward(W, U, dHs, steps):
 
 def forward(params: dict, state: dict, X: np.ndarray, training: bool, dropout_mask=None):
     """Windows (B, T, D) -> predictions (B,) plus a cache for backward."""
-    Hs1, steps1 = _layer_forward(params["W1"], params["U1"], params["b1"], X)
-    Hs2, steps2 = _layer_forward(params["W2"], params["U2"], params["b2"], Hs1)
+    Hs1, steps1, gates1 = _layer_forward(params["W1"], params["U1"], params["b1"], X)
+    Hs2, steps2, gates2 = _layer_forward(params["W2"], params["U2"], params["b2"], Hs1)
     hT = Hs2[:, -1]
 
     if training:
@@ -161,7 +175,7 @@ def forward(params: dict, state: dict, X: np.ndarray, training: bool, dropout_ma
 
     pred = ydo @ params["w_out"] + params["b_out"][0]
     cache = dict(
-        X=X, steps1=steps1, steps2=steps2, Hs1=Hs1, hT=hT,
+        X=X, steps1=steps1, steps2=steps2, gates1=gates1, gates2=gates2, Hs1=Hs1, hT=hT,
         xhat=xhat, istd=istd, ydo=ydo, mask=dropout_mask, training=training,
     )
     return pred, cache
@@ -186,8 +200,13 @@ def backward(params: dict, cache: dict, dpred: np.ndarray) -> dict:
 
     dHs2 = np.zeros_like(cache["Hs1"])
     dHs2[:, -1] = dhT
-    dHs1, grads["W2"], grads["U2"], grads["b2"] = _layer_backward(params["W2"], params["U2"], dHs2, cache["steps2"])
-    _, grads["W1"], grads["U1"], grads["b1"] = _layer_backward(params["W1"], params["U1"], dHs1, cache["steps1"])
+    dHs1, grads["W2"], grads["U2"], grads["b2"] = _layer_backward(
+        params["W2"], params["U2"], dHs2, cache["steps2"], cache["gates2"]
+    )
+    # nothing reads the gradient with respect to the input windows
+    _, grads["W1"], grads["U1"], grads["b1"] = _layer_backward(
+        params["W1"], params["U1"], dHs1, cache["steps1"], cache["gates1"], input_grad=False
+    )
     return grads
 
 

@@ -91,11 +91,19 @@ def layer_backward_oracle(W, U, dHs, steps):
     return dX, dW, dU, db
 
 
+def use_oracle_steps(m):
+    """Swap the oracle step code into the module (m: a monkeypatch context)."""
+    m.setattr(lstm_mod, "_layer_forward", lambda W, U, b, X: (*layer_forward_oracle(W, U, b, X), None))
+    m.setattr(
+        lstm_mod, "_layer_backward",
+        lambda W, U, dHs, steps, gates, input_grad=True: layer_backward_oracle(W, U, dHs, steps),
+    )
+
+
 def train_oracle(monkeypatch, *args, **kwargs):
     """lstm_train with the oracle step code swapped in."""
     with monkeypatch.context() as m:
-        m.setattr(lstm_mod, "_layer_forward", layer_forward_oracle)
-        m.setattr(lstm_mod, "_layer_backward", layer_backward_oracle)
+        use_oracle_steps(m)
         return lstm_train(*args, **kwargs)
 
 
@@ -256,8 +264,7 @@ class TestBitIdentity:
         mask = (rng.random((7, 16)) < 0.5) / 0.5
         got = mse_loss_and_grads(model.params, model.state, X, y, training=True, dropout_mask=mask)
         with monkeypatch.context() as m:
-            m.setattr(lstm_mod, "_layer_forward", layer_forward_oracle)
-            m.setattr(lstm_mod, "_layer_backward", layer_backward_oracle)
+            use_oracle_steps(m)
             want = mse_loss_and_grads(model.params, model.state, X, y, training=True, dropout_mask=mask)
         assert got[0] == want[0]
         for k in want[1]:
