@@ -273,7 +273,7 @@ class TestBitIdentity:
             for got_step, want_step in zip(got[2][key], want[2][key]):
                 assert len(got_step) == 8
                 for a, b in zip(got_step, want_step):
-                    assert same_bytes(np.ascontiguousarray(a), np.ascontiguousarray(b))
+                    assert same_bytes(a, b)
 
     @pytest.mark.parametrize("with_val", [True, False])
     def test_training_matches_oracle(self, monkeypatch, with_val):
