@@ -18,15 +18,19 @@ Spectral analysis runs on Hamming-windowed frames; time-domain periodicity
 measures (f0, jitter, shimmer, HNR) use the raw frame samples so that a
 perfectly periodic tone reports zero cycle variation.
 
-A session is processed in one pass: it is framed once, the power spectrum
-feeds S, and one normalised autocorrelation (ACF) per frame, cached on the
-FrameSet, feeds both P and VQ; VQ reuses the f0 track from P. The merged
-vector M is assembled from that single pass and equals merge_groups(P, S, VQ)
-byte for byte: a group's values do not depend on which other groups share
-the pass. The spectrum and the ACF are computed in blocks of BLOCK_FRAMES
-frames, so their FFT working sets are bounded by the block rather than
-growing with the session: what a session keeps is its frames and their ACF
-lags, each n_frames x frame_len.
+A session is processed in one pass over blocks of BLOCK_FRAMES frames.
+Framing only records where each frame starts; each block's frames are copied
+once, and from that copy come its power spectrum (S) and one normalised
+autocorrelation (ACF) per frame, cached on the block's FrameSet, which feeds
+both P and VQ; VQ reuses the f0 track from P. Every LLD is computed per frame,
+so the block split does not change a value. The two descriptors that look
+across frames carry their state over a block edge: flux gets the frame before
+the block, and the f0 envelope the last voiced f0. A block's frames, spectrum
+and ACF are dropped before the next block, so what a session keeps is its
+samples plus the O(n_frames) LLD tracks; deltas and functionals run on those
+tracks after the pass. The merged vector M is assembled from that single pass
+and equals merge_groups(P, S, VQ) byte for byte: a group's values do not
+depend on which other groups share the pass.
 """
 
 from __future__ import annotations
@@ -70,8 +74,9 @@ FUNCTIONAL_NAMES = (
 GROUP_LLDS = {"S": SPECTRAL_LLDS, "P": PROSODY_LLDS, "VQ": VQ_LLDS}
 GROUP_DIMS = {"S": 864, "P": 288, "VQ": 288, "M": 1440}
 
-# frames per block of the spectrum and the ACF: bounds their FFT temporaries
-# (about 20 MB at 16 kHz) whatever the session length
+# frames per block of the acoustic pass: bounds every frame-sized array (the
+# block's frames, spectrum and ACF, about 25 MB at 16 kHz) whatever the
+# session length
 BLOCK_FRAMES = 1024
 
 # regression-delta window +-DELTA_WIDTH; shorter sessions cannot be described
@@ -97,20 +102,36 @@ class LLDTrack:
 
 @dataclass(frozen=True)
 class FrameSet:
-    """Raw 25 ms frames (rows) taken from participant turn spans."""
+    """Raw 25 ms frames (rows) taken from participant turn spans.
 
-    samples: np.ndarray  # (n_frames, frame_len)
+    The frames are the rows ``starts`` of ``windows``, or every row when
+    ``starts`` is None. frame_signal passes the signal's sliding-window view
+    as ``windows``, so no frame is copied until ``block`` or ``samples`` asks.
+    """
+
+    windows: np.ndarray  # (n_windows, frame_len)
     rate: int
+    starts: np.ndarray | None = None  # row of windows for each frame
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.windows) if self.starts is None else len(self.starts)
 
     @property
     def frame_len(self) -> int:
-        return self.samples.shape[1]
+        return self.windows.shape[1]
+
+    @property
+    def samples(self) -> np.ndarray:
+        """(n_frames, frame_len); a fresh copy of every frame when ``starts`` is set."""
+        return self.windows if self.starts is None else self.windows[self.starts]
 
     def windowed(self) -> np.ndarray:
         return self.samples * np.hamming(self.frame_len)
+
+    def block(self, lo: int, hi: int) -> FrameSet:
+        """Frames lo..hi-1 as a FrameSet of their own, copied from the signal once."""
+        rows = slice(lo, hi)
+        return FrameSet(self.windows[rows] if self.starts is None else self.windows[self.starts[rows]], self.rate)
 
     @cached_property
     def acf(self) -> np.ndarray:
@@ -156,15 +177,16 @@ def frame_signal(audio: AudioSignal, turns) -> FrameSet:
     hop = int(round(HOP_SECONDS * audio.rate))
     n = len(audio.samples)
 
-    offsets = []
+    starts = []
     for t in spans:
         lo = min(max(int(round(t.start * audio.rate)), 0), n)
         hi = min(max(int(round(t.stop * audio.rate)), 0), n)
-        offsets.extend(range(lo, hi - flen + 1, hop))
-    if not offsets:
+        starts.append(np.arange(lo, hi - flen + 1, hop))
+    starts = np.concatenate(starts)
+    if not len(starts):
         return FrameSet(np.zeros((0, flen)), audio.rate)
     windows = np.lib.stride_tricks.sliding_window_view(audio.samples, flen)
-    return FrameSet(windows[offsets], audio.rate)
+    return FrameSet(windows, audio.rate, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -172,52 +194,60 @@ def frame_signal(audio: AudioSignal, turns) -> FrameSet:
 # ---------------------------------------------------------------------------
 
 
-def spectral_llds(frames: FrameSet) -> list[LLDTrack]:
+def _magnitude_spectrum(x: np.ndarray, window: np.ndarray) -> np.ndarray:
+    return np.abs(np.fft.rfft(x * window, axis=1))
+
+
+def _unit_sum(mag: np.ndarray) -> np.ndarray:
+    """Each row scaled to sum 1; all-zero rows stay 0."""
+    total = mag.sum(axis=1, keepdims=True)
+    return np.divide(mag, total, out=np.zeros_like(mag), where=total > 0)
+
+
+def spectral_llds(frames: FrameSet, previous: np.ndarray | None = None) -> list[LLDTrack]:
     """12 spectral tracks from the power spectrum of Hamming-windowed frames.
 
-    All-zero frames report 0 for band energies, roll-offs and centroid. The
-    spectrum is taken BLOCK_FRAMES frames at a time.
+    All-zero frames report 0 for band energies, roll-offs and centroid. Flux
+    compares each frame's normalised magnitude spectrum with the frame before
+    it; ``previous`` is the raw frame just before the first one (a block's
+    carry), and without it the first frame's flux is 0.
     """
     if len(frames) == 0:
         raise EmptyInputError("empty frame set")
     freqs = np.fft.rfftfreq(frames.frame_len, d=1.0 / frames.rate)
     window = np.hamming(frames.frame_len)
-    band_masks = [(freqs >= lo) & (freqs <= hi) for lo, hi in SPECTRAL_BANDS]
-    tracks = {name: np.zeros(len(frames)) for name in SPECTRAL_LLDS}
-    prev_norm = None
+    mag = _magnitude_spectrum(frames.samples, window)
+    power = mag**2
+    tracks = {}
 
-    for lo in range(0, len(frames), BLOCK_FRAMES):
-        rows = slice(lo, lo + BLOCK_FRAMES)
-        spec = np.fft.rfft(frames.samples[rows] * window, axis=1)
-        power = np.abs(spec) ** 2
-        mag = np.abs(spec)
+    total = power.sum(axis=1)
+    nonzero = total > 0.0
 
-        total = power.sum(axis=1)
-        nonzero = total > 0.0
+    # band energies are summed bin by bin, left to right: .sum(axis=1) on the
+    # column-major masked copy does that for several frames but sums one
+    # frame pairwise, so the block size would change the last bits. The copy
+    # lets the block's cumulative sums go.
+    for (lo, hi), name in zip(SPECTRAL_BANDS, SPECTRAL_LLDS[:4]):
+        tracks[name] = np.cumsum(power[:, (freqs >= lo) & (freqs <= hi)], axis=1)[:, -1].copy()
 
-        for mask, name in zip(band_masks, SPECTRAL_LLDS[:4]):
-            tracks[name][rows] = power[:, mask].sum(axis=1)
+    cum = np.cumsum(power, axis=1)
+    for pct, name in zip(ROLLOFF_PERCENTS, SPECTRAL_LLDS[4:8]):
+        idx = np.argmax(cum >= pct * total[:, None], axis=1)
+        tracks[name] = np.where(nonzero, freqs[idx], 0.0)
 
-        cum = np.cumsum(power, axis=1)
-        for pct, name in zip(ROLLOFF_PERCENTS, SPECTRAL_LLDS[4:8]):
-            idx = np.argmax(cum >= pct * total[:, None], axis=1)
-            tracks[name][rows] = np.where(nonzero, freqs[idx], 0.0)
+    centroid = np.zeros(len(power))
+    centroid[nonzero] = (power[nonzero] * freqs).sum(axis=1) / total[nonzero]
+    tracks["centroid"] = centroid
 
-        centroid = np.zeros(len(power))
-        centroid[nonzero] = (power[nonzero] * freqs).sum(axis=1) / total[nonzero]
-        tracks["centroid"][rows] = centroid
+    norm = _unit_sum(mag)
+    if previous is not None:
+        norm = np.concatenate([_unit_sum(_magnitude_spectrum(previous[None, :], window)), norm])
+    flux = np.zeros(len(frames))
+    flux[len(frames) + 1 - len(norm) :] = np.sqrt(((norm[1:] - norm[:-1]) ** 2).sum(axis=1))
+    tracks["flux"] = flux
 
-        mag_sum = mag.sum(axis=1, keepdims=True)
-        norm = np.divide(mag, mag_sum, out=np.zeros_like(mag), where=mag_sum > 0)
-        # flux compares each frame with the one before it, across block edges;
-        # the session's first frame keeps flux 0
-        paired = norm if prev_norm is None else np.concatenate([prev_norm, norm])
-        first = lo + len(norm) - len(paired) + 1
-        tracks["flux"][first : lo + len(norm)] = np.sqrt(((paired[1:] - paired[:-1]) ** 2).sum(axis=1))
-        prev_norm = norm[-1:]
-
-        tracks["max_pos"][rows] = freqs[np.argmax(power, axis=1)]
-        tracks["min_pos"][rows] = freqs[np.argmin(power, axis=1)]
+    tracks["max_pos"] = freqs[np.argmax(power, axis=1)]
+    tracks["min_pos"] = freqs[np.argmin(power, axis=1)]
 
     return [LLDTrack(name, tracks[name], "S") for name in SPECTRAL_LLDS]
 
@@ -228,22 +258,14 @@ def spectral_llds(frames: FrameSet) -> list[LLDTrack]:
 
 
 def _normalized_acf(x: np.ndarray) -> np.ndarray:
-    """Bias-corrected normalized autocorrelation r(tau) per frame (FFT-based).
-
-    Rows are transformed BLOCK_FRAMES at a time; each row's result does
-    not depend on the block split.
-    """
-    n, flen = x.shape
+    """Bias-corrected normalized autocorrelation r(tau) per frame (FFT-based)."""
+    flen = x.shape[1]
     nfft = 1 << int(np.ceil(np.log2(2 * flen)))
-    lags = np.arange(flen)
-    corr = flen / np.maximum(flen - lags, 1)
-    out = np.empty((n, flen))
-    for lo in range(0, n, BLOCK_FRAMES):
-        spec = np.fft.rfft(x[lo : lo + BLOCK_FRAMES], n=nfft, axis=1)
-        acf = np.fft.irfft(np.abs(spec) ** 2, n=nfft, axis=1)[:, :flen]
-        r0 = acf[:, 0:1]
-        out[lo : lo + BLOCK_FRAMES] = np.divide(acf, r0, out=np.zeros_like(acf), where=r0 > 0) * corr
-    return out
+    corr = flen / np.maximum(flen - np.arange(flen), 1)
+    spec = np.fft.rfft(x, n=nfft, axis=1)
+    acf = np.fft.irfft(np.abs(spec) ** 2, n=nfft, axis=1)[:, :flen]
+    r0 = acf[:, 0:1]
+    return np.divide(acf, r0, out=np.zeros_like(acf), where=r0 > 0) * corr
 
 
 def _pitch_lags(frames: FrameSet) -> tuple[int, int]:
@@ -254,12 +276,13 @@ def _pitch_lags(frames: FrameSet) -> tuple[int, int]:
     return lag_min, lag_max
 
 
-def prosodic_llds(frames: FrameSet) -> list[LLDTrack]:
+def prosodic_llds(frames: FrameSet, held_f0: float = 0.0) -> list[LLDTrack]:
     """f0 (autocorrelation peak in 55-400 Hz), its envelope, loudness, voicing.
 
     Unvoiced frames get f0 = 0; the envelope holds the last voiced value
-    through unvoiced gaps. Loudness is the natural log of mean frame energy,
-    so scaling the signal by g shifts it by 2*log(g).
+    through unvoiced gaps, starting from ``held_f0`` (the envelope's value
+    before the first frame, a block's carry). Loudness is the natural log of
+    mean frame energy, so scaling the signal by g shifts it by 2*log(g).
     """
     if len(frames) == 0:
         raise EmptyInputError("empty frame set")
@@ -279,7 +302,7 @@ def prosodic_llds(frames: FrameSet) -> list[LLDTrack]:
 
     # index of the latest voiced frame at or before each frame (-1: none yet)
     last = np.maximum.accumulate(np.where(f0 > 0, np.arange(len(frames)), -1))
-    env = np.where(last >= 0, f0[last], 0.0)
+    env = np.where(last >= 0, f0[last], held_f0)
 
     energy = np.mean(frames.samples**2, axis=1)
     loudness = np.log(np.maximum(energy, _LOUDNESS_FLOOR))
@@ -338,11 +361,10 @@ def voice_quality_llds(frames: FrameSet, f0_track: LLDTrack) -> list[LLDTrack]:
     shim = np.zeros(n)
     hnr = np.zeros(n)
 
-    active = np.flatnonzero(f0 > 0)
-    x = frames.samples[active]
-    xmax = x.max(axis=1)
-    keep = xmax > 0
-    active, x, xmax = active[keep], x[keep], xmax[keep]
+    samples = frames.samples
+    frame_max = samples.max(axis=1)
+    active = np.flatnonzero((f0 > 0) & (frame_max > 0))
+    x, xmax = samples[active], frame_max[active]
     period = frames.rate / f0[active]
 
     lag = np.rint(period)
@@ -481,10 +503,11 @@ def _group_vector(session_id: str, group: str, bases: list[LLDTrack]) -> Acousti
 def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
     """Extract one acoustic group (S, P, VQ or the merge M) for a session.
 
-    The session is framed once; M is built from one pass over those frames
-    and equals merge_groups(P, S, VQ). Sessions the recipe cannot describe
-    (no audio, no participant turns, a sample rate below 8 kHz, fewer frames
-    than the delta window) raise EmptyInputError.
+    The session is framed once and its LLDs come from one pass over blocks
+    of BLOCK_FRAMES frames; M is built from that pass and equals
+    merge_groups(P, S, VQ). Sessions the recipe cannot describe (no audio,
+    no participant turns, a sample rate below 8 kHz, fewer frames than the
+    delta window) raise EmptyInputError.
     """
     if group not in GROUP_DIMS:
         raise ValueError(f"unknown group {group!r}")
@@ -494,18 +517,32 @@ def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
     if len(frames) < MIN_FRAMES:
         raise EmptyInputError(f"session {session.id}: {len(frames)} frames, fewer than the delta window ({MIN_FRAMES})")
 
-    vectors = {}
-    if group in ("S", "M"):
-        vectors["S"] = _group_vector(session.id, "S", spectral_llds(frames))
-    if group != "S":
-        prosody = prosodic_llds(frames)
-        if group in ("P", "M"):
-            vectors["P"] = _group_vector(session.id, "P", prosody)
-        if group in ("VQ", "M"):
-            vectors["VQ"] = _group_vector(session.id, "VQ", voice_quality_llds(frames, prosody[0]))
-    if group == "M":
-        return merge_groups(vectors["P"], vectors["S"], vectors["VQ"])
-    return vectors[group]
+    groups = ("P", "S", "VQ") if group == "M" else (group,)
+    per_block = {g: [] for g in groups}  # group -> one list of LLD tracks per block
+    previous, held_f0 = None, 0.0  # state carried over block edges
+    for lo in range(0, len(frames), BLOCK_FRAMES):
+        block = frames.block(lo, lo + BLOCK_FRAMES)
+        if "S" in groups:
+            per_block["S"].append(spectral_llds(block, previous))
+            previous = block.samples[-1].copy()
+        if group != "S":
+            prosody = prosodic_llds(block, held_f0)
+            held_f0 = prosody[1].values[-1]
+            if "P" in groups:
+                per_block["P"].append(prosody)
+            if "VQ" in groups:
+                per_block["VQ"].append(voice_quality_llds(block, prosody[0]))
+
+    vectors = [_group_vector(session.id, g, _join_blocks(per_block[g])) for g in groups]
+    return merge_groups(*vectors) if group == "M" else vectors[0]
+
+
+def _join_blocks(per_block: list[list[LLDTrack]]) -> list[LLDTrack]:
+    """Whole-session tracks from the tracks of consecutive blocks."""
+    return [
+        LLDTrack(track.name, np.concatenate([tracks[i].values for tracks in per_block]), track.group)
+        for i, track in enumerate(per_block[0])
+    ]
 
 
 def merge_groups(p: AcousticVector, s: AcousticVector, vq: AcousticVector) -> AcousticVector:

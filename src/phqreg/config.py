@@ -188,7 +188,7 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
 
 
 # fields holding locations on the machine that runs the pipeline
-MACHINE_PATHS = ("root", "out_dir")
+MACHINE_PATHS = ("root", "out_dir", "text_embeddings")
 
 
 def config_text(cfg: PipelineConfig, omit: tuple[str, ...] = ()) -> str:

@@ -314,7 +314,8 @@ def load_wav(path) -> AudioSignal:
             raise ValueError(f"{path}: expected 16-bit PCM, got {8 * w.getsampwidth()}-bit")
         rate = w.getframerate()
         raw = w.readframes(w.getnframes())
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    samples /= 32768.0  # in place: no second float64 copy of the session
     return AudioSignal(samples, rate)
 
 

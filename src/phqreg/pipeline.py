@@ -176,24 +176,34 @@ def read_feature_csv(path) -> tuple[tuple[str, ...], dict]:
 # ---------------------------------------------------------------------------
 
 
+def _acoustic_vector(index, sid: str, variant: str):
+    """One session's acoustic vector, or None when it is skipped.
+
+    The session lives only in this call, so its samples are freed before
+    the next session is loaded.
+    """
+    try:
+        session = load_session(index, sid, ("transcript", "audio"))
+    except KeyError as exc:
+        logger.warning("skipping %s: %s", sid, exc)
+        return None
+    try:
+        return session_acoustic_vector(session, variant)
+    except EmptyInputError as exc:
+        logger.warning("skipping %s: %s", sid, exc)
+        return None
+
+
 def _extract_acoustic(index, cfg: PipelineConfig, variant: str):
     names = None
     per_split = {}
     for split in SPLITS:
         rows = {}
         for sid in index.ids[split]:
-            try:
-                session = load_session(index, sid, ("transcript", "audio"))
-            except KeyError as exc:
-                logger.warning("skipping %s: %s", sid, exc)
-                continue
-            try:
-                vec = session_acoustic_vector(session, variant)
-            except EmptyInputError as exc:
-                logger.warning("skipping %s: %s", sid, exc)
-                continue
-            rows[sid] = vec.values
-            names = vec.names
+            vec = _acoustic_vector(index, sid, variant)
+            if vec is not None:
+                rows[sid] = vec.values
+                names = vec.names
         per_split[split] = rows
     if names is None:
         raise PipelineError("acoustic extraction produced no sessions")

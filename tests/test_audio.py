@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phqreg import audio
 from phqreg.audio import (
     BLOCK_FRAMES,
     FUNCTIONAL_NAMES,
+    HOP_SECONDS,
     MIN_FRAMES,
     EmptyInputError,
     FrameSet,
@@ -407,13 +411,73 @@ class TestBlocks:
         assert len(frames) > 2 * BLOCK_FRAMES
         return frames
 
+    @staticmethod
+    def blocks(frames):
+        return [frames.block(lo, lo + BLOCK_FRAMES) for lo in range(0, len(frames), BLOCK_FRAMES)]
+
     def test_blocked_acf_equals_single_block(self, long_frames):
-        assert long_frames.acf.tobytes() == acf_oracle(long_frames.samples).tobytes()
+        got = np.concatenate([block.acf for block in self.blocks(long_frames)])
+        assert got.tobytes() == acf_oracle(long_frames.samples).tobytes()
 
     def test_blocked_spectrum_equals_single_block(self, long_frames):
         want = spectral_oracle(long_frames)
-        for track in spectral_llds(long_frames):
-            assert track.values.tobytes() == want[track.name].tobytes(), track.name
+        blocks = self.blocks(long_frames)
+        per_block = [spectral_llds(blocks[0])]
+        per_block += [spectral_llds(block, before.samples[-1]) for before, block in zip(blocks, blocks[1:])]
+        for i, name in enumerate(want):
+            got = np.concatenate([tracks[i].values for tracks in per_block])
+            assert per_block[0][i].name == name
+            assert got.tobytes() == want[name].tobytes(), name
+
+
+def edge_session(rate):
+    """A voiced sawtooth, an unvoiced noise gap, then a voiced tone: 100 frames."""
+    rng = np.random.default_rng(3)
+    x = np.concatenate([
+        sawtooth(180, 0.29, rate, 0.5), rng.normal(0.0, 0.05, int(0.28 * rate)), sine(300, 0.45, rate, 0.4),
+    ])
+    return session_with(x, rate)
+
+
+class TestBlockedPass:
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    def test_vectors_do_not_depend_on_block_size(self, rate, monkeypatch):
+        s = edge_session(rate)
+        frames = frame_signal(s.audio, s.turns)
+        # with 7-frame blocks, the block at frame 35 starts inside the unvoiced
+        # gap (the f0 envelope carries the last voiced f0 into it) and the one
+        # at frame 56 starts at the gap-to-tone spectral change (flux carries
+        # the previous frame's spectrum)
+        prosody = {t.name: t.values for t in prosodic_llds(frames)}
+        assert np.all(prosody["f0"][35:42] == 0.0) and prosody["f0_env"][35] > 0.0
+        assert {t.name: t.values for t in spectral_llds(frames)}["flux"][56] > 0.1
+
+        def vectors(block_frames):
+            monkeypatch.setattr(audio, "BLOCK_FRAMES", block_frames)
+            return {g: session_acoustic_vector(s, g).values.tobytes() for g in ("S", "P", "VQ", "M")}
+
+        whole = vectors(len(frames) + 1)
+        assert vectors(1) == whole
+        assert vectors(7) == whole
+
+    def test_peak_memory_flat_in_session_length(self):
+        def session_peak(n_blocks):
+            rate = 8000
+            n = int((n_blocks * BLOCK_FRAMES + 3) * HOP_SECONDS * rate)
+            rng = np.random.default_rng(n_blocks)
+            s = session_with(sawtooth(150, n / rate, rate, 0.3) + rng.normal(0.0, 0.01, n), rate)
+            tracemalloc.start()
+            try:
+                session_acoustic_vector(s, "M")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        session_peak(1)  # warm-up: first-call allocations do not count
+        # frame-sized arrays of the whole session would make the 8-block
+        # peak about twice the 2-block one; the per-frame tracks add ~10 %
+        short, long = session_peak(2), session_peak(8)
+        assert long <= 1.25 * short, (short, long)
 
 
 def delta_oracle(values, width=2):

@@ -161,7 +161,7 @@ class TestExtract:
     def test_lld_value_error_is_not_a_skipped_session(self, full_corpus, tmp_path, monkeypatch):
         from phqreg import audio
 
-        def broken(frames):
+        def broken(frames, previous=None):
             raise ValueError("operands could not be broadcast together")
 
         monkeypatch.setattr(audio, "spectral_llds", broken)
@@ -252,6 +252,25 @@ class TestTrainEval:
         assert "\n[run]\nmodality = behavioral\n" in text and "seed = 7" in text
         assert "[corpus]" not in text
 
+    def test_text_we_report_bytes_independent_of_embeddings_path(self, small_corpus, tmp_path):
+        words = ["i", "think", "tired", "sad", "good", "fine", "well", "today"]
+        rng = np.random.default_rng(0)
+        table = "\n".join(w + " " + " ".join(repr(float(v)) for v in rng.normal(size=4)) for w in words) + "\n"
+        reports = []
+        for name in ("first", "second_checkout"):
+            emb = tmp_path / name / "vectors.txt"
+            emb.parent.mkdir()
+            emb.write_text(table, encoding="utf-8")
+            out = tmp_path / f"{name}_out"
+            cfg = cfg_for(small_corpus, out, modality="text:WE", text_embeddings=str(emb))
+            run_extract(cfg)
+            run_train(cfg)
+            run_eval(cfg)
+            reports.append({n: (out / n).read_bytes() for n in ("report_text_WE.txt", "report_text_WE.csv")})
+            assert f"embeddings = {emb}" in config_text(cfg)
+        assert reports[0] == reports[1]
+        assert str(tmp_path) not in reports[0]["report_text_WE.txt"].decode()
+
     def test_mean_model_available(self, small_corpus, tmp_path, behavioral_run):
         cfg, out0, _ = behavioral_run
         out = tmp_path / "out_mean"
@@ -322,6 +341,25 @@ class TestDeterminismAndLeakage:
             run_extract(cfg)
             run_train(cfg)
         assert sha(out_a / "model_behavioral.json") == sha(out_b / "model_behavioral.json")
+
+    def test_acoustic_m_artifacts_byte_identical_across_roots(self, full_corpus, tmp_path):
+        import shutil
+
+        second = tmp_path / "second_root"
+        shutil.copytree(full_corpus, second)
+        digests = []
+        for root, name in ((full_corpus, "first"), (second, "second")):
+            out = tmp_path / name
+            cfg = cfg_for(root, out, modality="acoustic:M")
+            run_extract(cfg)
+            run_train(cfg)
+            run_eval(cfg)
+            digests.append({p.name: sha(p) for p in sorted(out.iterdir())})
+        assert digests[0] == digests[1]
+        assert {
+            "features_acoustic_M_train.csv", "features_acoustic_M_dev.csv",
+            "report_acoustic_M.txt", "report_acoustic_M.csv",
+        } <= set(digests[0])
 
 
 class TestCrossValidation:
