@@ -129,7 +129,7 @@ class FrameSet:
         return self.samples * np.hamming(self.frame_len)
 
     def block(self, lo: int, hi: int) -> FrameSet:
-        """Frames lo..hi-1 as a FrameSet of their own, copied from the signal once."""
+        """Frames lo..hi-1 as a FrameSet of their own; frames picked by ``starts`` are copied."""
         rows = slice(lo, hi)
         return FrameSet(self.windows[rows] if self.starts is None else self.windows[self.starts[rows]], self.rate)
 

@@ -475,7 +475,7 @@ class TestBlockedPass:
 
         session_peak(1)  # warm-up: first-call allocations do not count
         # frame-sized arrays of the whole session would make the 8-block
-        # peak about twice the 2-block one; the per-frame tracks add ~10 %
+        # peak about twice the 2-block one; the per-frame tracks add about 6 %
         short, long = session_peak(2), session_peak(8)
         assert long <= 1.25 * short, (short, long)
 
