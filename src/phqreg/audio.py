@@ -75,9 +75,11 @@ GROUP_LLDS = {"S": SPECTRAL_LLDS, "P": PROSODY_LLDS, "VQ": VQ_LLDS}
 GROUP_DIMS = {"S": 864, "P": 288, "VQ": 288, "M": 1440}
 
 # frames per block of the acoustic pass: bounds every frame-sized array (the
-# block's frames, spectrum and ACF, about 25 MB at 16 kHz) whatever the
-# session length
-BLOCK_FRAMES = 1024
+# block's frames, spectrum and ACF, about 12 MB at 16 kHz) whatever the
+# session length. Blocks this small also let the allocator reuse one block's
+# arrays for the next; at 1024 frames they were unmapped and faulted in
+# again every block, which cost more time than the block loop saves.
+BLOCK_FRAMES = 512
 
 # regression-delta window +-DELTA_WIDTH; shorter sessions cannot be described
 DELTA_WIDTH = 2
