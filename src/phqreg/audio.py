@@ -75,10 +75,10 @@ GROUP_LLDS = {"S": SPECTRAL_LLDS, "P": PROSODY_LLDS, "VQ": VQ_LLDS}
 GROUP_DIMS = {"S": 864, "P": 288, "VQ": 288, "M": 1440}
 
 # frames per block of the acoustic pass: bounds every frame-sized array (the
-# block's frames, spectrum and ACF, about 12 MB at 16 kHz) whatever the
+# block's frames, spectrum and ACF, about 16 MB at 16 kHz) whatever the
 # session length. Blocks this small also let the allocator reuse one block's
 # arrays for the next; at 1024 frames they were unmapped and faulted in
-# again every block, which cost more time than the block loop saves.
+# again every block, and the pass ran slower than on whole-session arrays.
 BLOCK_FRAMES = 512
 
 # regression-delta window +-DELTA_WIDTH; shorter sessions cannot be described
