@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .lstm import LstmConfig, LstmModel, gradient_check, lstm_train
-from .reptree import RepTreeModel, RepTreeRegressor, reptree_train
-from .svr import SvrModel, SvrRegressor, svr_train
+from .reptree import RepTreeModel, reptree_train
+from .svr import SvrModel, svr_train
 
 MODEL_FORMAT_VERSION = 1
 
@@ -75,8 +75,8 @@ def load_model(path) -> tuple[object, dict]:
 
 __all__ = [
     "LstmConfig", "LstmModel", "lstm_train", "gradient_check",
-    "RepTreeModel", "RepTreeRegressor", "reptree_train",
-    "SvrModel", "SvrRegressor", "svr_train",
+    "RepTreeModel", "reptree_train",
+    "SvrModel", "svr_train",
     "MeanModel", "mean_train",
     "save_model", "load_model", "ModelFormatError", "MODEL_FORMAT_VERSION",
 ]

@@ -177,20 +177,3 @@ def reptree_train(
     sse_before = subtree_sse(tree, X[prune_idx], y[prune_idx])
     sse_after = prune_tree(tree, X[prune_idx], y[prune_idx])
     return RepTreeModel(tree, X.shape[1], min_leaf, prune_fraction, seed, sse_before, sse_after)
-
-
-class RepTreeRegressor:
-    """fit/predict wrapper mirroring SvrRegressor."""
-
-    def __init__(self, min_leaf=DEFAULT_MIN_LEAF, prune_fraction=DEFAULT_PRUNE_FRACTION, seed=0):
-        self.params = dict(min_leaf=min_leaf, prune_fraction=prune_fraction, seed=seed)
-        self.model: RepTreeModel | None = None
-
-    def fit(self, X, y):
-        self.model = reptree_train(X, y, **self.params)
-        return self
-
-    def predict(self, X):
-        if self.model is None:
-            raise RuntimeError("not fitted")
-        return self.model.predict(X)

@@ -191,20 +191,3 @@ def svr_train(
         dual_objective=svr_dual_objective(K, y, epsilon, alpha, alpha_star),
         n_iter=it,
     )
-
-
-class SvrRegressor:
-    """fit/predict wrapper so SVR plugs into CV and tuning loops."""
-
-    def __init__(self, kernel="rbf", C=DEFAULT_C, gamma=DEFAULT_GAMMA, epsilon=DEFAULT_EPSILON, tol=DEFAULT_TOL):
-        self.params = dict(kernel=kernel, C=C, gamma=gamma, epsilon=epsilon, tol=tol)
-        self.model: SvrModel | None = None
-
-    def fit(self, X, y):
-        self.model = svr_train(X, y, **self.params)
-        return self
-
-    def predict(self, X):
-        if self.model is None:
-            raise RuntimeError("not fitted")
-        return self.model.predict(X)

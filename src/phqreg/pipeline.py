@@ -18,6 +18,15 @@ artifact_path alone:
 acoustic_M+FS), so M+FS never overwrites the plain M model, reports or
 predictions; <ftag> drops "+FS", so M+FS reads the M feature store.
 
+Every verb reaches the learners through one pair of functions.
+fit_predictor(cfg, sessions) runs Relief selection, the mean/SVR/REPTree
+choice, or the LSTM with its seeded validation hold-out, and
+predict_sessions(model, extra, sessions) gives per-session predictions.
+train fits and saves, eval predicts each split, and cv fits and predicts
+once per fold on index subsets of the training split, so a fold scores the
+procedure that train ships. tune-relief and [relief] tune hand
+relief.tune_relief the same mean/SVR/REPTree fit step.
+
 Outputs are deterministic for a fixed config + seed; wall-clock timing goes
 to the log only, never into report files.
 """
@@ -27,7 +36,8 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +48,12 @@ from .config import PipelineConfig
 from .metrics import MetricError, evs as evs_fn, mae as mae_fn, rmse as rmse_fn
 from .models import (
     LstmConfig,
-    RepTreeRegressor,
-    SvrRegressor,
-    lstm_train,
     load_model,
+    lstm_train,
     mean_train,
+    reptree_train,
     save_model,
+    svr_train,
 )
 
 logger = logging.getLogger(__name__)
@@ -176,70 +186,42 @@ def read_feature_csv(path) -> tuple[tuple[str, ...], dict]:
 # ---------------------------------------------------------------------------
 
 
-def _acoustic_vector(index, sid: str, variant: str):
-    """One session's acoustic vector, or None when it is skipped.
+def _session_rows(index, need: tuple[str, ...], describe, skip: tuple = ()) -> dict:
+    """{split: {sid: describe(session)}} in id order, without the skipped sessions.
 
-    The session lives only in this call, so its samples are freed before
-    the next session is loaded.
+    A session that lacks a needed file, or whose ``describe`` raises one of
+    ``skip``, is logged and left out. A session lives only in its own
+    ``describe`` call, so its samples are freed before the next one is loaded.
     """
-    try:
-        session = load_session(index, sid, ("transcript", "audio"))
-    except KeyError as exc:
-        logger.warning("skipping %s: %s", sid, exc)
-        return None
-    try:
-        return session_acoustic_vector(session, variant)
-    except EmptyInputError as exc:
-        logger.warning("skipping %s: %s", sid, exc)
-        return None
+    per_split = {}
+    for split in SPLITS:
+        per_split[split] = rows = {}
+        for sid in index.ids[split]:
+            try:
+                rows[sid] = describe(load_session(index, sid, need))
+            except (KeyError, *skip) as exc:
+                logger.warning("skipping %s: %s", sid, exc)
+    return per_split
 
 
 def _extract_acoustic(index, cfg: PipelineConfig, variant: str):
-    names = None
-    per_split = {}
-    for split in SPLITS:
-        rows = {}
-        for sid in index.ids[split]:
-            vec = _acoustic_vector(index, sid, variant)
-            if vec is not None:
-                rows[sid] = vec.values
-                names = vec.names
-        per_split[split] = rows
-    if names is None:
+    vectors = _session_rows(
+        index, ("transcript", "audio"), lambda session: session_acoustic_vector(session, variant), (EmptyInputError,),
+    )
+    found = [vec for rows in vectors.values() for vec in rows.values()]
+    if not found:
         raise PipelineError("acoustic extraction produced no sessions")
-    return names, per_split
+    return found[0].names, {split: {sid: vec.values for sid, vec in rows.items()} for split, rows in vectors.items()}
 
 
 def _extract_behavioral(index, cfg: PipelineConfig):
-    names = turns.BEHAVIORAL_NAMES
-    per_split = {}
-    for split in SPLITS:
-        rows = {}
-        for sid in index.ids[split]:
-            try:
-                session = load_session(index, sid, ("transcript",))
-                _, vec = turns.behavioral_vector(session.turns)
-            except (KeyError, ValueError) as exc:
-                logger.warning("skipping %s: %s", sid, exc)
-                continue
-            rows[sid] = vec
-        per_split[split] = rows
-    return names, per_split
+    rows = _session_rows(index, ("transcript",), lambda session: turns.behavioral_vector(session.turns)[1], (ValueError,))
+    return turns.BEHAVIORAL_NAMES, rows
 
 
 def _extract_text(index, cfg: PipelineConfig, variant: str):
-    docs = {}
-    for split in SPLITS:
-        for sid in index.ids[split]:
-            try:
-                session = load_session(index, sid, ("transcript",))
-            except KeyError as exc:
-                logger.warning("skipping %s: %s", sid, exc)
-                continue
-            docs[sid] = textfeats.build_document(session)
-
-    train_ids = [sid for sid in index.ids["train"] if sid in docs]
-    if not train_ids:
+    docs = _session_rows(index, ("transcript",), textfeats.build_document)
+    if not docs["train"]:
         raise PipelineError("text extraction found no training transcripts")
 
     if variant == "WE":
@@ -248,23 +230,17 @@ def _extract_text(index, cfg: PipelineConfig, variant: str):
         table = textfeats.load_embeddings(cfg.text_embeddings)
         names = tuple(f"we_{i}" for i in range(table.dim))
 
-        def vectors(sids):
-            return {sid: textfeats.embed_average(docs[sid], table) for sid in sids}
+        def vectors(split_docs):
+            return {sid: textfeats.embed_average(doc, table) for sid, doc in split_docs.items()}
 
     else:
-        vectorizer = textfeats.TextVectorizer(variant).fit([docs[sid] for sid in train_ids])
+        vectorizer = textfeats.TextVectorizer(variant).fit(list(docs["train"].values()))
         names = vectorizer.feature_names()
 
-        def vectors(sids):
-            sids = list(sids)
-            mat = vectorizer.transform([docs[sid] for sid in sids])
-            return dict(zip(sids, mat))
+        def vectors(split_docs):
+            return dict(zip(split_docs, vectorizer.transform(list(split_docs.values()))))
 
-    per_split = {}
-    for split in SPLITS:
-        present = [sid for sid in index.ids[split] if sid in docs]
-        per_split[split] = vectors(present)
-    return names, per_split
+    return names, {split: vectors(docs[split]) for split in SPLITS}
 
 
 def _windows_paths(out_dir: Path, split: str) -> tuple[Path, Path]:
@@ -272,18 +248,10 @@ def _windows_paths(out_dir: Path, split: str) -> tuple[Path, Path]:
 
 
 def _extract_visual(index, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
-    sessions = {}
-    for split in SPLITS:
-        for sid in index.ids[split]:
-            try:
-                sessions[sid] = load_session(index, sid, ("landmarks",)).landmarks
-            except KeyError as exc:
-                logger.warning("skipping %s: %s", sid, exc)
-
-    train_ids = [sid for sid in index.ids["train"] if sid in sessions]
-    if not train_ids:
+    landmarks = _session_rows(index, ("landmarks",), lambda session: session.landmarks)
+    if not landmarks["train"]:
         raise PipelineError("visual extraction found no training landmark files")
-    train_frames = np.concatenate([face.geometric_frames(sessions[sid]) for sid in train_ids])
+    train_frames = np.concatenate([face.geometric_frames(lm) for lm in landmarks["train"].values()])
     pca = face.fit_pca(train_frames, cfg.visual_variance_keep)
     logger.info("visual PCA: %d -> %d dims (%.4f%% variance)", train_frames.shape[1], pca.q, 100 * pca.explained_ratio)
 
@@ -304,14 +272,9 @@ def _extract_visual(index, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
 
     written = [pca_path]
     for split in SPLITS:
-        batches, sids, all_sessions = [], [], []
-        for sid in index.ids[split]:
-            if sid not in sessions:
-                continue
-            all_sessions.append(sid)
-            batch = face.window_sequence(
-                sessions[sid], pca, cfg.visual_window, cfg.visual_overlap, session_id=sid
-            )
+        batches, sids = [], []
+        for sid, lm in landmarks[split].items():
+            batch = face.window_sequence(lm, pca, cfg.visual_window, cfg.visual_overlap, session_id=sid)
             if len(batch.windows):
                 batches.append(batch.windows)
                 sids.extend([sid] * len(batch.windows))
@@ -326,7 +289,7 @@ def _extract_visual(index, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
                     "q": pca.q,
                     "pca_file": pca_path.name,
                     "session_ids": sids,
-                    "sessions": all_sessions,
+                    "sessions": list(landmarks[split]),
                 },
                 sort_keys=True,
             ),
@@ -381,46 +344,77 @@ def run_extract(cfg: PipelineConfig) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
-# tabular assembly
+# fit, predict, train
 # ---------------------------------------------------------------------------
 
 
-def _load_matrix(cfg: PipelineConfig, index: CorpusIndex, split: str, require_labels: bool):
-    names, rows = read_feature_csv(artifact_path(cfg.out_dir, "features", cfg.modality, split))
-    sids = sorted(rows)
+@dataclass(frozen=True)
+class Sessions:
+    """Labelled sessions of one split: a feature row each, or their windows (visual)."""
+
+    split: str
+    sids: list  # sorted session ids
+    y: np.ndarray  # label per session
+    names: tuple = ()  # tabular: feature names
+    X: np.ndarray | None = None  # tabular: one row per session
+    windows: np.ndarray | None = None  # visual: every window of these sessions
+    win_sids: np.ndarray | None = None  # visual: session id per window
+    meta: dict | None = None  # visual: window-batch sidecar
+
+    def subset(self, idx) -> "Sessions":
+        sids = [self.sids[i] for i in idx]
+        if self.windows is None:
+            return replace(self, sids=sids, y=self.y[idx], X=self.X[idx])
+        mine = np.isin(self.win_sids, sids)
+        return replace(self, sids=sids, y=self.y[idx], windows=self.windows[mine], win_sids=self.win_sids[mine])
+
+
+def _load_split(cfg: PipelineConfig, index: CorpusIndex, split: str) -> Sessions:
+    """Read one split's feature store or window batch and look up every label."""
+    if cfg.family() == "visual":
+        windows, meta = load_windows(cfg.out_dir, split)
+        sids = sorted(meta["sessions"])
+        stored = dict(windows=windows, win_sids=np.array(meta["session_ids"], dtype=str), meta=meta)
+    else:
+        names, rows = read_feature_csv(artifact_path(cfg.out_dir, "features", cfg.modality, split))
+        sids = sorted(rows)
+        stored = dict(names=names, X=np.array([rows[sid] for sid in sids]))
     if not sids:
-        raise PipelineError(f"feature store for split {split} is empty")
-    if require_labels:
-        unlabeled = [sid for sid in sids if sid not in index.labels]
-        if unlabeled:
-            raise PipelineError(f"unlabeled {split} sessions: {', '.join(unlabeled)}")
-    X = np.array([rows[sid] for sid in sids])
-    y = np.array([float(index.labels[sid]) for sid in sids if sid in index.labels])
-    return names, sids, X, y
+        raise PipelineError(f"empty {split} split")
+    unlabeled = [sid for sid in sids if sid not in index.labels]
+    if unlabeled:
+        raise PipelineError(f"unlabeled {split} sessions: {', '.join(unlabeled)}")
+    return Sessions(split, sids, np.array([float(index.labels[sid]) for sid in sids]), **stored)
 
 
-def _make_regressor(cfg: PipelineConfig):
-    model = cfg.effective_model()
-    if model == "svr":
-        return SvrRegressor(
-            kernel=cfg.effective_svr_kernel(), C=cfg.svr_c, gamma=cfg.svr_gamma,
+def _model_kind(cfg: PipelineConfig) -> str:
+    kind = cfg.effective_model()
+    if cfg.family() == "visual" and kind != "lstm":
+        raise PipelineError(f"the visual modality trains an lstm, not {kind!r}")
+    return kind
+
+
+def _tabular_fitter(cfg: PipelineConfig, kind: str):
+    """``fit(X, y) -> model`` for the mean baseline, SVR or REPTree."""
+    if kind == "mean":
+        return lambda X, y: mean_train(y)
+    if kind == "svr":
+        return partial(
+            svr_train, kernel=cfg.effective_svr_kernel(), C=cfg.svr_c, gamma=cfg.svr_gamma,
             epsilon=cfg.svr_epsilon, tol=cfg.svr_tol,
         )
-    if model == "reptree":
-        return RepTreeRegressor(
-            min_leaf=cfg.reptree_min_leaf, prune_fraction=cfg.reptree_prune_fraction, seed=cfg.seed,
+    if kind == "reptree":
+        return partial(
+            reptree_train, min_leaf=cfg.reptree_min_leaf, prune_fraction=cfg.reptree_prune_fraction, seed=cfg.seed,
         )
-    raise PipelineError(f"model {model!r} cannot be trained on tabular features")
+    raise PipelineError(f"model {kind!r} cannot be trained on tabular features")
 
 
-def _relief_select(cfg: PipelineConfig, names, X, y) -> tuple[list[int], dict]:
+def _relief_select(cfg: PipelineConfig, fit, names, X, y) -> tuple[list[int], dict]:
     th, k = cfg.relief_threshold, cfg.relief_k
     info: dict = {}
     if cfg.relief_tune:
-        th, k, scores = relief.tune_relief(
-            X, y, lambda: _make_regressor(cfg),
-            n_max=cfg.relief_n_max, seed=cfg.seed,
-        )
+        th, k, scores = relief.tune_relief(X, y, fit, n_max=cfg.relief_n_max, seed=cfg.seed)
         info["grid_scores"] = {f"th={t},k={kk}": v for (t, kk), v in sorted(scores.items())}
     weights = relief.relief_weights(X, relief.binarize_labels(y), k)
     selected = relief.select_top(weights, th, cfg.relief_n_max)
@@ -430,122 +424,102 @@ def _relief_select(cfg: PipelineConfig, names, X, y) -> tuple[list[int], dict]:
     return selected, info
 
 
-# ---------------------------------------------------------------------------
-# train
-# ---------------------------------------------------------------------------
+def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
+    """Fit the configured predictor on ``data``; returns the model and its saved metadata.
+
+    Tabular: Relief selection when the modality uses it (grid-tuned under
+    ``[relief] tune``), then the mean baseline, SVR or REPTree. Visual: an
+    LSTM, early-stopped on a seeded hold-out of the window-bearing sessions.
+    """
+    kind = _model_kind(cfg)
+    extra = {"modality": cfg.modality, "seed": cfg.seed, "tag": run_tag(cfg.modality)}
+    extra["train_mean"] = float(np.mean(data.y))
+    if data.windows is None:
+        fit = _tabular_fitter(cfg, kind)
+        extra["feature_names"] = list(data.names)
+        X = data.X
+        if cfg.uses_relief():
+            selected, extra["relief"] = _relief_select(cfg, fit, data.names, X, data.y)
+            X = X[:, selected]
+        return fit(X, data.y), extra
+
+    if len(data.windows) == 0:
+        raise PipelineError("no tracking-clean training windows; cannot train the LSTM")
+    # hold out a seeded fraction of the window-bearing sessions for early stopping
+    bearing = sorted(set(data.win_sids.tolist()))
+    n_val = int(round(cfg.lstm_val_fraction * len(bearing)))
+    val_sessions = sorted(np.random.default_rng(cfg.seed).permutation(bearing)[:n_val].tolist())
+    val = np.isin(data.win_sids, val_sessions)
+    if val.all():
+        val[:] = False
+    label = dict(zip(data.sids, data.y))
+    y = np.array([label[sid] for sid in data.win_sids.tolist()])
+    lstm_cfg = LstmConfig(
+        input_dim=data.windows.shape[2], hidden=cfg.lstm_hidden, dropout=cfg.lstm_dropout,
+        lr=cfg.lstm_lr, batch_size=cfg.lstm_batch_size, max_epochs=cfg.lstm_max_epochs,
+        clip_norm=cfg.lstm_clip_norm, seed=cfg.seed,
+    )
+    model = lstm_train(
+        data.windows[~val], y[~val], lstm_cfg,
+        X_val=data.windows[val] if val.any() else None,
+        y_val=y[val] if val.any() else None,
+    )
+    meta = data.meta
+    extra.update(window=meta["W"], overlap=meta["O"], q=meta["q"], pca_file=meta["pca_file"], val_sessions=val_sessions)
+    return model, extra
+
+
+def predict_sessions(model, extra: dict, data: Sessions) -> tuple[np.ndarray, dict]:
+    """Per-session predictions for ``data.sids``, plus report counters.
+
+    Tabular rows are cut to the model's Relief columns when it has them.
+    A visual session aggregates its window predictions; one without a clean
+    window falls back to the training mean.
+    """
+    if data.windows is None:
+        if list(data.names) != extra.get("feature_names"):
+            raise PipelineError(f"feature store for split {data.split} does not match the trained model's features")
+        X = data.X
+        if "relief" in extra:
+            X = X[:, [data.names.index(n) for n in extra["relief"]["selected_names"]]]
+        return model.predict(X), {}
+
+    if data.meta["q"] != extra.get("q") or data.meta["W"] != extra.get("window"):
+        raise PipelineError("window batch geometry does not match the trained model")
+    per_window = model.predict(data.windows) if len(data.windows) else np.zeros(0)
+    fallbacks = [sid for sid in data.sids if sid not in data.win_sids]
+    preds = np.array([
+        extra["train_mean"] if sid in fallbacks else face.aggregate_predictions(per_window[data.win_sids == sid])
+        for sid in data.sids
+    ])
+    counters = {f"n_windows_{data.split}": len(data.windows)}
+    if fallbacks:
+        logger.warning("%d %s sessions had no clean windows; used training-mean fallback: %s",
+                       len(fallbacks), data.split, ", ".join(fallbacks))
+        counters[f"{data.split}_fallback_sessions"] = ";".join(fallbacks)
+    return preds, counters
 
 
 def run_train(cfg: PipelineConfig) -> Path:
     """Train the configured model on the training split; persist the model file."""
     t0 = time.monotonic()
+    _model_kind(cfg)  # a mismatched learner fails before any store is read
     index = scan_corpus(cfg.root)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_kind = cfg.effective_model()
-
-    extra = {"modality": cfg.modality, "seed": cfg.seed, "tag": run_tag(cfg.modality)}
-
-    if cfg.family() == "visual" and model_kind != "lstm":
-        raise PipelineError(f"the visual modality trains an lstm, not {model_kind!r}")
-
-    if cfg.family() == "visual":
-        windows, meta = load_windows(out_dir, "train")
-        sids = meta["session_ids"]
-        unlabeled = sorted({s for s in meta["sessions"] if s not in index.labels})
-        if unlabeled:
-            raise PipelineError(f"unlabeled train sessions: {', '.join(unlabeled)}")
-        if len(windows) == 0:
-            raise PipelineError("no tracking-clean training windows; cannot train the LSTM")
-        y = np.array([float(index.labels[s]) for s in sids])
-
-        # hold out a seeded fraction of training *sessions* for early stopping
-        unique = sorted(set(sids))
-        rng = np.random.default_rng(cfg.seed)
-        n_val = int(round(cfg.lstm_val_fraction * len(unique)))
-        val_sessions = set(rng.permutation(unique)[:n_val]) if n_val else set()
-        val_mask = np.array([s in val_sessions for s in sids])
-        if val_mask.all() or len(windows) - val_mask.sum() == 0:
-            val_mask[:] = False
-
-        lstm_cfg = LstmConfig(
-            input_dim=windows.shape[2], hidden=cfg.lstm_hidden, dropout=cfg.lstm_dropout,
-            lr=cfg.lstm_lr, batch_size=cfg.lstm_batch_size, max_epochs=cfg.lstm_max_epochs,
-            clip_norm=cfg.lstm_clip_norm, seed=cfg.seed,
-        )
-        model = lstm_train(
-            windows[~val_mask], y[~val_mask], lstm_cfg,
-            X_val=windows[val_mask] if val_mask.any() else None,
-            y_val=y[val_mask] if val_mask.any() else None,
-        )
-        train_labels = [float(index.labels[s]) for s in meta["sessions"]]
-        extra.update(
-            window=meta["W"], overlap=meta["O"], q=meta["q"], pca_file=meta["pca_file"],
-            train_mean=float(np.mean(train_labels)),
-            val_sessions=sorted(val_sessions),
-        )
-    else:
-        names, sids, X, y = _load_matrix(cfg, index, "train", require_labels=True)
-        extra["feature_names"] = list(names)
-        extra["train_mean"] = float(np.mean(y))
-        if cfg.uses_relief():
-            selected, info = _relief_select(cfg, names, X, y)
-            X = X[:, selected]
-            extra["relief"] = info
-            sel_path = artifact_path(out_dir, "selection", cfg.modality)
-            sel_path.write_text("\n".join(info["selected_names"]) + "\n", encoding="utf-8")
-        if model_kind == "mean":
-            model = mean_train(y)
-        else:
-            model = _make_regressor(cfg).fit(X, y).model
-
+    model, extra = fit_predictor(cfg, _load_split(cfg, index, "train"))
+    if "relief" in extra:
+        sel_path = artifact_path(out_dir, "selection", cfg.modality)
+        sel_path.write_text("\n".join(extra["relief"]["selected_names"]) + "\n", encoding="utf-8")
     path = artifact_path(out_dir, "model", cfg.modality)
     save_model(model, path, extra)
-    logger.info("train %s (%s) done in %.2fs -> %s", cfg.modality, model_kind, time.monotonic() - t0, path)
+    logger.info("train %s (%s) done in %.2fs -> %s", cfg.modality, model.kind, time.monotonic() - t0, path)
     return path
 
 
 # ---------------------------------------------------------------------------
-# prediction + evaluation
+# reports and evaluation
 # ---------------------------------------------------------------------------
-
-
-def _predict_tabular(cfg: PipelineConfig, index, model, extra, split: str):
-    names, sids, X, _ = _load_matrix(cfg, index, split, require_labels=False)
-    if list(names) != extra.get("feature_names"):
-        raise PipelineError(f"feature store for split {split} does not match the trained model's features")
-    if "relief" in extra:
-        keep = [names.index(n) for n in extra["relief"]["selected_names"]]
-        X = X[:, keep]
-    return sids, model.predict(X), {}
-
-
-def _predict_visual(cfg: PipelineConfig, index, model, extra, split: str):
-    windows, meta = load_windows(Path(cfg.out_dir), split)
-    if meta["q"] != extra.get("q") or meta["W"] != extra.get("window"):
-        raise PipelineError("window batch geometry does not match the trained model")
-    per_window = model.predict(windows) if len(windows) else np.zeros(0)
-    sids = sorted(meta["sessions"])
-    preds, fallbacks = [], []
-    win_sids = np.array(meta["session_ids"])
-    for sid in sids:
-        mine = per_window[win_sids == sid] if len(per_window) else np.zeros(0)
-        if len(mine):
-            preds.append(face.aggregate_predictions(mine))
-        else:
-            preds.append(extra["train_mean"])
-            fallbacks.append(sid)
-    counters = {f"n_windows_{split}": len(windows)}
-    if fallbacks:
-        logger.warning("%d %s sessions had no clean windows; used training-mean fallback: %s",
-                       len(fallbacks), split, ", ".join(fallbacks))
-        counters[f"{split}_fallback_sessions"] = ";".join(fallbacks)
-    return sids, np.array(preds), counters
-
-
-def _split_predictions(cfg: PipelineConfig, index, model, extra, split: str):
-    if cfg.family() == "visual" and extra.get("q") is not None:
-        return _predict_visual(cfg, index, model, extra, split)
-    return _predict_tabular(cfg, index, model, extra, split)
 
 
 def write_predictions(path, sids, y_true, y_pred) -> None:
@@ -613,18 +587,13 @@ def run_eval(cfg: PipelineConfig) -> dict:
 
     all_y = {}
     for split in SPLITS:
-        sids, preds, counters = _split_predictions(cfg, index, model, extra, split)
-        if split == "dev" and not sids:
-            raise PipelineError("empty dev split")
-        missing = [sid for sid in sids if sid not in index.labels]
-        if missing:
-            raise PipelineError(f"unlabeled {split} sessions: {', '.join(missing)}")
-        y = np.array([float(index.labels[sid]) for sid in sids])
-        write_predictions(artifact_path(out_dir, "predictions", cfg.modality, split), sids, y, preds)
-        rows[f"n_{split}"] = len(sids)
-        rows.update(_metric_rows(split, y, preds, with_evs))
+        data = _load_split(cfg, index, split)
+        preds, counters = predict_sessions(model, extra, data)
+        write_predictions(artifact_path(out_dir, "predictions", cfg.modality, split), data.sids, data.y, preds)
+        rows[f"n_{split}"] = len(data.sids)
+        rows.update(_metric_rows(split, data.y, preds, with_evs))
         rows.update(counters)
-        all_y[split] = y
+        all_y[split] = data.y
 
     # mean-predictor baseline on dev, for reference in every report
     baseline = float(np.mean(all_y["train"]))
@@ -648,120 +617,69 @@ def run_eval(cfg: PipelineConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# cross-validation
+# cross-validation and relief tuning
 # ---------------------------------------------------------------------------
 
 
 def run_cv(cfg: PipelineConfig, scheme: str = "kfold") -> dict:
-    """3-fold stratified CV or leave-one-sequence-out on the training split."""
+    """3-fold stratified CV or leave-one-sequence-out on the training split.
+
+    Each fold fits on its training sessions and predicts its held-out ones
+    through fit_predictor and predict_sessions, as train and eval do.
+    """
     t0 = time.monotonic()
+    _model_kind(cfg)
     index = scan_corpus(cfg.root)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if cfg.family() == "visual":
-        if cfg.effective_model() != "lstm":
-            raise PipelineError(f"the visual modality trains an lstm, not {cfg.effective_model()!r}")
-        windows, meta = load_windows(out_dir, "train")
-        sids_all = sorted(meta["sessions"])
-        win_sids = np.array(meta["session_ids"])
-    else:
-        names, sids_all, X, _ = _load_matrix(cfg, index, "train", require_labels=True)
-
-    unlabeled = [s for s in sids_all if s not in index.labels]
-    if unlabeled:
-        raise PipelineError(f"unlabeled train sessions: {', '.join(unlabeled)}")
-    y_all = np.array([float(index.labels[s]) for s in sids_all])
+    data = _load_split(cfg, index, "train")
+    n = len(data.sids)
 
     if scheme == "kfold":
         n_folds = 3
-        if len(sids_all) < n_folds:
-            raise PipelineError(f"{len(sids_all)} sessions is fewer than {n_folds} folds")
-        fold_indices = relief.stratified_folds(relief.binarize_labels(y_all), n_folds, cfg.seed)
+        if n < n_folds:
+            raise PipelineError(f"{n} sessions is fewer than {n_folds} folds")
+        fold_indices = relief.stratified_folds(relief.binarize_labels(data.y), n_folds, cfg.seed)
     elif scheme == "loso":
-        fold_indices = [np.array([i]) for i in range(len(sids_all))]
+        fold_indices = [np.array([i]) for i in range(n)]
     else:
         raise PipelineError(f"unknown CV scheme {scheme!r}; expected kfold or loso")
 
-    all_rows = []
     rows: dict = {"modality": cfg.modality, "scheme": scheme, "seed": cfg.seed, "n_folds": len(fold_indices)}
+    lines = ["fold,session_id,y_true,y_pred"]
     pooled_y, pooled_p = [], []
     for fold_no, test_idx in enumerate(fold_indices):
-        test_ids = {sids_all[i] for i in test_idx}
-        if cfg.family() == "visual":
-            test_mask = np.array([s in test_ids for s in win_sids])
-            y_win = np.array([float(index.labels[s]) for s in win_sids])
-            if (~test_mask).sum() == 0 or len(windows[~test_mask]) == 0:
-                raise PipelineError(f"fold {fold_no}: no training windows")
-            lstm_cfg = LstmConfig(
-                input_dim=windows.shape[2], hidden=cfg.lstm_hidden, dropout=cfg.lstm_dropout,
-                lr=cfg.lstm_lr, batch_size=cfg.lstm_batch_size, max_epochs=cfg.lstm_max_epochs,
-                clip_norm=cfg.lstm_clip_norm, seed=cfg.seed + fold_no,
-            )
-            model = lstm_train(windows[~test_mask], y_win[~test_mask], lstm_cfg)
-            train_mean = float(np.mean(y_all[np.setdiff1d(np.arange(len(sids_all)), test_idx)]))
-            preds = []
-            for i in test_idx:
-                mine = windows[win_sids == sids_all[i]]
-                preds.append(face.aggregate_predictions(model.predict(mine)) if len(mine) else train_mean)
-            preds = np.array(preds)
-        else:
-            train_idx = np.setdiff1d(np.arange(len(sids_all)), test_idx)
-            Xtr, ytr = X[train_idx], y_all[train_idx]
-            Xte = X[test_idx]
-            if cfg.uses_relief():
-                selected, _ = _relief_select(cfg, names, Xtr, ytr)
-                Xtr, Xte = Xtr[:, selected], Xte[:, selected]
-            if cfg.effective_model() == "mean":
-                model = mean_train(ytr)
-            else:
-                model = _make_regressor(cfg).fit(Xtr, ytr).model
-            preds = model.predict(Xte)
-
-        y_fold = y_all[test_idx]
-        for i, p in zip(test_idx, preds):
-            all_rows.append((fold_no, sids_all[i], y_all[i], float(p)))
-        pooled_y.extend(y_fold)
+        model, extra = fit_predictor(cfg, data.subset(np.setdiff1d(np.arange(n), test_idx)))
+        test = data.subset(test_idx)
+        preds, _ = predict_sessions(model, extra, test)
+        lines += [
+            f"{fold_no},{sid},{repr(float(a))},{repr(float(b))}" for sid, a, b in zip(test.sids, test.y, preds)
+        ]
+        pooled_y.extend(test.y)
         pooled_p.extend(preds)
         rows[f"fold{fold_no}_n"] = len(test_idx)
-        rows[f"fold{fold_no}_rmse"] = rmse_fn(y_fold, preds)
-        rows[f"fold{fold_no}_mae"] = mae_fn(y_fold, preds)
+        rows.update(_metric_rows(f"fold{fold_no}", test.y, preds, with_evs=False))
+    rows.update(_metric_rows("pooled", pooled_y, pooled_p, with_evs=True))
 
-    rows["pooled_rmse"] = rmse_fn(pooled_y, pooled_p)
-    rows["pooled_mae"] = mae_fn(pooled_y, pooled_p)
-    try:
-        rows["pooled_evs"] = evs_fn(pooled_y, pooled_p)
-    except MetricError:
-        rows["pooled_evs"] = ""
-
-    pred_path = artifact_path(out_dir, "cv_predictions", cfg.modality)
-    lines = ["fold,session_id,y_true,y_pred"]
-    lines += [f"{f},{sid},{repr(float(a))},{repr(float(b))}" for f, sid, a, b in all_rows]
-    pred_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    artifact_path(out_dir, "cv_predictions", cfg.modality).write_text("\n".join(lines) + "\n", encoding="utf-8")
     txt = artifact_path(out_dir, "cv_report", cfg.modality)
     txt.write_text("\n".join([f"phqreg cv report: {run_tag(cfg.modality)} ({scheme})", ""] + [f"{k} = {v}" for k, v in rows.items()]) + "\n", encoding="utf-8")
     logger.info("cv %s (%s) done in %.2fs", cfg.modality, scheme, time.monotonic() - t0)
     return rows
 
 
-# ---------------------------------------------------------------------------
-# relief tuning entry point
-# ---------------------------------------------------------------------------
-
-
 def run_tune_relief(cfg: PipelineConfig) -> tuple[float, int]:
     """Grid-tune (threshold, k) by 3-fold CV on the training split."""
+    if cfg.family() == "visual":
+        raise PipelineError("relief tuning needs a tabular modality (acoustic, behavioral or text), not visual")
     index = scan_corpus(cfg.root)
-    _, _, X, y = _load_matrix(cfg, index, "train", require_labels=True)
+    data = _load_split(cfg, index, "train")
     th, k, scores = relief.tune_relief(
-        X, y, lambda: _make_regressor(cfg), n_max=cfg.relief_n_max, seed=cfg.seed,
+        data.X, data.y, _tabular_fitter(cfg, cfg.effective_model()), n_max=cfg.relief_n_max, seed=cfg.seed,
     )
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["threshold,k,mean_mae"]
-    for (t, kk), v in sorted(scores.items()):
-        lines.append(f"{t},{kk},{v}")
+    lines = ["threshold,k,mean_mae"] + [f"{t},{kk},{v}" for (t, kk), v in sorted(scores.items())]
     lines.append(f"# chosen: threshold={th} k={k}")
     artifact_path(out_dir, "relief_tuning", cfg.modality).write_text("\n".join(lines) + "\n", encoding="utf-8")
     logger.info("relief tuning chose threshold=%g k=%d", th, k)

@@ -112,7 +112,7 @@ def stratified_folds(y_class, n_folds: int, seed: int) -> list[np.ndarray]:
 def tune_relief(
     X,
     y,
-    make_model,
+    fit,
     thresholds=GRID_THRESHOLDS,
     ks=GRID_KS,
     n_folds: int = 3,
@@ -121,39 +121,36 @@ def tune_relief(
 ) -> tuple[float, int, dict]:
     """Pick (threshold, k) minimizing mean fold MAE under 3-fold CV.
 
-    ``make_model`` is a factory returning an object with fit(X, y) and
-    predict(X); Relief and the selection are refitted inside every fold on
-    its training part only. Grid points whose folds cannot support k
-    neighbors, or that select no features, score infinity and are logged.
+    ``fit(X, y)`` returns a fitted model with predict(X); Relief and the
+    selection are refitted inside every fold on its training part only. The
+    weights do not depend on the threshold, so they are computed once per
+    (fold, k). Grid points whose folds cannot support k neighbors, or that
+    select no features, score infinity and are logged.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     y_class = binarize_labels(y)
     folds = stratified_folds(y_class, n_folds, seed)
-    all_idx = np.arange(len(y))
+    trains = [np.setdiff1d(np.arange(len(y)), fold) for fold in folds]
 
     scores: dict[tuple[float, int], float] = {}
-    for th in thresholds:
-        for k in ks:
+    for k in ks:
+        try:
+            fold_weights = [relief_weights(X[train], y_class[train], k) for train in trains]
+        except ValueError as exc:
+            logger.info("k=%d skipped: %s", k, exc)
+            scores.update({(th, k): float("inf") for th in thresholds})
+            continue
+        for th in thresholds:
             maes = []
-            for fold in folds:
-                train = np.setdiff1d(all_idx, fold)
-                try:
-                    rw = relief_weights(X[train], y_class[train], k)
-                except ValueError as exc:
-                    logger.info("grid point (th=%g, k=%d) skipped: %s", th, k, exc)
-                    maes = None
-                    break
+            for train, fold, rw in zip(trains, folds, fold_weights):
                 sel = select_top(rw, th, n_max)
                 if not sel:
                     logger.info("grid point (th=%g, k=%d): empty selection", th, k)
-                    maes = None
                     break
-                model = make_model()
-                model.fit(X[np.ix_(train, sel)], y[train])
-                pred = model.predict(X[np.ix_(fold, sel)])
+                pred = fit(X[np.ix_(train, sel)], y[train]).predict(X[np.ix_(fold, sel)])
                 maes.append(float(np.mean(np.abs(pred - y[fold]))))
-            scores[(th, k)] = float(np.mean(maes)) if maes else float("inf")
+            scores[(th, k)] = float(np.mean(maes)) if len(maes) == len(folds) else float("inf")
 
     best = min(scores, key=lambda p: (scores[p], thresholds.index(p[0]), ks.index(p[1])))
     if not np.isfinite(scores[best]):

@@ -472,6 +472,28 @@ class TestReliefIntegration:
         assert k in (5, 10, 15, 20)
         assert (out / "relief_tuning_acoustic_M+FS.csv").is_file()
 
+    def test_tune_relief_and_tuned_train_accept_the_mean_model(self, tmp_path):
+        root = tmp_path / "tune_mean_corpus"
+        gen_synthetic(
+            SynthSpec(n_train=48, n_dev=6, depressed_fraction_train=0.5,
+                      modalities=("transcript",), turn_pairs=4),
+            root, seed=17,
+        )
+        out = tmp_path / "tune_mean"
+        self.fabricate_acoustic_store(root, out)
+        cfg = cfg_for(root, out, modality="acoustic:M+FS", model="mean")
+        th, k = run_tune_relief(cfg)
+        grid = (out / "relief_tuning_acoustic_M+FS.csv").read_text()
+        assert f"# chosen: threshold={th} k={k}" in grid
+        cfg.relief_tune = True
+        run_train(cfg)
+        model = json.loads((out / "model_acoustic_M+FS.json").read_text())
+        assert model["kind"] == "mean"
+        assert (model["model"]["mean"], model["extra"]["relief"]["k"]) == (model["extra"]["train_mean"], k)
+        assert model["extra"]["relief"]["grid_scores"]
+        rows = run_eval(cfg)
+        assert rows["dev_mae"] == pytest.approx(rows["dev_mae_baseline"], abs=1e-12)
+
 
 class TestTextPipeline:
     def test_bool_train_eval_uses_linear_svr(self, small_corpus, tmp_path):
@@ -536,6 +558,44 @@ class TestVisualPipeline:
         assert rows["n_folds"] == 3
         assert np.isfinite(rows["pooled_mae"])
 
+    def test_visual_cv_folds_hold_out_validation_sessions_like_train(self, full_corpus, tmp_path, monkeypatch):
+        import phqreg.pipeline as pipeline
+
+        out = tmp_path / "vis_val"
+        cfg = cfg_for(full_corpus, out, modality="visual")
+        cfg.lstm_max_epochs = 2
+        run_extract(cfg)
+        meta = json.loads((out / "visual_train_windows.json").read_text())
+        owner = {w.tobytes(): sid for w, sid in zip(np.load(out / "visual_train_windows.npy"), meta["session_ids"])}
+        assert len(owner) == len(meta["session_ids"])
+        calls = []
+        real_train = pipeline.lstm_train
+
+        def recorder(X, y, config, X_val=None, y_val=None):
+            fit_sids = {owner[w.tobytes()] for w in X}
+            val_sids = set() if X_val is None else {owner[w.tobytes()] for w in X_val}
+            calls.append((fit_sids, val_sids, config.seed))
+            return real_train(X, y, config, X_val=X_val, y_val=y_val)
+
+        monkeypatch.setattr(pipeline, "lstm_train", recorder)
+        run_train(cfg)
+        run_cv(cfg, "kfold")
+        lines = (out / "cv_predictions_visual.csv").read_text().splitlines()[1:]
+        held_out = [{l.split(",")[1] for l in lines if l.split(",")[0] == str(f)} for f in range(3)]
+        assert len(calls) == 4  # train, then one fit per fold
+        for fold, (fit_sids, val_sids, seed) in enumerate(calls, start=-1):
+            assert seed == cfg.seed
+            assert val_sids and not fit_sids & val_sids
+            bearing = sorted(fit_sids | val_sids)
+            if fold >= 0:
+                assert not set(bearing) & held_out[fold]
+                assert set(bearing) == set(meta["session_ids"]) - held_out[fold]
+            # the same share of window-bearing sessions as train, drawn with the run seed
+            n_val = int(round(cfg.lstm_val_fraction * len(bearing)))
+            assert val_sids == set(np.random.default_rng(cfg.seed).permutation(bearing)[:n_val].tolist())
+        model = json.loads((out / "model_visual.json").read_text())
+        assert set(model["extra"]["val_sessions"]) == calls[0][1]
+
 
 class TestCli:
     def test_full_cli_flow(self, tmp_path, capsys):
@@ -558,6 +618,14 @@ class TestCli:
                    "--modality", "telepathy", "--seed", "1"])
         assert rc == 2
         assert "ERROR" in capsys.readouterr().err
+
+    def test_tune_relief_rejects_visual_up_front(self, small_corpus, tmp_path, capsys):
+        rc = main(["tune-relief", "--corpus", str(small_corpus), "--out", str(tmp_path / "o"),
+                   "--modality", "visual", "--seed", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ERROR relief tuning needs a tabular modality" in err
+        assert "feature store" not in err
 
     def test_eval_without_model_exit_code(self, small_corpus, tmp_path, capsys):
         rc = main(["eval", "--corpus", str(small_corpus), "--out", str(tmp_path / "empty"),

@@ -148,21 +148,21 @@ class TestTune:
     def test_single_pair_grid(self):
         rng = np.random.default_rng(5)
         X, y = tuning_data(rng)
-        th, k, scores = tune_relief(X, y, _NearestMean, thresholds=(0.02,), ks=(5,), seed=3)
+        th, k, scores = tune_relief(X, y, _NearestMean().fit, thresholds=(0.02,), ks=(5,), seed=3)
         assert (th, k) == (0.02, 5)
         assert len(scores) == 1
 
     def test_only_feasible_threshold_wins(self):
         rng = np.random.default_rng(6)
         X, y = tuning_data(rng)
-        th, k, scores = tune_relief(X, y, _NearestMean, thresholds=(0.9, 0.5, 0.02), ks=(5,), seed=3)
+        th, k, scores = tune_relief(X, y, _NearestMean().fit, thresholds=(0.9, 0.5, 0.02), ks=(5,), seed=3)
         assert th == 0.02
         assert scores[(0.9, 5)] == float("inf")
 
     def test_full_grid_runs_twelve_points(self):
         rng = np.random.default_rng(7)
         X, y = tuning_data(rng, n=72)
-        th, k, scores = tune_relief(X, y, _NearestMean, seed=3)
+        th, k, scores = tune_relief(X, y, _NearestMean().fit, seed=3)
         assert len(scores) == 12
         assert th in (0.02, 0.0, -0.02)
         assert k in (5, 10, 15, 20)
@@ -170,15 +170,52 @@ class TestTune:
     def test_oversized_k_skipped(self):
         rng = np.random.default_rng(8)
         X, y = tuning_data(rng, n=24)  # folds of 8: k=20 infeasible
-        th, k, scores = tune_relief(X, y, _NearestMean, thresholds=(0.0,), ks=(20, 3), seed=3)
+        th, k, scores = tune_relief(X, y, _NearestMean().fit, thresholds=(0.0,), ks=(20, 3), seed=3)
         assert k == 3
         assert scores[(0.0, 20)] == float("inf")
+
+    def test_weights_once_per_fold_and_k_with_unchanged_scores(self, monkeypatch):
+        import phqreg.relief as relief_mod
+
+        rng = np.random.default_rng(11)
+        X, y = tuning_data(rng, n=36)  # 12 per class in each training part: k=15 and k=20 infeasible
+        thresholds, ks = (0.02, 0.0, -0.02), (5, 10, 15, 20)
+        y_class = binarize_labels(y)
+        folds = stratified_folds(y_class, 3, seed=3)
+        oracle = {}
+        for th in thresholds:
+            for k in ks:
+                maes = []
+                for fold in folds:
+                    train = np.setdiff1d(np.arange(len(y)), fold)
+                    try:
+                        sel = select_top(relief_weights(X[train], y_class[train], k), th, 20)
+                    except ValueError:
+                        break
+                    if not sel:
+                        break
+                    pred = _NearestMean().fit(X[np.ix_(train, sel)], y[train]).predict(X[np.ix_(fold, sel)])
+                    maes.append(float(np.mean(np.abs(pred - y[fold]))))
+                oracle[(th, k)] = float(np.mean(maes)) if len(maes) == len(folds) else float("inf")
+
+        calls = []
+        real = relief_mod.relief_weights
+
+        def counting(X, y_class, k=20):
+            calls.append(k)
+            return real(X, y_class, k)
+
+        monkeypatch.setattr(relief_mod, "relief_weights", counting)
+        th, k, scores = tune_relief(X, y, _NearestMean().fit, thresholds=thresholds, ks=ks, seed=3)
+        assert scores == oracle
+        # 3 folds for each feasible k; an infeasible k stops at its first fold
+        assert sorted(calls) == [5, 5, 5, 10, 10, 10, 15, 20]
 
     def test_all_infeasible_raises(self):
         rng = np.random.default_rng(9)
         X, y = tuning_data(rng, n=24)
         with pytest.raises(ValueError, match="no feasible"):
-            tune_relief(X, y, _NearestMean, thresholds=(0.9,), ks=(20,), seed=3)
+            tune_relief(X, y, _NearestMean().fit, thresholds=(0.9,), ks=(20,), seed=3)
 
 
 class TestStratifiedFolds:
