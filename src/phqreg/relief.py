@@ -6,6 +6,14 @@ misses (other class) minus its k nearest hits (same class), accumulated as
 weight_f += (sum_miss |diff| - sum_hit |diff|) / (n * k). Labels are binarized
 at PHQ-8 >= 10 for the hit/miss neighbor search. Constant features get
 weight 0.
+
+The weights come from one pass over the rows: each row's n x d difference
+block gives its distances and its neighbor sums, so memory is O(n * d), and
+one neighbor ordering per row, cut at the largest k asked for, serves every
+k (the per-k neighbor sums of ReliefF, Robnik-Sikonja & Kononenko, MLJ 2003).
+Each k's sum is taken over its own slice of the ordering rather than as a
+running prefix sum, which keeps the weights bit-identical to a per-k
+computation: numpy sums a (k, 1) slice pairwise, not row by row.
 """
 
 from __future__ import annotations
@@ -47,37 +55,56 @@ def _normalize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return Xn, mins, maxs
 
 
-def relief_weights(X, y_class, k: int = DEFAULT_K) -> ReliefWeights:
-    """Relief weights for binary-class data; requires k+1 instances per class."""
-    X = np.asarray(X, dtype=np.float64)
-    y_class = np.asarray(y_class).astype(int)
-    if X.ndim != 2 or len(X) != len(y_class):
-        raise ValueError("X must be 2-d with one class label per row")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    for cls in np.unique(y_class):
-        count = int(np.sum(y_class == cls))
+def _check_classes(y_class: np.ndarray, k: int) -> None:
+    """Raise ValueError unless two classes are present, each with k+1 instances."""
+    classes, counts = np.unique(y_class, return_counts=True)
+    if len(classes) < 2:
+        missing = min({0, 1} - set(classes.tolist()))
+        raise ValueError(
+            f"class {missing} has no instances; Relief needs neighbors from both classes "
+            f"(1 = PHQ-8 >= {PHQ8_DEPRESSED_CUTOFF}, 0 = below)"
+        )
+    for cls, count in zip(classes, counts):
         if count < k + 1:
             raise ValueError(f"class {cls} has {count} instances, need at least k+1 = {k + 1}")
 
+
+def relief_weights_by_k(X, y_class, ks) -> dict[int, ReliefWeights]:
+    """Relief weights for every k in ``ks`` from one pass over the rows.
+
+    Requires two classes with max(ks)+1 instances each.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y_class = np.asarray(y_class).astype(int)
+    ks = [int(k) for k in ks]
+    if X.ndim != 2 or len(X) != len(y_class):
+        raise ValueError("X must be 2-d with one class label per row")
+    if not ks or min(ks) < 1:
+        raise ValueError("k must be >= 1")
+    k_max = max(ks)
+    _check_classes(y_class, k_max)
+
     Xn, mins, maxs = _normalize(X)
     n, d = Xn.shape
-    dist = np.abs(Xn[:, None, :] - Xn[None, :, :]).sum(axis=2)
-
-    weights = np.zeros(d)
+    sums = {k: np.zeros(d) for k in ks}
     idx = np.arange(n)
     for i in range(n):
+        diffs = np.abs(Xn - Xn[i])
+        dist = diffs.sum(axis=1)
         same = y_class == y_class[i]
         hits = idx[same & (idx != i)]
         misses = idx[~same]
         # deterministic tie-break by original index
-        hits = hits[np.lexsort((hits, dist[i, hits]))][:k]
-        misses = misses[np.lexsort((misses, dist[i, misses]))][:k]
-        diff_h = np.abs(Xn[hits] - Xn[i]).sum(axis=0)
-        diff_m = np.abs(Xn[misses] - Xn[i]).sum(axis=0)
-        weights += diff_m - diff_h
-    weights /= n * k
-    return ReliefWeights(weights, k, mins, maxs)
+        hits = hits[np.lexsort((hits, dist[hits]))][:k_max]
+        misses = misses[np.lexsort((misses, dist[misses]))][:k_max]
+        for k, acc in sums.items():
+            acc += diffs[misses[:k]].sum(axis=0) - diffs[hits[:k]].sum(axis=0)
+    return {k: ReliefWeights(acc / (n * k), k, mins, maxs) for k, acc in sums.items()}
+
+
+def relief_weights(X, y_class, k: int = DEFAULT_K) -> ReliefWeights:
+    """Relief weights for binary-class data; requires k+1 instances per class."""
+    return relief_weights_by_k(X, y_class, (k,))[k]
 
 
 def select_top(weights: ReliefWeights | np.ndarray, threshold: float = DEFAULT_THRESHOLD, n_max: int = 20) -> list[int]:
@@ -123,9 +150,10 @@ def tune_relief(
 
     ``fit(X, y)`` returns a fitted model with predict(X); Relief and the
     selection are refitted inside every fold on its training part only. The
-    weights do not depend on the threshold, so they are computed once per
-    (fold, k). Grid points whose folds cannot support k neighbors, or that
-    select no features, score infinity and are logged.
+    weights do not depend on the threshold, and one Relief pass serves every
+    k, so they are computed once per fold for all feasible ks. Grid points
+    whose folds cannot support k neighbors, or that select no features, score
+    infinity and are logged.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -133,24 +161,30 @@ def tune_relief(
     folds = stratified_folds(y_class, n_folds, seed)
     trains = [np.setdiff1d(np.arange(len(y)), fold) for fold in folds]
 
-    scores: dict[tuple[float, int], float] = {}
+    feasible = []
     for k in ks:
         try:
-            fold_weights = [relief_weights(X[train], y_class[train], k) for train in trains]
+            for train in trains:
+                _check_classes(y_class[train], k)
         except ValueError as exc:
             logger.info("k=%d skipped: %s", k, exc)
-            scores.update({(th, k): float("inf") for th in thresholds})
             continue
+        feasible.append(k)
+    fold_weights = [relief_weights_by_k(X[t], y_class[t], feasible) for t in trains] if feasible else []
+
+    scores = {(th, k): float("inf") for k in ks for th in thresholds}
+    for k in feasible:
         for th in thresholds:
             maes = []
-            for train, fold, rw in zip(trains, folds, fold_weights):
-                sel = select_top(rw, th, n_max)
+            for train, fold, by_k in zip(trains, folds, fold_weights):
+                sel = select_top(by_k[k], th, n_max)
                 if not sel:
                     logger.info("grid point (th=%g, k=%d): empty selection", th, k)
                     break
                 pred = fit(X[np.ix_(train, sel)], y[train]).predict(X[np.ix_(fold, sel)])
                 maes.append(float(np.mean(np.abs(pred - y[fold]))))
-            scores[(th, k)] = float(np.mean(maes)) if len(maes) == len(folds) else float("inf")
+            if len(maes) == len(folds):
+                scores[(th, k)] = float(np.mean(maes))
 
     best = min(scores, key=lambda p: (scores[p], thresholds.index(p[0]), ks.index(p[1])))
     if not np.isfinite(scores[best]):

@@ -361,6 +361,25 @@ class TestDeterminismAndLeakage:
             "report_acoustic_M.txt", "report_acoustic_M.csv",
         } <= set(digests[0])
 
+    def test_text_tfidf_artifacts_byte_identical_across_roots(self, small_corpus, tmp_path):
+        import shutil
+
+        second = tmp_path / "second_root"
+        shutil.copytree(small_corpus, second)
+        digests = []
+        for root, name in ((small_corpus, "first"), (second, "second")):
+            out = tmp_path / name
+            cfg = cfg_for(root, out, modality="text:TFIDF")
+            run_extract(cfg)
+            run_train(cfg)
+            run_eval(cfg)
+            digests.append({p.name: sha(p) for p in sorted(out.iterdir())})
+        assert digests[0] == digests[1]
+        assert {
+            "features_text_TFIDF_train.csv", "features_text_TFIDF_dev.csv", "model_text_TFIDF.json",
+            "predictions_text_TFIDF_dev.csv", "report_text_TFIDF.txt", "report_text_TFIDF.csv",
+        } <= set(digests[0])
+
 
 class TestCrossValidation:
     def test_kfold_sizes_and_pooled_oracle(self, behavioral_run, small_corpus):
@@ -493,6 +512,51 @@ class TestReliefIntegration:
         assert model["extra"]["relief"]["grid_scores"]
         rows = run_eval(cfg)
         assert rows["dev_mae"] == pytest.approx(rows["dev_mae_baseline"], abs=1e-12)
+
+    def test_tuned_selection_artifacts_byte_identical_across_roots(self, tmp_path):
+        import shutil
+
+        first, second = tmp_path / "first_root", tmp_path / "second_root"
+        gen_synthetic(
+            SynthSpec(n_train=48, n_dev=6, depressed_fraction_train=0.5,
+                      modalities=("transcript",), turn_pairs=4),
+            first, seed=17,
+        )
+        shutil.copytree(first, second)
+        ini = tmp_path / "tuned.ini"
+        ini.write_text("[run]\nmodality = acoustic:M+FS\nseed = 7\n[relief]\ntune = true\n", encoding="utf-8")
+        digests = []
+        for root, name in ((first, "first"), (second, "second")):
+            out = tmp_path / name
+            self.fabricate_acoustic_store(root, out)
+            cfg = load_config(ini, {"root": str(root), "out_dir": str(out)})
+            assert cfg.relief_tune
+            run_tune_relief(cfg)
+            run_train(cfg)
+            run_eval(cfg)
+            digests.append({p.name: sha(p) for p in sorted(out.iterdir())})
+        assert digests[0] == digests[1]
+        assert {
+            "relief_tuning_acoustic_M+FS.csv", "model_acoustic_M+FS.json", "selected_features_acoustic_M+FS.txt",
+            "predictions_acoustic_M+FS_dev.csv", "report_acoustic_M+FS.txt", "report_acoustic_M+FS.csv",
+        } <= set(digests[0])
+
+    def test_single_class_training_split_names_the_missing_class(self, tmp_path, capsys):
+        root, out = tmp_path / "no_depressed", tmp_path / "out"
+        ini = tmp_path / "synth.ini"
+        ini.write_text("[synth]\ndepressed_fraction_train = 0.0\n", encoding="utf-8")
+        assert main(["synth", "--config", str(ini), "--corpus", str(root), "--seed", "3", "--n-train", "24",
+                     "--n-dev", "4", "--synth-modalities", "transcript"]) == 0
+        index = scan_corpus(root)
+        assert all(index.labels[sid] < 10 for sid in index.ids["train"])
+        self.fabricate_acoustic_store(root, out)
+        capsys.readouterr()
+        rc = main(["train", "--corpus", str(root), "--out", str(out), "--modality", "acoustic:M+FS", "--seed", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ERROR class 1 has no instances" in err
+        assert "selected no features" not in err
+        assert not (out / "model_acoustic_M+FS.json").exists()
 
 
 class TestTextPipeline:

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phqreg.relief import (
     ReliefWeights,
     binarize_labels,
     relief_weights,
+    relief_weights_by_k,
     select_top,
     stratified_folds,
     tune_relief,
@@ -36,6 +41,58 @@ def relief_oracle(X, y_class, k):
             weights[f] += sum(abs(Xn[i, f] - Xn[j, f]) for j in misses)
             weights[f] -= sum(abs(Xn[i, f] - Xn[j, f]) for j in hits)
     return weights / (n * k)
+
+
+def relief_tensor_oracle(X, y_class, k):
+    """The n x n x d formulation: one distance matrix, then k neighbors per row.
+
+    Kept as a byte oracle: the row-wise pass must give the same bits.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y_class = np.asarray(y_class).astype(int)
+    for cls in np.unique(y_class):
+        count = int(np.sum(y_class == cls))
+        if count < k + 1:
+            raise ValueError(f"class {cls} has {count} instances, need at least k+1 = {k + 1}")
+    mins, maxs = X.min(axis=0), X.max(axis=0)
+    ranges = maxs - mins
+    Xn = np.zeros_like(X)
+    ok = ranges > 0
+    Xn[:, ok] = (X[:, ok] - mins[ok]) / ranges[ok]
+    n, d = Xn.shape
+    dist = np.abs(Xn[:, None, :] - Xn[None, :, :]).sum(axis=2)
+    weights = np.zeros(d)
+    idx = np.arange(n)
+    for i in range(n):
+        same = y_class == y_class[i]
+        hits = idx[same & (idx != i)]
+        misses = idx[~same]
+        hits = hits[np.lexsort((hits, dist[i, hits]))][:k]
+        misses = misses[np.lexsort((misses, dist[i, misses]))][:k]
+        weights += np.abs(Xn[misses] - Xn[i]).sum(axis=0) - np.abs(Xn[hits] - Xn[i]).sum(axis=0)
+    weights /= n * k
+    return weights
+
+
+@st.composite
+def relief_inputs(draw):
+    """Data with ties, constant columns, unbalanced classes and d = 1 at large k."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 1, 2, 7, 40, 300]))
+    k_max = draw(st.sampled_from([1, 3, 5, 10, 15, 20]))
+    n_min = 2 * (k_max + 1)
+    n = draw(st.integers(max(12, n_min), max(12, n_min) + 60))
+    minority = draw(st.integers(k_max + 1, n - k_max - 1))
+    y = np.zeros(n, dtype=int)
+    y[rng.choice(n, minority, replace=False)] = 1
+    X = rng.normal(0.0, 1.0, (n, d))
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        X = np.round(X, decimals)  # tied distances and tied column values
+    if d > 1 and draw(st.booleans()):
+        X[:, rng.integers(0, d)] = 2.5  # a constant column
+    ks = sorted(set(draw(st.lists(st.integers(1, k_max), max_size=3))) | {k_max})
+    return X, y, ks
 
 
 def separable_data(rng, n=40, d=5, shift=3.0):
@@ -91,6 +148,51 @@ class TestWeights:
         X2[:, 0] = 1000.0 * X2[:, 0] - 42.0
         scaled = relief_weights(X2, y, k=5).weights
         np.testing.assert_allclose(base, scaled, atol=1e-9)
+
+    @settings(max_examples=120, deadline=None)
+    @given(relief_inputs())
+    def test_bytes_equal_tensor_oracle_and_every_k_of_one_pass(self, case):
+        X, y, ks = case
+        by_k = relief_weights_by_k(X, y, ks)
+        assert sorted(by_k) == ks
+        for k in ks:
+            single = relief_weights(X, y, k)
+            assert single.weights.tobytes() == relief_tensor_oracle(X, y, k).tobytes(), k
+            assert by_k[k].k == single.k == k
+            for field in ("weights", "mins", "maxs"):
+                assert getattr(by_k[k], field).tobytes() == getattr(single, field).tobytes(), (k, field)
+
+    def test_one_column_large_k_bytes_equal_tensor_oracle(self):
+        # (k, 1) slices are summed pairwise by numpy: a running prefix sum
+        # over the sorted neighbors gives different last bits here
+        rng = np.random.default_rng(12)
+        for n in (42, 60, 107):
+            X = rng.normal(0.0, 1.0, (n, 1))
+            y = np.arange(n) % 2
+            by_k = relief_weights_by_k(X, y, (10, 15, 20))
+            for k in (10, 15, 20):
+                assert by_k[k].weights.tobytes() == relief_tensor_oracle(X, y, k).tobytes(), (n, k)
+
+    def test_memory_linear_in_rows_at_merged_width(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(0.0, 1.0, (107, 1440))
+        y = np.arange(107) % 2
+        relief_weights(X[:12], y[:12], 2)  # warm-up: first-call allocations do not count
+        tracemalloc.start()
+        try:
+            relief_weights(X, y, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the n x n x d difference tensor alone is 107 * 107 * 1440 * 8 B = 132 MB
+        assert peak <= 16e6, peak
+
+    def test_single_class_rejected_with_missing_class_name(self):
+        X = np.random.default_rng(14).normal(0.0, 1.0, (30, 3))
+        with pytest.raises(ValueError, match="class 1 has no instances"):
+            relief_weights(X, np.zeros(30), k=5)
+        with pytest.raises(ValueError, match="class 0 has no instances"):
+            relief_weights_by_k(X, np.ones(30), (1, 2))
 
     def test_small_class_rejected_with_name(self):
         X = np.zeros((10, 2))
@@ -182,6 +284,7 @@ class TestTune:
         thresholds, ks = (0.02, 0.0, -0.02), (5, 10, 15, 20)
         y_class = binarize_labels(y)
         folds = stratified_folds(y_class, 3, seed=3)
+        # grid scores from the n x n x d oracle, one (fold, k) at a time
         oracle = {}
         for th in thresholds:
             for k in ks:
@@ -189,7 +292,7 @@ class TestTune:
                 for fold in folds:
                     train = np.setdiff1d(np.arange(len(y)), fold)
                     try:
-                        sel = select_top(relief_weights(X[train], y_class[train], k), th, 20)
+                        sel = select_top(relief_tensor_oracle(X[train], y_class[train], k), th, 20)
                     except ValueError:
                         break
                     if not sel:
@@ -199,17 +302,18 @@ class TestTune:
                 oracle[(th, k)] = float(np.mean(maes)) if len(maes) == len(folds) else float("inf")
 
         calls = []
-        real = relief_mod.relief_weights
+        real = relief_mod.relief_weights_by_k
 
-        def counting(X, y_class, k=20):
-            calls.append(k)
-            return real(X, y_class, k)
+        def counting(X, y_class, ks):
+            calls.append(tuple(ks))
+            return real(X, y_class, ks)
 
-        monkeypatch.setattr(relief_mod, "relief_weights", counting)
+        monkeypatch.setattr(relief_mod, "relief_weights_by_k", counting)
         th, k, scores = tune_relief(X, y, _NearestMean().fit, thresholds=thresholds, ks=ks, seed=3)
         assert scores == oracle
-        # 3 folds for each feasible k; an infeasible k stops at its first fold
-        assert sorted(calls) == [5, 5, 5, 10, 10, 10, 15, 20]
+        assert scores[(0.0, 15)] == scores[(0.0, 20)] == float("inf")
+        # one pass per fold serves both feasible ks
+        assert calls == [(5, 10)] * 3
 
     def test_all_infeasible_raises(self):
         rng = np.random.default_rng(9)
