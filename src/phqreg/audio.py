@@ -9,10 +9,11 @@ window, 10 ms hop). Three LLD groups are extracted per frame:
     prosody (P)        f0, f0-envelope, loudness (log-energy), voicing probability
     voice quality (VQ) jitter (local, DDP), shimmer (local), logHNR
 
-Every base LLD track is augmented with first and second regression deltas and
-each track is projected on 24 statistical functionals, giving per-session
-vectors of dimension |S| = 12*3*24 = 864, |P| = |VQ| = 4*3*24 = 288 and a
-merged vector |M| = 1440.
+Each group's LLD function returns its per-frame tracks as arrays keyed by LLD
+name. Every base LLD track is augmented with first and second regression
+deltas and each track is projected on 24 statistical functionals, giving
+per-session vectors (names: GROUP_NAMES) of dimension |S| = 12*3*24 = 864,
+|P| = |VQ| = 4*3*24 = 288 and a merged vector |M| = 1440.
 
 Spectral analysis runs on Hamming-windowed frames; time-domain periodicity
 measures (f0, jitter, shimmer, HNR) use the raw frame samples so that a
@@ -74,6 +75,12 @@ FUNCTIONAL_NAMES = (
 GROUP_LLDS = {"S": SPECTRAL_LLDS, "P": PROSODY_LLDS, "VQ": VQ_LLDS}
 GROUP_DIMS = {"S": 864, "P": 288, "VQ": 288, "M": 1440}
 
+# each LLD, then its delta (_de) and delta-delta (_de2), over the 24 functionals
+GROUP_NAMES = {
+    g: tuple(f"{g}.{lld}{d}.{f}" for lld in llds for d in ("", "_de", "_de2") for f in FUNCTIONAL_NAMES)
+    for g, llds in GROUP_LLDS.items()
+}
+
 # frames per block of the acoustic pass: bounds every frame-sized array (the
 # block's frames, spectrum and ACF, about 16 MB at 16 kHz) whatever the
 # session length. Blocks this small also let the allocator reuse one block's
@@ -90,16 +97,6 @@ _LOUDNESS_FLOOR = 1e-30
 
 class EmptyInputError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class LLDTrack:
-    """One per-frame descriptor track."""
-
-    name: str
-    values: np.ndarray
-    group: str  # S | P | VQ
-    order: int = 0  # derivative order, 0..2
 
 
 @dataclass(frozen=True)
@@ -206,7 +203,7 @@ def _unit_sum(mag: np.ndarray) -> np.ndarray:
     return np.divide(mag, total, out=np.zeros_like(mag), where=total > 0)
 
 
-def spectral_llds(frames: FrameSet, previous: np.ndarray | None = None) -> list[LLDTrack]:
+def spectral_llds(frames: FrameSet, previous: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """12 spectral tracks from the power spectrum of Hamming-windowed frames.
 
     All-zero frames report 0 for band energies, roll-offs and centroid. Flux
@@ -251,7 +248,7 @@ def spectral_llds(frames: FrameSet, previous: np.ndarray | None = None) -> list[
     tracks["max_pos"] = freqs[np.argmax(power, axis=1)]
     tracks["min_pos"] = freqs[np.argmin(power, axis=1)]
 
-    return [LLDTrack(name, tracks[name], "S") for name in SPECTRAL_LLDS]
+    return tracks
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +275,7 @@ def _pitch_lags(frames: FrameSet) -> tuple[int, int]:
     return lag_min, lag_max
 
 
-def prosodic_llds(frames: FrameSet, held_f0: float = 0.0) -> list[LLDTrack]:
+def prosodic_llds(frames: FrameSet, held_f0: float = 0.0) -> dict[str, np.ndarray]:
     """f0 (autocorrelation peak in 55-400 Hz), its envelope, loudness, voicing.
 
     Unvoiced frames get f0 = 0; the envelope holds the last voiced value
@@ -309,8 +306,7 @@ def prosodic_llds(frames: FrameSet, held_f0: float = 0.0) -> list[LLDTrack]:
     energy = np.mean(frames.samples**2, axis=1)
     loudness = np.log(np.maximum(energy, _LOUDNESS_FLOOR))
 
-    vals = {"f0": f0, "f0_env": env, "loudness": loudness, "voicing": voicing}
-    return [LLDTrack(name, vals[name], "P") for name in PROSODY_LLDS]
+    return {"f0": f0, "f0_env": env, "loudness": loudness, "voicing": voicing}
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +338,7 @@ def _merge_cycle_peaks(positions: list[int], heights: list[float], min_sep: floa
     return kept, amps
 
 
-def voice_quality_llds(frames: FrameSet, f0_track: LLDTrack) -> list[LLDTrack]:
+def voice_quality_llds(frames: FrameSet, f0: np.ndarray) -> dict[str, np.ndarray]:
     """Jitter (local, DDP), shimmer (local) and logHNR; all 0 on unvoiced frames.
 
     HNR reads the frame's normalised ACF at the pitch period. Jitter and
@@ -353,7 +349,7 @@ def voice_quality_llds(frames: FrameSet, f0_track: LLDTrack) -> list[LLDTrack]:
     """
     if len(frames) == 0:
         raise EmptyInputError("empty frame set")
-    f0 = np.asarray(f0_track.values)
+    f0 = np.asarray(f0)
     if len(f0) != len(frames):
         raise ValueError("f0 track and frames disagree in length")
 
@@ -404,8 +400,7 @@ def voice_quality_llds(frames: FrameSet, f0_track: LLDTrack) -> list[LLDTrack]:
         if mean_amp > 0:
             shim[t] = _mean([abs(b - a) for a, b in zip(amps, amps[1:])]) / mean_amp
 
-    vals = {"jitter_local": jit_loc, "jitter_ddp": jit_ddp, "shimmer_local": shim, "log_hnr": hnr}
-    return [LLDTrack(name, vals[name], "VQ") for name in VQ_LLDS]
+    return {"jitter_local": jit_loc, "jitter_ddp": jit_ddp, "shimmer_local": shim, "log_hnr": hnr}
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +408,10 @@ def voice_quality_llds(frames: FrameSet, f0_track: LLDTrack) -> list[LLDTrack]:
 # ---------------------------------------------------------------------------
 
 
-def add_derivatives(track: LLDTrack) -> tuple[LLDTrack, LLDTrack]:
+def add_derivatives(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second regression deltas (window +-2, replicated edges)."""
-    d1 = _delta(track.values)
-    d2 = _delta(d1)
-    return (
-        LLDTrack(track.name + "_de", d1, track.group, order=1),
-        LLDTrack(track.name + "_de2", d2, track.group, order=2),
-    )
+    d1 = _delta(values)
+    return d1, _delta(d1)
 
 
 def _delta(values: np.ndarray, width: int = DELTA_WIDTH) -> np.ndarray:
@@ -490,16 +481,14 @@ def apply_functionals(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _group_vector(session_id: str, group: str, bases: list[LLDTrack]) -> AcousticVector:
-    """Each base LLD plus its delta and delta-delta, projected on the 24 functionals."""
-    names: list[str] = []
-    chunks: list[np.ndarray] = []
-    for base in bases:
-        d1, d2 = add_derivatives(base)
-        for track in (base, d1, d2):
-            names.extend(f"{group}.{track.name}.{f}" for f in FUNCTIONAL_NAMES)
-            chunks.append(apply_functionals(track.values))
-    return AcousticVector(group, tuple(names), np.concatenate(chunks), session_id)
+def _group_vector(session_id: str, group: str, per_block: list[dict[str, np.ndarray]]) -> AcousticVector:
+    """Each LLD over the blocks plus its delta and delta-delta, projected on the 24 functionals."""
+    chunks = []
+    for name in GROUP_LLDS[group]:
+        base = np.concatenate([tracks[name] for tracks in per_block])
+        for track in (base, *add_derivatives(base)):
+            chunks.append(apply_functionals(track))
+    return AcousticVector(group, GROUP_NAMES[group], np.concatenate(chunks), session_id)
 
 
 def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
@@ -520,7 +509,7 @@ def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
         raise EmptyInputError(f"session {session.id}: {len(frames)} frames, fewer than the delta window ({MIN_FRAMES})")
 
     groups = ("P", "S", "VQ") if group == "M" else (group,)
-    per_block = {g: [] for g in groups}  # group -> one list of LLD tracks per block
+    per_block = {g: [] for g in groups}  # group -> one name -> track dict per block
     previous, held_f0 = None, 0.0  # state carried over block edges
     for lo in range(0, len(frames), BLOCK_FRAMES):
         block = frames.block(lo, lo + BLOCK_FRAMES)
@@ -529,22 +518,14 @@ def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
             previous = block.samples[-1].copy()
         if group != "S":
             prosody = prosodic_llds(block, held_f0)
-            held_f0 = prosody[1].values[-1]
+            held_f0 = prosody["f0_env"][-1]
             if "P" in groups:
                 per_block["P"].append(prosody)
             if "VQ" in groups:
-                per_block["VQ"].append(voice_quality_llds(block, prosody[0]))
+                per_block["VQ"].append(voice_quality_llds(block, prosody["f0"]))
 
-    vectors = [_group_vector(session.id, g, _join_blocks(per_block[g])) for g in groups]
+    vectors = [_group_vector(session.id, g, per_block[g]) for g in groups]
     return merge_groups(*vectors) if group == "M" else vectors[0]
-
-
-def _join_blocks(per_block: list[list[LLDTrack]]) -> list[LLDTrack]:
-    """Whole-session tracks from the tracks of consecutive blocks."""
-    return [
-        LLDTrack(track.name, np.concatenate([tracks[i].values for tracks in per_block]), track.group)
-        for i, track in enumerate(per_block[0])
-    ]
 
 
 def merge_groups(p: AcousticVector, s: AcousticVector, vq: AcousticVector) -> AcousticVector:

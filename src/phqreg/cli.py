@@ -77,9 +77,8 @@ def main(argv=None) -> int:
             print(config_text(cfg))
             return 0
 
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(args).validate()
         if args.command == "synth":
-            cfg.validate(need_seed=True)
             spec = SynthSpec(
                 n_train=cfg.synth_n_train, n_dev=cfg.synth_n_dev,
                 depressed_fraction_train=cfg.synth_depressed_fraction_train,
@@ -97,7 +96,6 @@ def main(argv=None) -> int:
             )
             return 0
 
-        cfg.validate(need_seed=True)
         if args.command == "extract":
             for path in run_extract(cfg):
                 print(path)

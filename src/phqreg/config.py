@@ -105,12 +105,12 @@ class PipelineConfig:
             return self.svr_kernel
         return "linear" if self.family() == "text" else "rbf"
 
-    def validate(self, need_seed: bool = True) -> "PipelineConfig":
+    def validate(self) -> "PipelineConfig":
         if self.modality not in MODALITIES:
             raise ConfigError(f"unknown modality {self.modality!r}; expected one of {MODALITIES}")
         if self.model and self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if need_seed and self.seed is None:
+        if self.seed is None:
             raise ConfigError("seed is mandatory: set [run] seed or pass --seed")
         return self
 

@@ -100,10 +100,6 @@ class AudioSignal:
             raise ValueError("audio samples must be a 1-d array (mono)")
         object.__setattr__(self, "samples", _frozen(samples))
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.rate
-
 
 @dataclass(frozen=True)
 class LandmarkSequence:
@@ -150,9 +146,6 @@ class Session:
         if self.label is not None and not PHQ8_MIN <= self.label <= PHQ8_MAX:
             raise ValueError(f"session {self.id}: label {self.label} outside [{PHQ8_MIN}, {PHQ8_MAX}]")
         object.__setattr__(self, "turns", turns)
-
-    def participant_turns(self) -> tuple[TurnRecord, ...]:
-        return tuple(t for t in self.turns if t.speaker is Speaker.PARTICIPANT)
 
 
 # ---------------------------------------------------------------------------

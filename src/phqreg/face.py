@@ -69,7 +69,6 @@ class PcaProjection:
     mean: np.ndarray
     components: np.ndarray  # (q, d)
     explained_ratio: float  # cumulative ratio at q
-    eigenvalues: np.ndarray  # all eigenvalues, descending
 
     @property
     def q(self) -> int:
@@ -121,7 +120,7 @@ def fit_pca(X: np.ndarray, variance_keep: float = DEFAULT_VARIANCE_KEEP) -> PcaP
     ratios = np.cumsum(evals) / total
     q = int(np.searchsorted(ratios, variance_keep - 1e-12) + 1)
     q = min(q, len(evals))
-    return PcaProjection(mean, comps[:q], float(ratios[q - 1]), evals)
+    return PcaProjection(mean, comps[:q], float(ratios[q - 1]))
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,6 @@ class WindowBatch:
     """PCA-projected sliding windows of one session, all tracking-clean."""
 
     windows: np.ndarray  # (n_windows, W, q)
-    label: int | None
     session_id: str
     starts: tuple[int, ...] = ()  # window starts in downsampled-sample units
 
@@ -155,7 +153,6 @@ def window_sequence(
     pca: PcaProjection,
     window: int = DEFAULT_WINDOW,
     overlap: int = DEFAULT_OVERLAP,
-    label: int | None = None,
     session_id: str = "",
 ) -> WindowBatch:
     """1 Hz downsampling + sliding windows with the 0-tolerance success filter.
@@ -167,10 +164,6 @@ def window_sequence(
     if window < 1 or overlap < 1:
         raise ValueError("window and overlap must be positive")
     idx = downsample_indices(seq.timestamps)
-    q = pca.q
-    if len(idx) < window:
-        return WindowBatch(np.zeros((0, window, q)), label, session_id)
-
     ok = seq.success[idx]
     feats = None  # projected lazily, only if some window survives
     kept, starts = [], []
@@ -182,8 +175,8 @@ def window_sequence(
         kept.append(feats[start : start + window])
         starts.append(start)
     if not kept:
-        return WindowBatch(np.zeros((0, window, q)), label, session_id)
-    return WindowBatch(np.array(kept), label, session_id, tuple(starts))
+        return WindowBatch(np.zeros((0, window, pca.q)), session_id)
+    return WindowBatch(np.array(kept), session_id, tuple(starts))
 
 
 def aggregate_predictions(predictions) -> float:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -88,6 +89,10 @@ def scan_corpus(root) -> CorpusIndex:
         if not path.is_file():
             raise PipelineError(f"missing split file {path}")
         ids[split] = tuple(sorted(x.strip() for x in path.read_text(encoding="utf-8").splitlines() if x.strip()))
+    # a session in both splits would be trained on and then scored as dev
+    repeated = sorted(sid for sid, n in Counter(sid for split in SPLITS for sid in ids[split]).items() if n > 1)
+    if repeated:
+        raise PipelineError(f"session ids listed more than once across the split files: {', '.join(repeated)}")
     labels_path = root / "labels.csv"
     labels = corpus.load_labels(labels_path) if labels_path.is_file() else {}
     return CorpusIndex(root, ids, labels)
@@ -168,9 +173,9 @@ def read_feature_csv(path) -> tuple[tuple[str, ...], dict]:
     if not path.is_file():
         raise PipelineError(f"missing feature store {path}; run `extract` first")
     lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    if header[0] != "session_id":
-        raise PipelineError(f"{path}: not a feature store CSV")
+    header = lines[0].split(",") if lines else []
+    if header[:1] != ["session_id"]:
+        raise PipelineError(f"{path}: not a feature store CSV (no session_id header line)")
     names = tuple(header[1:])
     rows = {}
     for raw in lines[1:]:
@@ -303,9 +308,8 @@ def load_pca(path) -> face.PcaProjection:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format_version") != PCA_FORMAT_VERSION:
         raise PipelineError(f"{path}: PCA format version {payload.get('format_version')!r}, expected {PCA_FORMAT_VERSION}")
-    components = np.array(payload["components"])
-    evals = np.zeros(len(components))
-    return face.PcaProjection(np.array(payload["mean"]), components, payload["explained_ratio"], evals)
+    mean, components = np.array(payload["mean"]), np.array(payload["components"])
+    return face.PcaProjection(mean, components, payload["explained_ratio"])
 
 
 def load_windows(out_dir, split) -> tuple[np.ndarray, dict]:

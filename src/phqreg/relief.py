@@ -41,18 +41,16 @@ def binarize_labels(y) -> np.ndarray:
 class ReliefWeights:
     weights: np.ndarray
     k: int
-    mins: np.ndarray
-    maxs: np.ndarray
 
 
-def _normalize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normalize(X: np.ndarray) -> np.ndarray:
     mins = X.min(axis=0)
     maxs = X.max(axis=0)
     ranges = maxs - mins
     Xn = np.zeros_like(X)
     ok = ranges > 0
     Xn[:, ok] = (X[:, ok] - mins[ok]) / ranges[ok]
-    return Xn, mins, maxs
+    return Xn
 
 
 def _check_classes(y_class: np.ndarray, k: int) -> None:
@@ -84,7 +82,7 @@ def relief_weights_by_k(X, y_class, ks) -> dict[int, ReliefWeights]:
     k_max = max(ks)
     _check_classes(y_class, k_max)
 
-    Xn, mins, maxs = _normalize(X)
+    Xn = _normalize(X)
     n, d = Xn.shape
     sums = {k: np.zeros(d) for k in ks}
     idx = np.arange(n)
@@ -99,7 +97,7 @@ def relief_weights_by_k(X, y_class, ks) -> dict[int, ReliefWeights]:
         misses = misses[np.lexsort((misses, dist[misses]))][:k_max]
         for k, acc in sums.items():
             acc += diffs[misses[:k]].sum(axis=0) - diffs[hits[:k]].sum(axis=0)
-    return {k: ReliefWeights(acc / (n * k), k, mins, maxs) for k, acc in sums.items()}
+    return {k: ReliefWeights(acc / (n * k), k) for k, acc in sums.items()}
 
 
 def relief_weights(X, y_class, k: int = DEFAULT_K) -> ReliefWeights:

@@ -5,13 +5,11 @@ Three sub-groups:
     TB (6)   Q1/median/Q3 of response time and of within-speaker pause (seconds)
     PDI (3)  diagnosed-before flags for ptsd / depression / military background,
              each encoded -1 (never asked), 0 (denied) or 1 (confirmed)
+
+NB and PDI read the fixed lowercase lexicons below.
 """
 
 from __future__ import annotations
-
-import configparser
-from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -26,68 +24,18 @@ BEHAVIORAL_NAMES = (
 
 PDI_TOPICS = ("ptsd", "dep", "mb")
 
-
-@dataclass(frozen=True)
-class Lexicons:
-    """Token/phrase sets driving NB and PDI extraction; all lowercase."""
-
-    disfluencies: frozenset[str] = frozenset({"um", "uh", "er", "mm", "mhm", "hmm", "uh-huh"})
-    inconvenience_cues: frozenset[str] = frozenset(
-        {"<sigh>", "<whistling>", "<whisper>", "<deep_breath>", "<mumble>", "<clears_throat>"}
-    )
-    affirmations: tuple[str, ...] = ("yes", "yeah", "yep", "i have", "i do")
-    negations: tuple[str, ...] = ("no", "nope", "never", "i haven't", "i don't")
-    topic_keywords: dict = field(
-        default_factory=lambda: {
-            "ptsd": ("ptsd", "post traumatic"),
-            "dep": ("depress",),
-            "mb": ("military", "served", "deployment"),
-        }
-    )
+DISFLUENCIES = frozenset({"um", "uh", "er", "mm", "mhm", "hmm", "uh-huh"})
+INCONVENIENCE_CUES = frozenset({"<sigh>", "<whistling>", "<whisper>", "<deep_breath>", "<mumble>", "<clears_throat>"})
+AFFIRMATIONS = ("yes", "yeah", "yep", "i have", "i do")
+NEGATIONS = ("no", "nope", "never", "i haven't", "i don't")
+TOPIC_KEYWORDS = {
+    "ptsd": ("ptsd", "post traumatic"),
+    "dep": ("depress",),
+    "mb": ("military", "served", "deployment"),
+}
 
 
-DEFAULT_LEXICONS = Lexicons()
-
-
-def load_lexicons(path) -> Lexicons:
-    """Read lexicons from an INI file; missing keys fall back to the defaults.
-
-    Format: whitespace-separated tokens, commas separating multi-word phrases::
-
-        [lexicons]
-        disfluencies = um uh er
-        affirmations = yes, yeah, i have
-        topic.dep = depress
-    """
-    cp = configparser.ConfigParser()
-    cp.read_string(Path(path).read_text(encoding="utf-8"))
-    sec = cp["lexicons"]
-
-    def tokens(key, default):
-        if key not in sec:
-            return default
-        return frozenset(sec[key].lower().split())
-
-    def phrases(key, default):
-        if key not in sec:
-            return default
-        return tuple(p.strip() for p in sec[key].lower().split(",") if p.strip())
-
-    topics = dict(DEFAULT_LEXICONS.topic_keywords)
-    for topic in PDI_TOPICS:
-        key = f"topic.{topic}"
-        if key in sec:
-            topics[topic] = phrases(key, ())
-    return Lexicons(
-        disfluencies=tokens("disfluencies", DEFAULT_LEXICONS.disfluencies),
-        inconvenience_cues=tokens("inconvenience_cues", DEFAULT_LEXICONS.inconvenience_cues),
-        affirmations=phrases("affirmations", DEFAULT_LEXICONS.affirmations),
-        negations=phrases("negations", DEFAULT_LEXICONS.negations),
-        topic_keywords=topics,
-    )
-
-
-def nonvocal_features(turns, lexicons: Lexicons = DEFAULT_LEXICONS) -> np.ndarray:
+def nonvocal_features(turns) -> np.ndarray:
     """Laughter frequency, disfluency percentage, inconvenience-cue count."""
     participant = [t for t in turns if t.speaker is Speaker.PARTICIPANT]
     if not participant:
@@ -95,9 +43,9 @@ def nonvocal_features(turns, lexicons: Lexicons = DEFAULT_LEXICONS) -> np.ndarra
     tokens = [tok.lower() for t in participant for tok in t.text]
 
     laughter = sum(tok == "<laughter>" for tok in tokens) / len(participant)
-    n_disf = sum(tok in lexicons.disfluencies or tok == "<disfluency>" for tok in tokens)
+    n_disf = sum(tok in DISFLUENCIES or tok == "<disfluency>" for tok in tokens)
     disf_pct = 100.0 * n_disf / len(tokens) if tokens else 0.0
-    cues = float(sum(tok in lexicons.inconvenience_cues for tok in tokens))
+    cues = float(sum(tok in INCONVENIENCE_CUES for tok in tokens))
     return np.array([laughter, disf_pct, cues])
 
 
@@ -144,7 +92,7 @@ def _topic_in_turn(turn: TurnRecord, keywords) -> bool:
     return False
 
 
-def pdi_features(turns, lexicons: Lexicons = DEFAULT_LEXICONS) -> tuple[np.ndarray, list[str]]:
+def pdi_features(turns) -> tuple[np.ndarray, list[str]]:
     """PDI flags in PDI_TOPICS order plus a list of ambiguous-answer diagnostics.
 
     For each topic: -1 if no agent turn mentions it; otherwise the first
@@ -159,7 +107,7 @@ def pdi_features(turns, lexicons: Lexicons = DEFAULT_LEXICONS) -> tuple[np.ndarr
         flags[topic] = -1.0
         asked_at = None
         for i, t in enumerate(turns):
-            if t.speaker is Speaker.AGENT and _topic_in_turn(t, lexicons.topic_keywords[topic]):
+            if t.speaker is Speaker.AGENT and _topic_in_turn(t, TOPIC_KEYWORDS[topic]):
                 asked_at = i
                 break
         if asked_at is None:
@@ -169,18 +117,18 @@ def pdi_features(turns, lexicons: Lexicons = DEFAULT_LEXICONS) -> tuple[np.ndarr
             diagnostics.append(f"{topic}: query has no participant answer")
             continue
         tokens = [tok.lower() for tok in answer.text]
-        if any(_contains_phrase(tokens, p) if " " in p else p in tokens for p in lexicons.negations):
+        if any(_contains_phrase(tokens, p) if " " in p else p in tokens for p in NEGATIONS):
             flags[topic] = 0.0
-        elif any(_contains_phrase(tokens, p) if " " in p else p in tokens for p in lexicons.affirmations):
+        elif any(_contains_phrase(tokens, p) if " " in p else p in tokens for p in AFFIRMATIONS):
             flags[topic] = 1.0
         else:
             diagnostics.append(f"{topic}: ambiguous answer {' '.join(tokens)!r}")
     return np.array([flags[t] for t in PDI_TOPICS]), diagnostics
 
 
-def behavioral_vector(turns, lexicons: Lexicons = DEFAULT_LEXICONS) -> tuple[tuple[str, ...], np.ndarray]:
+def behavioral_vector(turns) -> tuple[tuple[str, ...], np.ndarray]:
     """The full 12-dim behavioral vector with its feature names."""
-    nb = nonvocal_features(turns, lexicons)
+    nb = nonvocal_features(turns)
     tb = turn_taking_features(turns)
-    pdi, _ = pdi_features(turns, lexicons)
+    pdi, _ = pdi_features(turns)
     return BEHAVIORAL_NAMES, np.concatenate([nb, tb, pdi])

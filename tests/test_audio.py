@@ -9,11 +9,13 @@ from phqreg import audio
 from phqreg.audio import (
     BLOCK_FRAMES,
     FUNCTIONAL_NAMES,
+    GROUP_DIMS,
+    GROUP_LLDS,
+    GROUP_NAMES,
     HOP_SECONDS,
     MIN_FRAMES,
     EmptyInputError,
     FrameSet,
-    LLDTrack,
     add_derivatives,
     apply_functionals,
     frame_signal,
@@ -106,33 +108,33 @@ def dft_centroid(frame, rate):
 
 class TestSpectral:
     def test_pure_tone_band_localization(self):
-        tracks = {t.name: t.values for t in spectral_llds(frames_of(sine(100, 0.5)))}
+        tracks = spectral_llds(frames_of(sine(100, 0.5)))
         total = tracks["band_0_250"] + tracks["band_1000_4000"]
         assert np.all(tracks["band_0_250"] >= 0.99 * total)
         assert np.all(tracks["band_1000_4000"] <= 0.01 * tracks["band_0_250"])
 
     def test_stationary_signal_zero_flux(self):
         # 100 Hz at 16 kHz: the period (160) equals the hop, so frames repeat
-        tracks = {t.name: t.values for t in spectral_llds(frames_of(sine(100, 0.5)))}
+        tracks = spectral_llds(frames_of(sine(100, 0.5)))
         assert tracks["flux"][0] == 0.0
         assert np.allclose(tracks["flux"][1:], 0.0, atol=1e-9)
 
     def test_white_noise_centroid_matches_oracle(self):
         rng = np.random.default_rng(7)
         frames = frames_of(rng.normal(0, 0.3, RATE // 2))
-        got = {t.name: t.values for t in spectral_llds(frames)}["centroid"]
+        got = spectral_llds(frames)["centroid"]
         windowed = frames.windowed()
         for i in range(0, len(frames), 7):
             assert got[i] == pytest.approx(dft_centroid(windowed[i], RATE), abs=1e-9)
 
     def test_all_zero_frame_conventions(self):
-        tracks = {t.name: t.values for t in spectral_llds(frames_of(np.zeros(RATE // 4)))}
+        tracks = spectral_llds(frames_of(np.zeros(RATE // 4)))
         for name in ("band_0_250", "rolloff_70", "centroid", "flux"):
             assert np.all(tracks[name] == 0.0)
 
     def test_rolloff_ordering_and_bounds(self):
         rng = np.random.default_rng(1)
-        tracks = {t.name: t.values for t in spectral_llds(frames_of(rng.normal(0, 0.3, RATE // 2)))}
+        tracks = spectral_llds(frames_of(rng.normal(0, 0.3, RATE // 2)))
         assert np.all(tracks["rolloff_25"] <= tracks["rolloff_50"])
         assert np.all(tracks["rolloff_50"] <= tracks["rolloff_70"])
         assert np.all(tracks["rolloff_70"] <= tracks["rolloff_90"])
@@ -141,20 +143,20 @@ class TestSpectral:
 
 class TestProsody:
     def test_sawtooth_f0(self):
-        tracks = {t.name: t.values for t in prosodic_llds(frames_of(sawtooth(200, 1.0)))}
+        tracks = prosodic_llds(frames_of(sawtooth(200, 1.0)))
         f0 = tracks["f0"]
         ok = np.abs(f0 - 200.0) <= 5.0
         assert ok.mean() >= 0.90
 
     def test_silence(self):
-        tracks = {t.name: t.values for t in prosodic_llds(frames_of(np.zeros(RATE // 2)))}
+        tracks = prosodic_llds(frames_of(np.zeros(RATE // 2)))
         assert np.all(tracks["f0"] == 0.0)
         assert np.all(tracks["voicing"] <= 0.01)
         assert np.all(np.isfinite(tracks["loudness"]))
 
     def test_envelope_holds_through_unvoiced_gap(self):
         x = np.concatenate([sine(200, 0.4), np.zeros(int(0.3 * RATE)), sine(250, 0.4)])
-        tracks = {t.name: t.values for t in prosodic_llds(frames_of(x))}
+        tracks = prosodic_llds(frames_of(x))
         f0, env = tracks["f0"], tracks["f0_env"]
         voiced = np.where(f0 > 0)[0]
         gap = np.where(f0 == 0)[0]
@@ -167,15 +169,14 @@ class TestProsody:
     def test_voicing_clamped(self):
         rng = np.random.default_rng(2)
         x = np.concatenate([sine(150, 0.3), rng.normal(0, 0.3, RATE // 4)])
-        tracks = {t.name: t.values for t in prosodic_llds(frames_of(x))}
+        tracks = prosodic_llds(frames_of(x))
         assert np.all((tracks["voicing"] >= 0.0) & (tracks["voicing"] <= 1.0))
 
 
 class TestVoiceQuality:
     def vq(self, samples):
         frames = frames_of(samples)
-        f0 = prosodic_llds(frames)[0]
-        return frames, {t.name: t.values for t in voice_quality_llds(frames, f0)}
+        return frames, voice_quality_llds(frames, prosodic_llds(frames)["f0"])
 
     def test_pure_tone_no_cycle_variation(self):
         _, tracks = self.vq(sine(200, 0.5))
@@ -334,10 +335,10 @@ def vq_inputs(draw):
 
 class TestVoiceQualityOracle:
     def check(self, samples, rate, f0):
-        got = voice_quality_llds(FrameSet(samples, rate), LLDTrack("f0", f0, "P"))
+        got = voice_quality_llds(FrameSet(samples, rate), f0)
         want = voice_quality_oracle(samples, rate, f0)
-        for track in got:
-            assert track.values.tobytes() == want[track.name].tobytes(), track.name
+        for name, values in got.items():
+            assert values.tobytes() == want[name].tobytes(), name
 
     @settings(max_examples=150, deadline=None)
     @given(vq_inputs())
@@ -359,14 +360,14 @@ class TestVoiceQualityOracle:
             x[start] = 1.0
             if m % 2:
                 x[start + 3] = 1.0  # an equal maximum closer than 0.4 periods
-        got = voice_quality_llds(FrameSet(x[None, :], RATE), LLDTrack("f0", np.array([RATE / 100.0]), "P"))
-        assert {t.name: t.values[0] for t in got}["jitter_local"] == 0.0
+        got = voice_quality_llds(FrameSet(x[None, :], RATE), np.array([RATE / 100.0]))
+        assert got["jitter_local"][0] == 0.0
         self.check(x[None, :], RATE, np.array([RATE / 100.0]))
 
     def test_prosody_f0_on_speech_like_frames(self):
         for x in (sawtooth(180, 0.6, amp=0.4), pulse_train([102 if m % 2 else 98 for m in range(80)])):
             frames = frames_of(x)
-            f0 = prosodic_llds(frames)[0].values
+            f0 = prosodic_llds(frames)["f0"]
             self.check(frames.samples, RATE, f0)
 
 
@@ -424,9 +425,9 @@ class TestBlocks:
         blocks = self.blocks(long_frames)
         per_block = [spectral_llds(blocks[0])]
         per_block += [spectral_llds(block, before.samples[-1]) for before, block in zip(blocks, blocks[1:])]
-        for i, name in enumerate(want):
-            got = np.concatenate([tracks[i].values for tracks in per_block])
-            assert per_block[0][i].name == name
+        assert list(per_block[0]) == list(want)
+        for name in want:
+            got = np.concatenate([tracks[name] for tracks in per_block])
             assert got.tobytes() == want[name].tobytes(), name
 
 
@@ -448,9 +449,9 @@ class TestBlockedPass:
         # gap (the f0 envelope carries the last voiced f0 into it) and the one
         # at frame 56 starts at the gap-to-tone spectral change (flux carries
         # the previous frame's spectrum)
-        prosody = {t.name: t.values for t in prosodic_llds(frames)}
+        prosody = prosodic_llds(frames)
         assert np.all(prosody["f0"][35:42] == 0.0) and prosody["f0_env"][35] > 0.0
-        assert {t.name: t.values for t in spectral_llds(frames)}["flux"][56] > 0.1
+        assert spectral_llds(frames)["flux"][56] > 0.1
 
         def vectors(block_frames):
             monkeypatch.setattr(audio, "BLOCK_FRAMES", block_frames)
@@ -497,35 +498,37 @@ def delta_oracle(values, width=2):
 
 class TestDerivatives:
     def track(self, values):
-        from phqreg.audio import LLDTrack
-
-        return LLDTrack("x", np.asarray(values, dtype=float), "P")
+        return np.asarray(values, dtype=float)
 
     def test_constant_zero(self):
         d1, d2 = add_derivatives(self.track(np.full(10, 3.3)))
-        assert np.all(d1.values == 0.0)
-        assert np.all(d2.values == 0.0)
+        assert np.all(d1 == 0.0)
+        assert np.all(d2 == 0.0)
 
     def test_linear_ramp_interior_slope(self):
         a = 0.7
         d1, _ = add_derivatives(self.track(a * np.arange(20)))
-        assert np.allclose(d1.values[2:-2], a, atol=1e-12)
+        assert np.allclose(d1[2:-2], a, atol=1e-12)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.normal(0, 2, 64)
         d1, d2 = add_derivatives(self.track(x))
-        np.testing.assert_allclose(d1.values, delta_oracle(x), atol=1e-12)
-        np.testing.assert_allclose(d2.values, delta_oracle(delta_oracle(x)), atol=1e-12)
+        np.testing.assert_allclose(d1, delta_oracle(x), atol=1e-12)
+        np.testing.assert_allclose(d2, delta_oracle(delta_oracle(x)), atol=1e-12)
 
     def test_short_track_rejected(self):
         with pytest.raises(ValueError):
             add_derivatives(self.track([1.0, 2.0, 3.0, 4.0]))
 
     def test_names_and_orders(self):
-        d1, d2 = add_derivatives(self.track(np.arange(6.0)))
-        assert (d1.name, d1.order) == ("x_de", 1)
-        assert (d2.name, d2.order) == ("x_de2", 2)
+        # each LLD, then its delta (_de) and delta-delta (_de2), each over the functionals
+        for group, llds in GROUP_LLDS.items():
+            want = [f"{group}.{lld}{suffix}" for lld in llds for suffix in ("", "_de", "_de2")]
+            names = GROUP_NAMES[group]
+            assert len(names) == GROUP_DIMS[group]
+            assert [n.rsplit(".", 1)[0] for n in names[:: len(FUNCTIONAL_NAMES)]] == want
+            assert [n.rsplit(".", 1)[1] for n in names[: len(FUNCTIONAL_NAMES)]] == list(FUNCTIONAL_NAMES)
 
 
 def functionals_oracle(x):
@@ -716,20 +719,18 @@ class TestInvariances:
         f1 = frames_of(base)
         f2 = frames_of(g * base)
 
-        p1 = {t.name: t.values for t in prosodic_llds(f1)}
-        p2 = {t.name: t.values for t in prosodic_llds(f2)}
+        p1 = prosodic_llds(f1)
+        p2 = prosodic_llds(f2)
         np.testing.assert_allclose(p1["f0"], p2["f0"], atol=1e-9)
         np.testing.assert_allclose(p1["voicing"], p2["voicing"], atol=1e-9)
         np.testing.assert_allclose(p2["loudness"] - p1["loudness"], 2.0 * np.log(g), atol=1e-9)
 
-        s1 = {t.name: t.values for t in spectral_llds(f1)}
-        s2 = {t.name: t.values for t in spectral_llds(f2)}
+        s1 = spectral_llds(f1)
+        s2 = spectral_llds(f2)
         np.testing.assert_allclose(s2["band_0_250"], g * g * s1["band_0_250"], rtol=1e-9)
 
-        from phqreg.audio import LLDTrack
-
-        v1 = {t.name: t.values for t in voice_quality_llds(f1, LLDTrack("f0", p1["f0"], "P"))}
-        v2 = {t.name: t.values for t in voice_quality_llds(f2, LLDTrack("f0", p2["f0"], "P"))}
+        v1 = voice_quality_llds(f1, p1["f0"])
+        v2 = voice_quality_llds(f2, p2["f0"])
         np.testing.assert_allclose(v1["jitter_local"], v2["jitter_local"], atol=1e-9)
 
     def test_clipping_and_tiny_turn_edge_cases_stay_finite(self):

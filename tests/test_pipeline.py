@@ -696,3 +696,31 @@ class TestCli:
                    "--modality", "behavioral", "--seed", "1"])
         assert rc == 2
         assert "ERROR" in capsys.readouterr().err
+
+    def tiny_corpus(self, tmp_path):
+        root = tmp_path / "c"
+        assert main(["synth", "--corpus", str(root), "--seed", "3", "--n-train", "8", "--n-dev", "4",
+                     "--synth-modalities", "transcript"]) == 0
+        return root, ["--corpus", str(root), "--out", str(tmp_path / "o"), "--modality", "behavioral", "--seed", "3"]
+
+    def test_session_listed_twice_is_error(self, tmp_path, capsys):
+        root, args = self.tiny_corpus(tmp_path)
+        train = (root / "train_ids.txt").read_text().split()
+        dev = (root / "dev_ids.txt").read_text().split()
+        # one dev session also in train, one train session listed twice
+        (root / "train_ids.txt").write_text("\n".join(train + [dev[0], train[1]]) + "\n")
+        capsys.readouterr()
+        assert main(["extract", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR session ids listed more than once")
+        assert ", ".join(sorted([dev[0], train[1]])) in err
+
+    def test_empty_feature_store_is_error(self, tmp_path, capsys):
+        _, args = self.tiny_corpus(tmp_path)
+        assert main(["extract", *args]) == 0
+        (tmp_path / "o" / "features_behavioral_train.csv").write_text("")
+        capsys.readouterr()
+        assert main(["train", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ")
+        assert "features_behavioral_train.csv: not a feature store CSV" in err

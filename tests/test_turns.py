@@ -4,10 +4,7 @@ import pytest
 from phqreg.corpus import Speaker, TurnRecord
 from phqreg.turns import (
     BEHAVIORAL_NAMES,
-    DEFAULT_LEXICONS,
-    Lexicons,
     behavioral_vector,
-    load_lexicons,
     nonvocal_features,
     pdi_features,
     turn_taking_features,
@@ -195,26 +192,3 @@ class TestBehavioralVector:
         # PDI answer classification and all frequency counts ignore order
         np.testing.assert_array_equal(v1, v2)
 
-
-class TestLexiconFile:
-    def test_load_overrides_and_defaults(self, tmp_path):
-        p = tmp_path / "lex.ini"
-        p.write_text(
-            "[lexicons]\n"
-            "disfluencies = er hm\n"
-            "affirmations = yes, sure thing\n"
-            "topic.dep = sad, depress\n",
-            encoding="utf-8",
-        )
-        lex = load_lexicons(p)
-        assert lex.disfluencies == frozenset({"er", "hm"})
-        assert lex.affirmations == ("yes", "sure thing")
-        assert lex.topic_keywords["dep"] == ("sad", "depress")
-        # untouched keys keep defaults
-        assert lex.negations == DEFAULT_LEXICONS.negations
-        assert lex.inconvenience_cues == DEFAULT_LEXICONS.inconvenience_cues
-
-    def test_custom_lexicon_changes_counts(self):
-        turns = [turn(0, 1, P, "gosh i went")]
-        lex = Lexicons(disfluencies=frozenset({"gosh"}))
-        assert nonvocal_features(turns, lex)[1] == pytest.approx(100.0 / 3.0)
