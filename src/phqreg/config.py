@@ -3,7 +3,8 @@
 ``phqreg show-config`` prints every default. The seed is mandatory for any
 command that touches data; modality/model pairings follow the toolkit
 defaults (acoustic -> svr-rbf, behavioral -> reptree, text -> svr-linear,
-visual -> lstm) and mismatched overrides only warn.
+visual -> lstm) and mismatched overrides only warn. The paper's fixed
+hyperparameters are not keys here: the learners' own defaults hold them.
 """
 
 from __future__ import annotations
@@ -40,31 +41,11 @@ class PipelineConfig:
     modality: str = "behavioral"
     model: str = ""  # empty -> modality default
     seed: int | None = None
-    # [svr]
-    svr_kernel: str = ""  # empty -> rbf for acoustic, linear for text
-    svr_c: float = 1.0
-    svr_gamma: float = 0.01
-    svr_epsilon: float = 1e-3
-    svr_tol: float = 1e-3
-    # [reptree]
-    reptree_min_leaf: int = 2
-    reptree_prune_fraction: float = 1.0 / 3.0
     # [lstm]
-    lstm_hidden: int = 16
-    lstm_dropout: float = 0.5
-    lstm_lr: float = 1e-3
-    lstm_batch_size: int = 32
     lstm_max_epochs: int = 100
-    lstm_clip_norm: float = 5.0
-    lstm_val_fraction: float = 0.2
-    # [visual]
-    visual_window: int = 60
-    visual_overlap: int = 30
-    visual_variance_keep: float = 0.995
     # [relief]
     relief_threshold: float = 0.02
     relief_k: int = 20
-    relief_n_max: int = 20
     relief_tune: bool = False
     # [text]
     text_embeddings: str = ""
@@ -101,8 +82,6 @@ class PipelineConfig:
         return self.model
 
     def effective_svr_kernel(self) -> str:
-        if self.svr_kernel:
-            return self.svr_kernel
         return "linear" if self.family() == "text" else "rbf"
 
     def validate(self) -> "PipelineConfig":
@@ -115,31 +94,12 @@ class PipelineConfig:
         return self
 
 
-# (section, ini key) per dataclass field
+# (section, ini key) per dataclass field: [corpus] and [run] keys are the
+# field names, every other field is named <section>_<key>
+_UNPREFIXED = {"root": "corpus", "out_dir": "corpus", "modality": "run", "model": "run", "seed": "run"}
 _LAYOUT = {
-    "root": ("corpus", "root"), "out_dir": ("corpus", "out_dir"),
-    "modality": ("run", "modality"), "model": ("run", "model"), "seed": ("run", "seed"),
-    "svr_kernel": ("svr", "kernel"), "svr_c": ("svr", "c"), "svr_gamma": ("svr", "gamma"),
-    "svr_epsilon": ("svr", "epsilon"), "svr_tol": ("svr", "tol"),
-    "reptree_min_leaf": ("reptree", "min_leaf"),
-    "reptree_prune_fraction": ("reptree", "prune_fraction"),
-    "lstm_hidden": ("lstm", "hidden"), "lstm_dropout": ("lstm", "dropout"),
-    "lstm_lr": ("lstm", "lr"), "lstm_batch_size": ("lstm", "batch_size"),
-    "lstm_max_epochs": ("lstm", "max_epochs"), "lstm_clip_norm": ("lstm", "clip_norm"),
-    "lstm_val_fraction": ("lstm", "val_fraction"),
-    "visual_window": ("visual", "window"), "visual_overlap": ("visual", "overlap"),
-    "visual_variance_keep": ("visual", "variance_keep"),
-    "relief_threshold": ("relief", "threshold"), "relief_k": ("relief", "k"),
-    "relief_n_max": ("relief", "n_max"), "relief_tune": ("relief", "tune"),
-    "text_embeddings": ("text", "embeddings"),
-    "synth_n_train": ("synth", "n_train"), "synth_n_dev": ("synth", "n_dev"),
-    "synth_depressed_fraction_train": ("synth", "depressed_fraction_train"),
-    "synth_depressed_fraction_dev": ("synth", "depressed_fraction_dev"),
-    "synth_modalities": ("synth", "modalities"),
-    "synth_audio_rate": ("synth", "audio_rate"),
-    "synth_landmark_fps": ("synth", "landmark_fps"),
-    "synth_turn_pairs": ("synth", "turn_pairs"),
-    "synth_fail_prob": ("synth", "fail_prob"),
+    f.name: (_UNPREFIXED[f.name], f.name) if f.name in _UNPREFIXED else tuple(f.name.split("_", 1))
+    for f in fields(PipelineConfig)
 }
 
 _TYPES = {f.name: f.type for f in fields(PipelineConfig)}
@@ -147,7 +107,6 @@ _TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 def _convert(name: str, raw: str):
     t = _TYPES[name]
-    raw = raw.strip()
     if t in ("int", "int | None"):
         return int(raw)
     if t == "float":
@@ -157,7 +116,7 @@ def _convert(name: str, raw: str):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"bad boolean {raw!r} for {name}")
+        raise ValueError(f"not a boolean: {raw!r}")
     return raw
 
 
@@ -165,22 +124,25 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     """Build a config from an optional INI file plus CLI overrides."""
     cfg = PipelineConfig()
     if path is not None:
-        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        # values are literal: a "%" in a path is kept as written
+        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
         text = Path(path).read_text(encoding="utf-8")
         try:
             cp.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
-        for field_name, (section, key) in _LAYOUT.items():
-            if cp.has_option(section, key):
-                raw = cp.get(section, key)
-                if raw.strip():
-                    setattr(cfg, field_name, _convert(field_name, raw))
-        known = {(s.lower(), k.lower()) for s, k in _LAYOUT.values()}
+        known = set(_LAYOUT.values())
         for section in cp.sections():
             for key in cp[section]:
-                if (section.lower(), key.lower()) not in known:
+                if (section, key) not in known:
                     raise ConfigError(f"{path}: unknown option [{section}] {key}")
+        for field_name, (section, key) in _LAYOUT.items():
+            raw = cp.get(section, key, fallback="").strip()
+            if raw:
+                try:
+                    setattr(cfg, field_name, _convert(field_name, raw))
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
     for name, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, name, value)
@@ -205,10 +167,6 @@ def config_text(cfg: PipelineConfig, omit: tuple[str, ...] = ()) -> str:
             value = ""
         sections.setdefault(section, []).append(f"{key} = {value}")
     out = []
-    for section in ("corpus", "run", "svr", "reptree", "lstm", "visual", "relief", "text", "synth"):
-        if section not in sections:
-            continue
-        out.append(f"[{section}]")
-        out.extend(sections[section])
-        out.append("")
+    for section, lines in sections.items():
+        out += [f"[{section}]", *lines, ""]
     return "\n".join(out)

@@ -212,6 +212,9 @@ def load_landmarks(path) -> LandmarkSequence:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ParseError(path, 1, "empty file, expected landmark header")
+    # the header fixes the coordinate layout, so a file with any other header is refused
+    if ",".join(h.strip() for h in lines[0].split(",")) != landmark_header():
+        raise ParseError(path, 1, "bad header, expected frame,timestamp,confidence,success,X0..X67,Y0..Y67,Z0..Z67")
 
     ts, conf, succ, pts = [], [], [], []
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -279,6 +282,8 @@ def load_labels(path) -> dict[str, int]:
             raise ParseError(path, lineno, "non-integer label") from None
         if not PHQ8_MIN <= score <= PHQ8_MAX:
             raise ParseError(path, lineno, f"PHQ8_Score {score} outside [{PHQ8_MIN}, {PHQ8_MAX}]")
+        if parts[0] in labels:
+            raise ParseError(path, lineno, f"Participant_ID {parts[0]} listed twice")
         labels[parts[0]] = score
     return labels
 

@@ -61,6 +61,8 @@ logger = logging.getLogger(__name__)
 
 SPLITS = ("train", "dev")
 PCA_FORMAT_VERSION = 1
+# share of the window-bearing training sessions held out to early-stop the LSTM
+LSTM_VAL_FRACTION = 0.2
 
 
 class PipelineError(ValueError):
@@ -178,11 +180,18 @@ def read_feature_csv(path) -> tuple[tuple[str, ...], dict]:
         raise PipelineError(f"{path}: not a feature store CSV (no session_id header line)")
     names = tuple(header[1:])
     rows = {}
-    for raw in lines[1:]:
+    for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         cells = raw.split(",")
-        rows[cells[0]] = np.array([float(c) for c in cells[1:]])
+        if len(cells) != len(header):
+            raise PipelineError(f"{path}:{lineno}: {len(cells)} cells, but the header names {len(header)}")
+        if cells[0] in rows:
+            raise PipelineError(f"{path}:{lineno}: session {cells[0]} listed twice")
+        try:
+            rows[cells[0]] = np.array([float(c) for c in cells[1:]])
+        except ValueError as exc:
+            raise PipelineError(f"{path}:{lineno}: {exc}") from None
     return names, rows
 
 
@@ -257,7 +266,7 @@ def _extract_visual(index, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
     if not landmarks["train"]:
         raise PipelineError("visual extraction found no training landmark files")
     train_frames = np.concatenate([face.geometric_frames(lm) for lm in landmarks["train"].values()])
-    pca = face.fit_pca(train_frames, cfg.visual_variance_keep)
+    pca = face.fit_pca(train_frames, face.DEFAULT_VARIANCE_KEEP)
     logger.info("visual PCA: %d -> %d dims (%.4f%% variance)", train_frames.shape[1], pca.q, 100 * pca.explained_ratio)
 
     pca_path = artifact_path(out_dir, "pca", "visual")
@@ -268,7 +277,7 @@ def _extract_visual(index, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
                 "mean": pca.mean.tolist(),
                 "components": pca.components.tolist(),
                 "explained_ratio": pca.explained_ratio,
-                "variance_keep": cfg.visual_variance_keep,
+                "variance_keep": face.DEFAULT_VARIANCE_KEEP,
             },
             sort_keys=True,
         ),
@@ -279,18 +288,18 @@ def _extract_visual(index, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
     for split in SPLITS:
         batches, sids = [], []
         for sid, lm in landmarks[split].items():
-            batch = face.window_sequence(lm, pca, cfg.visual_window, cfg.visual_overlap, session_id=sid)
+            batch = face.window_sequence(lm, pca, face.DEFAULT_WINDOW, face.DEFAULT_OVERLAP, session_id=sid)
             if len(batch.windows):
                 batches.append(batch.windows)
                 sids.extend([sid] * len(batch.windows))
-        windows = np.concatenate(batches) if batches else np.zeros((0, cfg.visual_window, pca.q))
+        windows = np.concatenate(batches) if batches else np.zeros((0, face.DEFAULT_WINDOW, pca.q))
         npy_path, json_path = _windows_paths(out_dir, split)
         np.save(npy_path, windows)
         json_path.write_text(
             json.dumps(
                 {
-                    "W": cfg.visual_window,
-                    "O": cfg.visual_overlap,
+                    "W": face.DEFAULT_WINDOW,
+                    "O": face.DEFAULT_OVERLAP,
                     "q": pca.q,
                     "pca_file": pca_path.name,
                     "session_ids": sids,
@@ -403,14 +412,9 @@ def _tabular_fitter(cfg: PipelineConfig, kind: str):
     if kind == "mean":
         return lambda X, y: mean_train(y)
     if kind == "svr":
-        return partial(
-            svr_train, kernel=cfg.effective_svr_kernel(), C=cfg.svr_c, gamma=cfg.svr_gamma,
-            epsilon=cfg.svr_epsilon, tol=cfg.svr_tol,
-        )
+        return partial(svr_train, kernel=cfg.effective_svr_kernel())
     if kind == "reptree":
-        return partial(
-            reptree_train, min_leaf=cfg.reptree_min_leaf, prune_fraction=cfg.reptree_prune_fraction, seed=cfg.seed,
-        )
+        return partial(reptree_train, seed=cfg.seed)
     raise PipelineError(f"model {kind!r} cannot be trained on tabular features")
 
 
@@ -418,10 +422,10 @@ def _relief_select(cfg: PipelineConfig, fit, names, X, y) -> tuple[list[int], di
     th, k = cfg.relief_threshold, cfg.relief_k
     info: dict = {}
     if cfg.relief_tune:
-        th, k, scores = relief.tune_relief(X, y, fit, n_max=cfg.relief_n_max, seed=cfg.seed)
+        th, k, scores = relief.tune_relief(X, y, fit, seed=cfg.seed)
         info["grid_scores"] = {f"th={t},k={kk}": v for (t, kk), v in sorted(scores.items())}
     weights = relief.relief_weights(X, relief.binarize_labels(y), k)
-    selected = relief.select_top(weights, th, cfg.relief_n_max)
+    selected = relief.select_top(weights, th)
     if not selected:
         raise PipelineError(f"relief selected no features at threshold {th}")
     info.update(threshold=th, k=k, selected_names=[names[i] for i in selected])
@@ -451,18 +455,14 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
         raise PipelineError("no tracking-clean training windows; cannot train the LSTM")
     # hold out a seeded fraction of the window-bearing sessions for early stopping
     bearing = sorted(set(data.win_sids.tolist()))
-    n_val = int(round(cfg.lstm_val_fraction * len(bearing)))
+    n_val = int(round(LSTM_VAL_FRACTION * len(bearing)))
     val_sessions = sorted(np.random.default_rng(cfg.seed).permutation(bearing)[:n_val].tolist())
     val = np.isin(data.win_sids, val_sessions)
     if val.all():
         val[:] = False
     label = dict(zip(data.sids, data.y))
     y = np.array([label[sid] for sid in data.win_sids.tolist()])
-    lstm_cfg = LstmConfig(
-        input_dim=data.windows.shape[2], hidden=cfg.lstm_hidden, dropout=cfg.lstm_dropout,
-        lr=cfg.lstm_lr, batch_size=cfg.lstm_batch_size, max_epochs=cfg.lstm_max_epochs,
-        clip_norm=cfg.lstm_clip_norm, seed=cfg.seed,
-    )
+    lstm_cfg = LstmConfig(input_dim=data.windows.shape[2], max_epochs=cfg.lstm_max_epochs, seed=cfg.seed)
     model = lstm_train(
         data.windows[~val], y[~val], lstm_cfg,
         X_val=data.windows[val] if val.any() else None,
@@ -678,9 +678,7 @@ def run_tune_relief(cfg: PipelineConfig) -> tuple[float, int]:
         raise PipelineError("relief tuning needs a tabular modality (acoustic, behavioral or text), not visual")
     index = scan_corpus(cfg.root)
     data = _load_split(cfg, index, "train")
-    th, k, scores = relief.tune_relief(
-        data.X, data.y, _tabular_fitter(cfg, cfg.effective_model()), n_max=cfg.relief_n_max, seed=cfg.seed,
-    )
+    th, k, scores = relief.tune_relief(data.X, data.y, _tabular_fitter(cfg, cfg.effective_model()), seed=cfg.seed)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["threshold,k,mean_mae"] + [f"{t},{kk},{v}" for (t, kk), v in sorted(scores.items())]

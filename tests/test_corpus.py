@@ -131,6 +131,22 @@ class TestLandmarks:
         np.testing.assert_allclose(back.points, seq.points)
         assert back.success.tolist() == [True, False]
 
+    def interleaved_header(self):
+        cols = ["frame", "timestamp", "confidence", "success"]
+        return ",".join(cols + [f"{axis}{i}" for i in range(68) for axis in "XYZ"])
+
+    @pytest.mark.parametrize("header", ["garbage", "interleaved"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        rows = self.make_rows(2).splitlines()
+        rows[0] = self.interleaved_header() if header == "interleaved" else header
+        with pytest.raises(ParseError, match=r"l\.csv:1: bad header"):
+            load_landmarks(write(tmp_path, "l.csv", "\n".join(rows) + "\n"))
+
+    def test_header_spaces_ignored(self, tmp_path):
+        rows = self.make_rows(2).splitlines()
+        rows[0] = rows[0].replace(",", ", ")
+        assert len(load_landmarks(write(tmp_path, "l.csv", "\n".join(rows) + "\n"))) == 2
+
 
 class TestLabels:
     def test_roundtrip(self, tmp_path):
@@ -141,6 +157,11 @@ class TestLabels:
     def test_binary_column_parsed_but_unused(self, tmp_path):
         p = write(tmp_path, "labels.csv", "Participant_ID,PHQ8_Binary,PHQ8_Score\n301,1,3\n")
         assert load_labels(p) == {"301": 3}
+
+    def test_repeated_participant_rejected(self, tmp_path):
+        p = write(tmp_path, "labels.csv", "Participant_ID,PHQ8_Binary,PHQ8_Score\n300,0,3\n301,1,12\n300,1,20\n")
+        with pytest.raises(ParseError, match=r"labels\.csv:4: Participant_ID 300 listed twice"):
+            load_labels(p)
 
     def test_out_of_range_score(self, tmp_path):
         p = write(tmp_path, "labels.csv", "Participant_ID,PHQ8_Binary,PHQ8_Score\n301,1,25\n")

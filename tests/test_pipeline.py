@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,22 +38,79 @@ class TestConfig:
     def test_show_config_prints_all_sections(self, capsys):
         assert main(["show-config"]) == 0
         out = capsys.readouterr().out
-        for section in ("[corpus]", "[run]", "[svr]", "[reptree]", "[lstm]", "[visual]", "[relief]", "[synth]"):
-            assert section in out
+        sections = [line for line in out.splitlines() if line.startswith("[")]
+        assert sections == ["[corpus]", "[run]", "[lstm]", "[relief]", "[text]", "[synth]"]
 
     def test_ini_roundtrip_and_overrides(self, tmp_path):
         ini = tmp_path / "c.ini"
-        ini.write_text("[run]\nmodality = text:BOOL\nseed = 3\n[svr]\nc = 2.5\n", encoding="utf-8")
+        ini.write_text("[run]\nmodality = text:BOOL\nseed = 3\n[relief]\nk = 7\n", encoding="utf-8")
         cfg = load_config(ini, {"out_dir": "zzz"})
         assert cfg.modality == "text:BOOL"
         assert cfg.seed == 3
-        assert cfg.svr_c == 2.5
+        assert cfg.relief_k == 7
         assert cfg.out_dir == "zzz"
         # render -> reparse is stable
         ini2 = tmp_path / "c2.ini"
         ini2.write_text(config_text(cfg), encoding="utf-8")
         cfg2 = load_config(ini2)
-        assert cfg2.modality == cfg.modality and cfg2.svr_c == cfg.svr_c
+        assert cfg2.modality == cfg.modality and cfg2.relief_k == cfg.relief_k
+
+    def test_every_field_roundtrips(self, tmp_path):
+        changed = {}
+        for f in fields(PipelineConfig):
+            value = getattr(PipelineConfig(), f.name)
+            if isinstance(value, bool):
+                changed[f.name] = not value
+            elif isinstance(value, (int, float)) or value is None:
+                changed[f.name] = (value or 0) + 3
+            else:
+                changed[f.name] = value + "x"
+        cfg = PipelineConfig(**changed)
+        assert all(getattr(cfg, name) != getattr(PipelineConfig(), name) for name in changed)
+        ini = tmp_path / "all.ini"
+        ini.write_text(config_text(cfg), encoding="utf-8")
+        assert load_config(ini) == cfg
+
+    @pytest.mark.parametrize("section,key", [
+        ("svr", "kernel"), ("svr", "c"), ("svr", "gamma"), ("svr", "epsilon"), ("svr", "tol"),
+        ("reptree", "min_leaf"), ("reptree", "prune_fraction"),
+        ("lstm", "hidden"), ("lstm", "dropout"), ("lstm", "lr"), ("lstm", "batch_size"),
+        ("lstm", "clip_norm"), ("lstm", "val_fraction"),
+        ("visual", "window"), ("visual", "overlap"), ("visual", "variance_keep"),
+        ("relief", "n_max"),
+    ])
+    def test_fixed_hyperparameter_keys_rejected(self, tmp_path, section, key):
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[{section}]\n{key} = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"unknown option \[{section}\] {key}$"):
+            load_config(ini)
+
+    def test_removed_key_fails_on_the_command_line(self, tmp_path, capsys):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[run]\nseed = 3\n[svr]\nc = 2.5\n", encoding="utf-8")
+        assert main(["train", "--config", str(ini), "--corpus", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"ERROR {ini}: unknown option [svr] c\n"
+
+    @pytest.mark.parametrize("section,key,raw", [("relief", "k", "ten"), ("run", "seed", "1.5"),
+                                                 ("relief", "threshold", "high"), ("relief", "tune", "maybe")])
+    def test_bad_value_names_its_option(self, tmp_path, section, key, raw):
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^{ini}: \[{section}\] {key}: .*{raw}"):
+            load_config(ini)
+
+    def test_percent_in_value_is_literal(self, tmp_path, capsys):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[text]\nembeddings = /data/100%/vectors.txt\n", encoding="utf-8")
+        assert load_config(ini).text_embeddings == "/data/100%/vectors.txt"
+        assert main(["show-config", "--config", str(ini)]) == 0
+        assert "embeddings = /data/100%/vectors.txt\n" in capsys.readouterr().out
+
+    def test_section_names_are_case_sensitive(self, tmp_path):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[RUN]\nseed = 3\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"unknown option \[RUN\] seed"):
+            load_config(ini)
 
     def test_unknown_key_rejected(self, tmp_path):
         ini = tmp_path / "c.ini"
@@ -655,7 +713,7 @@ class TestVisualPipeline:
                 assert not set(bearing) & held_out[fold]
                 assert set(bearing) == set(meta["session_ids"]) - held_out[fold]
             # the same share of window-bearing sessions as train, drawn with the run seed
-            n_val = int(round(cfg.lstm_val_fraction * len(bearing)))
+            n_val = int(round(pipeline.LSTM_VAL_FRACTION * len(bearing)))
             assert val_sids == set(np.random.default_rng(cfg.seed).permutation(bearing)[:n_val].tolist())
         model = json.loads((out / "model_visual.json").read_text())
         assert set(model["extra"]["val_sessions"]) == calls[0][1]
@@ -724,3 +782,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("ERROR ")
         assert "features_behavioral_train.csv: not a feature store CSV" in err
+
+    def test_feature_row_listed_twice_is_error(self, tmp_path, capsys):
+        _, args = self.tiny_corpus(tmp_path)
+        assert main(["extract", *args]) == 0
+        store = tmp_path / "o" / "features_behavioral_train.csv"
+        lines = store.read_text().splitlines()
+        cells = lines[1].split(",")
+        lines.insert(2, ",".join(cells[:-1] + ["123.0"]))
+        store.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["train", *args]) == 2
+        assert capsys.readouterr().err == f"ERROR {store}:3: session {cells[0]} listed twice\n"
+
+    def test_label_listed_twice_is_error(self, tmp_path, capsys):
+        root, args = self.tiny_corpus(tmp_path)
+        labels = root / "labels.csv"
+        lines = labels.read_text().splitlines()
+        labels.write_text("\n".join(lines + [lines[1]]) + "\n")
+        capsys.readouterr()
+        assert main(["extract", *args]) == 2
+        sid = lines[1].split(",")[0]
+        assert capsys.readouterr().err == f"ERROR {labels}:{len(lines) + 1}: Participant_ID {sid} listed twice\n"
+
+    def test_short_feature_row_is_error(self, tmp_path, capsys):
+        _, args = self.tiny_corpus(tmp_path)
+        assert main(["extract", *args]) == 0
+        store = tmp_path / "o" / "features_behavioral_train.csv"
+        lines = store.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        store.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["train", *args]) == 2
+        assert capsys.readouterr().err == f"ERROR {store}:3: 12 cells, but the header names 13\n"
