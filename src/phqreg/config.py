@@ -14,6 +14,9 @@ import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from . import relief
+from .models.lstm import DEFAULT_EPOCHS
+
 logger = logging.getLogger(__name__)
 
 MODALITIES = (
@@ -42,10 +45,10 @@ class PipelineConfig:
     model: str = ""  # empty -> modality default
     seed: int | None = None
     # [lstm]
-    lstm_max_epochs: int = 100
+    lstm_max_epochs: int = DEFAULT_EPOCHS
     # [relief]
-    relief_threshold: float = 0.02
-    relief_k: int = 20
+    relief_threshold: float = relief.DEFAULT_THRESHOLD
+    relief_k: int = relief.DEFAULT_K
     relief_tune: bool = False
     # [text]
     text_embeddings: str = ""

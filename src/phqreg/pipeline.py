@@ -33,6 +33,7 @@ to the log only, never into report files.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import time
@@ -163,27 +164,28 @@ def artifact_path(out_dir, kind: str, modality: str, split: str = "") -> Path:
 
 
 def write_feature_csv(path, names, rows: dict) -> None:
-    path = Path(path)
-    lines = ["session_id," + ",".join(names)]
-    for sid in sorted(rows):
-        lines.append(sid + "," + ",".join(repr(float(v)) for v in rows[sid]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # a cell is quoted only when it holds a comma or a quote (a transcript
+    # token such as "yes," names a text feature), so other stores are plain
+    with Path(path).open("w", encoding="utf-8", newline="") as f:
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(["session_id", *names])
+        for sid in sorted(rows):
+            out.writerow([sid, *(repr(float(v)) for v in rows[sid])])
 
 
 def read_feature_csv(path) -> tuple[tuple[str, ...], dict]:
     path = Path(path)
     if not path.is_file():
         raise PipelineError(f"missing feature store {path}; run `extract` first")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",") if lines else []
+    records = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    header = next(records, [])
     if header[:1] != ["session_id"]:
         raise PipelineError(f"{path}: not a feature store CSV (no session_id header line)")
     names = tuple(header[1:])
     rows = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
+    for lineno, cells in enumerate(records, start=2):
+        if len(cells) <= 1 and not "".join(cells).strip():  # a blank line
             continue
-        cells = raw.split(",")
         if len(cells) != len(header):
             raise PipelineError(f"{path}:{lineno}: {len(cells)} cells, but the header names {len(header)}")
         if cells[0] in rows:

@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 PHQ8_DEPRESSED_CUTOFF = 10
 DEFAULT_THRESHOLD = 0.02
 DEFAULT_K = 20
+DEFAULT_N_MAX = 20  # at most this many features are selected
 GRID_THRESHOLDS = (0.02, 0.0, -0.02)
 GRID_KS = (5, 10, 15, 20)
 
@@ -105,7 +106,9 @@ def relief_weights(X, y_class, k: int = DEFAULT_K) -> ReliefWeights:
     return relief_weights_by_k(X, y_class, (k,))[k]
 
 
-def select_top(weights: ReliefWeights | np.ndarray, threshold: float = DEFAULT_THRESHOLD, n_max: int = 20) -> list[int]:
+def select_top(
+    weights: ReliefWeights | np.ndarray, threshold: float = DEFAULT_THRESHOLD, n_max: int = DEFAULT_N_MAX
+) -> list[int]:
     """Indices with weight > threshold, best first, at most n_max (ties by index)."""
     w = weights.weights if isinstance(weights, ReliefWeights) else np.asarray(weights)
     above = [i for i in range(len(w)) if w[i] > threshold]
@@ -141,7 +144,7 @@ def tune_relief(
     thresholds=GRID_THRESHOLDS,
     ks=GRID_KS,
     n_folds: int = 3,
-    n_max: int = 20,
+    n_max: int = DEFAULT_N_MAX,
     seed: int = 0,
 ) -> tuple[float, int, dict]:
     """Pick (threshold, k) minimizing mean fold MAE under 3-fold CV.

@@ -106,6 +106,13 @@ class TestConfig:
         assert main(["show-config", "--config", str(ini)]) == 0
         assert "embeddings = /data/100%/vectors.txt\n" in capsys.readouterr().out
 
+    def test_show_config_output_reads_back_byte_for_byte(self, tmp_path, capsys):
+        assert main(["show-config"]) == 0
+        ini = tmp_path / "run.ini"
+        ini.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(["show-config", "--config", str(ini)]) == 0
+        assert capsys.readouterr().out == ini.read_text(encoding="utf-8")
+
     def test_section_names_are_case_sensitive(self, tmp_path):
         ini = tmp_path / "c.ini"
         ini.write_text("[RUN]\nseed = 3\n", encoding="utf-8")
@@ -815,3 +822,19 @@ class TestCli:
         capsys.readouterr()
         assert main(["train", *args]) == 2
         assert capsys.readouterr().err == f"ERROR {store}:3: 12 cells, but the header names 13\n"
+
+    @pytest.mark.parametrize("modality", ["text:BOOL", "text:TFIDF"])
+    def test_token_with_comma_or_quote_keeps_the_store_readable(self, tmp_path, capsys, modality):
+        root, args = self.tiny_corpus(tmp_path)
+        args[args.index("--modality") + 1] = modality
+        sid = (root / "train_ids.txt").read_text().split()[0]
+        transcript = root / "sessions" / sid / f"{sid}_transcript.tsv"
+        lines = transcript.read_text().splitlines()
+        turn = next(i for i, line in enumerate(lines) if "\tParticipant\t" in line)
+        lines[turn] = lines[turn].rsplit("\t", 1)[0] + '\tyes, i do "really"'
+        transcript.write_text("\n".join(lines) + "\n")
+        for verb in ("extract", "train", "eval"):
+            assert main([verb, *args]) == 0, capsys.readouterr().err
+        names, rows = read_feature_csv(tmp_path / "o" / f"features_{modality.replace(':', '_')}_train.csv")
+        assert {"tok_yes,", 'tok_"really"'} <= set(names)
+        assert all(len(row) == len(names) for row in rows.values())
