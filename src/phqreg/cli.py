@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 
 from .config import ConfigError, PipelineConfig, config_text, load_config
 from .pipeline import PipelineError, run_cv, run_eval, run_extract, run_train, run_tune_relief
@@ -79,16 +80,9 @@ def main(argv=None) -> int:
 
         cfg = _config_from_args(args).validate()
         if args.command == "synth":
-            spec = SynthSpec(
-                n_train=cfg.synth_n_train, n_dev=cfg.synth_n_dev,
-                depressed_fraction_train=cfg.synth_depressed_fraction_train,
-                depressed_fraction_dev=cfg.synth_depressed_fraction_dev,
-                modalities=tuple(cfg.synth_modalities.split()),
-                audio_rate=cfg.synth_audio_rate,
-                landmark_fps=cfg.synth_landmark_fps,
-                turn_pairs=cfg.synth_turn_pairs,
-                fail_prob=cfg.synth_fail_prob,
-            )
+            values = {f.name: getattr(cfg, f"synth_{f.name}") for f in fields(SynthSpec)}
+            values["modalities"] = values["modalities"].split()
+            spec = SynthSpec(**values)
             summary = gen_synthetic(spec, cfg.root, cfg.seed)
             print(
                 f"synth: {summary['n_train']} train ({summary['train_depressed']} depressed), "

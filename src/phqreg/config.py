@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import relief
 from .models.lstm import DEFAULT_EPOCHS
+from .synth import SynthSpec
 
 logger = logging.getLogger(__name__)
 
@@ -53,15 +54,15 @@ class PipelineConfig:
     # [text]
     text_embeddings: str = ""
     # [synth]
-    synth_n_train: int = 107
-    synth_n_dev: int = 35
-    synth_depressed_fraction_train: float = 0.28
-    synth_depressed_fraction_dev: float = 0.34
-    synth_modalities: str = "transcript audio landmarks"
-    synth_audio_rate: int = 8000
-    synth_landmark_fps: float = 2.0
-    synth_turn_pairs: int = 10
-    synth_fail_prob: float = 0.02
+    synth_n_train: int = SynthSpec.n_train
+    synth_n_dev: int = SynthSpec.n_dev
+    synth_depressed_fraction_train: float = SynthSpec.depressed_fraction_train
+    synth_depressed_fraction_dev: float = SynthSpec.depressed_fraction_dev
+    synth_modalities: str = " ".join(SynthSpec.modalities)
+    synth_audio_rate: int = SynthSpec.audio_rate
+    synth_landmark_fps: float = SynthSpec.landmark_fps
+    synth_turn_pairs: int = SynthSpec.turn_pairs
+    synth_fail_prob: float = SynthSpec.fail_prob
 
     def family(self) -> str:
         return self.modality.split(":")[0]

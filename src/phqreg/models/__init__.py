@@ -17,7 +17,7 @@ from .lstm import LstmConfig, LstmModel, gradient_check, lstm_train
 from .reptree import RepTreeModel, reptree_train
 from .svr import SvrModel, svr_train
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValueError):

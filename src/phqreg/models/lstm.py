@@ -4,23 +4,24 @@ Architecture: two stacked LSTM layers of hidden size 16; the last timestep's
 hidden state goes through batch normalization, dropout (0.5, training only)
 and a linear dense head producing one scalar per window. Loss is MSE,
 optimized with Adam (step 1e-3, batch 32, global gradient-norm clip 5.0).
-Training runs up to 100 epochs and keeps the parameter snapshot with the
-lowest validation loss; inference is deterministic (dropout off, frozen
-batch-norm statistics).
+The head's bias starts at the training-label mean. Training runs up to 100
+epochs and keeps the parameter snapshot with the lowest validation loss (the
+training loss without a validation set), scored once per epoch; inference is
+deterministic (dropout off, frozen batch-norm statistics).
 
 Everything is plain numpy in double precision so the analytic gradients can
 be verified against central finite differences.
 
 Each time step takes one sigmoid call over all four gate pre-activations (the
 input, forget and output gates are column views of it) and writes its gate
-gradients into one reused buffer. Parameters, loss curves and predictions are
+gradients into one reused buffer. Parameters, the loss curve and predictions are
 bit-identical to a step that activates each gate separately with a
 boolean-mask sigmoid; tests/test_lstm.py keeps that form as its oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -224,8 +225,7 @@ class LstmModel:
     params: dict
     running_mean: np.ndarray
     running_var: np.ndarray
-    train_curve: list = field(default_factory=list)
-    val_curve: list = field(default_factory=list)
+    curve: list = field(default_factory=list)
     best_epoch: int = 0
     kind: str = field(default="lstm", init=False)
 
@@ -245,16 +245,11 @@ class LstmModel:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "input_dim": self.config.input_dim, "hidden": self.config.hidden,
-                "dropout": self.config.dropout, "lr": self.config.lr,
-                "batch_size": self.config.batch_size, "max_epochs": self.config.max_epochs,
-                "clip_norm": self.config.clip_norm, "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "params": {k: v.tolist() for k, v in self.params.items()},
             "running_mean": self.running_mean.tolist(),
             "running_var": self.running_var.tolist(),
-            "train_curve": self.train_curve, "val_curve": self.val_curve,
+            "curve": self.curve,
             "best_epoch": self.best_epoch,
         }
 
@@ -265,17 +260,16 @@ class LstmModel:
         return cls(
             config=config, params=params,
             running_mean=np.array(d["running_mean"]), running_var=np.array(d["running_var"]),
-            train_curve=list(d["train_curve"]), val_curve=list(d["val_curve"]),
-            best_epoch=d["best_epoch"],
+            curve=list(d["curve"]), best_epoch=d["best_epoch"],
         )
 
 
 def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
-    """Fit on windows (N, T, D); keeps the lowest-validation-loss snapshot.
+    """Fit on windows (N, T, D); keeps the snapshot with the lowest curve loss.
 
-    Without a validation set the training loss drives the snapshot choice.
-    Curves hold the deterministic-mode MSE before training (index 0) and
-    after each epoch.
+    The curve holds the deterministic-mode MSE before training (index 0) and
+    after each epoch, on the validation windows when they are given and on
+    the training windows otherwise; ``best_epoch`` indexes its minimum.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -290,6 +284,9 @@ def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
             raise ValueError("validation windows must match training window shape")
 
     params = init_params(config)
+    # the head starts at the label mean: from 0, the 1e-3 Adam steps cannot
+    # reach labels far from 0 (PHQ-8 spans 0-24) within the paper's epochs
+    params["b_out"][:] = y.mean()
     state = {"running_mean": np.zeros(config.hidden), "running_var": np.ones(config.hidden)}
     rng = np.random.default_rng(config.seed + 1)
 
@@ -299,14 +296,13 @@ def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
     step = 0
     keep = 1.0 - config.dropout
 
-    def eval_loss(Xe, ye, p, st):
-        pred, _ = forward(p, st, Xe, training=False)
-        return float(np.mean((pred - ye) ** 2))
+    X_score, y_score = (X, y) if X_val is None else (X_val, y_val)
 
-    train_curve = [eval_loss(X, y, params, state)]
-    val_curve = [eval_loss(X_val, y_val, params, state)] if X_val is not None else []
+    def score():
+        pred, _ = forward(params, state, X_score, training=False)
+        return float(np.mean((pred - y_score) ** 2))
 
-    best_loss = val_curve[0] if val_curve else train_curve[0]
+    curve = [score()]
     best = {k: v.copy() for k, v in params.items()}
     best_state = {k: v.copy() for k, v in state.items()}
     best_epoch = 0
@@ -346,14 +342,8 @@ def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
                 vhat = adam_v[k] / (1 - beta2**step)
                 params[k] = params[k] - config.lr * mhat / (np.sqrt(vhat) + adam_eps)
 
-        train_curve.append(eval_loss(X, y, params, state))
-        if X_val is not None:
-            val_curve.append(eval_loss(X_val, y_val, params, state))
-            current = val_curve[-1]
-        else:
-            current = train_curve[-1]
-        if current < best_loss:
-            best_loss = current
+        curve.append(score())
+        if curve[-1] < curve[best_epoch]:
             best = {k: v.copy() for k, v in params.items()}
             best_state = {k: v.copy() for k, v in state.items()}
             best_epoch = epoch
@@ -361,7 +351,7 @@ def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
     return LstmModel(
         config=config, params=best,
         running_mean=best_state["running_mean"], running_var=best_state["running_var"],
-        train_curve=train_curve, val_curve=val_curve, best_epoch=best_epoch,
+        curve=curve, best_epoch=best_epoch,
     )
 
 

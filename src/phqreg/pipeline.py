@@ -329,6 +329,12 @@ def load_windows(out_dir, split) -> tuple[np.ndarray, dict]:
         raise PipelineError(f"missing visual window batch for split {split}; run `extract` first")
     windows = np.load(npy_path)
     meta = json.loads(json_path.read_text(encoding="utf-8"))
+    want = (len(meta["session_ids"]), meta["W"], meta["q"])
+    if windows.shape != want:
+        raise PipelineError(f"{npy_path}: window array of shape {windows.shape}, but {json_path.name} describes {want}")
+    stray = sorted(set(meta["session_ids"]) - set(meta["sessions"]))
+    if stray:
+        raise PipelineError(f"{json_path}: windows of sessions missing from its session list: {', '.join(stray)}")
     return windows, meta
 
 
@@ -460,8 +466,6 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
     n_val = int(round(LSTM_VAL_FRACTION * len(bearing)))
     val_sessions = sorted(np.random.default_rng(cfg.seed).permutation(bearing)[:n_val].tolist())
     val = np.isin(data.win_sids, val_sessions)
-    if val.all():
-        val[:] = False
     label = dict(zip(data.sids, data.y))
     y = np.array([label[sid] for sid in data.win_sids.tolist()])
     lstm_cfg = LstmConfig(input_dim=data.windows.shape[2], max_epochs=cfg.lstm_max_epochs, seed=cfg.seed)

@@ -204,7 +204,7 @@ def test_09_lstm_gradient_training_windows():
         X = rng.normal(size=(256, 6, 3))
         y = 3.0 * X[:, :, 0].mean(axis=1)
         trained = lstm_train(X, y, LstmConfig(input_dim=3, seed=3, max_epochs=100))
-        assert min(trained.train_curve) <= 0.10 * trained.train_curve[0]
+        assert min(trained.curve) <= 0.10 * trained.curve[0]
 
         pca = fit_pca(np.asarray([
             geometric_vector(normalize_landmarks(rng.normal(0, 20, (68, 3)))) for _ in range(40)
@@ -260,3 +260,24 @@ def test_11_determinism_byte_identical(tmp_path):
             snapshots.append({str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
                               for p in files})
         assert snapshots[0] == snapshots[1]
+
+
+def test_12_visual_beats_baseline(tmp_path):
+    with criterion(12, "end-to-end visual LSTM beats the mean-baseline dev RMSE"):
+        from phqreg.config import load_config
+        from phqreg.pipeline import run_eval, run_extract, run_train
+        from phqreg.synth import SynthSpec, gen_synthetic
+
+        # a window-rich landmark corpus, trained for the paper's 100 epochs:
+        # on the default corpus most dev sessions have no clean window
+        spec = SynthSpec(n_train=12, n_dev=8, depressed_fraction_train=0.5, depressed_fraction_dev=0.5,
+                         modalities=("landmarks",), landmark_fps=2.0, turn_pairs=18, fail_prob=0.002)
+        for seed in (1, 2, 3):
+            root = tmp_path / f"c{seed}"
+            gen_synthetic(spec, root, seed=seed)
+            cfg = load_config(None, {"root": str(root), "out_dir": str(tmp_path / f"o{seed}"),
+                                     "modality": "visual", "seed": seed})
+            run_extract(cfg)
+            run_train(cfg)
+            rows = run_eval(cfg)
+            assert rows["dev_rmse"] < rows["dev_rmse_baseline"], (seed, rows["dev_rmse"], rows["dev_rmse_baseline"])

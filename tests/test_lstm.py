@@ -196,8 +196,8 @@ class TestTraining:
         y = 3.0 * X[:, :, 0].mean(axis=1)
         cfg = LstmConfig(input_dim=q, seed=3, max_epochs=100)
         model = lstm_train(X, y, cfg)
-        assert len(model.train_curve) == 101
-        assert min(model.train_curve) <= 0.10 * model.train_curve[0]
+        assert len(model.curve) == 101
+        assert min(model.curve) <= 0.10 * model.curve[0]
 
     def test_validation_snapshot_at_minimum(self):
         rng = np.random.default_rng(5)
@@ -205,12 +205,31 @@ class TestTraining:
         y = X[:, :, 0].mean(axis=1)
         cfg = LstmConfig(input_dim=2, seed=1, max_epochs=25)
         model = lstm_train(X[:64], y[:64], cfg, X_val=X[64:], y_val=y[64:])
-        assert len(model.val_curve) == 26
-        stored_min = min(model.val_curve)
-        assert stored_min <= model.val_curve[-1]
-        assert model.val_curve[model.best_epoch] == stored_min
+        assert len(model.curve) == 26
+        stored_min = min(model.curve)
+        assert stored_min <= model.curve[-1]
+        assert model.curve[model.best_epoch] == stored_min
         # the returned parameters reproduce the best validation loss
         assert model.loss(X[64:], y[64:]) == pytest.approx(stored_min, abs=1e-12)
+
+    @pytest.mark.parametrize("with_val", [True, False])
+    def test_one_deterministic_forward_per_epoch(self, monkeypatch, with_val):
+        # the curve scores only the windows that choose the snapshot
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(20, 4, 2))
+        y = rng.normal(size=20)
+        cfg = LstmConfig(input_dim=2, seed=0, max_epochs=4, batch_size=8)
+        val = dict(X_val=X[14:], y_val=y[14:]) if with_val else {}
+        modes = []
+
+        def recorder(params, state, X, training, dropout_mask=None):
+            modes.append(training)
+            return forward(params, state, X, training, dropout_mask)
+
+        monkeypatch.setattr(lstm_mod, "forward", recorder)
+        model = lstm_train(X[:14], y[:14], cfg, **val)
+        assert modes.count(False) == cfg.max_epochs + 1 == len(model.curve)
+        assert modes.count(True) == cfg.max_epochs * 2  # two batches of 8 per epoch
 
     def test_dimension_mismatch_rejected(self):
         cfg = LstmConfig(input_dim=4, seed=0)
@@ -233,7 +252,7 @@ class TestTraining:
         cfg = LstmConfig(input_dim=2, seed=9, max_epochs=5)
         a = lstm_train(X, y, cfg)
         b = lstm_train(X, y, cfg)
-        assert a.train_curve == b.train_curve
+        assert a.curve == b.curve
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
 
@@ -284,9 +303,8 @@ class TestBitIdentity:
         val = dict(X_val=X[22:], y_val=y[22:]) if with_val else {}
         got = lstm_train(X[:22], y[:22], cfg, **val)
         want = train_oracle(monkeypatch, X[:22], y[:22], cfg, **val)
-        assert got.train_curve == want.train_curve
-        assert got.val_curve == want.val_curve
-        assert (len(got.val_curve) == 13) == with_val
+        assert got.curve == want.curve
+        assert len(got.curve) == 13
         assert got.best_epoch == want.best_epoch
         for k in want.params:
             assert same_bytes(got.params[k], want.params[k]), k

@@ -1,5 +1,7 @@
+import configparser
 import hashlib
 import json
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -112,6 +114,14 @@ class TestConfig:
         ini.write_text(capsys.readouterr().out, encoding="utf-8")
         assert main(["show-config", "--config", str(ini)]) == 0
         assert capsys.readouterr().out == ini.read_text(encoding="utf-8")
+
+    def test_synth_keys_mirror_synth_spec(self):
+        ini = configparser.ConfigParser(interpolation=None)
+        ini.read_string(config_text(PipelineConfig()))
+        assert set(ini["synth"]) == {f.name for f in fields(SynthSpec)}
+        for f in fields(SynthSpec):
+            want = " ".join(f.default) if f.name == "modalities" else f.default
+            assert ini["synth"][f.name] == str(want), f.name
 
     def test_section_names_are_case_sensitive(self, tmp_path):
         ini = tmp_path / "c.ini"
@@ -822,6 +832,25 @@ class TestCli:
         capsys.readouterr()
         assert main(["train", *args]) == 2
         assert capsys.readouterr().err == f"ERROR {store}:3: 12 cells, but the header names 13\n"
+
+    def test_window_batch_not_matching_its_sidecar_is_error(self, full_corpus, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["--corpus", str(full_corpus), "--out", str(out), "--modality", "visual", "--seed", "1"]
+        assert main(["extract", *args]) == 0
+        npy, sidecar = out / "visual_train_windows.npy", out / "visual_train_windows.json"
+        shutil.copy(npy, tmp_path / "kept.npy")
+        shutil.copy(out / "visual_dev_windows.npy", npy)
+        capsys.readouterr()
+        assert main(["train", *args]) == 2
+        assert capsys.readouterr().err.startswith(f"ERROR {npy}: window array of shape")
+
+        shutil.copy(tmp_path / "kept.npy", npy)
+        meta = json.loads(sidecar.read_text())
+        meta["sessions"].remove(meta["session_ids"][0])
+        sidecar.write_text(json.dumps(meta))
+        assert main(["train", *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ERROR {sidecar}: windows of sessions missing from its session list: {meta['session_ids'][0]}\n"
 
     @pytest.mark.parametrize("modality", ["text:BOOL", "text:TFIDF"])
     def test_token_with_comma_or_quote_keeps_the_store_readable(self, tmp_path, capsys, modality):
