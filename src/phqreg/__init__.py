@@ -20,11 +20,11 @@ from .corpus import (
     load_transcript,
     load_wav,
 )
-from .metrics import MetricReport, compute_metrics, evs, mae, rmse
+from .metrics import evs, mae, rmse
 
 __all__ = [
     "AudioSignal", "LandmarkSequence", "ParseError", "Session", "Speaker", "TurnRecord",
     "load_labels", "load_landmarks", "load_transcript", "load_wav",
-    "MetricReport", "compute_metrics", "evs", "mae", "rmse",
+    "evs", "mae", "rmse",
     "__version__",
 ]

@@ -29,9 +29,10 @@ across frames carry their state over a block edge: flux gets the frame before
 the block, and the f0 envelope the last voiced f0. A block's frames, spectrum
 and ACF are dropped before the next block, so what a session keeps is its
 samples plus the O(n_frames) LLD tracks; deltas and functionals run on those
-tracks after the pass. The merged vector M is assembled from that single pass
-and equals merge_groups(P, S, VQ) byte for byte: a group's values do not
-depend on which other groups share the pass.
+tracks after the pass. The merged vector M is the P, S and VQ values of that
+single pass, concatenated in that order; a group's values do not depend on
+which other groups share the pass, so M's slices equal the separately
+extracted groups byte for byte.
 """
 
 from __future__ import annotations
@@ -73,13 +74,14 @@ FUNCTIONAL_NAMES = (
 )
 
 GROUP_LLDS = {"S": SPECTRAL_LLDS, "P": PROSODY_LLDS, "VQ": VQ_LLDS}
-GROUP_DIMS = {"S": 864, "P": 288, "VQ": 288, "M": 1440}
 
 # each LLD, then its delta (_de) and delta-delta (_de2), over the 24 functionals
 GROUP_NAMES = {
     g: tuple(f"{g}.{lld}{d}.{f}" for lld in llds for d in ("", "_de", "_de2") for f in FUNCTIONAL_NAMES)
     for g, llds in GROUP_LLDS.items()
 }
+# the merged vector M: P, S and VQ in that order
+GROUP_NAMES["M"] = GROUP_NAMES["P"] + GROUP_NAMES["S"] + GROUP_NAMES["VQ"]
 
 # frames per block of the acoustic pass: bounds every frame-sized array (the
 # block's frames, spectrum and ACF, about 16 MB at 16 kHz) whatever the
@@ -143,16 +145,9 @@ class AcousticVector:
     """Named per-session feature vector for one acoustic group."""
 
     group: str  # S | P | VQ | M
-    names: tuple[str, ...]
+    names: tuple[str, ...]  # GROUP_NAMES[group]
     values: np.ndarray
     session_id: str = ""
-
-    def __post_init__(self):
-        if len(self.names) != len(self.values):
-            raise ValueError("names/values length mismatch")
-        expected = GROUP_DIMS.get(self.group)
-        if expected is not None and len(self.values) != expected:
-            raise ValueError(f"group {self.group} must have {expected} features, got {len(self.values)}")
 
 
 # ---------------------------------------------------------------------------
@@ -481,26 +476,17 @@ def apply_functionals(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _group_vector(session_id: str, group: str, per_block: list[dict[str, np.ndarray]]) -> AcousticVector:
-    """Each LLD over the blocks plus its delta and delta-delta, projected on the 24 functionals."""
-    chunks = []
-    for name in GROUP_LLDS[group]:
-        base = np.concatenate([tracks[name] for tracks in per_block])
-        for track in (base, *add_derivatives(base)):
-            chunks.append(apply_functionals(track))
-    return AcousticVector(group, GROUP_NAMES[group], np.concatenate(chunks), session_id)
-
-
 def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
     """Extract one acoustic group (S, P, VQ or the merge M) for a session.
 
     The session is framed once and its LLDs come from one pass over blocks
-    of BLOCK_FRAMES frames; M is built from that pass and equals
-    merge_groups(P, S, VQ). Sessions the recipe cannot describe (no audio,
-    no participant turns, a sample rate below 8 kHz, fewer frames than the
-    delta window) raise EmptyInputError.
+    of BLOCK_FRAMES frames; M concatenates the P, S and VQ values of that
+    pass. Each LLD over the blocks, its delta and its delta-delta are
+    projected on the 24 functionals. Sessions the recipe cannot describe (no
+    audio, no participant turns, a sample rate below 8 kHz, fewer frames
+    than the delta window) raise EmptyInputError.
     """
-    if group not in GROUP_DIMS:
+    if group not in GROUP_NAMES:
         raise ValueError(f"unknown group {group!r}")
     if session.audio is None:
         raise EmptyInputError(f"session {session.id} has no audio")
@@ -524,17 +510,9 @@ def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
             if "VQ" in groups:
                 per_block["VQ"].append(voice_quality_llds(block, prosody["f0"]))
 
-    vectors = [_group_vector(session.id, g, per_block[g]) for g in groups]
-    return merge_groups(*vectors) if group == "M" else vectors[0]
-
-
-def merge_groups(p: AcousticVector, s: AcousticVector, vq: AcousticVector) -> AcousticVector:
-    """Linear merge M = P + S + VQ (concatenation in that order)."""
-    if (p.group, s.group, vq.group) != ("P", "S", "VQ"):
-        raise ValueError("merge_groups expects vectors for groups P, S, VQ in that order")
-    ids = {p.session_id, s.session_id, vq.session_id}
-    if len(ids) != 1:
-        raise ValueError(f"cannot merge vectors from different sessions: {sorted(ids)}")
-    names = p.names + s.names + vq.names
-    values = np.concatenate([p.values, s.values, vq.values])
-    return AcousticVector("M", names, values, p.session_id)
+    chunks = []
+    for g in groups:
+        for name in GROUP_LLDS[g]:
+            base = np.concatenate([tracks[name] for tracks in per_block[g]])
+            chunks += [apply_functionals(track) for track in (base, *add_derivatives(base))]
+    return AcousticVector(group, GROUP_NAMES[group], np.concatenate(chunks), session.id)

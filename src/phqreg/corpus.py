@@ -25,6 +25,7 @@ import numpy as np
 
 N_LANDMARKS = 68
 PHQ8_MIN, PHQ8_MAX = 0, 24
+PHQ8_DEPRESSED_CUTOFF = 10  # PHQ8_Binary is 1 from this score up
 
 TRANSCRIPT_HEADER = ("start_time", "stop_time", "speaker", "value")
 LABELS_HEADER = ("Participant_ID", "PHQ8_Binary", "PHQ8_Score")
@@ -293,7 +294,7 @@ def save_labels(labels: dict[str, int], path) -> None:
     rows = [",".join(LABELS_HEADER)]
     for sid in sorted(labels):
         score = labels[sid]
-        rows.append(f"{sid},{int(score >= 10)},{score}")
+        rows.append(f"{sid},{int(score >= PHQ8_DEPRESSED_CUTOFF)},{score}")
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 

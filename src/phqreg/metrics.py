@@ -6,20 +6,11 @@ variance (divide by n); its upper bound 1 corresponds to perfect modeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class MetricError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    rmse: float
-    mae: float
-    evs: float
 
 
 def _check_pair(y, yhat, min_len=1):
@@ -53,8 +44,3 @@ def evs(y, yhat) -> float:
     if vy == 0.0:
         raise MetricError("EVS undefined: Var(y) is zero")
     return 1.0 - _pvar(y - yhat) / vy
-
-def compute_metrics(y, yhat) -> MetricReport:
-    """RMSE, MAE and EVS in one report; requires len >= 2 and Var(y) > 0."""
-    y, yhat = _check_pair(y, yhat, min_len=2)
-    return MetricReport(rmse=rmse(y, yhat), mae=mae(y, yhat), evs=evs(y, yhat))

@@ -36,6 +36,15 @@ def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
+def min_max_scale(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
+    """(X - mins) / (maxs - mins) per column; a column with maxs == mins maps to 0."""
+    ranges = maxs - mins
+    out = np.zeros_like(X)
+    ok = ranges > 0
+    out[:, ok] = (X[:, ok] - mins[ok]) / ranges[ok]
+    return out
+
+
 def kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     if kind == "linear":
         return A @ B.T
@@ -65,19 +74,11 @@ class SvrModel:
     def beta(self) -> np.ndarray:
         return self.alpha - self.alpha_star
 
-    def _normalize(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        ranges = self.maxs - self.mins
-        out = np.zeros_like(X)
-        ok = ranges > 0
-        out[:, ok] = (X[:, ok] - self.mins[ok]) / ranges[ok]
-        return out
-
     def predict(self, X) -> np.ndarray:
         X = _check_finite(X, "X")
         if X.ndim != 2 or X.shape[1] != self.train_X.shape[1]:
             raise ValueError(f"expected (n, {self.train_X.shape[1]}) inputs, got {X.shape}")
-        K = kernel_matrix(self.kernel, self._normalize(X), self.train_X, self.gamma)
+        K = kernel_matrix(self.kernel, min_max_scale(X, self.mins, self.maxs), self.train_X, self.gamma)
         return K @ self.beta + self.bias
 
     def to_dict(self) -> dict:
@@ -130,10 +131,7 @@ def svr_train(
         raise ValueError(f"unknown kernel {kernel!r}, expected one of {KERNELS}")
 
     mins, maxs = X.min(axis=0), X.max(axis=0)
-    ranges = maxs - mins
-    Xn = np.zeros_like(X)
-    ok = ranges > 0
-    Xn[:, ok] = (X[:, ok] - mins[ok]) / ranges[ok]
+    Xn = min_max_scale(X, mins, maxs)
 
     K = kernel_matrix(kernel, Xn, Xn, gamma)
     u = np.concatenate([np.ones(n), -np.ones(n)])

@@ -329,6 +329,9 @@ def load_windows(out_dir, split) -> tuple[np.ndarray, dict]:
         raise PipelineError(f"missing visual window batch for split {split}; run `extract` first")
     windows = np.load(npy_path)
     meta = json.loads(json_path.read_text(encoding="utf-8"))
+    for key in ("session_ids", "W", "q", "sessions"):
+        if key not in meta:
+            raise PipelineError(f"{json_path}: window sidecar has no {key!r} key; run `extract` again")
     want = (len(meta["session_ids"]), meta["W"], meta["q"])
     if windows.shape != want:
         raise PipelineError(f"{npy_path}: window array of shape {windows.shape}, but {json_path.name} describes {want}")
@@ -380,7 +383,6 @@ class Sessions:
     X: np.ndarray | None = None  # tabular: one row per session
     windows: np.ndarray | None = None  # visual: every window of these sessions
     win_sids: np.ndarray | None = None  # visual: session id per window
-    meta: dict | None = None  # visual: window-batch sidecar
 
     def subset(self, idx) -> "Sessions":
         sids = [self.sids[i] for i in idx]
@@ -395,7 +397,7 @@ def _load_split(cfg: PipelineConfig, index: CorpusIndex, split: str) -> Sessions
     if cfg.family() == "visual":
         windows, meta = load_windows(cfg.out_dir, split)
         sids = sorted(meta["sessions"])
-        stored = dict(windows=windows, win_sids=np.array(meta["session_ids"], dtype=str), meta=meta)
+        stored = dict(windows=windows, win_sids=np.array(meta["session_ids"], dtype=str))
     else:
         names, rows = read_feature_csv(artifact_path(cfg.out_dir, "features", cfg.modality, split))
         sids = sorted(rows)
@@ -474,8 +476,8 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
         X_val=data.windows[val] if val.any() else None,
         y_val=y[val] if val.any() else None,
     )
-    meta = data.meta
-    extra.update(window=meta["W"], overlap=meta["O"], q=meta["q"], pca_file=meta["pca_file"], val_sessions=val_sessions)
+    W, q = data.windows.shape[1:]
+    extra.update(window=W, overlap=face.DEFAULT_OVERLAP, q=q, pca_file=ARTIFACT_NAMES["pca"], val_sessions=val_sessions)
     return model, extra
 
 
@@ -494,7 +496,7 @@ def predict_sessions(model, extra: dict, data: Sessions) -> tuple[np.ndarray, di
             X = X[:, [data.names.index(n) for n in extra["relief"]["selected_names"]]]
         return model.predict(X), {}
 
-    if data.meta["q"] != extra.get("q") or data.meta["W"] != extra.get("window"):
+    if data.windows.shape[1:] != (extra.get("window"), extra.get("q")):
         raise PipelineError("window batch geometry does not match the trained model")
     per_window = model.predict(data.windows) if len(data.windows) else np.zeros(0)
     fallbacks = [sid for sid in data.sids if sid not in data.win_sids]

@@ -19,13 +19,14 @@ computation: numpy sums a (k, 1) slice pairwise, not row by row.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import PHQ8_DEPRESSED_CUTOFF
+from .models.svr import min_max_scale
+
 logger = logging.getLogger(__name__)
 
-PHQ8_DEPRESSED_CUTOFF = 10
 DEFAULT_THRESHOLD = 0.02
 DEFAULT_K = 20
 DEFAULT_N_MAX = 20  # at most this many features are selected
@@ -36,22 +37,6 @@ GRID_KS = (5, 10, 15, 20)
 def binarize_labels(y) -> np.ndarray:
     """Depressed / non-depressed split at the standard PHQ-8 cutoff."""
     return (np.asarray(y, dtype=np.float64) >= PHQ8_DEPRESSED_CUTOFF).astype(int)
-
-
-@dataclass(frozen=True)
-class ReliefWeights:
-    weights: np.ndarray
-    k: int
-
-
-def _normalize(X: np.ndarray) -> np.ndarray:
-    mins = X.min(axis=0)
-    maxs = X.max(axis=0)
-    ranges = maxs - mins
-    Xn = np.zeros_like(X)
-    ok = ranges > 0
-    Xn[:, ok] = (X[:, ok] - mins[ok]) / ranges[ok]
-    return Xn
 
 
 def _check_classes(y_class: np.ndarray, k: int) -> None:
@@ -68,7 +53,7 @@ def _check_classes(y_class: np.ndarray, k: int) -> None:
             raise ValueError(f"class {cls} has {count} instances, need at least k+1 = {k + 1}")
 
 
-def relief_weights_by_k(X, y_class, ks) -> dict[int, ReliefWeights]:
+def relief_weights_by_k(X, y_class, ks) -> dict[int, np.ndarray]:
     """Relief weights for every k in ``ks`` from one pass over the rows.
 
     Requires two classes with max(ks)+1 instances each.
@@ -83,7 +68,7 @@ def relief_weights_by_k(X, y_class, ks) -> dict[int, ReliefWeights]:
     k_max = max(ks)
     _check_classes(y_class, k_max)
 
-    Xn = _normalize(X)
+    Xn = min_max_scale(X, X.min(axis=0), X.max(axis=0))
     n, d = Xn.shape
     sums = {k: np.zeros(d) for k in ks}
     idx = np.arange(n)
@@ -98,19 +83,17 @@ def relief_weights_by_k(X, y_class, ks) -> dict[int, ReliefWeights]:
         misses = misses[np.lexsort((misses, dist[misses]))][:k_max]
         for k, acc in sums.items():
             acc += diffs[misses[:k]].sum(axis=0) - diffs[hits[:k]].sum(axis=0)
-    return {k: ReliefWeights(acc / (n * k), k) for k, acc in sums.items()}
+    return {k: acc / (n * k) for k, acc in sums.items()}
 
 
-def relief_weights(X, y_class, k: int = DEFAULT_K) -> ReliefWeights:
+def relief_weights(X, y_class, k: int = DEFAULT_K) -> np.ndarray:
     """Relief weights for binary-class data; requires k+1 instances per class."""
     return relief_weights_by_k(X, y_class, (k,))[k]
 
 
-def select_top(
-    weights: ReliefWeights | np.ndarray, threshold: float = DEFAULT_THRESHOLD, n_max: int = DEFAULT_N_MAX
-) -> list[int]:
+def select_top(weights: np.ndarray, threshold: float = DEFAULT_THRESHOLD, n_max: int = DEFAULT_N_MAX) -> list[int]:
     """Indices with weight > threshold, best first, at most n_max (ties by index)."""
-    w = weights.weights if isinstance(weights, ReliefWeights) else np.asarray(weights)
+    w = np.asarray(weights)
     above = [i for i in range(len(w)) if w[i] > threshold]
     above.sort(key=lambda i: (-w[i], i))
     if not above:

@@ -36,6 +36,9 @@ from .corpus import (
     AudioSignal,
     LandmarkSequence,
     N_LANDMARKS,
+    PHQ8_DEPRESSED_CUTOFF,
+    PHQ8_MAX,
+    PHQ8_MIN,
     Speaker,
     TurnRecord,
     save_labels,
@@ -208,7 +211,8 @@ def _make_session(rng, spec: SynthSpec, depressed: bool):
     else:
         rt_med = rng.uniform(0.25, 0.95)
     raw = 24.0 * (rt_med - 0.25) / 1.85 + rng.normal(0, 0.7)
-    label = int(np.clip(round(raw), 10, 24) if depressed else np.clip(round(raw), 0, 9))
+    lo, hi = (PHQ8_DEPRESSED_CUTOFF, PHQ8_MAX) if depressed else (PHQ8_MIN, PHQ8_DEPRESSED_CUTOFF - 1)
+    label = int(np.clip(round(raw), lo, hi))
 
     pdi = {
         "dep": depressed if rng.random() >= 0.05 else not depressed,
@@ -254,10 +258,9 @@ def gen_synthetic(spec: SynthSpec, root, seed: int) -> dict:
     save_labels(labels, root / "labels.csv")
     for split in ("train", "dev"):
         (root / f"{split}_ids.txt").write_text("\n".join(ids[split]) + "\n", encoding="utf-8")
-    n_dep = sum(labels[s] >= 10 for s in ids["train"])
     return {
         "n_train": len(ids["train"]),
         "n_dev": len(ids["dev"]),
-        "train_depressed": n_dep,
-        "dev_depressed": sum(labels[s] >= 10 for s in ids["dev"]),
+        "train_depressed": sum(labels[s] >= PHQ8_DEPRESSED_CUTOFF for s in ids["train"]),
+        "dev_depressed": sum(labels[s] >= PHQ8_DEPRESSED_CUTOFF for s in ids["dev"]),
     }

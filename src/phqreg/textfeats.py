@@ -31,28 +31,18 @@ def build_document(session: Session) -> list[str]:
     return [tok.lower() for t in session.turns if t.speaker is Speaker.PARTICIPANT for tok in t.text]
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    tokens: tuple[str, ...]
-    index: dict
-
-    def __len__(self) -> int:
-        return len(self.tokens)
+def build_vocabulary(docs) -> dict[str, int]:
+    """token -> column for the unique tokens of the training documents, in sorted order."""
+    return {tok: i for i, tok in enumerate(sorted({tok for doc in docs for tok in doc}))}
 
 
-def build_vocabulary(docs) -> Vocabulary:
-    """Sorted unique tokens of the training documents, densely indexed."""
-    tokens = tuple(sorted({tok for doc in docs for tok in doc}))
-    return Vocabulary(tokens, {tok: i for i, tok in enumerate(tokens)})
-
-
-def idf_weights(docs, vocab: Vocabulary) -> np.ndarray:
+def idf_weights(docs, vocab: dict[str, int]) -> np.ndarray:
     """idf(t) = ln(n_docs / doc_freq(t)) + 1 over the training documents."""
     docs = list(docs)
     df = np.zeros(len(vocab))
     for doc in docs:
         for tok in set(doc):
-            i = vocab.index.get(tok)
+            i = vocab.get(tok)
             if i is not None:
                 df[i] += 1
     idf = np.ones(len(vocab))
@@ -61,7 +51,7 @@ def idf_weights(docs, vocab: Vocabulary) -> np.ndarray:
     return idf
 
 
-def vectorize(docs, vocab: Vocabulary, mode: str, idf: np.ndarray | None = None) -> np.ndarray:
+def vectorize(docs, vocab: dict[str, int], mode: str, idf: np.ndarray | None = None) -> np.ndarray:
     """Bag-of-words matrix (n_docs x |V|) in BOOL or TFIDF mode.
 
     TFIDF requires idf weights fitted on the training corpus.
@@ -81,7 +71,7 @@ def vectorize(docs, vocab: Vocabulary, mode: str, idf: np.ndarray | None = None)
     for r, doc in enumerate(docs):
         counts = Counter(doc)
         for tok, c in counts.items():
-            i = vocab.index.get(tok)
+            i = vocab.get(tok)
             if i is None:
                 continue
             out[r, i] = 1.0 if mode == "BOOL" else float(c)
@@ -138,7 +128,7 @@ class TextVectorizer:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.mode = mode
-        self.vocab: Vocabulary | None = None
+        self.vocab: dict[str, int] | None = None
         self.idf: np.ndarray | None = None
 
     def fit(self, docs) -> "TextVectorizer":
@@ -155,4 +145,4 @@ class TextVectorizer:
     def feature_names(self) -> tuple[str, ...]:
         if self.vocab is None:
             raise RuntimeError("vectorizer not fitted")
-        return tuple(f"tok_{t}" for t in self.vocab.tokens)
+        return tuple(f"tok_{t}" for t in self.vocab)

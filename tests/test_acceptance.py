@@ -9,11 +9,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from phqreg.audio import merge_groups, session_acoustic_vector
+from phqreg.audio import session_acoustic_vector
 from phqreg.cli import main
 from phqreg.corpus import AudioSignal, Session, Speaker, TurnRecord
 from phqreg.face import fit_pca, geometric_vector, normalize_landmarks, window_sequence
-from phqreg.metrics import compute_metrics, evs
+from phqreg.metrics import evs, mae, rmse
 from phqreg.models.lstm import LstmConfig, LstmModel, gradient_check, init_params, lstm_train
 from phqreg.models.reptree import grow_tree, prune_tree, reptree_train
 from phqreg.models.svr import kernel_matrix, svr_train
@@ -61,7 +61,7 @@ def test_01_acoustic_dimension_parity():
         assert len(sv.values) == 864
         assert len(p.values) == 288
         assert len(vq.values) == 288
-        assert len(merge_groups(p, sv, vq).values) == 1440
+        assert len(session_acoustic_vector(s, "M").values) == 1440
 
 
 def test_02_behavioral_dimension_and_pdi_range():
@@ -101,11 +101,10 @@ def test_04_metrics_against_brute_force():
             n = int(rng.integers(2, 25))
             y = rng.normal(0, 8, n)
             yhat = rng.normal(0, 8, n)
-            got = compute_metrics(y, yhat)
             want = brute_force_metrics(y.tolist(), yhat.tolist())
-            assert abs(got.rmse - want[0]) <= 1e-12
-            assert abs(got.mae - want[1]) <= 1e-12
-            assert abs(got.evs - want[2]) <= 1e-12
+            assert abs(rmse(y, yhat) - want[0]) <= 1e-12
+            assert abs(mae(y, yhat) - want[1]) <= 1e-12
+            assert abs(evs(y, yhat) - want[2]) <= 1e-12
         # integer scores and a power-of-two length keep the arithmetic exact
         y = [3.0, 7.0, 11.0, 2.0]
         yhat = [4.0, 6.0, 12.0, 2.0]
@@ -122,12 +121,12 @@ def test_05_tfidf_hand_computed():
         idf = idf_weights(docs, vocab)
         mat = vectorize(docs, vocab, "TFIDF", idf)
         ln = np.log
-        assert abs(idf[vocab.index["the"]] - 1.0) <= 1e-12
-        assert abs(idf[vocab.index["cat"]] - (ln(3.0) + 1.0)) <= 1e-12
-        assert abs(idf[vocab.index["sat"]] - (ln(3.0 / 2.0) + 1.0)) <= 1e-12
-        assert abs(mat[1, vocab.index["sat"]] - 2.0 * (ln(1.5) + 1.0)) <= 1e-12
-        assert abs(mat[0, vocab.index["the"]] - 1.0) <= 1e-12
-        assert mat[2, vocab.index["dog"]] == 0.0
+        assert abs(idf[vocab["the"]] - 1.0) <= 1e-12
+        assert abs(idf[vocab["cat"]] - (ln(3.0) + 1.0)) <= 1e-12
+        assert abs(idf[vocab["sat"]] - (ln(3.0 / 2.0) + 1.0)) <= 1e-12
+        assert abs(mat[1, vocab["sat"]] - 2.0 * (ln(1.5) + 1.0)) <= 1e-12
+        assert abs(mat[0, vocab["the"]] - 1.0) <= 1e-12
+        assert mat[2, vocab["dog"]] == 0.0
 
 
 def test_06_relief_ranking_and_oracle():
@@ -138,14 +137,14 @@ def test_06_relief_ranking_and_oracle():
             y = np.array([0, 1] * 50)
             X = rng.normal(0, 1, (100, 10))
             X[:, 0] += 2.0 * y
-            w = relief_weights(X, y, k=20).weights
+            w = relief_weights(X, y, k=20)
             wins += int(np.argmax(w) == 0)
         assert wins >= 95
         rng = np.random.default_rng(7)
         for n in (12, 20, 30):
             X = rng.normal(0, 1, (n, 5))
             y = np.array([0, 1] * (n // 2))
-            got = relief_weights(X, y, k=3).weights
+            got = relief_weights(X, y, k=3)
             assert np.max(np.abs(got - relief_oracle(X, y, 3))) <= 1e-9
 
 

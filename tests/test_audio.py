@@ -9,7 +9,6 @@ from phqreg import audio
 from phqreg.audio import (
     BLOCK_FRAMES,
     FUNCTIONAL_NAMES,
-    GROUP_DIMS,
     GROUP_LLDS,
     GROUP_NAMES,
     HOP_SECONDS,
@@ -19,7 +18,6 @@ from phqreg.audio import (
     add_derivatives,
     apply_functionals,
     frame_signal,
-    merge_groups,
     prosodic_llds,
     session_acoustic_vector,
     spectral_llds,
@@ -526,9 +524,10 @@ class TestDerivatives:
         for group, llds in GROUP_LLDS.items():
             want = [f"{group}.{lld}{suffix}" for lld in llds for suffix in ("", "_de", "_de2")]
             names = GROUP_NAMES[group]
-            assert len(names) == GROUP_DIMS[group]
+            assert len(names) == {"S": 864, "P": 288, "VQ": 288}[group]
             assert [n.rsplit(".", 1)[0] for n in names[:: len(FUNCTIONAL_NAMES)]] == want
             assert [n.rsplit(".", 1)[1] for n in names[: len(FUNCTIONAL_NAMES)]] == list(FUNCTIONAL_NAMES)
+        assert GROUP_NAMES["M"] == GROUP_NAMES["P"] + GROUP_NAMES["S"] + GROUP_NAMES["VQ"]
 
 
 def functionals_oracle(x):
@@ -644,36 +643,23 @@ class TestSessionVectors:
         s = two_turn_session()
         p = session_acoustic_vector(s, "P")
         sv = session_acoustic_vector(s, "S")
-        vq = session_acoustic_vector(s, "VQ")
-        m = merge_groups(p, sv, vq)
+        m = session_acoustic_vector(s, "M")
         assert len(m.values) == 1440
         np.testing.assert_array_equal(m.values[:288], p.values)
+        np.testing.assert_array_equal(m.values[288:1152], sv.values)
         assert m.names[:288] == p.names
         assert len(set(m.names)) == 1440
         assert all(n.startswith(("P.", "S.", "VQ.")) for n in m.names)
 
-    def test_merge_session_mismatch(self):
-        a = two_turn_session(sid="a")
-        b = two_turn_session(sid="b")
-        with pytest.raises(ValueError, match="different sessions"):
-            merge_groups(
-                session_acoustic_vector(a, "P"),
-                session_acoustic_vector(b, "S"),
-                session_acoustic_vector(a, "VQ"),
-            )
-
     @pytest.mark.parametrize("rate", [8000, 16000])
     def test_one_pass_merge_equals_merge_groups(self, rate):
         s = two_turn_session(rate=rate)
+        # M from one pass equals the groups extracted one by one, merged in P, S, VQ order
         m = session_acoustic_vector(s, "M")
-        want = merge_groups(
-            session_acoustic_vector(s, "P"),
-            session_acoustic_vector(s, "S"),
-            session_acoustic_vector(s, "VQ"),
-        )
+        groups = [session_acoustic_vector(s, g) for g in ("P", "S", "VQ")]
         assert (m.group, m.session_id) == ("M", s.id)
-        assert m.names == want.names
-        assert m.values.tobytes() == want.values.tobytes()
+        assert m.names == sum((v.names for v in groups), ())
+        assert m.values.tobytes() == np.concatenate([v.values for v in groups]).tobytes()
 
     def test_fewer_frames_than_delta_window(self):
         audio = AudioSignal(np.zeros(RATE), RATE)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phqreg.metrics import MetricError, compute_metrics, evs, mae, rmse
+from phqreg.metrics import MetricError, evs, mae, rmse
 
 
 def brute_force_metrics(y, yhat):
@@ -21,28 +21,28 @@ def brute_force_metrics(y, yhat):
 
 class TestExamples:
     def test_perfect_prediction(self):
-        rep = compute_metrics([3, 7, 11], [3, 7, 11])
-        assert (rep.rmse, rep.mae, rep.evs) == (0.0, 0.0, 1.0)
+        y = [3, 7, 11]
+        assert (rmse(y, y), mae(y, y), evs(y, y)) == (0.0, 0.0, 1.0)
 
     def test_constant_shift_residual(self):
-        rep = compute_metrics([1, 2, 3], [2, 3, 4])
-        assert rep.rmse == pytest.approx(1.0)
-        assert rep.mae == pytest.approx(1.0)
-        assert rep.evs == 1.0
+        y, yhat = [1, 2, 3], [2, 3, 4]
+        assert rmse(y, yhat) == pytest.approx(1.0)
+        assert mae(y, yhat) == pytest.approx(1.0)
+        assert evs(y, yhat) == 1.0
 
     def test_brute_force_pair(self):
         y, yhat = [0.0, 2.0], [0.0, 0.0]
         want = brute_force_metrics(y, yhat)
-        rep = compute_metrics(y, yhat)
-        assert rep.rmse == pytest.approx(np.sqrt(2.0), abs=1e-15)
-        assert rep.mae == pytest.approx(1.0, abs=1e-15)
-        assert rep.evs == pytest.approx(want[2], abs=1e-15)
+        assert rmse(y, yhat) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+        assert mae(y, yhat) == pytest.approx(1.0, abs=1e-15)
+        assert evs(y, yhat) == pytest.approx(want[2], abs=1e-15)
 
 
 class TestErrors:
     def test_length_mismatch(self):
-        with pytest.raises(MetricError):
-            compute_metrics([1, 2], [1, 2, 3])
+        for metric in (rmse, mae, evs):
+            with pytest.raises(MetricError):
+                metric([1, 2], [1, 2, 3])
 
     def test_zero_variance_evs(self):
         with pytest.raises(MetricError, match="Var"):
@@ -53,7 +53,9 @@ class TestErrors:
 
     def test_min_length(self):
         with pytest.raises(MetricError):
-            compute_metrics([1], [1])
+            evs([1], [1])
+        with pytest.raises(MetricError):
+            rmse([], [])
 
 
 @st.composite
@@ -97,8 +99,7 @@ class TestProperties:
             n = rng.integers(2, 40)
             y = rng.normal(0, 10, n)
             yhat = rng.normal(0, 10, n)
-            got = compute_metrics(y, yhat)
             want = brute_force_metrics(y.tolist(), yhat.tolist())
-            assert got.rmse == pytest.approx(want[0], abs=1e-12)
-            assert got.mae == pytest.approx(want[1], abs=1e-12)
-            assert got.evs == pytest.approx(want[2], abs=1e-12)
+            assert rmse(y, yhat) == pytest.approx(want[0], abs=1e-12)
+            assert mae(y, yhat) == pytest.approx(want[1], abs=1e-12)
+            assert evs(y, yhat) == pytest.approx(want[2], abs=1e-12)

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import phqreg
+import phqreg.models
 from phqreg.cli import main
 from phqreg.config import ConfigError, PipelineConfig, config_text, load_config
-from phqreg.metrics import compute_metrics
+from phqreg.metrics import mae, rmse
 from phqreg.pipeline import (
     PipelineError,
     read_feature_csv,
@@ -24,6 +26,11 @@ from phqreg.pipeline import (
     write_feature_csv,
 )
 from phqreg.synth import SynthSpec, gen_synthetic
+
+
+@pytest.mark.parametrize("module", [phqreg, phqreg.models], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def cfg_for(root, out, **kw):
@@ -292,9 +299,8 @@ class TestTrainEval:
     def test_report_metrics_recomputable_from_predictions(self, behavioral_run):
         cfg, out, rows = behavioral_run
         _, y, yhat = read_predictions(out / "predictions_behavioral_dev.csv")
-        rep = compute_metrics(y, yhat)
-        assert rows["dev_rmse"] == pytest.approx(rep.rmse, abs=1e-12)
-        assert rows["dev_mae"] == pytest.approx(rep.mae, abs=1e-12)
+        assert rows["dev_rmse"] == pytest.approx(rmse(y, yhat), abs=1e-12)
+        assert rows["dev_mae"] == pytest.approx(mae(y, yhat), abs=1e-12)
 
     def test_beats_mean_baseline(self, behavioral_run):
         _, _, rows = behavioral_run
@@ -851,6 +857,20 @@ class TestCli:
         assert main(["train", *args]) == 2
         err = capsys.readouterr().err
         assert err == f"ERROR {sidecar}: windows of sessions missing from its session list: {meta['session_ids'][0]}\n"
+
+    def test_sidecar_without_a_key_is_error(self, full_corpus, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["--corpus", str(full_corpus), "--out", str(out), "--modality", "visual", "--seed", "1"]
+        assert main(["extract", *args]) == 0
+        sidecar = out / "visual_train_windows.json"
+        kept = sidecar.read_text()
+        for key in ("W", "q", "session_ids", "sessions"):
+            meta = json.loads(kept)
+            del meta[key]
+            sidecar.write_text(json.dumps(meta))
+            capsys.readouterr()
+            assert main(["train", *args]) == 2
+            assert capsys.readouterr().err == f"ERROR {sidecar}: window sidecar has no {key!r} key; run `extract` again\n"
 
     @pytest.mark.parametrize("modality", ["text:BOOL", "text:TFIDF"])
     def test_token_with_comma_or_quote_keeps_the_store_readable(self, tmp_path, capsys, modality):

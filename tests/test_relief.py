@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phqreg.relief import (
-    ReliefWeights,
     binarize_labels,
     relief_weights,
     relief_weights_by_k,
@@ -107,15 +106,14 @@ class TestWeights:
         rng = np.random.default_rng(0)
         X, y = separable_data(rng)
         X[:, 3] = 7.7
-        rw = relief_weights(X, y, k=5)
-        assert rw.weights[3] == 0.0
+        assert relief_weights(X, y, k=5)[3] == 0.0
 
     def test_separating_feature_wins(self):
         rng = np.random.default_rng(1)
         X, y = separable_data(rng, n=40, d=2)
-        rw = relief_weights(X, y, k=5)
-        assert rw.weights[0] > rw.weights[1]
-        np.testing.assert_allclose(rw.weights, relief_oracle(X, y, 5), atol=1e-9)
+        w = relief_weights(X, y, k=5)
+        assert w[0] > w[1]
+        np.testing.assert_allclose(w, relief_oracle(X, y, 5), atol=1e-9)
 
     def test_matches_oracle_small_instances(self):
         rng = np.random.default_rng(2)
@@ -126,27 +124,27 @@ class TestWeights:
             k = int(rng.integers(1, min(4, n // 2)))
             X = rng.normal(0, 1, (n, d))
             y = np.array([0, 1] * (n // 2))
-            got = relief_weights(X, y, k).weights
+            got = relief_weights(X, y, k)
             np.testing.assert_allclose(got, relief_oracle(X, y, k), atol=1e-9)
 
     def test_duplication_keeps_ranking(self):
         rng = np.random.default_rng(3)
         X, y = separable_data(rng, n=30, d=4)
         X[:, 1] += 1.0 * y  # weakly informative second feature
-        base = relief_weights(X, y, k=5).weights
+        base = relief_weights(X, y, k=5)
         X2 = np.vstack([X, X])
         y2 = np.concatenate([y, y])
-        dup = relief_weights(X2, y2, k=5).weights
+        dup = relief_weights(X2, y2, k=5)
         np.testing.assert_allclose(dup, relief_oracle(X2, y2, 5), atol=1e-9)
         assert np.argsort(-base).tolist() == np.argsort(-dup).tolist()
 
     def test_affine_rescaling_invariance(self):
         rng = np.random.default_rng(4)
         X, y = separable_data(rng)
-        base = relief_weights(X, y, k=5).weights
+        base = relief_weights(X, y, k=5)
         X2 = X.copy()
         X2[:, 0] = 1000.0 * X2[:, 0] - 42.0
-        scaled = relief_weights(X2, y, k=5).weights
+        scaled = relief_weights(X2, y, k=5)
         np.testing.assert_allclose(base, scaled, atol=1e-9)
 
     @settings(max_examples=120, deadline=None)
@@ -157,9 +155,8 @@ class TestWeights:
         assert sorted(by_k) == ks
         for k in ks:
             single = relief_weights(X, y, k)
-            assert single.weights.tobytes() == relief_tensor_oracle(X, y, k).tobytes(), k
-            assert by_k[k].k == single.k == k
-            assert by_k[k].weights.tobytes() == single.weights.tobytes(), k
+            assert single.tobytes() == relief_tensor_oracle(X, y, k).tobytes(), k
+            assert by_k[k].tobytes() == single.tobytes(), k
 
     def test_one_column_large_k_bytes_equal_tensor_oracle(self):
         # (k, 1) slices are summed pairwise by numpy: a running prefix sum
@@ -170,7 +167,7 @@ class TestWeights:
             y = np.arange(n) % 2
             by_k = relief_weights_by_k(X, y, (10, 15, 20))
             for k in (10, 15, 20):
-                assert by_k[k].weights.tobytes() == relief_tensor_oracle(X, y, k).tobytes(), (n, k)
+                assert by_k[k].tobytes() == relief_tensor_oracle(X, y, k).tobytes(), (n, k)
 
     def test_memory_linear_in_rows_at_merged_width(self):
         rng = np.random.default_rng(13)
@@ -219,10 +216,6 @@ class TestSelectTop:
     def test_tie_break_by_index(self):
         sel = select_top(np.array([0.3, 0.5, 0.3]), threshold=0.0)
         assert sel == [1, 0, 2]
-
-    def test_accepts_relief_weights(self):
-        rw = ReliefWeights(np.array([0.1, 0.5]), 5)
-        assert select_top(rw, threshold=0.05) == [1, 0]
 
 
 class _NearestMean:

@@ -42,7 +42,7 @@ class TestBuildDocument:
     def test_annotation_is_ordinary_token(self):
         docs = [build_document(session("<sigh> ok")), build_document(session("ok ok"))]
         vocab = build_vocabulary(docs)
-        assert "<sigh>" in vocab.index
+        assert "<sigh>" in vocab
 
 
 class TestVectorize:
@@ -50,21 +50,21 @@ class TestVectorize:
         docs = [["a", "b"], ["a", "c"]]
         vocab = build_vocabulary(docs)
         idf = idf_weights(docs, vocab)
-        assert idf[vocab.index["a"]] == pytest.approx(1.0, abs=1e-15)
+        assert idf[vocab["a"]] == pytest.approx(1.0, abs=1e-15)
 
     def test_tfidf_matches_hand_computation(self):
         docs = [["x", "x", "x", "a"], ["a", "b"]]
         vocab = build_vocabulary(docs)
         idf = idf_weights(docs, vocab)
         mat = vectorize(docs, vocab, "TFIDF", idf)
-        assert mat[0, vocab.index["x"]] == pytest.approx(3.0 * (math.log(2.0) + 1.0), abs=1e-15)
-        assert mat[0, vocab.index["a"]] == pytest.approx(1.0, abs=1e-15)
+        assert mat[0, vocab["x"]] == pytest.approx(3.0 * (math.log(2.0) + 1.0), abs=1e-15)
+        assert mat[0, vocab["a"]] == pytest.approx(1.0, abs=1e-15)
 
     def test_bool_ignores_frequency(self):
         docs = [["w"] * 5]
         vocab = build_vocabulary(docs)
         mat = vectorize(docs, vocab, "BOOL")
-        assert mat[0, vocab.index["w"]] == 1.0
+        assert mat[0, vocab["w"]] == 1.0
 
     def test_bool_entries_binary_tfidf_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -83,7 +83,7 @@ class TestVectorize:
         idf = idf_weights(train, vocab)
         mat = vectorize([["a", "zzz"]], vocab, "TFIDF", idf)
         assert mat.shape == (1, 2)
-        assert mat[0, vocab.index["a"]] > 0
+        assert mat[0, vocab["a"]] > 0
 
     def test_token_order_permutation_invariance(self):
         rng = np.random.default_rng(3)
