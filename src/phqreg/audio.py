@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import AudioSignal, Session, Speaker
+from .corpus import AudioSignal, EmptyInputError, Session, Speaker
 
 FRAME_SECONDS = 0.025
 HOP_SECONDS = 0.010
@@ -97,10 +97,6 @@ MIN_FRAMES = 2 * DELTA_WIDTH + 1
 _LOUDNESS_FLOOR = 1e-30
 
 
-class EmptyInputError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class FrameSet:
     """Raw 25 ms frames (rows) taken from participant turn spans.
@@ -125,9 +121,6 @@ class FrameSet:
     def samples(self) -> np.ndarray:
         """(n_frames, frame_len); a fresh copy of every frame when ``starts`` is set."""
         return self.windows if self.starts is None else self.windows[self.starts]
-
-    def windowed(self) -> np.ndarray:
-        return self.samples * np.hamming(self.frame_len)
 
     def block(self, lo: int, hi: int) -> FrameSet:
         """Frames lo..hi-1 as a FrameSet of their own; frames picked by ``starts`` are copied."""

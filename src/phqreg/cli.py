@@ -35,6 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("extract", "extract per-session features for both splits"),
         ("train", "train the configured model on the training split"),
         ("eval", "evaluate the persisted model on the dev split"),
+        ("cv", "3-fold stratified cross-validation on the training split"),
         ("tune-relief", "grid-tune Relief (threshold, k) by 3-fold CV"),
         ("synth", "generate a synthetic corpus"),
     ):
@@ -45,10 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n-dev", type=int, dest="synth_n_dev")
             p.add_argument("--synth-modalities", dest="synth_modalities",
                            help="space-separated subset of: transcript audio landmarks")
-
-    p = sub.add_parser("cv", help="cross-validate on the training split")
-    _add_common(p)
-    p.add_argument("--scheme", choices=("kfold", "loso"), default="kfold")
 
     p = sub.add_parser("show-config", help="print the effective configuration")
     p.add_argument("--config", help="INI config file")
@@ -100,7 +97,7 @@ def main(argv=None) -> int:
             for k, v in rows.items():
                 print(f"{k} = {v}")
         elif args.command == "cv":
-            rows = run_cv(cfg, args.scheme)
+            rows = run_cv(cfg)
             for k, v in rows.items():
                 print(f"{k} = {v}")
         elif args.command == "tune-relief":

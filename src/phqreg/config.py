@@ -5,6 +5,8 @@ command that touches data; modality/model pairings follow the toolkit
 defaults (acoustic -> svr-rbf, behavioral -> reptree, text -> svr-linear,
 visual -> lstm) and mismatched overrides only warn. The paper's fixed
 hyperparameters are not keys here: the learners' own defaults hold them.
+Relief's ``[relief] threshold`` and ``k`` are the one place a tuned point
+goes: ``tune-relief`` prints the pair to copy there.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class PipelineConfig:
     # [relief]
     relief_threshold: float = relief.DEFAULT_THRESHOLD
     relief_k: int = relief.DEFAULT_K
-    relief_tune: bool = False
     # [text]
     text_embeddings: str = ""
     # [synth]
@@ -115,12 +116,6 @@ def _convert(name: str, raw: str):
         return int(raw)
     if t == "float":
         return float(raw)
-    if t == "bool":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
     return raw
 
 

@@ -44,6 +44,10 @@ class ParseError(ValueError):
         self.line = line
 
 
+class EmptyInputError(ValueError):
+    """A session holds nothing to describe: no participant turns, no audio, too few frames."""
+
+
 class Speaker(enum.Enum):
     AGENT = "agent"
     PARTICIPANT = "participant"

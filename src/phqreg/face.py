@@ -27,34 +27,20 @@ class DegenerateFrameError(ValueError):
     pass
 
 
-def normalize_landmarks(points: np.ndarray) -> np.ndarray:
-    """Center the cloud and scale it so the mean point norm is 1."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) points, got {pts.shape}")
-    centered = pts - pts.mean(axis=0)
-    scale = np.linalg.norm(centered, axis=1).mean()
-    if scale == 0.0:
-        raise DegenerateFrameError("all landmarks identical; cannot normalize")
-    return centered / scale
-
-
-def geometric_vector(normalized: np.ndarray) -> np.ndarray:
-    """204 normalized coordinates (all x, all y, all z) + 2278 pairwise distances."""
-    pts = np.asarray(normalized, dtype=np.float64)
-    coords = pts.T.reshape(-1)
-    iu, ju = np.triu_indices(len(pts), k=1)
-    dists = np.linalg.norm(pts[iu] - pts[ju], axis=1)
-    return np.concatenate([coords, dists])
-
-
 def geometric_frames(seq: LandmarkSequence) -> np.ndarray:
-    """Geometric vectors for every frame of a sequence, shape (n, 2482)."""
+    """Geometric vectors for every frame of a sequence, shape (n, 2482).
+
+    Per frame: the 204 normalized coordinates (all x, all y, all z), then
+    the 2278 pairwise distances of the normalized points.
+    """
     pts = seq.points
     centered = pts - pts.mean(axis=1, keepdims=True)
     scale = np.linalg.norm(centered, axis=2).mean(axis=1)
     if np.any(scale == 0.0):
-        raise DegenerateFrameError("sequence contains a frame with all landmarks identical")
+        bad = int(np.argmax(scale == 0.0))
+        raise DegenerateFrameError(
+            f"frame {bad} (timestamp {seq.timestamps[bad]:g} s) has all landmarks identical; cannot normalize"
+        )
     normed = centered / scale[:, None, None]
     iu, ju = np.triu_indices(pts.shape[1], k=1)
     dists = np.linalg.norm(normed[:, iu, :] - normed[:, ju, :], axis=2)
@@ -76,9 +62,6 @@ class PcaProjection:
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.mean) @ self.components.T
-
-    def reconstruct(self, Z: np.ndarray) -> np.ndarray:
-        return Z @ self.components + self.mean
 
 
 def fit_pca(X: np.ndarray, variance_keep: float = DEFAULT_VARIANCE_KEEP) -> PcaProjection:
@@ -128,7 +111,6 @@ class WindowBatch:
     """PCA-projected sliding windows of one session, all tracking-clean."""
 
     windows: np.ndarray  # (n_windows, W, q)
-    session_id: str
     starts: tuple[int, ...] = ()  # window starts in downsampled-sample units
 
 
@@ -153,7 +135,6 @@ def window_sequence(
     pca: PcaProjection,
     window: int = DEFAULT_WINDOW,
     overlap: int = DEFAULT_OVERLAP,
-    session_id: str = "",
 ) -> WindowBatch:
     """1 Hz downsampling + sliding windows with the 0-tolerance success filter.
 
@@ -175,8 +156,8 @@ def window_sequence(
         kept.append(feats[start : start + window])
         starts.append(start)
     if not kept:
-        return WindowBatch(np.zeros((0, window, pca.q)), session_id)
-    return WindowBatch(np.array(kept), session_id, tuple(starts))
+        return WindowBatch(np.zeros((0, window, pca.q)))
+    return WindowBatch(np.array(kept), tuple(starts))
 
 
 def aggregate_predictions(predictions) -> float:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lstm import LstmConfig, LstmModel, gradient_check, lstm_train
+from .lstm import LstmConfig, LstmModel, lstm_train
 from .reptree import RepTreeModel, reptree_train
 from .svr import SvrModel, svr_train
 
@@ -74,7 +74,7 @@ def load_model(path) -> tuple[object, dict]:
 
 
 __all__ = [
-    "LstmConfig", "LstmModel", "lstm_train", "gradient_check",
+    "LstmConfig", "LstmModel", "lstm_train",
     "RepTreeModel", "reptree_train",
     "SvrModel", "svr_train",
     "MeanModel", "mean_train",

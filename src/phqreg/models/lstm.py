@@ -34,8 +34,6 @@ DEFAULT_CLIP = 5.0
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
-PARAM_NAMES = ("W1", "U1", "b1", "W2", "U2", "b2", "gamma", "beta", "w_out", "b_out")
-
 
 class LstmDivergenceError(RuntimeError):
     pass
@@ -212,6 +210,7 @@ def backward(params: dict, cache: dict, dpred: np.ndarray) -> dict:
 
 
 def mse_loss_and_grads(params, state, X, y, training=False, dropout_mask=None):
+    """Mean squared error of ``forward`` on (X, y), its parameter gradients and the forward cache."""
     pred, cache = forward(params, state, X, training, dropout_mask)
     resid = pred - y
     loss = float(np.mean(resid**2))
@@ -239,9 +238,6 @@ class LstmModel:
             raise ValueError(f"expected (n, W, {self.config.input_dim}) windows, got {X.shape}")
         pred, _ = forward(self.params, self.state, X, training=False)
         return pred
-
-    def loss(self, X, y) -> float:
-        return float(np.mean((self.predict(X) - np.asarray(y, dtype=np.float64)) ** 2))
 
     def to_dict(self) -> dict:
         return {
@@ -317,17 +313,13 @@ def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
                 mask = (rng.random((len(batch), config.hidden)) < keep) / keep
             else:
                 mask = None
-            pred, cache = forward(params, state, Xb, training=True, dropout_mask=mask)
+            loss, grads, cache = mse_loss_and_grads(params, state, Xb, yb, training=True, dropout_mask=mask)
+            if not np.isfinite(loss):
+                raise LstmDivergenceError(f"training loss diverged at epoch {epoch} (config={config})")
             # update running statistics from this batch
             mu, var = cache["hT"].mean(axis=0), cache["hT"].var(axis=0)
             state["running_mean"] = (1 - BN_MOMENTUM) * state["running_mean"] + BN_MOMENTUM * mu
             state["running_var"] = (1 - BN_MOMENTUM) * state["running_var"] + BN_MOMENTUM * var
-
-            resid = pred - yb
-            loss = float(np.mean(resid**2))
-            if not np.isfinite(loss):
-                raise LstmDivergenceError(f"training loss diverged at epoch {epoch} (config={config})")
-            grads = backward(params, cache, 2.0 * resid / len(yb))
 
             gnorm = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
             if config.clip_norm > 0 and gnorm > config.clip_norm:
@@ -353,42 +345,3 @@ def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
         running_mean=best_state["running_mean"], running_var=best_state["running_var"],
         curve=curve, best_epoch=best_epoch,
     )
-
-
-def gradient_check(model: LstmModel, window: np.ndarray, target: float, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Runs in deterministic mode (dropout off, batch-norm frozen). Differences
-    are taken for every parameter element; per parameter tensor the error is
-    ||g_num - g_ana|| / (||g_num|| + ||g_ana||) and the max over tensors is
-    returned, so near-zero entries do not drown the check in round-off noise.
-    """
-    X = np.asarray(window, dtype=np.float64)
-    if X.ndim == 2:
-        X = X[None]
-    y = np.atleast_1d(np.asarray(target, dtype=np.float64))
-    params = {k: v.copy() for k, v in model.params.items()}
-    state = model.state
-
-    _, grads, _ = mse_loss_and_grads(params, state, X, y, training=False)
-
-    def loss_at(p):
-        pred, _ = forward(p, state, X, training=False)
-        return float(np.mean((pred - y) ** 2))
-
-    worst = 0.0
-    for name in PARAM_NAMES:
-        flat = params[name].reshape(-1)
-        numeric = np.zeros_like(flat)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up = loss_at(params)
-            flat[idx] = orig - h
-            down = loss_at(params)
-            flat[idx] = orig
-            numeric[idx] = (up - down) / (2.0 * h)
-        analytic = grads[name].reshape(-1)
-        denom = max(np.linalg.norm(numeric) + np.linalg.norm(analytic), 1e-12)
-        worst = max(worst, float(np.linalg.norm(numeric - analytic) / denom))
-    return worst

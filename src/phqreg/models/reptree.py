@@ -40,11 +40,6 @@ class TreeNode:
             node = node.left if x[node.feature] <= node.threshold else node.right
         return node.value
 
-    def n_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.n_leaves() + self.right.n_leaves()
-
     def to_dict(self) -> dict:
         d = {"value": self.value, "n": self.n}
         if not self.is_leaf:

