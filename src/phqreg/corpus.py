@@ -308,15 +308,25 @@ def save_labels(labels: dict[str, int], path) -> None:
 
 
 def load_wav(path) -> AudioSignal:
-    """Read a 16-bit PCM mono WAV file. Stereo input is rejected, not downmixed."""
+    """Read a 16-bit PCM mono WAV file. Stereo input is rejected, not downmixed.
+
+    A file that is not a WAV file, or that holds fewer samples than its
+    header declares, fails with a ValueError that names its path.
+    """
     path = Path(path)
-    with wave.open(str(path), "rb") as w:
-        if w.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono audio, got {w.getnchannels()} channels")
-        if w.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * w.getsampwidth()}-bit")
-        rate = w.getframerate()
-        raw = w.readframes(w.getnframes())
+    try:
+        with wave.open(str(path), "rb") as w:
+            if w.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono audio, got {w.getnchannels()} channels")
+            if w.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit PCM, got {8 * w.getsampwidth()}-bit")
+            rate = w.getframerate()
+            declared = w.getnframes()
+            raw = w.readframes(declared)
+    except (wave.Error, EOFError) as exc:
+        raise ValueError(f"{path}: not a readable WAV file: {str(exc) or 'unexpected end of file'}") from exc
+    if len(raw) < 2 * declared:
+        raise ValueError(f"{path}: truncated WAV data: {len(raw) // 2} of {declared} samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     samples /= 32768.0  # in place: no second float64 copy of the session
     return AudioSignal(samples, rate)

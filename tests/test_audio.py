@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -495,29 +496,30 @@ def delta_oracle(values, width=2):
 
 
 class TestDerivatives:
-    def track(self, values):
-        return np.asarray(values, dtype=float)
+    def derivatives(self, values):
+        d1, d2 = add_derivatives(np.asarray(values, dtype=float)[None])
+        return d1[0], d2[0]
 
     def test_constant_zero(self):
-        d1, d2 = add_derivatives(self.track(np.full(10, 3.3)))
+        d1, d2 = self.derivatives(np.full(10, 3.3))
         assert np.all(d1 == 0.0)
         assert np.all(d2 == 0.0)
 
     def test_linear_ramp_interior_slope(self):
         a = 0.7
-        d1, _ = add_derivatives(self.track(a * np.arange(20)))
+        d1, _ = self.derivatives(a * np.arange(20))
         assert np.allclose(d1[2:-2], a, atol=1e-12)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.normal(0, 2, 64)
-        d1, d2 = add_derivatives(self.track(x))
+        d1, d2 = self.derivatives(x)
         np.testing.assert_allclose(d1, delta_oracle(x), atol=1e-12)
         np.testing.assert_allclose(d2, delta_oracle(delta_oracle(x)), atol=1e-12)
 
     def test_short_track_rejected(self):
         with pytest.raises(ValueError):
-            add_derivatives(self.track([1.0, 2.0, 3.0, 4.0]))
+            self.derivatives([1.0, 2.0, 3.0, 4.0])
 
     def test_names_and_orders(self):
         # each LLD, then its delta (_de) and delta-delta (_de2), each over the functionals
@@ -566,9 +568,84 @@ def functionals_oracle(x):
     ])
 
 
+def functionals_per_track(values):
+    """The per-track definition: one track, np.polyfit fits, numpy reductions."""
+    x = np.asarray(values, dtype=np.float64)
+    n = len(x)
+    if n < 3:
+        raise ValueError(f"track length {n} < 3")
+    t = np.arange(n, dtype=np.float64)
+
+    lin = np.polyfit(t, x, 1)
+    lin_err = float(np.mean((np.polyval(lin, t) - x) ** 2))
+    quad = np.polyfit(t, x, 2)
+    quad_err = float(np.mean((np.polyval(quad, t) - x) ** 2))
+
+    zcr = float(np.count_nonzero(x[:-1] * x[1:] < 0)) / (n - 1)
+
+    interior = (x[1:-1] > x[:-2]) & (x[1:-1] > x[2:])
+    peaks = np.where(interior)[0] + 1
+    peaks = peaks[x[peaks] > x.mean()]
+    n_peaks = float(len(peaks))
+    peak_dist = float(np.mean(np.diff(peaks))) if len(peaks) >= 2 else 0.0
+    peak_amp = float(np.mean(x[peaks])) if len(peaks) else 0.0
+
+    nz = np.abs(x[x != 0.0])
+    geo = float(np.exp(np.mean(np.log(nz)))) if len(nz) else 0.0
+
+    sx = float(x.sum())
+    centroid = float((t * x).sum() / sx) if sx != 0.0 else 0.0
+
+    mean = float(x.mean())
+    var = float(np.mean((x - mean) ** 2))
+    std = float(np.sqrt(var))
+    if std > 0.0:
+        skew = float(np.mean((x - mean) ** 3) / std**3)
+        kurt = float(np.mean((x - mean) ** 4) / var**2)
+    else:
+        skew = kurt = 0.0
+
+    return np.array([
+        float(x.max() - x.min()),
+        float(np.argmax(x)),
+        float(np.argmin(x)),
+        float(lin[0]), float(lin[1]), lin_err,
+        float(quad[0]), float(quad[1]), float(quad[2]), quad_err,
+        zcr, n_peaks, peak_dist, peak_amp,
+        geo, float(np.count_nonzero(x)), centroid,
+        var, std, skew, kurt,
+        mean, float(x.max()), float(x.min()),
+    ])
+
+
+def delta_per_track(values, width=2):
+    """The per-track regression delta: one track, padded, summed over the window."""
+    values = np.asarray(values, dtype=np.float64)
+    if len(values) < 2 * width + 1:
+        raise ValueError(f"track length {len(values)} too short for delta window +-{width}")
+    padded = np.pad(values, width, mode="edge")
+    denom = 2.0 * sum(k * k for k in range(1, width + 1))
+    out = np.zeros_like(values)
+    for k in range(1, width + 1):
+        out += k * (padded[width + k : width + k + len(values)] - padded[width - k : width - k + len(values)])
+    return out / denom
+
+
+def edge_tracks():
+    """Tracks on the conventions' edges: no spread, no non-zero value, one peak, the shortest length."""
+    one = np.zeros(40)
+    one[17] = 2.5
+    return {
+        "constant": np.full(30, 4.25),
+        "all_zero": np.zeros(30),
+        "single_nonzero": one,
+        "three_frames": np.array([0.5, -1.0, 2.0]),
+    }
+
+
 class TestFunctionals:
     def test_hand_countable_track(self):
-        vals = dict(zip(FUNCTIONAL_NAMES, apply_functionals(np.array([1.0, 3.0, 2.0]))))
+        vals = dict(zip(FUNCTIONAL_NAMES, apply_functionals(np.array([[1.0, 3.0, 2.0]]))[0]))
         assert vals["range"] == 2.0
         assert vals["argmax_pos"] == 1.0
         assert vals["argmin_pos"] == 0.0
@@ -579,7 +656,7 @@ class TestFunctionals:
 
     def test_constant_track_conventions(self):
         c = -2.5
-        vals = dict(zip(FUNCTIONAL_NAMES, apply_functionals(np.full(12, c))))
+        vals = dict(zip(FUNCTIONAL_NAMES, apply_functionals(np.full((1, 12), c))[0]))
         assert vals["variance"] == 0.0
         assert vals["skewness"] == 0.0
         assert vals["kurtosis"] == 0.0
@@ -589,17 +666,72 @@ class TestFunctionals:
 
     def test_output_length_and_order(self):
         assert len(FUNCTIONAL_NAMES) == 24
-        assert len(apply_functionals(np.arange(5.0))) == 24
+        assert apply_functionals(np.arange(5.0)[None]).shape == (1, 24)
 
     def test_random_track_matches_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             x = rng.normal(0, 3, 50)
-            np.testing.assert_allclose(apply_functionals(x), functionals_oracle(x), atol=1e-9, rtol=1e-9)
+            np.testing.assert_allclose(apply_functionals(x[None])[0], functionals_oracle(x), atol=1e-9, rtol=1e-9)
+        for name, x in edge_tracks().items():
+            got = apply_functionals(x[None])[0]
+            np.testing.assert_allclose(got, functionals_oracle(x), atol=1e-9, rtol=1e-9, err_msg=name)
+            np.testing.assert_allclose(got, functionals_per_track(x), atol=1e-9, rtol=1e-9, err_msg=name)
+        # 30 min at 100 frames/s: the closed-form fits' monomial coefficients
+        # and residual errors stay within 1e-9 of np.polyfit's
+        t = np.arange(180_000, dtype=float)
+        x = 40.0 + 2e-4 * t - 1.5e-9 * t**2 + rng.normal(0.0, 1.0, len(t))
+        np.testing.assert_allclose(apply_functionals(x[None])[0], functionals_per_track(x), atol=1e-9, rtol=1e-9)
 
     def test_short_track_rejected(self):
         with pytest.raises(ValueError):
-            apply_functionals(np.array([1.0, 2.0]))
+            apply_functionals(np.array([[1.0, 2.0]]))
+
+
+@st.composite
+def track_matrices(draw, min_frames=3):
+    """(tracks, frames) matrices mixing noisy, offset, tied, sparse, constant and all-zero rows."""
+    n = draw(st.integers(min_frames, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["normal", "offset", "ties", "sparse", "constant", "zero"]), min_size=1, max_size=10))
+    rows = []
+    for kind in kinds:
+        if kind == "normal":
+            rows.append(rng.normal(0.0, 3.0, n))
+        elif kind == "offset":
+            rows.append(rng.normal(-30.0, 0.01, n))
+        elif kind == "ties":
+            rows.append(np.round(rng.normal(0.0, 1.0, n)))
+        elif kind == "sparse":
+            rows.append(rng.exponential(1.0, n) * (rng.random(n) < 0.2))
+        elif kind == "constant":
+            rows.append(np.full(n, rng.normal()))
+        else:
+            rows.append(np.zeros(n))
+    return np.array(rows)
+
+
+class TestTrackMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(track_matrices(), st.data())
+    def test_rows_do_not_depend_on_the_rows_beside_them(self, x, data):
+        subset = sorted(data.draw(st.sets(st.integers(0, len(x) - 1), min_size=1)))
+        whole = apply_functionals(x)
+        assert whole.shape == (len(x), len(FUNCTIONAL_NAMES))
+        # a chunk of a few rows, and chunks that cut the subset elsewhere
+        chunk_rows = data.draw(st.integers(1, len(x)))
+        with mock.patch.object(audio, "FUNCTIONAL_ELEMENTS", chunk_rows * x.shape[1]):
+            assert apply_functionals(x).tobytes() == whole.tobytes()
+            assert apply_functionals(x[subset]).tobytes() == whole[subset].tobytes()
+        assert apply_functionals(x[subset]).tobytes() == whole[subset].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(track_matrices(min_frames=MIN_FRAMES))
+    def test_row_deltas_equal_per_track_bytes(self, x):
+        d1, d2 = add_derivatives(x)
+        for row, first, second in zip(x, d1, d2):
+            assert first.tobytes() == delta_per_track(row).tobytes()
+            assert second.tobytes() == delta_per_track(delta_per_track(row)).tobytes()
 
 
 def two_turn_session(rate=RATE, sid="s1", freq=180.0, amp=0.5, silent=False):
@@ -660,6 +792,30 @@ class TestSessionVectors:
         assert (m.group, m.session_id) == ("M", s.id)
         assert m.names == sum((v.names for v in groups), ())
         assert m.values.tobytes() == np.concatenate([v.values for v in groups]).tobytes()
+
+    @pytest.mark.parametrize("kind", ["8000", "16000", "silent", "multi_block"])
+    def test_every_column_within_1e9_of_per_track_definition(self, kind):
+        if kind == "multi_block":
+            rate = 8000
+            rng = np.random.default_rng(21)
+            x = sawtooth(170, 13.0, rate, 0.3) + rng.normal(0.0, 0.05, 13 * rate)
+            x[3 * rate : 4 * rate] = 0.0
+            s = session_with(x, rate)
+        else:
+            s = two_turn_session(rate=8000 if kind == "silent" else int(kind), silent=kind == "silent")
+        frames = frame_signal(s.audio, s.turns)
+        assert kind != "multi_block" or len(frames) > 2 * BLOCK_FRAMES
+        # LLDs of all frames in one block, then each track's deltas and functionals alone
+        prosody = prosodic_llds(frames)
+        tracks = {"P": prosody, "S": spectral_llds(frames), "VQ": voice_quality_llds(frames, prosody["f0"])}
+        want = []
+        for group in ("P", "S", "VQ"):
+            for name in GROUP_LLDS[group]:
+                base = tracks[group][name]
+                d1 = delta_per_track(base)
+                want += [functionals_per_track(track) for track in (base, d1, delta_per_track(d1))]
+        got = session_acoustic_vector(s, "M").values
+        np.testing.assert_allclose(got, np.concatenate(want), atol=1e-9, rtol=1e-9)
 
     def test_fewer_frames_than_delta_window(self):
         audio = AudioSignal(np.zeros(RATE), RATE)

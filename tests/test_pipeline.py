@@ -899,6 +899,30 @@ class TestCli:
         assert main(["extract", *args]) == 2
         assert capsys.readouterr().err == f"ERROR {transcript}:{len(lines)}: expected 4 tab-separated fields, got 1\n"
 
+    @pytest.fixture(scope="class")
+    def audio_corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("audio_corpus")
+        gen_synthetic(SynthSpec(n_train=4, n_dev=2, modalities=("transcript", "audio"), turn_pairs=4), root, seed=1)
+        return root
+
+    @pytest.mark.parametrize("damage, reason", [
+        ("junk", "not a readable WAV file: file does not start with RIFF id"),
+        ("empty", "not a readable WAV file: unexpected end of file"),
+        ("truncated", "truncated WAV data: 28 of "),
+    ], ids=["junk", "empty", "truncated"])
+    def test_unreadable_wav_fails_extraction_with_its_path(self, audio_corpus, tmp_path, capsys, damage, reason):
+        root = tmp_path / "c"
+        shutil.copytree(audio_corpus, root)
+        sid = (root / "train_ids.txt").read_text().split()[0]
+        wav = root / "sessions" / sid / f"{sid}_audio.wav"
+        wav.write_bytes({"junk": b"notawav!", "empty": b"", "truncated": wav.read_bytes()[:100]}[damage])
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["extract", "--corpus", str(root), "--out", str(out), "--modality", "acoustic:S", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR {wav}: {reason}") and err.count("\n") == 1, err
+        assert not list(out.glob("features_*"))
+
     def test_degenerate_landmark_frame_names_session_and_frame(self, tmp_path, capsys):
         root = tmp_path / "c"
         assert main(["synth", "--corpus", str(root), "--seed", "3", "--n-train", "4", "--n-dev", "2",
