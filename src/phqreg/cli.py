@@ -22,7 +22,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", dest="root", help="corpus root directory")
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--modality", help="e.g. acoustic:M, behavioral, text:BOOL, visual")
-    parser.add_argument("--model", help="svr | reptree | lstm | mean")
     parser.add_argument("--seed", type=int, help="run seed (mandatory)")
 
 
@@ -53,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _OVERRIDE_KEYS = (
-    "root", "out_dir", "modality", "model", "seed",
+    "root", "out_dir", "modality", "seed",
     "synth_n_train", "synth_n_dev", "synth_modalities",
 )
 

@@ -1,10 +1,9 @@
 """Pipeline configuration: a flat INI file of key=value sections.
 
 ``phqreg show-config`` prints every default. The seed is mandatory for any
-command that touches data; modality/model pairings follow the toolkit
-defaults (acoustic -> svr-rbf, behavioral -> reptree, text -> svr-linear,
-visual -> lstm) and mismatched overrides only warn. The paper's fixed
-hyperparameters are not keys here: the learners' own defaults hold them.
+command that touches data. The modality alone picks the learner (see
+pipeline), so no key names one. The paper's fixed hyperparameters are not
+keys here either: the learners' own defaults hold them.
 Relief's ``[relief] threshold`` and ``k`` are the one place a tuned point
 goes: ``tune-relief`` prints the pair to copy there.
 """
@@ -12,7 +11,6 @@ goes: ``tune-relief`` prints the pair to copy there.
 from __future__ import annotations
 
 import configparser
-import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -20,18 +18,12 @@ from . import relief
 from .models.lstm import DEFAULT_EPOCHS
 from .synth import SynthSpec
 
-logger = logging.getLogger(__name__)
-
 MODALITIES = (
     "acoustic:S", "acoustic:P", "acoustic:VQ", "acoustic:M", "acoustic:M+FS",
     "behavioral",
     "text:BOOL", "text:TFIDF", "text:WE",
     "visual",
 )
-MODELS = ("svr", "reptree", "lstm", "mean")
-
-# default model per modality family
-PAIRINGS = {"acoustic": "svr", "behavioral": "reptree", "text": "svr", "visual": "lstm"}
 
 
 class ConfigError(ValueError):
@@ -45,7 +37,6 @@ class PipelineConfig:
     out_dir: str = "out"
     # [run]
     modality: str = "behavioral"
-    model: str = ""  # empty -> modality default
     seed: int | None = None
     # [lstm]
     lstm_max_epochs: int = DEFAULT_EPOCHS
@@ -75,25 +66,9 @@ class PipelineConfig:
     def uses_relief(self) -> bool:
         return self.modality == "acoustic:M+FS"
 
-    def effective_model(self) -> str:
-        default = PAIRINGS[self.family()]
-        if not self.model:
-            return default
-        if self.model != default and self.model != "mean":
-            logger.warning(
-                "modality %s conventionally pairs with model %s; using %s as configured",
-                self.modality, default, self.model,
-            )
-        return self.model
-
-    def effective_svr_kernel(self) -> str:
-        return "linear" if self.family() == "text" else "rbf"
-
     def validate(self) -> "PipelineConfig":
         if self.modality not in MODALITIES:
             raise ConfigError(f"unknown modality {self.modality!r}; expected one of {MODALITIES}")
-        if self.model and self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.seed is None:
             raise ConfigError("seed is mandatory: set [run] seed or pass --seed")
         return self
@@ -101,7 +76,7 @@ class PipelineConfig:
 
 # (section, ini key) per dataclass field: [corpus] and [run] keys are the
 # field names, every other field is named <section>_<key>
-_UNPREFIXED = {"root": "corpus", "out_dir": "corpus", "modality": "run", "model": "run", "seed": "run"}
+_UNPREFIXED = {"root": "corpus", "out_dir": "corpus", "modality": "run", "seed": "run"}
 _LAYOUT = {
     f.name: (_UNPREFIXED[f.name], f.name) if f.name in _UNPREFIXED else tuple(f.name.split("_", 1))
     for f in fields(PipelineConfig)

@@ -1,7 +1,8 @@
 """Session data model and loaders/writers for the interview corpus formats.
 
 One session = one recorded interview: mono audio, speaker turns from the
-transcript, a facial-landmark sequence, and an optional PHQ-8 label (0-24).
+transcript and a facial-landmark sequence. PHQ-8 labels (0-24) come from
+the labels CSV, keyed by session id.
 
 File formats:
     transcript   TSV, header ``start_time  stop_time  speaker  value``
@@ -135,21 +136,18 @@ class LandmarkSequence:
 
 @dataclass(frozen=True)
 class Session:
-    """One interview: audio, turns, landmarks, and an optional PHQ-8 score."""
+    """One interview: audio, turns and landmarks."""
 
     id: str
     turns: tuple[TurnRecord, ...] = ()
     audio: AudioSignal | None = None
     landmarks: LandmarkSequence | None = None
-    label: int | None = None
 
     def __post_init__(self):
         turns = tuple(self.turns)
         starts = [t.start for t in turns]
         if starts != sorted(starts):
             raise ValueError(f"session {self.id}: turns must be sorted by start time")
-        if self.label is not None and not PHQ8_MIN <= self.label <= PHQ8_MAX:
-            raise ValueError(f"session {self.id}: label {self.label} outside [{PHQ8_MIN}, {PHQ8_MAX}]")
         object.__setattr__(self, "turns", turns)
 
 

@@ -8,10 +8,7 @@ file with a mismatched format version fails loudly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .lstm import LstmConfig, LstmModel, lstm_train
 from .reptree import RepTreeModel, reptree_train
@@ -24,29 +21,7 @@ class ModelFormatError(ValueError):
     pass
 
 
-@dataclass
-class MeanModel:
-    """Baseline: predict the training-label mean for every input."""
-
-    mean: float
-    kind: str = field(default="mean", init=False)
-
-    def predict(self, X) -> np.ndarray:
-        return np.full(len(X), self.mean)
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MeanModel":
-        return cls(mean=d["mean"])
-
-
-def mean_train(y) -> MeanModel:
-    return MeanModel(mean=float(np.mean(np.asarray(y, dtype=np.float64))))
-
-
-_MODEL_KINDS = {"svr": SvrModel, "reptree": RepTreeModel, "lstm": LstmModel, "mean": MeanModel}
+_MODEL_KINDS = {"svr": SvrModel, "reptree": RepTreeModel, "lstm": LstmModel}
 
 
 def save_model(model, path, extra: dict | None = None) -> None:
@@ -77,6 +52,5 @@ __all__ = [
     "LstmConfig", "LstmModel", "lstm_train",
     "RepTreeModel", "reptree_train",
     "SvrModel", "svr_train",
-    "MeanModel", "mean_train",
     "save_model", "load_model", "ModelFormatError", "MODEL_FORMAT_VERSION",
 ]

@@ -152,6 +152,7 @@ def svr_train(
         j = int(np.where(low)[0][np.argmin(crit[low])])
         gap = crit[i] - crit[j]
         if gap <= tol:
+            bias = float((crit[i] + crit[j]) / 2.0)  # midpoint of the final KKT bracket
             break
         if it >= max_iter:
             raise SvrConvergenceError(
@@ -172,14 +173,6 @@ def svr_train(
         z[j] -= u[j] * lam
         grad += lam * (u[i] * qi - u[j] * qj)
         it += 1
-
-    # bias from the midpoint of the final KKT bracket
-    up = ((u > 0) & (z < C)) | ((u < 0) & (z > 0))
-    low = ((u > 0) & (z > 0)) | ((u < 0) & (z < C))
-    crit = -u * grad
-    m_up = crit[up].max() if np.any(up) else 0.0
-    m_low = crit[low].min() if np.any(low) else 0.0
-    bias = float((m_up + m_low) / 2.0)
 
     alpha, alpha_star = z[:n].copy(), z[n:].copy()
     return SvrModel(

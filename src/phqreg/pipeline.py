@@ -18,15 +18,17 @@ artifact_path alone:
 acoustic_M+FS), so M+FS never overwrites the plain M model, reports or
 predictions; <ftag> drops "+FS", so M+FS reads the M feature store.
 
-Every verb reaches the learners through one pair of functions.
-fit_predictor(cfg, sessions) runs Relief selection, the mean/SVR/REPTree
-choice, or the LSTM with its seeded validation hold-out, and
+The modality alone picks the learner, as in the paper: REPTree for
+behavioral features, an SVR for acoustic (RBF) and text (linear) features,
+and an LSTM for visual windows. Every verb reaches the learners through one
+pair of functions. fit_predictor(cfg, sessions) runs Relief selection and
+the tabular learner, or the LSTM with its seeded validation hold-out, and
 predict_sessions(model, extra, sessions) gives per-session predictions.
 train fits and saves, eval predicts each split, and cv fits and predicts
 once per fold on index subsets of the training split, so a fold scores the
 procedure that train ships. tune-relief hands relief.tune_relief the same
-mean/SVR/REPTree fit step and prints the chosen (threshold, k); train applies
-a tuned point only through [relief] threshold and k.
+tabular fit step and prints the chosen (threshold, k); train applies a
+tuned point only through [relief] threshold and k.
 
 Outputs are deterministic for a fixed config + seed; wall-clock timing goes
 to the log only, never into report files.
@@ -48,13 +50,12 @@ import numpy as np
 
 from . import corpus, face, relief, textfeats, turns
 from .audio import session_acoustic_vector
-from .config import PipelineConfig
+from .config import MACHINE_PATHS, PipelineConfig, config_text
 from .metrics import MetricError, evs as evs_fn, mae as mae_fn, rmse as rmse_fn
 from .models import (
     LstmConfig,
     load_model,
     lstm_train,
-    mean_train,
     reptree_train,
     save_model,
     svr_train,
@@ -125,7 +126,7 @@ def load_session(index: CorpusIndex, sid: str, need: tuple[str, ...]) -> corpus.
         kw["audio"] = corpus.load_wav(paths["audio"])
     if "landmarks" in need:
         kw["landmarks"] = corpus.load_landmarks(paths["landmarks"])
-    return corpus.Session(id=sid, label=index.labels.get(sid), **kw)
+    return corpus.Session(id=sid, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def _session_rows(index, need: tuple[str, ...], describe) -> dict:
     return per_split
 
 
-def _extract_acoustic(index, cfg: PipelineConfig, variant: str):
+def _extract_acoustic(index, variant: str):
     vectors = _session_rows(index, ("transcript", "audio"), lambda session: session_acoustic_vector(session, variant))
     found = [vec for rows in vectors.values() for vec in rows.values()]
     if not found:
@@ -231,7 +232,7 @@ def _extract_acoustic(index, cfg: PipelineConfig, variant: str):
     return found[0].names, {split: {sid: vec.values for sid, vec in rows.items()} for split, rows in vectors.items()}
 
 
-def _extract_behavioral(index, cfg: PipelineConfig):
+def _extract_behavioral(index):
     rows = _session_rows(index, ("transcript",), lambda session: turns.behavioral_vector(session.turns)[1])
     return turns.BEHAVIORAL_NAMES, rows
 
@@ -273,7 +274,7 @@ def _naming_session(sid: str):
         raise PipelineError(f"session {sid}: {exc}") from None
 
 
-def _extract_visual(index, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
+def _extract_visual(index, out_dir: Path) -> list[Path]:
     landmarks = _session_rows(index, ("landmarks",), lambda session: session.landmarks)
     if not landmarks["train"]:
         raise PipelineError("visual extraction found no training landmark files")
@@ -357,12 +358,12 @@ def run_extract(cfg: PipelineConfig) -> list[Path]:
     family, variant = cfg.family(), cfg.variant()
 
     if family == "visual":
-        written = _extract_visual(index, cfg, out_dir)
+        written = _extract_visual(index, out_dir)
     else:
         if family == "acoustic":
-            names, per_split = _extract_acoustic(index, cfg, variant.replace("+FS", ""))
+            names, per_split = _extract_acoustic(index, variant.replace("+FS", ""))
         elif family == "behavioral":
-            names, per_split = _extract_behavioral(index, cfg)
+            names, per_split = _extract_behavioral(index)
         else:
             names, per_split = _extract_text(index, cfg, variant)
         written = []
@@ -417,22 +418,11 @@ def _load_split(cfg: PipelineConfig, index: CorpusIndex, split: str) -> Sessions
     return Sessions(split, sids, np.array([float(index.labels[sid]) for sid in sids]), **stored)
 
 
-def _model_kind(cfg: PipelineConfig) -> str:
-    kind = cfg.effective_model()
-    if cfg.family() == "visual" and kind != "lstm":
-        raise PipelineError(f"the visual modality trains an lstm, not {kind!r}")
-    return kind
-
-
-def _tabular_fitter(cfg: PipelineConfig, kind: str):
-    """``fit(X, y) -> model`` for the mean baseline, SVR or REPTree."""
-    if kind == "mean":
-        return lambda X, y: mean_train(y)
-    if kind == "svr":
-        return partial(svr_train, kernel=cfg.effective_svr_kernel())
-    if kind == "reptree":
+def _tabular_fitter(cfg: PipelineConfig):
+    """``fit(X, y) -> model``: REPTree for behavioral features, else the SVR (linear for text)."""
+    if cfg.family() == "behavioral":
         return partial(reptree_train, seed=cfg.seed)
-    raise PipelineError(f"model {kind!r} cannot be trained on tabular features")
+    return partial(svr_train, kernel="linear" if cfg.family() == "text" else "rbf")
 
 
 def _relief_select(cfg: PipelineConfig, names, X, y) -> tuple[list[int], dict]:
@@ -448,14 +438,13 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
     """Fit the configured predictor on ``data``; returns the model and its saved metadata.
 
     Tabular: Relief selection at ``[relief] threshold`` and ``k`` when the
-    modality uses it, then the mean baseline, SVR or REPTree. Visual: an
-    LSTM, early-stopped on a seeded hold-out of the window-bearing sessions.
+    modality uses it, then the modality's SVR or REPTree. Visual: an LSTM,
+    early-stopped on a seeded hold-out of the window-bearing sessions.
     """
-    kind = _model_kind(cfg)
     extra = {"modality": cfg.modality, "seed": cfg.seed, "tag": run_tag(cfg.modality)}
     extra["train_mean"] = float(np.mean(data.y))
     if data.windows is None:
-        fit = _tabular_fitter(cfg, kind)
+        fit = _tabular_fitter(cfg)
         extra["feature_names"] = list(data.names)
         X = data.X
         if cfg.uses_relief():
@@ -517,7 +506,6 @@ def predict_sessions(model, extra: dict, data: Sessions) -> tuple[np.ndarray, di
 def run_train(cfg: PipelineConfig) -> Path:
     """Train the configured model on the training split; persist the model file."""
     t0 = time.monotonic()
-    _model_kind(cfg)  # a mismatched learner fails before any store is read
     index = scan_corpus(cfg.root)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -555,8 +543,6 @@ def _metric_rows(prefix: str, y, yhat, with_evs: bool) -> dict:
 
 def write_report(out_dir, cfg: PipelineConfig, rows: dict, selected=None) -> tuple[Path, Path]:
     """Write the run report; its bytes do not depend on where corpus and outputs live."""
-    from .config import MACHINE_PATHS, config_text
-
     tag = run_tag(cfg.modality)
     txt_path = artifact_path(out_dir, "report", cfg.modality)
     csv_path = artifact_path(out_dir, "report_csv", cfg.modality)
@@ -581,9 +567,7 @@ def run_eval(cfg: PipelineConfig) -> dict:
         raise PipelineError(f"missing model file {model_path}; run `train` first")
     model, extra = load_model(model_path)
 
-    # EVS belongs to the visual report; the mean baseline also gets it so its
-    # boundary case (EVS = 0 for a constant predictor) is visible
-    with_evs = cfg.family() == "visual" or model.kind == "mean"
+    with_evs = cfg.family() == "visual"  # EVS belongs to the visual report
     rows: dict = {"modality": cfg.modality, "model": model.kind, "seed": cfg.seed}
 
     all_y = {}
@@ -629,7 +613,6 @@ def run_cv(cfg: PipelineConfig) -> dict:
     through fit_predictor and predict_sessions, as train and eval do.
     """
     t0 = time.monotonic()
-    _model_kind(cfg)
     index = scan_corpus(cfg.root)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -668,7 +651,7 @@ def run_tune_relief(cfg: PipelineConfig) -> tuple[float, int]:
         raise PipelineError("relief tuning needs a tabular modality (acoustic, behavioral or text), not visual")
     index = scan_corpus(cfg.root)
     data = _load_split(cfg, index, "train")
-    th, k, scores = relief.tune_relief(data.X, data.y, _tabular_fitter(cfg, cfg.effective_model()), seed=cfg.seed)
+    th, k, scores = relief.tune_relief(data.X, data.y, _tabular_fitter(cfg), seed=cfg.seed)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["threshold,k,mean_mae"] + [f"{t},{kk},{v}" for (t, kk), v in sorted(scores.items())]

@@ -52,9 +52,9 @@ def pulse_train(periods, rate=RATE, amps=None):
     return x
 
 
-def session_with(samples, rate=RATE, sid="s1", label=None):
+def session_with(samples, rate=RATE, sid="s1"):
     turns = (TurnRecord(0.0, len(samples) / rate, Speaker.PARTICIPANT, ("hi",)),)
-    return Session(id=sid, turns=turns, audio=AudioSignal(samples, rate), label=label)
+    return Session(id=sid, turns=turns, audio=AudioSignal(samples, rate))
 
 
 def frames_of(samples, rate=RATE):

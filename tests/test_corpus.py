@@ -201,11 +201,6 @@ class TestSessionInvariants:
         with pytest.raises(ValueError):
             TurnRecord(1.0, 1.0, Speaker.AGENT, ())
 
-    def test_label_range(self):
-        with pytest.raises(ValueError):
-            Session(id="x", label=25)
-        Session(id="x", label=24)
-
     def test_landmark_frame_shape(self):
         with pytest.raises(ValueError):
             LandmarkSequence(np.array([0.0]), np.array([1.0]), np.array([True]), np.zeros((1, 67, 3)))

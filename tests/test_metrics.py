@@ -30,6 +30,10 @@ class TestExamples:
         assert mae(y, yhat) == pytest.approx(1.0)
         assert evs(y, yhat) == 1.0
 
+    def test_constant_predictor_evs_is_zero(self):
+        y = [0.0, 4.0, 9.0, 23.0]
+        assert evs(y, [9.0] * 4) == pytest.approx(0.0, abs=1e-15)
+
     def test_brute_force_pair(self):
         y, yhat = [0.0, 2.0], [0.0, 0.0]
         want = brute_force_metrics(y, yhat)

@@ -2,6 +2,7 @@ import ast
 import configparser
 import hashlib
 import json
+import re
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -12,10 +13,12 @@ import pytest
 import phqreg
 import phqreg.models
 from phqreg.cli import main
-from phqreg.config import ConfigError, PipelineConfig, config_text, load_config
+from phqreg.config import _LAYOUT, ConfigError, PipelineConfig, config_text, load_config
 from phqreg.metrics import mae, rmse
 from phqreg.pipeline import (
     PipelineError,
+    Sessions,
+    fit_predictor,
     read_feature_csv,
     run_cv,
     run_eval,
@@ -126,7 +129,7 @@ class TestConfig:
         ("lstm", "hidden"), ("lstm", "dropout"), ("lstm", "lr"), ("lstm", "batch_size"),
         ("lstm", "clip_norm"), ("lstm", "val_fraction"),
         ("visual", "window"), ("visual", "overlap"), ("visual", "variance_keep"),
-        ("relief", "n_max"), ("relief", "tune"),
+        ("relief", "n_max"), ("relief", "tune"), ("run", "model"),
     ])
     def test_fixed_hyperparameter_keys_rejected(self, tmp_path, section, key):
         ini = tmp_path / "c.ini"
@@ -139,6 +142,10 @@ class TestConfig:
         ini.write_text("[run]\nseed = 3\n[svr]\nc = 2.5\n", encoding="utf-8")
         assert main(["train", "--config", str(ini), "--corpus", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"ERROR {ini}: unknown option [svr] c\n"
+        # the modality picks the learner: there is no flag to name another one
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--model", "svr", "--corpus", str(tmp_path), "--seed", "3"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("section,key,raw", [("relief", "k", "ten"), ("run", "seed", "1.5"),
                                                  ("relief", "threshold", "high")])
@@ -161,6 +168,15 @@ class TestConfig:
         ini.write_text(capsys.readouterr().out, encoding="utf-8")
         assert main(["show-config", "--config", str(ini)]) == 0
         assert capsys.readouterr().out == ini.read_text(encoding="utf-8")
+
+    def test_readme_key_list_matches_the_config_layout(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("The keys are:\n\n", 1)[1].split("\n\n", 1)[0]
+        listed = []
+        for item in block.split("\n- "):
+            section, keys = re.match(r"-? ?`\[(\w+)\]`(.*)", item, re.S).groups()
+            listed += [(section, key) for key in re.findall(r"`(\w+)`", keys)]
+        assert listed == list(_LAYOUT.values())
 
     def test_synth_keys_mirror_synth_spec(self):
         ini = configparser.ConfigParser(interpolation=None)
@@ -191,15 +207,14 @@ class TestConfig:
             load_config(None, {"modality": "video", "seed": 1}).validate()
 
     def test_pairing_defaults(self):
-        assert load_config(None, {"modality": "visual"}).effective_model() == "lstm"
-        assert load_config(None, {"modality": "text:BOOL"}).effective_svr_kernel() == "linear"
-        assert load_config(None, {"modality": "acoustic:S"}).effective_svr_kernel() == "rbf"
-
-    def test_pairing_override_warns_but_applies(self, caplog):
-        cfg = load_config(None, {"modality": "behavioral", "model": "svr"})
-        with caplog.at_level("WARNING"):
-            assert cfg.effective_model() == "svr"
-        assert any("conventionally pairs" in r.message for r in caplog.records)
+        """Each family trains the paper's learner; the acoustic:S, text:BOOL and visual runs check theirs too."""
+        rng = np.random.default_rng(0)
+        data = Sessions("train", [f"s{i}" for i in range(12)], rng.uniform(0, 24, size=12),
+                        names=("a", "b", "c"), X=rng.normal(size=(12, 3)))
+        want = {"behavioral": ("reptree", None), "acoustic:M": ("svr", "rbf"), "text:WE": ("svr", "linear")}
+        for modality, (kind, kernel) in want.items():
+            model, _ = fit_predictor(load_config(None, {"modality": modality, "seed": 1}), data)
+            assert (model.kind, getattr(model, "kernel", None)) == (kind, kernel), modality
 
 
 class TestSynth:
@@ -384,17 +399,6 @@ class TestTrainEval:
         assert reports[0] == reports[1]
         assert str(tmp_path) not in reports[0]["report_text_WE.txt"].decode()
 
-    def test_mean_model_available(self, small_corpus, tmp_path, behavioral_run):
-        cfg, out0, _ = behavioral_run
-        out = tmp_path / "out_mean"
-        cfg2 = cfg_for(small_corpus, out, modality="behavioral", model="mean")
-        run_extract(cfg2)
-        run_train(cfg2)
-        rows = run_eval(cfg2)
-        assert rows["dev_mae"] == pytest.approx(rows["dev_mae_baseline"], abs=1e-12)
-        # a constant predictor sits exactly at the EVS boundary
-        assert rows["dev_evs"] == pytest.approx(0.0, abs=1e-12)
-
     def test_unlabeled_training_session_errors(self, small_corpus, tmp_path):
         import shutil
 
@@ -414,11 +418,6 @@ class TestTrainEval:
         cfg = cfg_for(small_corpus, tmp_path / "nowhere", modality="behavioral")
         with pytest.raises(PipelineError, match="model"):
             run_eval(cfg)
-
-    def test_visual_requires_lstm(self, small_corpus, tmp_path):
-        cfg = cfg_for(small_corpus, tmp_path / "vm", modality="visual", model="mean")
-        with pytest.raises(PipelineError, match="lstm"):
-            run_train(cfg)
 
 
 class TestDeterminismAndLeakage:
@@ -610,26 +609,25 @@ class TestReliefIntegration:
         ini.write_text(f"{run}[relief]\nthreshold = {th}\nk = {k}\n", encoding="utf-8")
         return load_config(ini, {"root": str(root), "out_dir": str(out)}), th, k
 
-    def test_tune_relief_and_tuned_train_accept_the_mean_model(self, tmp_path, capsys):
-        root = tmp_path / "tune_mean_corpus"
+    def test_tuned_point_reaches_the_model_and_report(self, tmp_path, capsys):
+        root = tmp_path / "tune_corpus"
         gen_synthetic(
             SynthSpec(n_train=48, n_dev=6, depressed_fraction_train=0.5,
                       modalities=("transcript",), turn_pairs=4),
             root, seed=17,
         )
-        out = tmp_path / "tune_mean"
+        out = tmp_path / "tune"
         self.fabricate_acoustic_store(root, out)
-        cfg, th, k = self.tuned_ini(capsys, tmp_path / "tuned.ini", root, out, ["model = mean"])
+        cfg, th, k = self.tuned_ini(capsys, tmp_path / "tuned.ini", root, out)
         grid = (out / "relief_tuning_acoustic_M+FS.csv").read_text()
         assert f"# chosen: threshold={th} k={k}" in grid
-        assert (cfg.model, cfg.relief_threshold, cfg.relief_k) == ("mean", float(th), int(k))
+        assert (cfg.relief_threshold, cfg.relief_k) == (float(th), int(k))
         run_train(cfg)
         model = json.loads((out / "model_acoustic_M+FS.json").read_text())
-        assert model["kind"] == "mean"
-        assert (model["model"]["mean"], model["extra"]["relief"]["k"]) == (model["extra"]["train_mean"], int(k))
-        assert model["extra"]["relief"]["threshold"] == float(th)
+        assert model["kind"] == "svr"
+        assert (model["extra"]["relief"]["threshold"], model["extra"]["relief"]["k"]) == (float(th), int(k))
         rows = run_eval(cfg)
-        assert rows["dev_mae"] == pytest.approx(rows["dev_mae_baseline"], abs=1e-12)
+        assert (rows["relief_threshold"], rows["relief_k"]) == (float(th), int(k))
 
     def test_tuned_selection_artifacts_byte_identical_across_roots(self, tmp_path, capsys):
         first, second = tmp_path / "first_root", tmp_path / "second_root"
@@ -699,6 +697,7 @@ class TestVisualPipeline:
         assert np.all(np.isfinite(yhat))
         # LSTM counters: best epoch from the model, windows per split
         model = json.loads((out / "model_visual.json").read_text())
+        assert model["kind"] == "lstm"
         assert rows["lstm_best_epoch"] == model["model"]["best_epoch"]
         assert rows["n_windows_train"] == len(np.load(out / "visual_train_windows.npy"))
         assert rows["n_windows_dev"] == len(np.load(out / "visual_dev_windows.npy"))
