@@ -8,6 +8,7 @@ stderr and the exit code is nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from dataclasses import fields
@@ -15,6 +16,12 @@ from dataclasses import fields
 from .config import ConfigError, PipelineConfig, config_text, load_config
 from .pipeline import PipelineError, run_cv, run_eval, run_extract, run_train, run_tune_relief
 from .synth import SynthSpec, gen_synthetic
+
+
+def _error_line(parser: argparse.ArgumentParser, message: str) -> None:
+    """argparse's error hook: the usage, then the ``ERROR <message>`` line that ends any failure (exit 2)."""
+    parser.print_usage(sys.stderr)
+    parser.exit(2, f"ERROR {message}\n")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -48,6 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("show-config", help="print the effective configuration")
     p.add_argument("--config", help="INI config file")
+    for p in (parser, *sub.choices.values()):
+        p.error = functools.partial(_error_line, p)
     return parser
 
 

@@ -7,6 +7,12 @@ coordinates with all C(68,2) = 2278 pairwise Euclidean distances into a
 of variance) reduces the dimension; sequences are downsampled to 1 Hz and cut
 into sliding windows of W samples overlapped by O, discarding any window that
 contains a failed-tracking frame (0-tolerance).
+
+Memory: the distances are computed from the three (n, 68) coordinate planes,
+so no (n, 2278, 3) gather is made. ``fit_pca`` takes the training frames as
+row blocks (one per session) and concatenates them itself, so it owns the only
+n x d matrix; it centres that matrix in place and drops it before the
+eigen-solve.
 """
 
 from __future__ import annotations
@@ -42,10 +48,18 @@ def geometric_frames(seq: LandmarkSequence) -> np.ndarray:
             f"frame {bad} (timestamp {seq.timestamps[bad]:g} s) has all landmarks identical; cannot normalize"
         )
     normed = centered / scale[:, None, None]
-    iu, ju = np.triu_indices(pts.shape[1], k=1)
-    dists = np.linalg.norm(normed[:, iu, :] - normed[:, ju, :], axis=2)
     coords = normed.transpose(0, 2, 1).reshape(len(pts), -1)
-    return np.concatenate([coords, dists], axis=1)
+    iu, ju = np.triu_indices(pts.shape[1], k=1)
+    x, y, z = np.split(coords, 3, axis=1)
+    dists = x[:, iu]
+    dists -= x[:, ju]
+    dists *= dists
+    for plane in (y, z):  # x, y, z summed in the order of np.linalg.norm(..., axis=2): same bytes
+        gaps = plane[:, iu]
+        gaps -= plane[:, ju]
+        gaps *= gaps
+        dists += gaps
+    return np.concatenate([coords, np.sqrt(dists, out=dists)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -64,37 +78,46 @@ class PcaProjection:
         return (np.asarray(X, dtype=np.float64) - self.mean) @ self.components.T
 
 
-def fit_pca(X: np.ndarray, variance_keep: float = DEFAULT_VARIANCE_KEEP) -> PcaProjection:
+def fit_pca(blocks, variance_keep: float = DEFAULT_VARIANCE_KEEP) -> PcaProjection:
     """PCA by eigen-decomposition, keeping the smallest q with cumulative
     explained variance >= variance_keep.
 
-    Uses the Gram trick when there are fewer rows than columns. Covariance is
-    1/(n-1)-normalized.
+    ``blocks`` is an iterable of (rows, d) arrays, for example one session's
+    frames each. The fit concatenates them into a matrix of its own, so the
+    caller's arrays are never modified and a generator lets the caller keep
+    no frames at all. That matrix is centred in place; with at least as many
+    rows as columns it is dropped once the covariance is formed, so nothing
+    of size n x d is alive during the eigen-solve. With fewer rows than
+    columns the Gram trick is used and the centred matrix is kept, because
+    the components are recovered from it. Covariance is 1/(n-1)-normalized.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.concatenate(list(blocks), dtype=np.float64)
     if X.ndim != 2 or len(X) < 2:
-        raise ValueError("need a 2-d matrix with at least 2 rows")
+        raise ValueError("need row blocks of a 2-d matrix with at least 2 rows")
     if not 0.0 < variance_keep <= 1.0:
         raise ValueError("variance_keep must be in (0, 1]")
     n, d = X.shape
     mean = X.mean(axis=0)
-    Xc = X - mean
+    X -= mean
 
     if n < d:
-        gram = (Xc @ Xc.T) / (n - 1)
+        gram = (X @ X.T) / (n - 1)
         evals, evecs = np.linalg.eigh(gram)
         order = np.argsort(evals)[::-1]
         evals, evecs = evals[order], evecs[:, order]
         keep = evals > max(evals.max(), 0.0) * 1e-12
-        comps = (Xc.T @ evecs[:, keep]).T
+        comps = (X.T @ evecs[:, keep]).T
         norms = np.linalg.norm(comps, axis=1)
         comps = comps / norms[:, None]
         evals = evals[keep]
     else:
-        cov = (Xc.T @ Xc) / (n - 1)
+        cov = X.T @ X
+        del X
+        cov /= n - 1
         evals, evecs = np.linalg.eigh(cov)
+        del cov
         order = np.argsort(evals)[::-1]
-        evals, comps = evals[order], evecs[:, order].T
+        evals = evals[order]
 
     evals = np.clip(evals, 0.0, None)
     total = evals.sum()
@@ -103,7 +126,8 @@ def fit_pca(X: np.ndarray, variance_keep: float = DEFAULT_VARIANCE_KEEP) -> PcaP
     ratios = np.cumsum(evals) / total
     q = int(np.searchsorted(ratios, variance_keep - 1e-12) + 1)
     q = min(q, len(evals))
-    return PcaProjection(mean, comps[:q], float(ratios[q - 1]))
+    comps = comps[:q] if n < d else evecs[:, order[:q]].T
+    return PcaProjection(mean, comps, float(ratios[q - 1]))
 
 
 @dataclass(frozen=True)

@@ -278,13 +278,14 @@ def _extract_visual(index, out_dir: Path) -> list[Path]:
     landmarks = _session_rows(index, ("landmarks",), lambda session: session.landmarks)
     if not landmarks["train"]:
         raise PipelineError("visual extraction found no training landmark files")
-    train_frames = []
-    for sid, lm in landmarks["train"].items():
-        with _naming_session(sid):
-            train_frames.append(face.geometric_frames(lm))
-    train_frames = np.concatenate(train_frames)  # rebinding frees the per-session arrays before the PCA fit
-    pca = face.fit_pca(train_frames, face.DEFAULT_VARIANCE_KEEP)
-    logger.info("visual PCA: %d -> %d dims (%.4f%% variance)", train_frames.shape[1], pca.q, 100 * pca.explained_ratio)
+
+    def train_geometry():  # keeps no frames: fit_pca concatenates and owns them
+        for sid, lm in landmarks["train"].items():
+            with _naming_session(sid):
+                yield face.geometric_frames(lm)
+
+    pca = face.fit_pca(train_geometry(), face.DEFAULT_VARIANCE_KEEP)
+    logger.info("visual PCA: %d -> %d dims (%.4f%% variance)", len(pca.mean), pca.q, 100 * pca.explained_ratio)
 
     pca_path = artifact_path(out_dir, "pca", "visual")
     pca_path.write_text(

@@ -91,7 +91,7 @@ def test_03_geometric_vector_and_pca():
         for r in (2, 3, 5):
             basis = np.linalg.qr(rng.normal(size=(30, r)))[0]
             X = (rng.normal(size=(300, r)) * np.linspace(3.0, 1.0, r)) @ basis.T
-            pca = fit_pca(X, 0.995)
+            pca = fit_pca([X], 0.995)
             assert pca.q == r
             assert pca.explained_ratio >= 0.995
 
@@ -207,9 +207,9 @@ def test_09_lstm_gradient_training_windows():
         trained = lstm_train(X, y, LstmConfig(input_dim=3, seed=3, max_epochs=100))
         assert min(trained.curve) <= 0.10 * trained.curve[0]
 
-        pca = fit_pca(np.asarray([
+        pca = fit_pca([np.asarray([
             geometric_vector(normalize_landmarks(rng.normal(0, 20, (68, 3)))) for _ in range(40)
-        ]), 0.99)
+        ])], 0.99)
         for trial in range(10):
             n = int(rng.integers(60, 200))
             fails = rng.choice(n, size=int(rng.integers(0, 5)), replace=False)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phqreg.corpus import LandmarkSequence, N_LANDMARKS
 from phqreg.face import (
@@ -36,6 +40,18 @@ def geometric_vector(normalized: np.ndarray) -> np.ndarray:
 
 def random_cloud(rng, n=N_LANDMARKS):
     return rng.normal(0, 30.0, (n, 3))
+
+
+def gathered_geometric_frames(seq: LandmarkSequence) -> np.ndarray:
+    """Batch geometry with the distances taken by gathering both points of every
+    pair into (n, 2278, 3) arrays and reducing them with ``np.linalg.norm``."""
+    pts = seq.points
+    centered = pts - pts.mean(axis=1, keepdims=True)
+    normed = centered / np.linalg.norm(centered, axis=2).mean(axis=1)[:, None, None]
+    iu, ju = np.triu_indices(pts.shape[1], k=1)
+    dists = np.linalg.norm(normed[:, iu, :] - normed[:, ju, :], axis=2)
+    coords = normed.transpose(0, 2, 1).reshape(len(pts), -1)
+    return np.concatenate([coords, dists], axis=1)
 
 
 class TestNormalize:
@@ -115,6 +131,20 @@ class TestGeometricVector:
         for i in range(3):
             np.testing.assert_allclose(batch[i], geometric_vector(normalize_landmarks(pts[i])), atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.floats(1e-6, 1e6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_batch_bytes_match_gathered_norm(self, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(0.0, scale, (n, N_LANDMARKS, 3)) + rng.normal(0.0, 10.0 * scale, 3)
+        seq = LandmarkSequence(np.arange(float(n)), np.ones(n), np.ones(n, bool), pts)
+        got = geometric_frames(seq)
+        assert got.shape == (n, GEOMETRIC_DIM)
+        assert got.tobytes() == gathered_geometric_frames(seq).tobytes()
+
 
 def pca_oracle_q(X, keep):
     """Independent eigen-solve via SVD of the centered matrix."""
@@ -131,28 +161,28 @@ class TestPca:
         basis = np.linalg.qr(rng.normal(size=(40, 3)))[0]  # (40, 3) orthonormal cols
         Z = rng.normal(size=(200, 3)) * np.array([3.0, 2.0, 1.5])
         X = Z @ basis.T
-        pca = fit_pca(X, 0.995)
+        pca = fit_pca([X], 0.995)
         assert pca.q == 3
         assert pca.explained_ratio >= 0.995
 
     def test_isotropic_needs_all_dims(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(500, 10))
-        pca = fit_pca(X, 0.995)
+        pca = fit_pca([X], 0.995)
         assert pca.q == 10
         assert pca.q == pca_oracle_q(X, 0.995)
 
     def test_components_orthonormal(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(50, 12)) * np.linspace(3, 0.1, 12)
-        pca = fit_pca(X, 0.9)
+        pca = fit_pca([X], 0.9)
         gram = pca.components @ pca.components.T
         np.testing.assert_allclose(gram, np.eye(pca.q), atol=1e-9)
 
     def test_gram_trick_path_matches_oracle(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(20, 100))  # rows < columns
-        pca = fit_pca(X, 0.995)
+        pca = fit_pca([X], 0.995)
         assert pca.q == pca_oracle_q(X, 0.995)
         gram = pca.components @ pca.components.T
         np.testing.assert_allclose(gram, np.eye(pca.q), atol=1e-9)
@@ -160,7 +190,7 @@ class TestPca:
     def test_roundtrip_retains_variance(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(80, 30)) * np.linspace(5, 0.01, 30)
-        pca = fit_pca(X, 0.995)
+        pca = fit_pca([X], 0.995)
         recon = pca.transform(X) @ pca.components + pca.mean
         total = ((X - X.mean(axis=0)) ** 2).sum()
         resid = ((X - recon) ** 2).sum()
@@ -168,11 +198,52 @@ class TestPca:
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
-            fit_pca(np.ones((5, 4)))
+            fit_pca([np.ones((5, 4))])
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
-            fit_pca(np.ones((1, 4)))
+            fit_pca([np.ones((1, 4))])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(60, 8), (12, 30)]), st.integers(0, 2**32 - 1), st.data())
+    def test_any_row_split_gives_the_same_bytes(self, shape, seed, data):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=shape) * np.linspace(4.0, 0.1, shape[1])
+        cuts = sorted(data.draw(st.lists(st.integers(0, shape[0]), max_size=6)))
+        blocks = np.split(X, cuts)
+        copies = [b.copy() for b in blocks]
+        whole, split = fit_pca([X], 0.99), fit_pca(blocks, 0.99)
+        for b, c in zip(blocks, copies):
+            assert b.tobytes() == c.tobytes()
+        assert split.mean.tobytes() == whole.mean.tobytes()
+        assert split.components.tobytes() == whole.components.tobytes()
+        assert split.explained_ratio == whole.explained_ratio
+
+    def test_bare_matrix_rejected(self):
+        # a 2-d array iterates as 1-d rows, which concatenate to a vector
+        with pytest.raises(ValueError):
+            fit_pca(np.random.default_rng(15).normal(size=(20, 4)))
+
+    def test_no_n_by_d_array_alive_during_eigen_solve(self, monkeypatch):
+        n, d = 4000, 60
+        rng = np.random.default_rng(16)
+        traced_at_solve = []
+        eigh = np.linalg.eigh
+
+        def traced_eigh(a, *args, **kwargs):
+            traced_at_solve.append(tracemalloc.get_traced_memory()[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", traced_eigh)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            pca = fit_pca((rng.normal(size=(n // 8, d)) for _ in range(8)), 0.995)
+        finally:
+            tracemalloc.stop()
+        assert pca.components.shape[1] == d
+        assert len(traced_at_solve) == 1
+        assert traced_at_solve[0] - baseline < n * d * 8
 
 
 def make_sequence(n_seconds, fps=1.0, fail_at=(), rng=None):
@@ -201,7 +272,7 @@ class TestWindows:
     def fitted_pca(self):
         rng = np.random.default_rng(13)
         seq = make_sequence(30, rng=rng)
-        return fit_pca(geometric_frames(seq), 0.9)
+        return fit_pca([geometric_frames(seq)], 0.9)
 
     def test_120_clean_samples_three_windows(self):
         seq = make_sequence(120)

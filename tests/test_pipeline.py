@@ -794,6 +794,16 @@ class TestCli:
         assert rc == 2
         assert "ERROR" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["train", "--model", "svr", "--seed", "1"], "unrecognized arguments: --model svr"),
+    ])
+    def test_argument_errors_end_with_error_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"ERROR {message}"
+
     def test_tune_relief_rejects_visual_up_front(self, small_corpus, tmp_path, capsys):
         rc = main(["tune-relief", "--corpus", str(small_corpus), "--out", str(tmp_path / "o"),
                    "--modality", "visual", "--seed", "1"])
