@@ -12,11 +12,20 @@ deterministic (dropout off, frozen batch-norm statistics).
 Everything is plain numpy in double precision so the analytic gradients can
 be verified against central finite differences.
 
-Each time step takes one sigmoid call over all four gate pre-activations (the
-input, forget and output gates are column views of it) and writes its gate
-gradients into one reused buffer. Parameters, the loss curve and predictions are
-bit-identical to a step that activates each gate separately with a
-boolean-mask sigmoid; tests/test_lstm.py keeps that form as its oracle.
+Each layer runs over time-major (T, B, .) buffers allocated once per call.
+The forward pass computes every step's input projection X[t] @ W.T in one
+stacked matmul before the loop; each step adds h @ U.T and the bias, takes one
+sigmoid call over all four gate pre-activations (the g block then gets its
+tanh) and writes its gates (gate by gate, so each is a contiguous block), cell
+state and tanh(c) into the buffers. The backward loop keeps only the
+recurrence (dh, dc, the gate gradients and da @ U); the weight and bias
+gradients and the second layer's input gradient are stacked products after
+it, summed over reversed time from +0.0. numpy's stacked matmul runs the same
+per-slice GEMM as a per-step product, and the sums keep the per-step
+accumulation order, so parameters, the loss curve and predictions are
+bit-identical to a per-step loop that activates each gate separately with a
+boolean-mask sigmoid; tests/test_lstm.py keeps that form as its oracle. One
+(T*B) x D GEMM over all steps would not keep these bytes.
 """
 
 from __future__ import annotations
@@ -39,16 +48,18 @@ class LstmDivergenceError(RuntimeError):
     pass
 
 
-def _sigmoid(x):
-    """Logistic function, stable for large |x|, without boolean-mask indexing.
+def _sigmoid(x, out=None):
+    """Logistic function exp(min(x, 0)) / (1 + exp(-|x|)), stable for large |x|.
 
     Each element takes the same float operations as the two-branch form
     1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) otherwise, so the result
     is bit-identical to it (signed zeros and NaN signs included).
     """
-    pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0, e) / (1.0 + e)
+    den = np.exp(-np.abs(x))
+    den += 1.0
+    out = np.exp(np.minimum(x, 0.0), out=out)
+    out /= den
+    return out
 
 
 @dataclass
@@ -87,74 +98,100 @@ def init_params(config: LstmConfig) -> dict:
 
 
 def _layer_forward(W, U, b, X):
-    """One LSTM layer over (B, T, D) input.
+    """One LSTM layer over time-major (T, B, D) input; returns the layer's cache.
 
-    Returns the hidden sequence, the per-step cache tuples and each step's
-    (B, 4H) sigmoid of all four gate pre-activations, of which the cached
-    i, f and o are column views.
+    The cache is the tuple (X, Hs, Cs, S, TC). Hs and Cs are (T + 1, B, H):
+    index 0 holds the zero initial state and index t + 1 the state after step
+    t. S is (T, 4, B, H): S[t] holds step t's activated gates i, f, g, o, each
+    a contiguous (B, H) block. TC is (T, B, H), the tanh of each new cell state.
     """
-    B, T, _ = X.shape
-    H = W.shape[0] // 4
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    Hs = np.zeros((B, T, H))
-    steps, gates = [], []
+    T, B, _ = X.shape
+    H = U.shape[1]
+    # X[t] @ W.T for every t at once: numpy runs the same (B, D) x (D, 4H)
+    # GEMM per slice, so each step's pre-activation keeps its bytes
+    A = np.matmul(X, W.T)
+    Hs = np.zeros((T + 1, B, H))
+    Cs = np.zeros((T + 1, B, H))
+    S = np.empty((T, 4, B, H))
+    TC = np.empty((T, B, H))
+    A_g = A[:, :, 2 * H : 3 * H]
+    UT = U.T
+    hu = np.empty((B, 4 * H))
+    sg = np.empty((B, 4 * H))
+    ig = np.empty((B, H))
     for t in range(T):
-        a = X[:, t] @ W.T + h @ U.T + b
-        # one activation call for i, f and o (the g block's sigmoid is unused)
-        s = _sigmoid(a)
-        i, f, o = s[:, :H], s[:, H : 2 * H], s[:, 3 * H :]
-        g = np.tanh(a[:, 2 * H : 3 * H])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        steps.append((X[:, t], h, c, i, f, g, o, tanh_c))
-        gates.append(s)
-        h = o * tanh_c
-        c = c_new
-        Hs[:, t] = h
-    return Hs, steps, gates
+        a = A[t]
+        a += np.dot(Hs[t], UT, hu)
+        a += b
+        # one sigmoid call over the whole row, stored gate by gate; the g
+        # gate's sigmoid is then overwritten by its tanh
+        i, f, g, o = s = S[t]
+        np.copyto(s, _sigmoid(a, out=sg).reshape(B, 4, H).transpose(1, 0, 2))
+        np.tanh(A_g[t], out=g)
+        c = np.multiply(f, Cs[t], out=Cs[t + 1])
+        c += np.multiply(i, g, out=ig)
+        np.multiply(o, np.tanh(c, out=TC[t]), out=Hs[t + 1])
+    return X, Hs, Cs, S, TC
 
 
-def _layer_backward(W, U, dHs, steps, gates, input_grad=True):
-    """Backprop through one layer; dX is None unless ``input_grad``."""
-    B, T, H = dHs.shape
-    dW = np.zeros_like(W)
-    dU = np.zeros_like(U)
-    db = np.zeros(4 * H)
-    dX = np.zeros((B, T, W.shape[1])) if input_grad else None
+def _sum_over_time(P):
+    """Sum of P[t] over t in reversed time, starting from +0.0 (the per-step accumulation order)."""
+    total = np.zeros(P.shape[1:])
+    for p in P[::-1]:
+        total += p
+    return total
+
+
+def _layer_backward(W, U, dHs, layer, input_grad=True):
+    """Backprop through one layer given (T, B, H) upstream gradients; dX is None unless ``input_grad``.
+
+    The loop runs only the recurrence; the parameter gradients and dX are
+    per-step products stacked over time, so each keeps its per-step bytes.
+    """
+    X, Hs, Cs, S, TC = layer
+    T, B, H = dHs.shape
+    one_minus_s = 1.0 - S
+    dtanh_g = 1.0 - S[:, 2] ** 2
+    dtanh_c = 1.0 - TC**2
+    # the gate gradients of one step, gate by gate: the i, f and o blocks are
+    # upstream * s * (1 - s); the g block is written after that product
+    dg = np.zeros((4, B, H))
+    # row t holds step t's (B, 4H) pre-activation gradient
+    dA = np.empty((T, B, 4 * H))
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
-    # the i, f and o gradients are upstream * s * (1 - s) over the whole
-    # (B, 4H) row; the g block of upstream stays 0 and its gradient is
-    # written separately
-    upstream = np.zeros((B, 4 * H))
-    da = np.empty((B, 4 * H))
     for t in reversed(range(T)):
-        x_t, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
-        s = gates[t]
-        dh = dHs[:, t] + dh_next
-        dc = dc_next + dh * o * (1.0 - tanh_c**2)
-        np.multiply(dc, g, out=upstream[:, :H])
-        np.multiply(dc, c_prev, out=upstream[:, H : 2 * H])
-        np.multiply(dh, tanh_c, out=upstream[:, 3 * H :])
-        np.multiply(upstream, s, out=da)
-        da *= 1.0 - s
-        da[:, 2 * H : 3 * H] = dc * i * (1.0 - g**2)
-        dW += da.T @ x_t
-        dU += da.T @ h_prev
-        db += da.sum(axis=0)
-        if input_grad:
-            dX[:, t] = da @ W
-        dh_next = da @ U
+        i, f, g, o = S[t]
+        dh = dHs[t] + dh_next
+        dc = np.multiply(dh, o)
+        dc *= dtanh_c[t]
+        np.add(dc_next, dc, out=dc)
+        np.multiply(dc, g, out=dg[0])
+        np.multiply(dc, Cs[t], out=dg[1])
+        np.multiply(dh, TC[t], out=dg[3])
+        dg *= S[t]
+        dg *= one_minus_s[t]
+        np.multiply(dc, i, out=dg[2])
+        dg[2] *= dtanh_g[t]
+        da = dA[t]
+        np.copyto(da.reshape(B, 4, H), dg.transpose(1, 0, 2))
+        dh_next = np.dot(da, U)
         dc_next = dc * f
+    dA_T = dA.transpose(0, 2, 1)
+    dW = _sum_over_time(np.matmul(dA_T, X))
+    dU = _sum_over_time(np.matmul(dA_T, Hs[:-1]))
+    db = _sum_over_time(dA.sum(axis=1))
+    dX = np.matmul(dA, W) if input_grad else None
     return dX, dW, dU, db
 
 
 def forward(params: dict, state: dict, X: np.ndarray, training: bool, dropout_mask=None):
     """Windows (B, T, D) -> predictions (B,) plus a cache for backward."""
-    Hs1, steps1, gates1 = _layer_forward(params["W1"], params["U1"], params["b1"], X)
-    Hs2, steps2, gates2 = _layer_forward(params["W2"], params["U2"], params["b2"], Hs1)
-    hT = Hs2[:, -1]
+    layer1 = _layer_forward(params["W1"], params["U1"], params["b1"], X.transpose(1, 0, 2))
+    Hs1 = layer1[1]
+    layer2 = _layer_forward(params["W2"], params["U2"], params["b2"], Hs1[1:])
+    Hs2 = layer2[1]
+    hT = Hs2[-1]
 
     if training:
         mu = hT.mean(axis=0)
@@ -174,7 +211,7 @@ def forward(params: dict, state: dict, X: np.ndarray, training: bool, dropout_ma
 
     pred = ydo @ params["w_out"] + params["b_out"][0]
     cache = dict(
-        X=X, steps1=steps1, steps2=steps2, gates1=gates1, gates2=gates2, Hs1=Hs1, hT=hT,
+        layer1=layer1, layer2=layer2, hT=hT,
         xhat=xhat, istd=istd, ydo=ydo, mask=dropout_mask, training=training,
     )
     return pred, cache
@@ -197,14 +234,15 @@ def backward(params: dict, cache: dict, dpred: np.ndarray) -> dict:
     else:
         dhT = dxhat * istd
 
-    dHs2 = np.zeros_like(cache["Hs1"])
-    dHs2[:, -1] = dhT
+    Hs2 = cache["layer2"][1]
+    dHs2 = np.zeros_like(Hs2[1:])
+    dHs2[-1] = dhT
     dHs1, grads["W2"], grads["U2"], grads["b2"] = _layer_backward(
-        params["W2"], params["U2"], dHs2, cache["steps2"], cache["gates2"]
+        params["W2"], params["U2"], dHs2, cache["layer2"]
     )
     # nothing reads the gradient with respect to the input windows
     _, grads["W1"], grads["U1"], grads["b1"] = _layer_backward(
-        params["W1"], params["U1"], dHs1, cache["steps1"], cache["gates1"], input_grad=False
+        params["W1"], params["U1"], dHs1, cache["layer1"], input_grad=False
     )
     return grads
 
@@ -273,11 +311,17 @@ def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
         raise ValueError("need a non-empty (n, W, q) window array")
     if X.shape[2] != config.input_dim:
         raise ValueError(f"window dimension {X.shape[2]} does not match config input_dim {config.input_dim}")
+    if y.shape != (len(X),):
+        raise ValueError(f"{len(X)} training windows but labels of shape {y.shape}")
+    if (X_val is None) != (y_val is None):
+        raise ValueError("X_val and y_val must be given together")
     if X_val is not None:
         X_val = np.asarray(X_val, dtype=np.float64)
         y_val = np.asarray(y_val, dtype=np.float64)
         if X_val.shape[1:] != X.shape[1:]:
             raise ValueError("validation windows must match training window shape")
+        if y_val.shape != (len(X_val),):
+            raise ValueError(f"{len(X_val)} validation windows but labels of shape {y_val.shape}")
 
     params = init_params(config)
     # the head starts at the label mean: from 0, the 1e-3 Adam steps cannot

@@ -1,4 +1,5 @@
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -129,19 +130,69 @@ def gradient_check(model: LstmModel, window: np.ndarray, target: float, h: float
     return worst
 
 
-def use_oracle_steps(m):
-    """Swap the oracle step code into the module (m: a monkeypatch context)."""
-    m.setattr(lstm_mod, "_layer_forward", lambda W, U, b, X: (*layer_forward_oracle(W, U, b, X), None))
-    m.setattr(
-        lstm_mod, "_layer_backward",
-        lambda W, U, dHs, steps, gates, input_grad=True: layer_backward_oracle(W, U, dHs, steps),
-    )
+def oracle_layer_forward(W, U, b, X):
+    """The oracle forward on time-major X, returned in the production layer cache layout.
+
+    The oracle reads a (B, T, D) C-ordered copy, the layout the per-step code
+    always ran on; the cell state after the last step is not part of the
+    oracle's steps, so it is NaN here and any use of it shows.
+    """
+    T, B, _ = X.shape
+    H = U.shape[1]
+    Hs_bt, steps = layer_forward_oracle(W, U, b, np.ascontiguousarray(X.transpose(1, 0, 2)))
+    Hs = np.zeros((T + 1, B, H))
+    Cs = np.full((T + 1, B, H), np.nan)
+    S = np.empty((T, 4, B, H))
+    TC = np.empty((T, B, H))
+    for t, (_, h_prev, c_prev, i, f, g, o, tanh_c) in enumerate(steps):
+        Hs[t], Cs[t], TC[t] = h_prev, c_prev, tanh_c
+        S[t] = i, f, g, o
+    Hs[T] = Hs_bt[:, -1]
+    return X, Hs, Cs, S, TC
+
+
+def layer_steps(layer):
+    """Per-step (x_t, h_prev, c_prev, i, f, g, o, tanh_c) tuples of a production layer cache."""
+    X, Hs, Cs, S, TC = layer
+    return [(X[t], Hs[t], Cs[t], *S[t], TC[t]) for t in range(len(X))]
+
+
+def oracle_layer_backward(W, U, dHs, layer, input_grad=True):
+    """The oracle backward on a production layer cache and time-major upstream gradients."""
+    dX, dW, dU, db = layer_backward_oracle(W, U, dHs.transpose(1, 0, 2), layer_steps(layer))
+    return (dX.transpose(1, 0, 2) if input_grad else None), dW, dU, db
+
+
+@contextmanager
+def oracle_steps(monkeypatch):
+    """Swap the oracle step code into the module for the duration of the block.
+
+    Fails unless every ``forward`` ran both its layers through the oracle and
+    every ``backward`` both of its layers, so a hot path that stops calling
+    the swapped functions cannot be compared with itself.
+    """
+    calls = dict(forward=0, backward=0, layer_forward=0, layer_backward=0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(lstm_mod, "forward", counted("forward", lstm_mod.forward))
+        m.setattr(lstm_mod, "backward", counted("backward", lstm_mod.backward))
+        m.setattr(lstm_mod, "_layer_forward", counted("layer_forward", oracle_layer_forward))
+        m.setattr(lstm_mod, "_layer_backward", counted("layer_backward", oracle_layer_backward))
+        yield
+    assert calls["forward"] > 0 and calls["layer_forward"] == 2 * calls["forward"], calls
+    assert calls["backward"] > 0 and calls["layer_backward"] == 2 * calls["backward"], calls
 
 
 def train_oracle(monkeypatch, *args, **kwargs):
     """lstm_train with the oracle step code swapped in."""
-    with monkeypatch.context() as m:
-        use_oracle_steps(m)
+    with oracle_steps(monkeypatch):
         return lstm_train(*args, **kwargs)
 
 
@@ -207,8 +258,8 @@ class TestForward:
         rng = np.random.default_rng(3)
         X = rng.normal(0, 2, size=(6, 5, 3))
         _, cache = forward(model.params, model.state, X, training=False)
-        for steps in (cache["steps1"], cache["steps2"]):
-            for (_, _, _, i, f, g, o, _) in steps:
+        for layer in (cache["layer1"], cache["layer2"]):
+            for (_, _, _, i, f, g, o, _) in layer_steps(layer):
                 assert np.all((i > 0) & (i < 1))
                 assert np.all((f > 0) & (f < 1))
                 assert np.all((o > 0) & (o < 1))
@@ -274,6 +325,26 @@ class TestTraining:
         with pytest.raises(ValueError, match="input_dim"):
             lstm_train(np.zeros((4, 5, 3)), np.zeros(4), cfg)
 
+    @pytest.mark.parametrize(
+        "n_labels, val, match",
+        [
+            (13, None, "10 training windows"),
+            (10, (2, 1), "2 validation windows"),
+            (10, (2, None), "together"),
+        ],
+        ids=["labels_for_training", "labels_for_validation", "windows_without_labels"],
+    )
+    def test_label_mismatch_rejected(self, n_labels, val, match):
+        rng = np.random.default_rng(14)
+        cfg = LstmConfig(input_dim=2, seed=0, max_epochs=2)
+        kwargs = {}
+        if val is not None:
+            n_val, n_val_labels = val
+            kwargs["X_val"] = rng.normal(size=(n_val, 4, 2))
+            kwargs["y_val"] = None if n_val_labels is None else rng.normal(size=n_val_labels)
+        with pytest.raises(ValueError, match=match):
+            lstm_train(rng.normal(size=(10, 4, 2)), rng.normal(size=n_labels), cfg, **kwargs)
+
     def test_divergence_raises_with_config(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(32, 4, 2))
@@ -313,24 +384,43 @@ class TestBitIdentity:
         x = np.array(SPECIAL + [payload_nan, -payload_nan, np.inf, -np.inf])
         assert same_bytes(_sigmoid(x), sigmoid_oracle(x))
 
-    def test_forward_and_grads_match_oracle(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "B, T, D, zero_resid",
+        [
+            (7, 9, 5, False),
+            (1, 9, 5, False),
+            (7, 1, 5, False),
+            (7, 9, 1, False),
+            # y equal to the prediction: the per-step gradients are signed
+            # zeros, and the time sums must start from +0.0 as the oracle's do
+            (7, 9, 5, True),
+        ],
+        ids=["B7_T9_D5", "B1", "T1", "D1", "zero_residual"],
+    )
+    def test_forward_and_grads_match_oracle(self, monkeypatch, B, T, D, zero_resid):
         rng = np.random.default_rng(11)
-        model = tiny_model(q=5)
-        X = rng.normal(0, 3, size=(7, 9, 5))
-        y = rng.normal(size=7)
-        mask = (rng.random((7, 16)) < 0.5) / 0.5
+        model = tiny_model(q=D)
+        X = rng.normal(0, 3, size=(B, T, D))
+        y = rng.normal(size=B)
+        mask = (rng.random((B, 16)) < 0.5) / 0.5
+        if zero_resid:
+            y = forward(model.params, model.state, X, training=True, dropout_mask=mask)[0]
         got = mse_loss_and_grads(model.params, model.state, X, y, training=True, dropout_mask=mask)
-        with monkeypatch.context() as m:
-            use_oracle_steps(m)
+        with oracle_steps(monkeypatch):
             want = mse_loss_and_grads(model.params, model.state, X, y, training=True, dropout_mask=mask)
         assert got[0] == want[0]
+        if zero_resid:
+            assert got[0] == 0.0
+            assert not any(g.any() or np.signbit(g).any() for g in got[1].values())
         for k in want[1]:
             assert same_bytes(got[1][k], want[1][k]), k
-        for key in ("steps1", "steps2"):
-            for got_step, want_step in zip(got[2][key], want[2][key]):
-                assert len(got_step) == 8
+        for key in ("layer1", "layer2"):
+            got_steps, want_steps = layer_steps(got[2][key]), layer_steps(want[2][key])
+            assert len(got_steps) == len(want_steps) == T
+            for got_step, want_step in zip(got_steps, want_steps):
                 for a, b in zip(got_step, want_step):
                     assert same_bytes(a, b)
+        assert same_bytes(got[2]["hT"], want[2]["hT"])
 
     @pytest.mark.parametrize("with_val", [True, False])
     def test_training_matches_oracle(self, monkeypatch, with_val):
