@@ -40,6 +40,11 @@ DEFAULT_LR = 1e-3
 DEFAULT_BATCH = 32
 DEFAULT_EPOCHS = 100
 DEFAULT_CLIP = 5.0
+# the order in which lstm_train sums the squared gradients for the clip norm:
+# the norm's last bits, and so the trained parameters, depend on it. It is
+# the order backward fills its dict in, written out so that no dict order
+# can change it.
+CLIP_ORDER = ("w_out", "b_out", "gamma", "beta", "W2", "U2", "b2", "W1", "U1", "b1")
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
@@ -365,7 +370,7 @@ def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
             state["running_mean"] = (1 - BN_MOMENTUM) * state["running_mean"] + BN_MOMENTUM * mu
             state["running_var"] = (1 - BN_MOMENTUM) * state["running_var"] + BN_MOMENTUM * var
 
-            gnorm = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+            gnorm = np.sqrt(sum(float((grads[k] ** 2).sum()) for k in CLIP_ORDER))
             if config.clip_norm > 0 and gnorm > config.clip_norm:
                 scale = config.clip_norm / gnorm
                 grads = {k: g * scale for k, g in grads.items()}

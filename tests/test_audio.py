@@ -302,34 +302,79 @@ def jittered_pulses(flen, period, rng):
     return x
 
 
+def spike_train(flen, count, rng):
+    """``count`` spikes of heights in [0.5, 1] on a zero floor, about evenly
+    spaced with up to a fifth of the spacing of jitter: at f0 = rate /
+    spacing, every spike is a candidate and a kept peak."""
+    spacing = flen // (count + 1)
+    x = np.zeros(flen)
+    shift = spacing // 5
+    x[spacing * np.arange(1, count + 1) + rng.integers(-shift, shift + 1, count)] = rng.uniform(0.5, 1.0, count)
+    return x, spacing
+
+
+def vq_row(draw, kind, rate, rng):
+    """One frame of ``kind`` and the f0 it is given."""
+    flen = int(round(0.025 * rate))
+    freq = draw(st.floats(55.0, 400.0))
+    if kind == "spikes":
+        x, spacing = spike_train(flen, draw(st.integers(1, 12)), rng)
+        return x, rate / spacing
+    if kind == "ramp":  # no interior maximum: no candidate
+        return np.linspace(-0.5, 1.0, flen), freq
+    if kind == "merged":  # two candidates closer than 0.4 periods: one kept peak
+        x = np.zeros(flen)
+        x[flen // 2], x[flen // 2 + 2] = rng.uniform(0.5, 1.0, 2)
+        return x, rate / 20.0
+    if kind == "zero":
+        x = np.zeros(flen)
+    elif kind == "noise":
+        x = rng.normal(0.0, 0.3, flen)
+    elif kind == "negative":
+        x = -np.abs(rng.normal(0.0, 0.3, flen))
+    elif kind == "pulses":
+        x = jittered_pulses(flen, rate / freq, rng)
+    else:
+        # few amplitude levels: equal peak heights, as in low-level 16-bit audio
+        x = np.round(4.0 * jittered_pulses(flen, rate / freq, rng)) / 4.0
+    return x, draw(st.sampled_from([
+        0.0,  # unvoiced
+        freq,  # the true pitch
+        freq * draw(st.floats(0.5, 2.0)),  # a wrong estimate
+        rate / (draw(st.integers(20, 140)) + 0.5),  # period halfway between two lags
+        1.7 * rate / round(rate / freq),  # the true cycle is 1.7 periods: the longest accepted
+    ]))
+
+
 @st.composite
 def vq_inputs(draw):
     rate = draw(st.sampled_from([8000, 16000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["zero", "noise", "negative", "pulses", "coarse"])
+    rows, f0 = zip(*(vq_row(draw, kind, rate, rng) for kind in draw(st.lists(kinds, min_size=1, max_size=8))))
+    return np.array(rows), rate, np.array(f0)
+
+
+@st.composite
+def vq_block_inputs(draw):
+    """32-64 frames for one call, in a drawn order: every row kind of
+    vq_inputs, an all-zero and an unvoiced row, rows with fewer than two
+    candidates or with two that merge into one peak, and spike trains that
+    keep 7-10 peaks, so that both the peak heights and their differences
+    fall on both sides of np.mean's 8-value pairwise boundary."""
+    rate = draw(st.sampled_from([8000, 16000]))
     flen = int(round(0.025 * rate))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows, f0 = [], []
-    kinds = st.sampled_from(["zero", "noise", "negative", "pulses", "coarse"])
-    for kind in draw(st.lists(kinds, min_size=1, max_size=8)):
-        freq = draw(st.floats(55.0, 400.0))
-        if kind == "zero":
-            rows.append(np.zeros(flen))
-        elif kind == "noise":
-            rows.append(rng.normal(0.0, 0.3, flen))
-        elif kind == "negative":
-            rows.append(-np.abs(rng.normal(0.0, 0.3, flen)))
-        elif kind == "pulses":
-            rows.append(jittered_pulses(flen, rate / freq, rng))
-        else:
-            # few amplitude levels: equal peak heights, as in low-level 16-bit audio
-            rows.append(np.round(4.0 * jittered_pulses(flen, rate / freq, rng)) / 4.0)
-        f0.append(draw(st.sampled_from([
-            0.0,  # unvoiced
-            freq,  # the true pitch
-            freq * draw(st.floats(0.5, 2.0)),  # a wrong estimate
-            rate / (draw(st.integers(20, 140)) + 0.5),  # period halfway between two lags
-            1.7 * rate / round(rate / freq),  # the true cycle is 1.7 periods: the longest accepted
-        ])))
-    return np.array(rows), rate, np.array(f0)
+    rows = [(np.zeros(flen), 100.0), (rng.normal(0.0, 0.3, flen), 0.0)]
+    rows += [vq_row(draw, kind, rate, rng) for kind in ("ramp", "merged")]
+    for count in (1, 7, 8, 9, 10):
+        x, spacing = spike_train(flen, count, rng)
+        rows.append((x, rate / spacing))
+    kinds = st.sampled_from(["zero", "noise", "negative", "pulses", "coarse", "spikes", "ramp", "merged"])
+    extra = draw(st.lists(kinds, min_size=32 - len(rows), max_size=64 - len(rows)))
+    rows += [vq_row(draw, kind, rate, rng) for kind in extra]
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i][0] for i in order]), rate, np.array([rows[i][1] for i in order])
 
 
 class TestVoiceQualityOracle:
@@ -342,6 +387,11 @@ class TestVoiceQualityOracle:
     @settings(max_examples=150, deadline=None)
     @given(vq_inputs())
     def test_matches_per_frame_loop_bytes(self, case):
+        self.check(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(vq_block_inputs())
+    def test_block_of_mixed_frames_matches_per_frame_loop_bytes(self, case):
         self.check(*case)
 
     def test_many_cycle_frames_take_the_pairwise_mean_path(self):
@@ -789,7 +839,7 @@ class TestSessionVectors:
         # M from one pass equals the groups extracted one by one, merged in P, S, VQ order
         m = session_acoustic_vector(s, "M")
         groups = [session_acoustic_vector(s, g) for g in ("P", "S", "VQ")]
-        assert (m.group, m.session_id) == ("M", s.id)
+        assert m.session_id == s.id
         assert m.names == sum((v.names for v in groups), ())
         assert m.values.tobytes() == np.concatenate([v.values for v in groups]).tobytes()
 

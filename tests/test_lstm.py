@@ -354,6 +354,29 @@ class TestTraining:
         with pytest.raises(LstmDivergenceError, match="config"):
             lstm_train(X, y, cfg)
 
+    def test_clip_norm_does_not_depend_on_gradient_dict_order(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        X = rng.normal(0, 2, size=(40, 7, 3))
+        y = rng.normal(size=40)
+        # a clip norm this small clips every step, so the norm's last bits reach the parameters
+        cfg = LstmConfig(input_dim=3, seed=2, max_epochs=3, clip_norm=0.01)
+        assert sorted(lstm_mod.CLIP_ORDER) == sorted(init_params(cfg))
+        want = lstm_train(X, y, cfg)
+        backward, orders = lstm_mod.backward, []
+
+        def reversed_backward(params, cache, dpred):
+            grads = backward(params, cache, dpred)
+            orders.append(tuple(reversed(grads)))
+            return {k: grads[k] for k in orders[-1]}
+
+        with monkeypatch.context() as m:
+            m.setattr(lstm_mod, "backward", reversed_backward)
+            got = lstm_train(X, y, cfg)
+        assert orders and orders[0] != lstm_mod.CLIP_ORDER
+        assert got.curve == want.curve
+        for k in want.params:
+            assert same_bytes(got.params[k], want.params[k]), k
+
     def test_same_seed_reproduces_training(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(40, 4, 2))
