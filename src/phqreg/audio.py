@@ -226,12 +226,18 @@ def spectral_llds(frames: FrameSet, previous: np.ndarray | None = None) -> dict[
 
     # band energies are summed bin by bin, left to right: .sum(axis=1) on the
     # column-major masked copy does that for several frames but sums one
-    # frame pairwise, so the block size would change the last bits. The copy
-    # lets the block's cumulative sums go.
-    for (lo, hi), name in zip(SPECTRAL_BANDS, SPECTRAL_LLDS[:4]):
-        tracks[name] = np.cumsum(power[:, (freqs >= lo) & (freqs <= hi)], axis=1)[:, -1].copy()
-
+    # frame pairwise, so the block size would change the last bits. A band
+    # that starts at bin 0 is a column of the roll-off's cumulative sum, the
+    # same prefix sum; the others sum a masked copy. The copies let the
+    # block's cumulative sums go.
     cum = np.cumsum(power, axis=1)
+    for (lo, hi), name in zip(SPECTRAL_BANDS, SPECTRAL_LLDS[:4]):
+        band = (freqs >= lo) & (freqs <= hi)
+        if lo == 0.0:
+            tracks[name] = cum[:, np.flatnonzero(band)[-1]].copy()
+        else:
+            tracks[name] = np.cumsum(power[:, band], axis=1)[:, -1].copy()
+
     for pct, name in zip(ROLLOFF_PERCENTS, SPECTRAL_LLDS[4:8]):
         idx = np.argmax(cum >= pct * total[:, None], axis=1)
         tracks[name] = np.where(nonzero, freqs[idx], 0.0)

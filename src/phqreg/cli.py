@@ -3,6 +3,11 @@
 Verbs: extract, train, eval, cv, tune-relief, synth, show-config. Exit code 0
 on success; on failure a machine-readable ``ERROR <message>`` line goes to
 stderr and the exit code is nonzero.
+
+Each verb runs in its own process, so a verb loads only the code its
+modality runs: this module and pipeline import no feature family, learner,
+Relief or the synthesizer at module level (see pipeline's docstring for
+where each is imported).
 """
 
 from __future__ import annotations
@@ -13,9 +18,8 @@ import logging
 import sys
 from dataclasses import fields
 
-from .config import ConfigError, PipelineConfig, config_text, load_config
+from .config import ConfigError, PipelineConfig, SynthSpec, config_text, load_config
 from .pipeline import PipelineError, run_cv, run_eval, run_extract, run_train, run_tune_relief
-from .synth import SynthSpec, gen_synthetic
 
 
 def _error_line(parser: argparse.ArgumentParser, message: str) -> None:
@@ -85,6 +89,8 @@ def main(argv=None) -> int:
 
         cfg = _config_from_args(args).validate()
         if args.command == "synth":
+            from .synth import gen_synthetic
+
             values = {f.name: getattr(cfg, f"synth_{f.name}") for f in fields(SynthSpec)}
             values["modalities"] = values["modalities"].split()
             spec = SynthSpec(**values)

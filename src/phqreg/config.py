@@ -6,6 +6,10 @@ pipeline), so no key names one. The paper's fixed hyperparameters are not
 keys here either: the learners' own defaults hold them.
 Relief's ``[relief] threshold`` and ``k`` are the one place a tuned point
 goes: ``tune-relief`` prints the pair to copy there.
+
+Every verb loads this module, so it imports no other phqreg module: the
+defaults that the config shares with a family (the LSTM epoch budget, the
+Relief point, ``SynthSpec``) are defined here and imported by that family.
 """
 
 from __future__ import annotations
@@ -13,10 +17,6 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, fields
 from pathlib import Path
-
-from . import relief
-from .models.lstm import DEFAULT_EPOCHS
-from .synth import SynthSpec
 
 MODALITIES = (
     "acoustic:S", "acoustic:P", "acoustic:VQ", "acoustic:M", "acoustic:M+FS",
@@ -26,8 +26,43 @@ MODALITIES = (
 )
 
 
+# the paper's fixed LSTM epoch budget and Relief operating point; models.lstm
+# and relief take their defaults from here
+DEFAULT_EPOCHS = 100
+DEFAULT_RELIEF_THRESHOLD = 0.02
+DEFAULT_RELIEF_K = 20
+
+
 class ConfigError(ValueError):
     pass
+
+
+@dataclass
+class SynthSpec:
+    """What ``synth.gen_synthetic`` writes: split sizes, depressed shares, modalities and rates."""
+
+    n_train: int = 107
+    n_dev: int = 35
+    depressed_fraction_train: float = 0.28
+    depressed_fraction_dev: float = 0.34
+    modalities: tuple[str, ...] = ("transcript", "audio", "landmarks")
+    audio_rate: int = 8000
+    landmark_fps: float = 2.0
+    turn_pairs: int = 10
+    fail_prob: float = 0.02
+
+    def __post_init__(self):
+        known = {"transcript", "audio", "landmarks"}
+        mods = tuple(self.modalities)
+        if not mods or not set(mods) <= known:
+            raise ValueError(f"modalities must be a non-empty subset of {sorted(known)}, got {mods}")
+        if self.n_train < 1 or self.n_dev < 0:
+            raise ValueError("need at least one training session and a non-negative dev count")
+        if not (0.0 <= self.depressed_fraction_train <= 1.0 and 0.0 <= self.depressed_fraction_dev <= 1.0):
+            raise ValueError("depressed fractions must lie in [0, 1]")
+        if self.turn_pairs < 4:
+            raise ValueError("need at least 4 turn pairs to place the scripted queries")
+        object.__setattr__(self, "modalities", mods)
 
 
 @dataclass
@@ -41,8 +76,8 @@ class PipelineConfig:
     # [lstm]
     lstm_max_epochs: int = DEFAULT_EPOCHS
     # [relief]
-    relief_threshold: float = relief.DEFAULT_THRESHOLD
-    relief_k: int = relief.DEFAULT_K
+    relief_threshold: float = DEFAULT_RELIEF_THRESHOLD
+    relief_k: int = DEFAULT_RELIEF_K
     # [text]
     text_embeddings: str = ""
     # [synth]

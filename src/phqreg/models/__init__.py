@@ -3,16 +3,17 @@
 Model files are versioned, self-describing JSON: a format version, the model
 kind, hyperparameters, normalization statistics and parameters. Loading a
 file with a mismatched format version fails loudly.
+
+Each learner lives in the submodule named after its kind (``svr``,
+``reptree``, ``lstm``). The package imports none of them: ``load_model``
+imports only the one whose file it reads.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 from pathlib import Path
-
-from .lstm import LstmConfig, LstmModel, lstm_train
-from .reptree import RepTreeModel, reptree_train
-from .svr import SvrModel, svr_train
 
 MODEL_FORMAT_VERSION = 2
 
@@ -21,7 +22,8 @@ class ModelFormatError(ValueError):
     pass
 
 
-_MODEL_KINDS = {"svr": SvrModel, "reptree": RepTreeModel, "lstm": LstmModel}
+# model kind -> the class in phqreg.models.<kind> that reads its files
+_MODEL_CLASSES = {"svr": "SvrModel", "reptree": "RepTreeModel", "lstm": "LstmModel"}
 
 
 def save_model(model, path, extra: dict | None = None) -> None:
@@ -42,15 +44,10 @@ def load_model(path) -> tuple[object, dict]:
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"{path}: model format version {version!r}, expected {MODEL_FORMAT_VERSION}")
     kind = payload.get("kind")
-    cls = _MODEL_KINDS.get(kind)
-    if cls is None:
+    if kind not in _MODEL_CLASSES:
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+    cls = getattr(importlib.import_module(f"{__name__}.{kind}"), _MODEL_CLASSES[kind])
     return cls.from_dict(payload["model"]), payload.get("extra", {})
 
 
-__all__ = [
-    "LstmConfig", "LstmModel", "lstm_train",
-    "RepTreeModel", "reptree_train",
-    "SvrModel", "svr_train",
-    "save_model", "load_model", "ModelFormatError", "MODEL_FORMAT_VERSION",
-]
+__all__ = ["save_model", "load_model", "ModelFormatError", "MODEL_FORMAT_VERSION"]

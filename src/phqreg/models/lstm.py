@@ -34,11 +34,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..config import DEFAULT_EPOCHS
+
 HIDDEN_SIZE = 16
 DEFAULT_DROPOUT = 0.5
 DEFAULT_LR = 1e-3
 DEFAULT_BATCH = 32
-DEFAULT_EPOCHS = 100
 DEFAULT_CLIP = 5.0
 # the order in which lstm_train sums the squared gradients for the clip norm:
 # the norm's last bits, and so the trained parameters, depend on it. It is

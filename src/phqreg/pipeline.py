@@ -32,6 +32,13 @@ tuned point only through [relief] threshold and k.
 
 Outputs are deterministic for a fixed config + seed; wall-clock timing goes
 to the log only, never into report files.
+
+Each verb is a short process, so this module imports at module level only
+what every verb needs (corpus, config, metrics and the model file I/O). A
+family's code is imported where the family is dispatched: audio, turns,
+textfeats and face in their ``_extract_*`` function, face and the LSTM in the
+visual branches of fit_predictor and predict_sessions, the SVR and REPTree in
+_tabular_fitter, and relief in the Relief and fold paths.
 """
 
 from __future__ import annotations
@@ -48,18 +55,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corpus, face, relief, textfeats, turns
-from .audio import session_acoustic_vector
+from . import corpus
 from .config import MACHINE_PATHS, PipelineConfig, config_text
 from .metrics import MetricError, evs as evs_fn, mae as mae_fn, rmse as rmse_fn
-from .models import (
-    LstmConfig,
-    load_model,
-    lstm_train,
-    reptree_train,
-    save_model,
-    svr_train,
-)
+from .models import load_model, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -225,7 +224,9 @@ def _session_rows(index, need: tuple[str, ...], describe) -> dict:
 
 
 def _extract_acoustic(index, variant: str):
-    vectors = _session_rows(index, ("transcript", "audio"), lambda session: session_acoustic_vector(session, variant))
+    from . import audio
+
+    vectors = _session_rows(index, ("transcript", "audio"), partial(audio.session_acoustic_vector, group=variant))
     found = [vec for rows in vectors.values() for vec in rows.values()]
     if not found:
         raise PipelineError("acoustic extraction produced no sessions")
@@ -233,11 +234,15 @@ def _extract_acoustic(index, variant: str):
 
 
 def _extract_behavioral(index):
+    from . import turns
+
     rows = _session_rows(index, ("transcript",), lambda session: turns.behavioral_vector(session.turns)[1])
     return turns.BEHAVIORAL_NAMES, rows
 
 
 def _extract_text(index, cfg: PipelineConfig, variant: str):
+    from . import textfeats
+
     docs = _session_rows(index, ("transcript",), textfeats.build_document)
     if not docs["train"]:
         raise PipelineError("text extraction found no training transcripts")
@@ -265,23 +270,24 @@ def _windows_paths(out_dir: Path, split: str) -> tuple[Path, Path]:
     return artifact_path(out_dir, "windows", "visual", split), artifact_path(out_dir, "windows_meta", "visual", split)
 
 
-@contextmanager
-def _naming_session(sid: str):
-    """Re-raise a degenerate landmark frame as an error that names its session."""
-    try:
-        yield
-    except face.DegenerateFrameError as exc:
-        raise PipelineError(f"session {sid}: {exc}") from None
-
-
 def _extract_visual(index, out_dir: Path) -> list[Path]:
+    from . import face
+
+    @contextmanager
+    def naming_session(sid: str):
+        """Re-raise a degenerate landmark frame as an error that names its session."""
+        try:
+            yield
+        except face.DegenerateFrameError as exc:
+            raise PipelineError(f"session {sid}: {exc}") from None
+
     landmarks = _session_rows(index, ("landmarks",), lambda session: session.landmarks)
     if not landmarks["train"]:
         raise PipelineError("visual extraction found no training landmark files")
 
     def train_geometry():  # keeps no frames: fit_pca concatenates and owns them
         for sid, lm in landmarks["train"].items():
-            with _naming_session(sid):
+            with naming_session(sid):
                 yield face.geometric_frames(lm)
 
     pca = face.fit_pca(train_geometry(), face.DEFAULT_VARIANCE_KEEP)
@@ -306,7 +312,7 @@ def _extract_visual(index, out_dir: Path) -> list[Path]:
     for split in SPLITS:
         batches, sids = [], []
         for sid, lm in landmarks[split].items():
-            with _naming_session(sid):
+            with naming_session(sid):
                 batch = face.window_sequence(lm, pca, face.DEFAULT_WINDOW, face.DEFAULT_OVERLAP)
             if len(batch.windows):
                 batches.append(batch.windows)
@@ -422,11 +428,17 @@ def _load_split(cfg: PipelineConfig, index: CorpusIndex, split: str) -> Sessions
 def _tabular_fitter(cfg: PipelineConfig):
     """``fit(X, y) -> model``: REPTree for behavioral features, else the SVR (linear for text)."""
     if cfg.family() == "behavioral":
+        from .models.reptree import reptree_train
+
         return partial(reptree_train, seed=cfg.seed)
+    from .models.svr import svr_train
+
     return partial(svr_train, kernel="linear" if cfg.family() == "text" else "rbf")
 
 
 def _relief_select(cfg: PipelineConfig, names, X, y) -> tuple[list[int], dict]:
+    from . import relief
+
     th, k = cfg.relief_threshold, cfg.relief_k
     weights = relief.relief_weights(X, relief.binarize_labels(y), k)
     selected = relief.select_top(weights, th)
@@ -452,6 +464,9 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
             selected, extra["relief"] = _relief_select(cfg, data.names, X, data.y)
             X = X[:, selected]
         return fit(X, data.y), extra
+
+    from . import face
+    from .models.lstm import LstmConfig, lstm_train
 
     if len(data.windows) == 0:
         raise PipelineError("no tracking-clean training windows; cannot train the LSTM")
@@ -487,6 +502,8 @@ def predict_sessions(model, extra: dict, data: Sessions) -> tuple[np.ndarray, di
         if "relief" in extra:
             X = X[:, [data.names.index(n) for n in extra["relief"]["selected_names"]]]
         return model.predict(X), {}
+
+    from . import face
 
     if data.windows.shape[1:] != (extra.get("window"), extra.get("q")):
         raise PipelineError("window batch geometry does not match the trained model")
@@ -613,6 +630,8 @@ def run_cv(cfg: PipelineConfig) -> dict:
     Each fold fits on its training sessions and predicts its held-out ones
     through fit_predictor and predict_sessions, as train and eval do.
     """
+    from . import relief
+
     t0 = time.monotonic()
     index = scan_corpus(cfg.root)
     out_dir = Path(cfg.out_dir)
@@ -650,6 +669,8 @@ def run_tune_relief(cfg: PipelineConfig) -> tuple[float, int]:
     """Grid-tune (threshold, k) by 3-fold CV on the training split."""
     if cfg.family() == "visual":
         raise PipelineError("relief tuning needs a tabular modality (acoustic, behavioral or text), not visual")
+    from . import relief
+
     index = scan_corpus(cfg.root)
     data = _load_split(cfg, index, "train")
     th, k, scores = relief.tune_relief(data.X, data.y, _tabular_fitter(cfg), seed=cfg.seed)

@@ -22,13 +22,12 @@ import logging
 
 import numpy as np
 
+from .config import DEFAULT_RELIEF_K, DEFAULT_RELIEF_THRESHOLD
 from .corpus import PHQ8_DEPRESSED_CUTOFF
 from .models.svr import min_max_scale
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_THRESHOLD = 0.02
-DEFAULT_K = 20
 DEFAULT_N_MAX = 20  # at most this many features are selected
 GRID_THRESHOLDS = (0.02, 0.0, -0.02)
 GRID_KS = (5, 10, 15, 20)
@@ -86,12 +85,14 @@ def relief_weights_by_k(X, y_class, ks) -> dict[int, np.ndarray]:
     return {k: acc / (n * k) for k, acc in sums.items()}
 
 
-def relief_weights(X, y_class, k: int = DEFAULT_K) -> np.ndarray:
+def relief_weights(X, y_class, k: int = DEFAULT_RELIEF_K) -> np.ndarray:
     """Relief weights for binary-class data; requires k+1 instances per class."""
     return relief_weights_by_k(X, y_class, (k,))[k]
 
 
-def select_top(weights: np.ndarray, threshold: float = DEFAULT_THRESHOLD, n_max: int = DEFAULT_N_MAX) -> list[int]:
+def select_top(
+    weights: np.ndarray, threshold: float = DEFAULT_RELIEF_THRESHOLD, n_max: int = DEFAULT_N_MAX
+) -> list[int]:
     """Indices with weight > threshold, best first, at most n_max (ties by index)."""
     w = np.asarray(weights)
     above = [i for i in range(len(w)) if w[i] > threshold]

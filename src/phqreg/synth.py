@@ -27,11 +27,11 @@ Corpus layout::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import SynthSpec  # re-exported: the spec is defined with the config it fills
 from .corpus import (
     AudioSignal,
     LandmarkSequence,
@@ -67,32 +67,6 @@ AGENT_SMALLTALK = (
 QUESTION_DEP = ("have", "you", "ever", "been", "diagnosed", "with", "depression")
 QUESTION_PTSD = ("do", "you", "have", "ptsd")
 QUESTION_MB = ("did", "you", "ever", "serve", "in", "the", "military")
-
-
-@dataclass
-class SynthSpec:
-    n_train: int = 107
-    n_dev: int = 35
-    depressed_fraction_train: float = 0.28
-    depressed_fraction_dev: float = 0.34
-    modalities: tuple[str, ...] = ("transcript", "audio", "landmarks")
-    audio_rate: int = 8000
-    landmark_fps: float = 2.0
-    turn_pairs: int = 10
-    fail_prob: float = 0.02
-
-    def __post_init__(self):
-        known = {"transcript", "audio", "landmarks"}
-        mods = tuple(self.modalities)
-        if not mods or not set(mods) <= known:
-            raise ValueError(f"modalities must be a non-empty subset of {sorted(known)}, got {mods}")
-        if self.n_train < 1 or self.n_dev < 0:
-            raise ValueError("need at least one training session and a non-negative dev count")
-        if not (0.0 <= self.depressed_fraction_train <= 1.0 and 0.0 <= self.depressed_fraction_dev <= 1.0):
-            raise ValueError("depressed fractions must lie in [0, 1]")
-        if self.turn_pairs < 4:
-            raise ValueError("need at least 4 turn pairs to place the scripted queries")
-        object.__setattr__(self, "modalities", mods)
 
 
 def _face_template() -> np.ndarray:

@@ -14,6 +14,8 @@ from phqreg.audio import (
     GROUP_NAMES,
     HOP_SECONDS,
     MIN_FRAMES,
+    SPECTRAL_BANDS,
+    SPECTRAL_LLDS,
     EmptyInputError,
     FrameSet,
     add_derivatives,
@@ -111,6 +113,21 @@ class TestSpectral:
         total = tracks["band_0_250"] + tracks["band_1000_4000"]
         assert np.all(tracks["band_0_250"] >= 0.99 * total)
         assert np.all(tracks["band_1000_4000"] <= 0.01 * tracks["band_0_250"])
+
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    def test_band_energies_are_left_to_right_bin_sums(self, rate):
+        # bands from bin 0 come from the roll-off's cumulative sum, the others
+        # from a masked copy: each must equal the sequential sum of its bins
+        # (one-frame blocks are where a pairwise sum would differ)
+        rng = np.random.default_rng(3)
+        frames = frames_of(rng.normal(0, 0.3, rate // 2), rate)
+        freqs = np.fft.rfftfreq(frames.frame_len, d=1.0 / rate)
+        for block in (frames, *(frames.block(i, i + 1) for i in range(8))):
+            tracks = spectral_llds(block)
+            power = np.abs(np.fft.rfft(block.samples * np.hamming(block.frame_len), axis=1)) ** 2
+            for (lo, hi), name in zip(SPECTRAL_BANDS, SPECTRAL_LLDS[:4]):
+                want = np.cumsum(power[:, (freqs >= lo) & (freqs <= hi)], axis=1)[:, -1]
+                assert tracks[name].tobytes() == want.tobytes(), (len(block), name)
 
     def test_stationary_signal_zero_flux(self):
         # 100 Hz at 16 kHz: the period (160) equals the hop, so frames repeat

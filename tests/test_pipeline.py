@@ -734,6 +734,7 @@ class TestVisualPipeline:
         assert np.isfinite(rows["pooled_mae"])
 
     def test_visual_cv_folds_hold_out_validation_sessions_like_train(self, full_corpus, tmp_path, monkeypatch):
+        import phqreg.models.lstm as lstm_mod
         import phqreg.pipeline as pipeline
 
         out = tmp_path / "vis_val"
@@ -744,7 +745,7 @@ class TestVisualPipeline:
         owner = {w.tobytes(): sid for w, sid in zip(np.load(out / "visual_train_windows.npy"), meta["session_ids"])}
         assert len(owner) == len(meta["session_ids"])
         calls = []
-        real_train = pipeline.lstm_train
+        real_train = lstm_mod.lstm_train
 
         def recorder(X, y, config, X_val=None, y_val=None):
             fit_sids = {owner[w.tobytes()] for w in X}
@@ -752,7 +753,8 @@ class TestVisualPipeline:
             calls.append((fit_sids, val_sids, config.seed))
             return real_train(X, y, config, X_val=X_val, y_val=y_val)
 
-        monkeypatch.setattr(pipeline, "lstm_train", recorder)
+        # fit_predictor imports lstm_train from its module on each visual fit
+        monkeypatch.setattr(lstm_mod, "lstm_train", recorder)
         run_train(cfg)
         run_cv(cfg)
         lines = (out / "cv_predictions_visual.csv").read_text().splitlines()[1:]

@@ -1,0 +1,69 @@
+"""Start-up: a CLI verb loads only the code of the modality it runs.
+
+Every verb is a process of its own, so what it imports is part of its cost.
+Each check runs in a fresh interpreter and reads the ``phqreg.*`` entries of
+``sys.modules`` (numpy's own submodules vary with its version).
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import phqreg
+from phqreg.cli import main
+from phqreg.synth import SynthSpec, gen_synthetic
+
+SRC = Path(phqreg.__file__).resolve().parent.parent
+FAMILIES = {f"phqreg.{name}" for name in ("audio", "face", "textfeats", "turns", "relief", "synth")}
+LEARNERS = {"phqreg.models.svr", "phqreg.models.reptree", "phqreg.models.lstm"}
+
+
+def loaded_after(code: str) -> set[str]:
+    """The phqreg modules a fresh interpreter holds after running ``code``."""
+    probe = f"{code}\nimport sys\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('phqreg'))))"
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("startup_corpus")
+    gen_synthetic(SynthSpec(n_train=6, n_dev=2, modalities=("transcript", "audio"), turn_pairs=4), root, seed=1)
+    return root
+
+
+def run_verb(verb: str, modality: str, root, out) -> set[str]:
+    args = [verb, "--corpus", str(root), "--out", str(out), "--modality", modality, "--seed", "1"]
+    return loaded_after(f"from phqreg.cli import main\nassert main({args!r}) == 0")
+
+
+def test_cli_import_loads_no_family_learner_or_synth():
+    loaded = loaded_after("import phqreg.cli")
+    assert "phqreg.pipeline" in loaded
+    assert loaded & (FAMILIES | LEARNERS) == set()
+
+
+def test_extract_behavioral_loads_no_audio_face_or_lstm(tiny_corpus, tmp_path):
+    loaded = run_verb("extract", "behavioral", tiny_corpus, tmp_path)
+    assert "phqreg.turns" in loaded
+    assert loaded & {"phqreg.audio", "phqreg.face", "phqreg.models.lstm"} == set()
+
+
+def test_extract_acoustic_loads_no_face_text_or_learner(tiny_corpus, tmp_path):
+    loaded = run_verb("extract", "acoustic:S", tiny_corpus, tmp_path)
+    assert "phqreg.audio" in loaded
+    assert loaded & ({"phqreg.face", "phqreg.textfeats"} | LEARNERS) == set()
+
+
+def test_eval_loads_only_the_learner_of_its_model_file(tiny_corpus, tmp_path):
+    for verb in ("extract", "train"):
+        assert main([verb, "--corpus", str(tiny_corpus), "--out", str(tmp_path),
+                     "--modality", "behavioral", "--seed", "1"]) == 0
+    loaded = run_verb("eval", "behavioral", tiny_corpus, tmp_path)
+    assert loaded & (FAMILIES | LEARNERS) == {"phqreg.models.reptree"}
