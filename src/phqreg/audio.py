@@ -39,9 +39,12 @@ the line and parabola fits in closed form. The merged vector M is the P, S
 and VQ values of that single pass, concatenated in that order. Every
 reduction runs along a row, so a group's values do not depend on which other
 groups share the pass, and M's slices equal the separately extracted groups
-byte for byte. The functionals are within 1e-9 (absolute and relative) of
-the per-track definition (np.polyfit fits, one track at a time), not byte
-equal to it.
+byte for byte. That is why ``extract acoustic:M`` may write its stores from
+the S, P and VQ stores instead of calling session_acoustic_vector: it does
+so when their manifests (see pipeline) match the current corpus, code and
+stores, and runs the full pass otherwise. The functionals are within 1e-9
+(absolute and relative) of the per-track definition (np.polyfit fits, one
+track at a time), not byte equal to it.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ GROUP_NAMES = {
     for g, llds in GROUP_LLDS.items()
 }
 # the merged vector M: P, S and VQ in that order
-GROUP_NAMES["M"] = GROUP_NAMES["P"] + GROUP_NAMES["S"] + GROUP_NAMES["VQ"]
+M_GROUPS = ("P", "S", "VQ")
+GROUP_NAMES["M"] = tuple(name for g in M_GROUPS for name in GROUP_NAMES[g])
 
 # frames per block of the acoustic pass: bounds every frame-sized array (the
 # block's frames, spectrum and ACF, about 16 MB at 16 kHz) whatever the
@@ -577,7 +581,7 @@ def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
     if len(frames) < MIN_FRAMES:
         raise EmptyInputError(f"session {session.id}: {len(frames)} frames, fewer than the delta window ({MIN_FRAMES})")
 
-    groups = ("P", "S", "VQ") if group == "M" else (group,)
+    groups = M_GROUPS if group == "M" else (group,)
     rows = [(g, name) for g in groups for name in GROUP_LLDS[g]]
     base = np.empty((len(rows), len(frames)))  # one row per LLD, in GROUP_NAMES order
     previous, held_f0 = None, 0.0  # state carried over block edges

@@ -5,9 +5,10 @@ on success; on failure a machine-readable ``ERROR <message>`` line goes to
 stderr and the exit code is nonzero.
 
 Each verb runs in its own process, so a verb loads only the code its
-modality runs: this module and pipeline import no feature family, learner,
-Relief or the synthesizer at module level (see pipeline's docstring for
-where each is imported).
+modality runs: this module imports pipeline only in the five verbs that run
+it, and the synthesizer only in ``synth``; pipeline imports no feature
+family, learner or Relief at module level (see its docstring for where each
+is imported).
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import logging
 import sys
 from dataclasses import fields
 
-from .config import ConfigError, PipelineConfig, SynthSpec, config_text, load_config
-from .pipeline import PipelineError, run_cv, run_eval, run_extract, run_train, run_tune_relief
+from .config import PipelineConfig, SynthSpec, config_text, load_config
 
 
 def _error_line(parser: argparse.ArgumentParser, message: str) -> None:
@@ -101,6 +101,8 @@ def main(argv=None) -> int:
             )
             return 0
 
+        from .pipeline import run_cv, run_eval, run_extract, run_train, run_tune_relief
+
         if args.command == "extract":
             for path in run_extract(cfg):
                 print(path)
@@ -119,7 +121,7 @@ def main(argv=None) -> int:
             print(f"relief_threshold = {th}")
             print(f"relief_k = {k}")
         return 0
-    except (ConfigError, PipelineError, ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # ConfigError and PipelineError are ValueErrors
         print(f"ERROR {exc}", file=sys.stderr)
         return 2
 

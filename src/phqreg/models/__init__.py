@@ -6,7 +6,8 @@ file with a mismatched format version fails loudly.
 
 Each learner lives in the submodule named after its kind (``svr``,
 ``reptree``, ``lstm``). The package imports none of them: ``load_model``
-imports only the one whose file it reads.
+imports only the one whose file it reads. The min-max scaling that the SVR
+and Relief share lives here, so Relief loads no learner.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import importlib
 import json
 from pathlib import Path
 
-MODEL_FORMAT_VERSION = 2
+import numpy as np
+
+MODEL_FORMAT_VERSION = 3
 
 
 class ModelFormatError(ValueError):
@@ -24,6 +27,15 @@ class ModelFormatError(ValueError):
 
 # model kind -> the class in phqreg.models.<kind> that reads its files
 _MODEL_CLASSES = {"svr": "SvrModel", "reptree": "RepTreeModel", "lstm": "LstmModel"}
+
+
+def min_max_scale(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
+    """(X - mins) / (maxs - mins) per column; a column with maxs == mins maps to 0."""
+    ranges = maxs - mins
+    out = np.zeros_like(X)
+    ok = ranges > 0
+    out[:, ok] = (X[:, ok] - mins[ok]) / ranges[ok]
+    return out
 
 
 def save_model(model, path, extra: dict | None = None) -> None:

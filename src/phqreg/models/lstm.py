@@ -20,8 +20,10 @@ tanh) and writes its gates (gate by gate, so each is a contiguous block), cell
 state and tanh(c) into the buffers. The backward loop keeps only the
 recurrence (dh, dc, the gate gradients and da @ U); the weight and bias
 gradients and the second layer's input gradient are stacked products after
-it, summed over reversed time from +0.0. numpy's stacked matmul runs the same
-per-slice GEMM as a per-step product, and the sums keep the per-step
+it, summed over reversed time from +0.0. The weight gradients are formed
+SUM_CHUNK_STEPS steps at a time, so no T x 4H x D stack of per-step products
+is ever alive. numpy's stacked matmul runs the same per-slice GEMM as a
+per-step product, whatever the stack's length, and the sums keep the per-step
 accumulation order, so parameters, the loss curve and predictions are
 bit-identical to a per-step loop that activates each gate separately with a
 boolean-mask sigmoid; tests/test_lstm.py keeps that form as its oracle. One
@@ -46,6 +48,9 @@ DEFAULT_CLIP = 5.0
 # the order backward fills its dict in, written out so that no dict order
 # can change it.
 CLIP_ORDER = ("w_out", "b_out", "gamma", "beta", "W2", "U2", "b2", "W1", "U1", "b1")
+# steps per stacked product of the weight-gradient sums: bounds the stack of
+# per-step (4H, D) products whatever the window length
+SUM_CHUNK_STEPS = 8
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
@@ -148,6 +153,16 @@ def _sum_over_time(P):
     return total
 
 
+def _sum_products_over_time(dA_T, X):
+    """Sum of dA_T[t] @ X[t] over reversed time from +0.0, stacked SUM_CHUNK_STEPS steps at a time."""
+    total = np.zeros((dA_T.shape[1], X.shape[2]))
+    for hi in range(len(X), 0, -SUM_CHUNK_STEPS):
+        lo = max(hi - SUM_CHUNK_STEPS, 0)
+        for p in np.matmul(dA_T[lo:hi], X[lo:hi])[::-1]:
+            total += p
+    return total
+
+
 def _layer_backward(W, U, dHs, layer, input_grad=True):
     """Backprop through one layer given (T, B, H) upstream gradients; dX is None unless ``input_grad``.
 
@@ -184,8 +199,8 @@ def _layer_backward(W, U, dHs, layer, input_grad=True):
         dh_next = np.dot(da, U)
         dc_next = dc * f
     dA_T = dA.transpose(0, 2, 1)
-    dW = _sum_over_time(np.matmul(dA_T, X))
-    dU = _sum_over_time(np.matmul(dA_T, Hs[:-1]))
+    dW = _sum_products_over_time(dA_T, X)
+    dU = _sum_products_over_time(dA_T, Hs[:-1])
     db = _sum_over_time(dA.sum(axis=1))
     dX = np.matmul(dA, W) if input_grad else None
     return dX, dW, dU, db

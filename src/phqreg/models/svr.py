@@ -8,8 +8,9 @@ u = [+1...; -1...]:
 
 with Qhat[s,t] = u_s u_t K(x_s, x_t) and p = [eps - y; eps + y]. Working pairs
 are chosen by maximal KKT violation; training stops when the violation gap
-drops below ``tol``. Inputs are min-max normalized to [0,1] with ranges
-stored from the training data.
+drops below ``tol``, and the model keeps that final gap as ``kkt_gap``.
+Inputs are min-max normalized to [0,1] with ranges stored from the training
+data.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import min_max_scale
 
 DEFAULT_C = 1.0
 DEFAULT_GAMMA = 0.01
@@ -34,15 +37,6 @@ def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contains non-finite values")
     return a
-
-
-def min_max_scale(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
-    """(X - mins) / (maxs - mins) per column; a column with maxs == mins maps to 0."""
-    ranges = maxs - mins
-    out = np.zeros_like(X)
-    ok = ranges > 0
-    out[:, ok] = (X[:, ok] - mins[ok]) / ranges[ok]
-    return out
 
 
 def kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -68,6 +62,7 @@ class SvrModel:
     maxs: np.ndarray
     dual_objective: float
     n_iter: int
+    kkt_gap: float  # the KKT violation gap at which SMO stopped: <= tol, below 0 when no pair violates
     kind: str = field(default="svr", init=False)
 
     @property
@@ -87,7 +82,7 @@ class SvrModel:
             "alpha": self.alpha.tolist(), "alpha_star": self.alpha_star.tolist(),
             "bias": self.bias, "train_X": self.train_X.tolist(),
             "mins": self.mins.tolist(), "maxs": self.maxs.tolist(),
-            "dual_objective": self.dual_objective, "n_iter": self.n_iter,
+            "dual_objective": self.dual_objective, "n_iter": self.n_iter, "kkt_gap": self.kkt_gap,
         }
 
     @classmethod
@@ -97,7 +92,7 @@ class SvrModel:
             alpha=np.array(d["alpha"]), alpha_star=np.array(d["alpha_star"]),
             bias=d["bias"], train_X=np.array(d["train_X"]).reshape(len(d["alpha"]), -1),
             mins=np.array(d["mins"]), maxs=np.array(d["maxs"]),
-            dual_objective=d["dual_objective"], n_iter=d["n_iter"],
+            dual_objective=d["dual_objective"], n_iter=d["n_iter"], kkt_gap=d["kkt_gap"],
         )
 
 
@@ -180,5 +175,5 @@ def svr_train(
         alpha=alpha, alpha_star=alpha_star, bias=bias,
         train_X=Xn, mins=mins, maxs=maxs,
         dual_objective=svr_dual_objective(K, y, epsilon, alpha, alpha_star),
-        n_iter=it,
+        n_iter=it, kkt_gap=float(gap),
     )

@@ -4,6 +4,7 @@ All artifacts live under the configured output directory and are named by
 artifact_path alone:
 
     features_<ftag>_<split>.csv        feature store (tabular modalities)
+    manifest_<ftag>.json               what an acoustic S, P or VQ store was made from
     visual_<split>_windows.npy/.json   window batches + sidecar (visual)
     visual_pca.json                    PCA model (mean + components, versioned; no verb reads it)
     model_<tag>.json                   trained model envelope
@@ -17,6 +18,19 @@ artifact_path alone:
 <tag> is the modality with ":" replaced by "_" (acoustic:M+FS ->
 acoustic_M+FS), so M+FS never overwrites the plain M model, reports or
 predictions; <ftag> drops "+FS", so M+FS reads the M feature store.
+
+extract acoustic:S, :P and :VQ each write a manifest beside their two
+stores: a digest of what the pass read (the split id lists and each
+session's transcript and WAV bytes), a digest of the phqreg sources and the
+numpy version, the sha256 of each store and the per-split session counts.
+It holds no paths and no times, so equal inputs give equal bytes. extract
+acoustic:M (and M+FS) builds its stores from the S, P and VQ stores, each
+row the P | S | VQ cells, when all three manifests exist, match the current
+corpus and code and their stores' bytes, and the three stores of a split
+hold the same sessions under the GROUP_NAMES headers; the pass gives M's
+values as those of the three groups byte for byte, so the stores are the
+same bytes either way. Otherwise it runs the full acoustic pass. One INFO
+line says which path was taken.
 
 The modality alone picks the learner, as in the paper: REPTree for
 behavioral features, an SVR for acoustic (RBF) and text (linear) features,
@@ -135,6 +149,7 @@ def load_session(index: CorpusIndex, sid: str, need: tuple[str, ...]) -> corpus.
 
 ARTIFACT_NAMES = {
     "features": "features_{ftag}_{split}.csv",
+    "manifest": "manifest_{ftag}.json",
     "windows": "visual_{split}_windows.npy",
     "windows_meta": "visual_{split}_windows.json",
     "pca": "visual_pca.json",
@@ -231,6 +246,91 @@ def _extract_acoustic(index, variant: str):
     if not found:
         raise PipelineError("acoustic extraction produced no sessions")
     return found[0].names, {split: {sid: vec.values for sid, vec in rows.items()} for split, rows in vectors.items()}
+
+
+def _sha256(data: bytes = b""):
+    """A sha256 hasher fed ``data``. hashlib loads OpenSSL (about 3.6 MB of RSS), so only the acoustic verbs import it."""
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
+def _inputs_digest(index) -> str:
+    """sha256 over what acoustic extraction reads: the split id lists and each session's transcript and WAV bytes."""
+    digest = _sha256()
+    for split in SPLITS:
+        digest.update(f"{split} {len(index.ids[split])}\n".encode())
+        for sid in index.ids[split]:
+            digest.update(f"{sid}\n".encode())
+            paths = session_paths(index, sid)
+            for kind in ("transcript", "audio"):
+                if paths[kind].is_file():
+                    data = paths[kind].read_bytes()
+                    digest.update(b"+%d\n" % len(data) + data)
+                else:
+                    digest.update(b"-\n")  # missing: the session is skipped
+    return digest.hexdigest()
+
+
+def _code_digest() -> str:
+    """sha256 over the phqreg package's module sources and the numpy version."""
+    package = Path(__file__).resolve().parent
+    digest = _sha256(f"numpy {np.__version__}\n".encode())
+    for name in sorted(p.relative_to(package).as_posix() for p in package.rglob("*.py")):
+        data = (package / name).read_bytes()
+        digest.update(f"{name} {len(data)}\n".encode() + data)
+    return digest.hexdigest()
+
+
+def _write_manifest(out_dir: Path, modality: str, inputs: str, per_split: dict) -> Path:
+    """Record what a group's just-written stores were made from; see the module docstring."""
+    stores = {split: artifact_path(out_dir, "features", modality, split) for split in SPLITS}
+    manifest = {
+        "code": _code_digest(),
+        "inputs": inputs,
+        "sessions": {split: len(per_split[split]) for split in SPLITS},
+        "stores": {split: _sha256(path.read_bytes()).hexdigest() for split, path in stores.items()},
+    }
+    path = artifact_path(out_dir, "manifest", modality)
+    path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def _assemble_acoustic_m(index, out_dir: Path):
+    """M's (names, rows per split) from the S, P and VQ stores, or (None, why not) when they are not current."""
+    from .audio import GROUP_NAMES, M_GROUPS
+
+    manifests = {}
+    for group in M_GROUPS:
+        path = artifact_path(out_dir, "manifest", f"acoustic:{group}")
+        if not path.is_file():
+            return None, f"no {path.name}"
+        try:
+            manifests[group] = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:
+            manifests[group] = None
+        if not isinstance(manifests[group], dict):
+            return None, f"{path.name} is not a manifest"
+    current = {"code": _code_digest(), "inputs": _inputs_digest(index)}
+    parts = {split: [] for split in SPLITS}
+    for group, manifest in manifests.items():
+        stale = [key for key, digest in current.items() if manifest.get(key) != digest]
+        if stale:
+            return None, f"the {' and '.join(stale)} digest of acoustic:{group} is not current"
+        for split in SPLITS:
+            path = artifact_path(out_dir, "features", f"acoustic:{group}", split)
+            if not path.is_file() or _sha256(path.read_bytes()).hexdigest() != manifest.get("stores", {}).get(split):
+                return None, f"{path.name} is not the store its manifest records"
+            names, rows = read_feature_csv(path)
+            if names != GROUP_NAMES[group]:
+                return None, f"{path.name} does not hold the {group} columns"
+            parts[split].append(rows)
+    per_split = {}
+    for split, stores in parts.items():
+        if any(rows.keys() != stores[0].keys() for rows in stores):
+            return None, f"the {split} stores of {', '.join(M_GROUPS)} list different sessions"
+        per_split[split] = {sid: np.concatenate([rows[sid] for rows in stores]) for sid in stores[0]}
+    return (GROUP_NAMES["M"], per_split), ""
 
 
 def _extract_behavioral(index):
@@ -367,8 +467,20 @@ def run_extract(cfg: PipelineConfig) -> list[Path]:
     if family == "visual":
         written = _extract_visual(index, out_dir)
     else:
+        inputs = None  # an acoustic group's inputs digest, for its manifest
         if family == "acoustic":
-            names, per_split = _extract_acoustic(index, variant.replace("+FS", ""))
+            group = variant.replace("+FS", "")
+            if group == "M":
+                assembled, why_not = _assemble_acoustic_m(index, out_dir)
+                if assembled:
+                    logger.info("%s assembled from the current S, P and VQ stores", cfg.modality)
+                    names, per_split = assembled
+                else:
+                    logger.info("%s: full acoustic pass (%s)", cfg.modality, why_not)
+                    names, per_split = _extract_acoustic(index, group)
+            else:
+                inputs = _inputs_digest(index)  # taken before the pass reads the corpus
+                names, per_split = _extract_acoustic(index, group)
         elif family == "behavioral":
             names, per_split = _extract_behavioral(index)
         else:
@@ -378,6 +490,8 @@ def run_extract(cfg: PipelineConfig) -> list[Path]:
             path = artifact_path(out_dir, "features", cfg.modality, split)
             write_feature_csv(path, names, per_split[split])
             written.append(path)
+        if inputs is not None:
+            written.append(_write_manifest(out_dir, cfg.modality, inputs, per_split))
     logger.info("extract %s done in %.2fs", cfg.modality, time.monotonic() - t0)
     return written
 
@@ -613,6 +727,9 @@ def run_eval(cfg: PipelineConfig) -> dict:
         rows["n_features_used"] = extra["q"]
     if model.kind == "lstm":
         rows["lstm_best_epoch"] = model.best_epoch
+    elif model.kind == "svr":
+        rows["smo_iters"] = model.n_iter
+        rows["smo_kkt_gap"] = model.kkt_gap
 
     write_report(out_dir, cfg, rows, selected=extra.get("relief", {}).get("selected_names"))
     logger.info("eval %s done in %.2fs", cfg.modality, time.monotonic() - t0)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import DEFAULT_RELIEF_K, DEFAULT_RELIEF_THRESHOLD
 from .corpus import PHQ8_DEPRESSED_CUTOFF
-from .models.svr import min_max_scale
+from .models import min_max_scale
 
 logger = logging.getLogger(__name__)
 

@@ -318,6 +318,9 @@ class TestExtract:
         rows = run_eval(cfg)
         assert rows["n_features_used"] == 864
         assert np.isfinite(rows["dev_mae"])
+        report = dict(line.split(",") for line in (out / "report_acoustic_S.csv").read_text().splitlines()[1:])
+        assert int(report["smo_iters"]) == model["model"]["n_iter"] > 0
+        assert float(report["smo_kkt_gap"]) == model["model"]["kkt_gap"] <= 1e-3
 
     def test_visual_extraction_artifacts(self, full_corpus, tmp_path):
         out = tmp_path / "out_vis"

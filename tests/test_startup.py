@@ -45,8 +45,12 @@ def run_verb(verb: str, modality: str, root, out) -> set[str]:
 
 def test_cli_import_loads_no_family_learner_or_synth():
     loaded = loaded_after("import phqreg.cli")
-    assert "phqreg.pipeline" in loaded
-    assert loaded & (FAMILIES | LEARNERS) == set()
+    assert loaded & ({"phqreg.pipeline"} | FAMILIES | LEARNERS) == set()
+
+
+def test_show_config_loads_no_pipeline():
+    loaded = loaded_after("from phqreg.cli import main\nassert main(['show-config']) == 0")
+    assert loaded & ({"phqreg.pipeline"} | FAMILIES | LEARNERS) == set()
 
 
 def test_extract_behavioral_loads_no_audio_face_or_lstm(tiny_corpus, tmp_path):
@@ -67,3 +71,10 @@ def test_eval_loads_only_the_learner_of_its_model_file(tiny_corpus, tmp_path):
                      "--modality", "behavioral", "--seed", "1"]) == 0
     loaded = run_verb("eval", "behavioral", tiny_corpus, tmp_path)
     assert loaded & (FAMILIES | LEARNERS) == {"phqreg.models.reptree"}
+
+
+def test_cv_behavioral_loads_relief_but_no_svr(small_corpus, tmp_path):
+    assert main(["extract", "--corpus", str(small_corpus), "--out", str(tmp_path),
+                 "--modality", "behavioral", "--seed", "1"]) == 0
+    loaded = run_verb("cv", "behavioral", small_corpus, tmp_path)
+    assert loaded & (FAMILIES | LEARNERS) == {"phqreg.relief", "phqreg.models.reptree"}

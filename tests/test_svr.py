@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -111,6 +112,23 @@ class TestTraining:
         Xq = rng.normal(0, 1, (10, 4))
         np.testing.assert_allclose(m1.predict(Xq), m2.predict(Xq * scale + shift), atol=1e-6)
 
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8])
+    def test_final_kkt_gap_is_kept_and_within_tol(self, tol):
+        rng = np.random.default_rng(7)
+        X = rng.normal(0, 1, (25, 3))
+        y = rng.normal(0, 5, 25)
+        m = svr_train(X, y, kernel="rbf", gamma=0.5, epsilon=0.1, tol=tol)
+        # the maximal KKT violation recomputed from the dual variables
+        n, C = len(y), m.C
+        z = np.concatenate([m.alpha, m.alpha_star])
+        u = np.concatenate([np.ones(n), -np.ones(n)])
+        Q = np.tile(kernel_matrix("rbf", m.train_X, m.train_X, 0.5), (2, 2)) * np.outer(u, u)
+        crit = -u * (Q @ z + np.concatenate([0.1 - y, 0.1 + y]))
+        up = ((u > 0) & (z < C)) | ((u < 0) & (z > 0))
+        low = ((u > 0) & (z > 0)) | ((u < 0) & (z < C))
+        assert m.kkt_gap <= tol
+        assert m.kkt_gap == pytest.approx(crit[up].max() - crit[low].min(), abs=1e-9)
+
     def test_rbf_gamma_affects_model(self):
         rng = np.random.default_rng(4)
         X = rng.normal(0, 1, (15, 2))
@@ -162,4 +180,18 @@ class TestPersistence:
         back, extra = load_model(tmp_path / "m.json")
         assert isinstance(back, SvrModel)
         assert extra == {"note": "t"}
+        assert (back.n_iter, back.kkt_gap) == (m.n_iter, m.kkt_gap)
         np.testing.assert_allclose(back.predict(X), m.predict(X), atol=1e-12)
+
+    def test_format_2_file_fails_loudly(self, tmp_path):
+        from phqreg.models import ModelFormatError
+
+        m = svr_train(np.arange(6.0).reshape(-1, 1), np.arange(6.0), kernel="linear")
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 2  # a format-2 file: no kkt_gap
+        del payload["model"]["kkt_gap"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="version 2, expected 3"):
+            load_model(path)
