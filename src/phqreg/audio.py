@@ -154,9 +154,8 @@ class FrameSet:
 
 @dataclass(frozen=True)
 class AcousticVector:
-    """Named per-session feature vector for one acoustic group."""
+    """Per-session feature vector for one acoustic group, in GROUP_NAMES order."""
 
-    names: tuple[str, ...]  # GROUP_NAMES of the group
     values: np.ndarray
     session_id: str
 
@@ -601,4 +600,4 @@ def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
 
     # each LLD's functionals, then its delta's and its delta-delta's
     values = np.stack([apply_functionals(m) for m in (base, *add_derivatives(base))], axis=1)
-    return AcousticVector(GROUP_NAMES[group], values.reshape(-1), session.id)
+    return AcousticVector(values.reshape(-1), session.id)

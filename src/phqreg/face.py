@@ -145,13 +145,10 @@ def downsample_indices(timestamps: np.ndarray) -> np.ndarray:
         return np.array([], dtype=int)
     seconds = np.arange(np.ceil(ts[0]), np.floor(ts[-1]) + 1.0)
     idx = np.searchsorted(ts, seconds)
-    out = []
-    for s, i in zip(seconds, idx):
-        lo = max(i - 1, 0)
-        hi = min(i, len(ts) - 1)
-        # ties go to the earlier frame
-        out.append(lo if abs(ts[lo] - s) <= abs(ts[hi] - s) else hi)
-    return np.array(out, dtype=int)
+    lo = np.maximum(idx - 1, 0)
+    hi = np.minimum(idx, len(ts) - 1)
+    # ties go to the earlier frame
+    return np.where(np.abs(ts[lo] - seconds) <= np.abs(ts[hi] - seconds), lo, hi)
 
 
 def window_sequence(

@@ -5,7 +5,7 @@ artifact_path alone:
 
     features_<ftag>_<split>.csv        feature store (tabular modalities)
     manifest_<ftag>.json               what an acoustic S, P or VQ store was made from
-    visual_<split>_windows.npy/.json   window batches + sidecar (visual)
+    visual_<split>_windows.npy/.json   window batches + sidecar (W, q, session_ids, sessions)
     visual_pca.json                    PCA model (mean + components, versioned; no verb reads it)
     model_<tag>.json                   trained model envelope
     predictions_<tag>_<split>.csv      session_id,y_true,y_pred
@@ -50,9 +50,14 @@ to the log only, never into report files.
 Each verb is a short process, so this module imports at module level only
 what every verb needs (corpus, config, metrics and the model file I/O). A
 family's code is imported where the family is dispatched: audio, turns,
-textfeats and face in their ``_extract_*`` function, face and the LSTM in the
-visual branches of fit_predictor and predict_sessions, the SVR and REPTree in
-_tabular_fitter, and relief in the Relief and fold paths.
+textfeats and face in their ``_extract_*`` function, the LSTM in the visual
+branch of fit_predictor, face (window aggregation) in the visual branch of
+predict_sessions, the SVR and REPTree in _tabular_fitter, and relief in the
+Relief and fold paths.
+
+A model's extra holds what eval reads back (train_mean, then feature_names
+and relief for a tabular model, window and q for the LSTM) and what the run
+was: its modality, seed and, for the LSTM, the validation sessions.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ import logging
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -242,10 +247,10 @@ def _extract_acoustic(index, variant: str):
     from . import audio
 
     vectors = _session_rows(index, ("transcript", "audio"), partial(audio.session_acoustic_vector, group=variant))
-    found = [vec for rows in vectors.values() for vec in rows.values()]
-    if not found:
+    if not any(vectors.values()):
         raise PipelineError("acoustic extraction produced no sessions")
-    return found[0].names, {split: {sid: vec.values for sid, vec in rows.items()} for split, rows in vectors.items()}
+    values = {split: {sid: vec.values for sid, vec in rows.items()} for split, rows in vectors.items()}
+    return audio.GROUP_NAMES[variant], values
 
 
 def _sha256(data: bytes = b""):
@@ -351,17 +356,19 @@ def _extract_text(index, cfg: PipelineConfig, variant: str):
         if not cfg.text_embeddings:
             raise PipelineError("text:WE requires [text] embeddings = <path>")
         table = textfeats.load_embeddings(cfg.text_embeddings)
-        names = tuple(f"we_{i}" for i in range(table.dim))
+        names = tuple(f"we_{i}" for i in range(len(next(iter(table.values())))))
 
         def vectors(split_docs):
             return {sid: textfeats.embed_average(doc, table) for sid, doc in split_docs.items()}
 
     else:
-        vectorizer = textfeats.TextVectorizer(variant).fit(list(docs["train"].values()))
-        names = vectorizer.feature_names()
+        train_docs = list(docs["train"].values())
+        vocab = textfeats.build_vocabulary(train_docs)
+        idf = textfeats.idf_weights(train_docs, vocab) if variant == "TFIDF" else None
+        names = tuple(f"tok_{tok}" for tok in vocab)
 
         def vectors(split_docs):
-            return dict(zip(split_docs, vectorizer.transform(list(split_docs.values()))))
+            return dict(zip(split_docs, textfeats.vectorize(split_docs.values(), vocab, variant, idf)))
 
     return names, {split: vectors(docs[split]) for split in SPLITS}
 
@@ -424,9 +431,7 @@ def _extract_visual(index, out_dir: Path) -> list[Path]:
             json.dumps(
                 {
                     "W": face.DEFAULT_WINDOW,
-                    "O": face.DEFAULT_OVERLAP,
                     "q": pca.q,
-                    "pca_file": pca_path.name,
                     "session_ids": sids,
                     "sessions": list(landmarks[split]),
                 },
@@ -568,8 +573,7 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
     modality uses it, then the modality's SVR or REPTree. Visual: an LSTM,
     early-stopped on a seeded hold-out of the window-bearing sessions.
     """
-    extra = {"modality": cfg.modality, "seed": cfg.seed, "tag": run_tag(cfg.modality)}
-    extra["train_mean"] = float(np.mean(data.y))
+    extra = {"modality": cfg.modality, "seed": cfg.seed, "train_mean": float(np.mean(data.y))}
     if data.windows is None:
         fit = _tabular_fitter(cfg)
         extra["feature_names"] = list(data.names)
@@ -579,7 +583,6 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
             X = X[:, selected]
         return fit(X, data.y), extra
 
-    from . import face
     from .models.lstm import LstmConfig, lstm_train
 
     if len(data.windows) == 0:
@@ -598,7 +601,7 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
         y_val=y[val] if val.any() else None,
     )
     W, q = data.windows.shape[1:]
-    extra.update(window=W, overlap=face.DEFAULT_OVERLAP, q=q, pca_file=ARTIFACT_NAMES["pca"], val_sessions=val_sessions)
+    extra.update(window=W, q=q, val_sessions=val_sessions)
     return model, extra
 
 
@@ -674,7 +677,11 @@ def _metric_rows(prefix: str, y, yhat, with_evs: bool) -> dict:
 
 
 def write_report(out_dir, cfg: PipelineConfig, rows: dict, selected=None) -> tuple[Path, Path]:
-    """Write the run report; its bytes do not depend on where corpus and outputs live."""
+    """Write the run report; its bytes do not depend on where corpus and outputs live.
+
+    The ``[config]`` block leaves out the machine paths and the ``[synth]``
+    settings, which no pipeline verb reads.
+    """
     tag = run_tag(cfg.modality)
     txt_path = artifact_path(out_dir, "report", cfg.modality)
     csv_path = artifact_path(out_dir, "report_csv", cfg.modality)
@@ -682,7 +689,8 @@ def write_report(out_dir, cfg: PipelineConfig, rows: dict, selected=None) -> tup
     lines += [f"{k} = {v}" for k, v in rows.items()]
     if selected:
         lines += ["", "[selected features]"] + list(selected)
-    lines += ["", "[config]", config_text(cfg, omit=MACHINE_PATHS)]
+    synth = tuple(f.name for f in fields(cfg) if f.name.startswith("synth_"))
+    lines += ["", "[config]", config_text(cfg, omit=MACHINE_PATHS + synth)]
     txt_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     csv_lines = ["key,value"] + [f"{k},{v}" for k, v in rows.items()]
     csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
@@ -730,6 +738,8 @@ def run_eval(cfg: PipelineConfig) -> dict:
     elif model.kind == "svr":
         rows["smo_iters"] = model.n_iter
         rows["smo_kkt_gap"] = model.kkt_gap
+        z = np.concatenate([model.alpha, model.alpha_star])
+        rows["smo_free_sv"] = int(np.count_nonzero((z > 0.0) & (z < model.C)))
 
     write_report(out_dir, cfg, rows, selected=extra.get("relief", {}).get("selected_names"))
     logger.info("eval %s done in %.2fs", cfg.modality, time.monotonic() - t0)

@@ -9,14 +9,15 @@ representations:
     WE      average of pre-trained word vectors (annotations and other
             out-of-table tokens are skipped; all-absent doc -> zero vector)
 
-Vocabulary and idf come from the training corpus only; out-of-vocabulary
-tokens at transform time are ignored.
+build_vocabulary and idf_weights are given the training documents only;
+vectorize maps any documents onto that vocabulary and ignores
+out-of-vocabulary tokens. load_embeddings gives the token -> vector dict
+that embed_average reads.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,19 +81,8 @@ def vectorize(docs, vocab: dict[str, int], mode: str, idf: np.ndarray | None = N
     return out
 
 
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """token -> fixed-dimension vector lookup."""
-
-    vectors: dict
-    dim: int
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-
-def load_embeddings(path) -> EmbeddingTable:
-    """Text format: one ``token v1 ... vd`` per line; d inferred from line 1."""
+def load_embeddings(path) -> dict[str, np.ndarray]:
+    """Text format: one ``token v1 ... vd`` per line; d inferred from line 1. Non-empty, every vector d wide."""
     vectors = {}
     dim = None
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -108,41 +98,14 @@ def load_embeddings(path) -> EmbeddingTable:
         vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
     if dim is None:
         raise ValueError(f"{path}: empty embedding table")
-    return EmbeddingTable(vectors, dim)
+    return vectors
 
 
-def embed_average(doc, table: EmbeddingTable) -> np.ndarray:
+def embed_average(doc, vectors: dict[str, np.ndarray]) -> np.ndarray:
     """Mean of the vectors of in-table tokens; zero vector if none are found."""
-    if len(table) == 0:
+    if not vectors:
         raise ValueError("empty embedding table")
-    found = [table.vectors[tok] for tok in doc if tok in table.vectors]
+    found = [vectors[tok] for tok in doc if tok in vectors]
     if not found:
-        return np.zeros(table.dim)
+        return np.zeros_like(next(iter(vectors.values())))
     return np.mean(found, axis=0)
-
-
-class TextVectorizer:
-    """Fit vocabulary (and idf) on training docs, then transform any docs."""
-
-    def __init__(self, mode: str):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        self.mode = mode
-        self.vocab: dict[str, int] | None = None
-        self.idf: np.ndarray | None = None
-
-    def fit(self, docs) -> "TextVectorizer":
-        docs = list(docs)
-        self.vocab = build_vocabulary(docs)
-        self.idf = idf_weights(docs, self.vocab) if self.mode == "TFIDF" else None
-        return self
-
-    def transform(self, docs) -> np.ndarray:
-        if self.vocab is None:
-            raise RuntimeError("vectorizer not fitted")
-        return vectorize(docs, self.vocab, self.mode, self.idf)
-
-    def feature_names(self) -> tuple[str, ...]:
-        if self.vocab is None:
-            raise RuntimeError("vectorizer not fitted")
-        return tuple(f"tok_{t}" for t in self.vocab)

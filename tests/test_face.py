@@ -257,6 +257,19 @@ def make_sequence(n_seconds, fps=1.0, fail_at=(), rng=None):
     return LandmarkSequence(ts, np.ones(n), success, pts)
 
 
+def downsample_oracle(timestamps) -> list[int]:
+    """Per-second loop: the frame nearest each integer second covered, ties to the earlier frame."""
+    ts = np.asarray(timestamps, dtype=np.float64)
+    if len(ts) == 0:
+        return []
+    seconds = np.arange(np.ceil(ts[0]), np.floor(ts[-1]) + 1.0)
+    out = []
+    for s, i in zip(seconds, np.searchsorted(ts, seconds)):
+        lo, hi = max(i - 1, 0), min(i, len(ts) - 1)
+        out.append(lo if abs(ts[lo] - s) <= abs(ts[hi] - s) else hi)
+    return out
+
+
 def window_oracle(n_samples, success, W, O):
     """Enumerate window starts and apply the 0-tolerance rule directly."""
     starts = []
@@ -308,6 +321,25 @@ class TestWindows:
         idx = downsample_indices(ts)
         # seconds 0,1,2,3 -> nearest frames
         assert idx.tolist() == [0, 2, 3, 4]
+
+    def test_downsampling_ties_and_single_frames(self):
+        assert downsample_indices(np.array([0.5, 1.5, 2.5])).tolist() == [0, 1]  # each second is a tie
+        assert downsample_indices(np.array([3.0])).tolist() == [0]
+        assert downsample_indices(np.array([3.5])).tolist() == []
+        assert downsample_indices(np.array([])).tolist() == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            # quarter seconds: a frame on each side of a second at the same distance is a tie
+            st.lists(st.integers(-8, 120), min_size=1, max_size=40, unique=True).map(lambda q: np.sort(q) / 4.0),
+            st.lists(st.floats(-5.0, 60.0), min_size=1, max_size=40, unique=True).map(np.sort),
+        )
+    )
+    def test_downsampling_matches_per_second_loop(self, ts):
+        idx = downsample_indices(ts)
+        assert idx.dtype == np.array([], dtype=int).dtype
+        assert idx.tolist() == downsample_oracle(ts)
 
     def test_no_failed_samples_inside_windows(self):
         rng = np.random.default_rng(15)

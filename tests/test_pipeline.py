@@ -321,6 +321,10 @@ class TestExtract:
         report = dict(line.split(",") for line in (out / "report_acoustic_S.csv").read_text().splitlines()[1:])
         assert int(report["smo_iters"]) == model["model"]["n_iter"] > 0
         assert float(report["smo_kkt_gap"]) == model["model"]["kkt_gap"] <= 1e-3
+        # dual variables strictly inside the box (0, C), counted from the model file
+        z = np.array(model["model"]["alpha"] + model["model"]["alpha_star"])
+        assert int(report["smo_free_sv"]) == rows["smo_free_sv"] == np.sum((z > 0) & (z < model["model"]["C"]))
+        assert "smo_free_sv = " in (out / "report_acoustic_S.txt").read_text()
 
     def test_visual_extraction_artifacts(self, full_corpus, tmp_path):
         out = tmp_path / "out_vis"
@@ -333,6 +337,9 @@ class TestExtract:
         assert windows.shape[1] == 60
         assert windows.shape[2] == meta["q"]
         assert len(meta["session_ids"]) == len(windows)
+        # the keys load_windows reads, and no others
+        for split in ("train", "dev"):
+            assert set(json.loads((out / f"visual_{split}_windows.json").read_text())) == {"W", "q", "session_ids", "sessions"}
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +369,15 @@ class TestTrainEval:
         report = (out / "report_behavioral.txt").read_text()
         assert "[config]" in report
         assert "dev_mae" in report
+        # no pipeline verb reads the [synth] settings, so the report does not list them
+        config_block = report.split("\n[config]\n", 1)[1]
+        assert re.findall(r"^\[\w+\]$", config_block, flags=re.M) == ["[run]", "[lstm]", "[relief]"]
+        assert "[synth]" not in report and "depressed_fraction_train" not in report
+
+    def test_tabular_model_extra_holds_only_what_a_verb_reads(self, behavioral_run):
+        _, out, _ = behavioral_run
+        extra = json.loads((out / "model_behavioral.json").read_text())["extra"]
+        assert set(extra) == {"modality", "seed", "train_mean", "feature_names"}
 
     def test_report_bytes_independent_of_corpus_and_output_paths(self, tmp_path):
         spec = SynthSpec(n_train=12, n_dev=5, modalities=("transcript",), turn_pairs=6)
@@ -550,6 +566,8 @@ class TestReliefIntegration:
         rows = run_eval(cfg)
         assert rows["n_features_used"] == len(selected)
         assert rows["relief_k"] == 3
+        extra = json.loads((out / "model_acoustic_M+FS.json").read_text())["extra"]
+        assert set(extra) == {"modality", "seed", "train_mean", "feature_names", "relief"}
 
     def test_selection_artifacts_do_not_overwrite_plain_m(self, small_corpus, tmp_path):
         out = tmp_path / "fs_vs_m"
@@ -701,6 +719,7 @@ class TestVisualPipeline:
         # LSTM counters: best epoch from the model, windows per split
         model = json.loads((out / "model_visual.json").read_text())
         assert model["kind"] == "lstm"
+        assert set(model["extra"]) == {"modality", "seed", "train_mean", "window", "q", "val_sessions"}
         assert rows["lstm_best_epoch"] == model["model"]["best_epoch"]
         assert rows["n_windows_train"] == len(np.load(out / "visual_train_windows.npy"))
         assert rows["n_windows_dev"] == len(np.load(out / "visual_dev_windows.npy"))

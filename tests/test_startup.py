@@ -78,3 +78,12 @@ def test_cv_behavioral_loads_relief_but_no_svr(small_corpus, tmp_path):
                  "--modality", "behavioral", "--seed", "1"]) == 0
     loaded = run_verb("cv", "behavioral", small_corpus, tmp_path)
     assert loaded & (FAMILIES | LEARNERS) == {"phqreg.relief", "phqreg.models.reptree"}
+
+
+def test_train_visual_loads_the_lstm_but_no_face(full_corpus, tmp_path):
+    ini = tmp_path / "visual.ini"
+    ini.write_text("[lstm]\nmax_epochs = 1\n", encoding="utf-8")
+    args = ["--corpus", str(full_corpus), "--out", str(tmp_path), "--modality", "visual", "--seed", "1"]
+    assert main(["extract", *args]) == 0
+    loaded = loaded_after(f"from phqreg.cli import main\nassert main({['train', '--config', str(ini), *args]!r}) == 0")
+    assert loaded & (FAMILIES | LEARNERS) == {"phqreg.models.lstm"}

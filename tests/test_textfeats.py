@@ -5,8 +5,6 @@ import pytest
 
 from phqreg.corpus import Session, Speaker, TurnRecord
 from phqreg.textfeats import (
-    EmbeddingTable,
-    TextVectorizer,
     build_document,
     build_vocabulary,
     embed_average,
@@ -98,9 +96,11 @@ class TestVectorize:
 
     def test_training_only_vocabulary_no_leakage(self):
         train = [["a", "b"], ["b", "c"]]
-        vec = TextVectorizer("TFIDF").fit(train)
-        dev_a = vec.transform([["a", "b"]])
-        dev_b = vec.transform([["a", "b", "devonly"]])
+        vocab = build_vocabulary(train)
+        idf = idf_weights(train, vocab)
+        dev_a = vectorize([["a", "b"]], vocab, "TFIDF", idf)
+        dev_b = vectorize([["a", "b", "devonly"]], vocab, "TFIDF", idf)
+        assert "devonly" not in vocab
         np.testing.assert_array_equal(dev_a, dev_b)
 
     def test_empty_vocab_rejected(self):
@@ -110,7 +110,7 @@ class TestVectorize:
 
 class TestEmbeddings:
     def table(self):
-        return EmbeddingTable({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0])}, 2)
+        return {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0])}
 
     def test_single_known_token(self):
         np.testing.assert_array_equal(embed_average(["a"], self.table()), [1.0, 0.0])
@@ -127,8 +127,9 @@ class TestEmbeddings:
         p = tmp_path / "emb.txt"
         p.write_text("hello 0.5 -1.0 2.0\nworld 1.0 1.0 1.0\n", encoding="utf-8")
         table = load_embeddings(p)
-        assert table.dim == 3
-        np.testing.assert_allclose(table.vectors["hello"], [0.5, -1.0, 2.0])
+        assert sorted(table) == ["hello", "world"]
+        assert {len(v) for v in table.values()} == {3}
+        np.testing.assert_allclose(table["hello"], [0.5, -1.0, 2.0])
 
     def test_load_ragged_rejected(self, tmp_path):
         p = tmp_path / "emb.txt"
