@@ -35,16 +35,13 @@ and ACF are dropped before the next block, so what a session keeps is its
 samples plus the O(n_frames) LLD tracks, one row each of a (tracks, frames)
 matrix. After the pass, one call takes the deltas of every row, and the
 functionals run over row chunks of the base, delta and delta-delta matrices,
-the line and parabola fits in closed form. The merged vector M is the P, S
-and VQ values of that single pass, concatenated in that order. Every
-reduction runs along a row, so a group's values do not depend on which other
-groups share the pass, and M's slices equal the separately extracted groups
-byte for byte. That is why ``extract acoustic:M`` may write its stores from
-the S, P and VQ stores instead of calling session_acoustic_vector: it does
-so when their manifests (see pipeline) match the current corpus, code and
-stores, and runs the full pass otherwise. The functionals are within 1e-9
-(absolute and relative) of the per-track definition (np.polyfit fits, one
-track at a time), not byte equal to it.
+the line and parabola fits in closed form. The pass always runs every group
+and yields the merged vector M, the P, S and VQ values concatenated in that
+order; S, P and VQ are its GROUP_COLUMNS slices. Every reduction runs along a
+row, so a group's slice is byte for byte what a pass over that group alone
+gives, and one pass serves every acoustic store (see pipeline). The
+functionals are within 1e-9 (absolute and relative) of the per-track
+definition (np.polyfit fits, one track at a time), not byte equal to it.
 """
 
 from __future__ import annotations
@@ -95,6 +92,11 @@ GROUP_NAMES = {
 # the merged vector M: P, S and VQ in that order
 M_GROUPS = ("P", "S", "VQ")
 GROUP_NAMES["M"] = tuple(name for g in M_GROUPS for name in GROUP_NAMES[g])
+# each group's columns of M
+GROUP_COLUMNS = {
+    g: slice(GROUP_NAMES["M"].index(names[0]), GROUP_NAMES["M"].index(names[-1]) + 1)
+    for g, names in GROUP_NAMES.items()
+}
 
 # frames per block of the acoustic pass: bounds every frame-sized array (the
 # block's frames, spectrum and ACF, about 16 MB at 16 kHz) whatever the
@@ -563,14 +565,14 @@ def _functionals(x: np.ndarray) -> np.ndarray:
 
 
 def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
-    """Extract one acoustic group (S, P, VQ or the merge M) for a session.
+    """One acoustic group's columns (S, P, VQ or the merge M) of a session's full pass.
 
-    The session is framed once and its LLDs come from one pass over blocks
-    of BLOCK_FRAMES frames; M concatenates the P, S and VQ values of that
-    pass. Each LLD over the blocks, its delta and its delta-delta are
-    projected on the 24 functionals. Sessions the recipe cannot describe (no
-    audio, no participant turns, a sample rate below 8 kHz, fewer frames
-    than the delta window) raise EmptyInputError.
+    The session is framed once and its P, S and VQ LLDs come from one pass
+    over blocks of BLOCK_FRAMES frames. Each LLD over the blocks, its delta
+    and its delta-delta are projected on the 24 functionals, which gives M;
+    ``group`` only picks its GROUP_COLUMNS. Sessions the recipe cannot
+    describe (no audio, no participant turns, a sample rate below 8 kHz,
+    fewer frames than the delta window) raise EmptyInputError.
     """
     if group not in GROUP_NAMES:
         raise ValueError(f"unknown group {group!r}")
@@ -580,24 +582,17 @@ def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
     if len(frames) < MIN_FRAMES:
         raise EmptyInputError(f"session {session.id}: {len(frames)} frames, fewer than the delta window ({MIN_FRAMES})")
 
-    groups = M_GROUPS if group == "M" else (group,)
-    rows = [(g, name) for g in groups for name in GROUP_LLDS[g]]
-    base = np.empty((len(rows), len(frames)))  # one row per LLD, in GROUP_NAMES order
+    rows = [(g, name) for g in M_GROUPS for name in GROUP_LLDS[g]]
+    base = np.empty((len(rows), len(frames)))  # one row per LLD, in GROUP_NAMES["M"] order
     previous, held_f0 = None, 0.0  # state carried over block edges
     for lo in range(0, len(frames), BLOCK_FRAMES):
         block = frames.block(lo, lo + BLOCK_FRAMES)
-        tracks = {}
-        if "S" in groups:
-            tracks["S"] = spectral_llds(block, previous)
-            previous = block.samples[-1].copy()
-        if group != "S":
-            tracks["P"] = prosodic_llds(block, held_f0)
-            held_f0 = tracks["P"]["f0_env"][-1]
-            if "VQ" in groups:
-                tracks["VQ"] = voice_quality_llds(block, tracks["P"]["f0"])
+        tracks = {"S": spectral_llds(block, previous), "P": prosodic_llds(block, held_f0)}
+        tracks["VQ"] = voice_quality_llds(block, tracks["P"]["f0"])
+        previous, held_f0 = block.samples[-1].copy(), tracks["P"]["f0_env"][-1]
         for i, (g, name) in enumerate(rows):
             base[i, lo : lo + len(block)] = tracks[g][name]
 
     # each LLD's functionals, then its delta's and its delta-delta's
     values = np.stack([apply_functionals(m) for m in (base, *add_derivatives(base))], axis=1)
-    return AcousticVector(values.reshape(-1), session.id)
+    return AcousticVector(values.reshape(-1)[GROUP_COLUMNS[group]], session.id)

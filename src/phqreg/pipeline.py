@@ -4,13 +4,13 @@ All artifacts live under the configured output directory and are named by
 artifact_path alone:
 
     features_<ftag>_<split>.csv        feature store (tabular modalities)
-    manifest_<ftag>.json               what an acoustic S, P or VQ store was made from
+    acoustic_pass_<split>.csv          the corpus's one acoustic pass: M's columns
+    manifest_acoustic.json             what that pass record was made from
     visual_<split>_windows.npy/.json   window batches + sidecar (W, q, session_ids, sessions)
     visual_pca.json                    PCA model (mean + components, versioned; no verb reads it)
     model_<tag>.json                   trained model envelope
     predictions_<tag>_<split>.csv      session_id,y_true,y_pred
     report_<tag>.txt / .csv            run report (recomputable from predictions)
-    selected_features_<tag>.txt        Relief selection, when active
     relief_tuning_<tag>.csv            Relief (threshold, k) grid
     cv_predictions_<tag>.csv           per-fold CV predictions
     cv_report_<tag>.txt                CV report
@@ -19,18 +19,19 @@ artifact_path alone:
 acoustic_M+FS), so M+FS never overwrites the plain M model, reports or
 predictions; <ftag> drops "+FS", so M+FS reads the M feature store.
 
-extract acoustic:S, :P and :VQ each write a manifest beside their two
-stores: a digest of what the pass read (the split id lists and each
-session's transcript and WAV bytes), a digest of the phqreg sources and the
-numpy version, the sha256 of each store and the per-split session counts.
-It holds no paths and no times, so equal inputs give equal bytes. extract
-acoustic:M (and M+FS) builds its stores from the S, P and VQ stores, each
-row the P | S | VQ cells, when all three manifests exist, match the current
-corpus and code and their stores' bytes, and the three stores of a split
-hold the same sessions under the GROUP_NAMES headers; the pass gives M's
-values as those of the three groups byte for byte, so the stores are the
-same bytes either way. Otherwise it runs the full acoustic pass. One INFO
-line says which path was taken.
+An acoustic extract (S, P, VQ, M or M+FS) writes its group's columns of the
+corpus's one full acoustic pass. The first one into an output directory
+runs the pass and records it: the M columns of every session in
+acoustic_pass_<split>.csv, and a manifest holding a digest of what the pass
+read (the split id lists and each session's transcript and WAV bytes), a
+digest of the phqreg sources and the numpy version, the sha256 of each
+record store and the per-split session counts. It holds no paths and no
+times, so equal inputs give equal bytes. A later acoustic extract reads the
+record back, without a pass, when the manifest's digests are the current
+corpus and code and both record stores hash to what it records; otherwise
+it runs the pass and records it again. The record stores are not named
+features_*, so an acoustic extract leaves exactly its own two feature
+stores. One INFO line says which path was taken.
 
 The modality alone picks the learner, as in the paper: REPTree for
 behavioral features, an SVR for acoustic (RBF) and text (linear) features,
@@ -154,6 +155,7 @@ def load_session(index: CorpusIndex, sid: str, need: tuple[str, ...]) -> corpus.
 
 ARTIFACT_NAMES = {
     "features": "features_{ftag}_{split}.csv",
+    "acoustic_pass": "acoustic_pass_{split}.csv",
     "manifest": "manifest_{ftag}.json",
     "windows": "visual_{split}_windows.npy",
     "windows_meta": "visual_{split}_windows.json",
@@ -162,7 +164,6 @@ ARTIFACT_NAMES = {
     "predictions": "predictions_{tag}_{split}.csv",
     "report": "report_{tag}.txt",
     "report_csv": "report_{tag}.csv",
-    "selection": "selected_features_{tag}.txt",
     "relief_tuning": "relief_tuning_{tag}.csv",
     "cv_predictions": "cv_predictions_{tag}.csv",
     "cv_report": "cv_report_{tag}.txt",
@@ -243,16 +244,6 @@ def _session_rows(index, need: tuple[str, ...], describe) -> dict:
     return per_split
 
 
-def _extract_acoustic(index, variant: str):
-    from . import audio
-
-    vectors = _session_rows(index, ("transcript", "audio"), partial(audio.session_acoustic_vector, group=variant))
-    if not any(vectors.values()):
-        raise PipelineError("acoustic extraction produced no sessions")
-    values = {split: {sid: vec.values for sid, vec in rows.items()} for split, rows in vectors.items()}
-    return audio.GROUP_NAMES[variant], values
-
-
 def _sha256(data: bytes = b""):
     """A sha256 hasher fed ``data``. hashlib loads OpenSSL (about 3.6 MB of RSS), so only the acoustic verbs import it."""
     import hashlib
@@ -287,55 +278,61 @@ def _code_digest() -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, modality: str, inputs: str, per_split: dict) -> Path:
-    """Record what a group's just-written stores were made from; see the module docstring."""
-    stores = {split: artifact_path(out_dir, "features", modality, split) for split in SPLITS}
-    manifest = {
-        "code": _code_digest(),
-        "inputs": inputs,
-        "sessions": {split: len(per_split[split]) for split in SPLITS},
-        "stores": {split: _sha256(path.read_bytes()).hexdigest() for split, path in stores.items()},
-    }
-    path = artifact_path(out_dir, "manifest", modality)
-    path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
-def _assemble_acoustic_m(index, out_dir: Path):
-    """M's (names, rows per split) from the S, P and VQ stores, or (None, why not) when they are not current."""
-    from .audio import GROUP_NAMES, M_GROUPS
-
-    manifests = {}
-    for group in M_GROUPS:
-        path = artifact_path(out_dir, "manifest", f"acoustic:{group}")
-        if not path.is_file():
-            return None, f"no {path.name}"
-        try:
-            manifests[group] = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError:
-            manifests[group] = None
-        if not isinstance(manifests[group], dict):
-            return None, f"{path.name} is not a manifest"
-    current = {"code": _code_digest(), "inputs": _inputs_digest(index)}
-    parts = {split: [] for split in SPLITS}
-    for group, manifest in manifests.items():
-        stale = [key for key, digest in current.items() if manifest.get(key) != digest]
-        if stale:
-            return None, f"the {' and '.join(stale)} digest of acoustic:{group} is not current"
-        for split in SPLITS:
-            path = artifact_path(out_dir, "features", f"acoustic:{group}", split)
-            if not path.is_file() or _sha256(path.read_bytes()).hexdigest() != manifest.get("stores", {}).get(split):
-                return None, f"{path.name} is not the store its manifest records"
-            names, rows = read_feature_csv(path)
-            if names != GROUP_NAMES[group]:
-                return None, f"{path.name} does not hold the {group} columns"
-            parts[split].append(rows)
+def _read_pass_record(out_dir: Path, current: dict):
+    """The pass record's M rows per split, or (None, why not) when it is not current."""
+    path = artifact_path(out_dir, "manifest", "acoustic")
+    if not path.is_file():
+        return None, f"no {path.name}"
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:
+        manifest = None
+    if not isinstance(manifest, dict):
+        return None, f"{path.name} is not a manifest"
+    stale = [key for key, digest in current.items() if manifest.get(key) != digest]
+    if stale:
+        return None, f"the {' and '.join(stale)} digest of {path.name} is not current"
     per_split = {}
-    for split, stores in parts.items():
-        if any(rows.keys() != stores[0].keys() for rows in stores):
-            return None, f"the {split} stores of {', '.join(M_GROUPS)} list different sessions"
-        per_split[split] = {sid: np.concatenate([rows[sid] for rows in stores]) for sid in stores[0]}
-    return (GROUP_NAMES["M"], per_split), ""
+    for split in SPLITS:
+        store = artifact_path(out_dir, "acoustic_pass", "acoustic", split)
+        if not store.is_file() or _sha256(store.read_bytes()).hexdigest() != manifest.get("stores", {}).get(split):
+            return None, f"{store.name} is not the store {path.name} records"
+        per_split[split] = read_feature_csv(store)[1]
+    return per_split, ""
+
+
+def _acoustic_pass(index, out_dir: Path, group: str):
+    """``group``'s (names, rows per split) from the corpus's full acoustic pass, and the record files written.
+
+    The pass is read back from its record when that is current; otherwise it
+    runs and writes the record (see the module docstring).
+    """
+    from . import audio
+
+    current = {"code": _code_digest(), "inputs": _inputs_digest(index)}  # taken before the pass reads the corpus
+    per_split, why_not = _read_pass_record(out_dir, current)
+    recorded = []
+    if per_split is None:
+        logger.info("full acoustic pass (%s)", why_not)
+        vectors = _session_rows(index, ("transcript", "audio"), partial(audio.session_acoustic_vector, group="M"))
+        if not any(vectors.values()):
+            raise PipelineError("acoustic extraction produced no sessions")
+        per_split = {split: {sid: vec.values for sid, vec in rows.items()} for split, rows in vectors.items()}
+        for split in SPLITS:
+            recorded.append(artifact_path(out_dir, "acoustic_pass", "acoustic", split))
+            write_feature_csv(recorded[-1], audio.GROUP_NAMES["M"], per_split[split])
+        manifest = dict(
+            current,
+            sessions={split: len(per_split[split]) for split in SPLITS},
+            stores={split: _sha256(path.read_bytes()).hexdigest() for split, path in zip(SPLITS, recorded)},
+        )
+        recorded.append(artifact_path(out_dir, "manifest", "acoustic"))
+        recorded[-1].write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    else:
+        logger.info("acoustic pass read back from its current record")
+    columns = audio.GROUP_COLUMNS[group]
+    rows = {split: {sid: values[columns] for sid, values in m_rows.items()} for split, m_rows in per_split.items()}
+    return audio.GROUP_NAMES[group], rows, recorded
 
 
 def _extract_behavioral(index):
@@ -472,20 +469,9 @@ def run_extract(cfg: PipelineConfig) -> list[Path]:
     if family == "visual":
         written = _extract_visual(index, out_dir)
     else:
-        inputs = None  # an acoustic group's inputs digest, for its manifest
+        recorded = []  # the acoustic pass record, when this extract ran the pass
         if family == "acoustic":
-            group = variant.replace("+FS", "")
-            if group == "M":
-                assembled, why_not = _assemble_acoustic_m(index, out_dir)
-                if assembled:
-                    logger.info("%s assembled from the current S, P and VQ stores", cfg.modality)
-                    names, per_split = assembled
-                else:
-                    logger.info("%s: full acoustic pass (%s)", cfg.modality, why_not)
-                    names, per_split = _extract_acoustic(index, group)
-            else:
-                inputs = _inputs_digest(index)  # taken before the pass reads the corpus
-                names, per_split = _extract_acoustic(index, group)
+            names, per_split, recorded = _acoustic_pass(index, out_dir, variant.replace("+FS", ""))
         elif family == "behavioral":
             names, per_split = _extract_behavioral(index)
         else:
@@ -495,8 +481,7 @@ def run_extract(cfg: PipelineConfig) -> list[Path]:
             path = artifact_path(out_dir, "features", cfg.modality, split)
             write_feature_csv(path, names, per_split[split])
             written.append(path)
-        if inputs is not None:
-            written.append(_write_manifest(out_dir, cfg.modality, inputs, per_split))
+        written += recorded
     logger.info("extract %s done in %.2fs", cfg.modality, time.monotonic() - t0)
     return written
 
@@ -645,9 +630,6 @@ def run_train(cfg: PipelineConfig) -> Path:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model, extra = fit_predictor(cfg, _load_split(cfg, index, "train"))
-    if "relief" in extra:
-        sel_path = artifact_path(out_dir, "selection", cfg.modality)
-        sel_path.write_text("\n".join(extra["relief"]["selected_names"]) + "\n", encoding="utf-8")
     path = artifact_path(out_dir, "model", cfg.modality)
     save_model(model, path, extra)
     logger.info("train %s (%s) done in %.2fs -> %s", cfg.modality, model.kind, time.monotonic() - t0, path)
@@ -755,7 +737,8 @@ def run_cv(cfg: PipelineConfig) -> dict:
     """3-fold CV on the training split, stratified by the PHQ-8 cutoff.
 
     Each fold fits on its training sessions and predicts its held-out ones
-    through fit_predictor and predict_sessions, as train and eval do.
+    through fit_predictor and predict_sessions, as train and eval do. The
+    pooled baseline predicts each fold with the mean label of its training folds.
     """
     from . import relief
 
@@ -771,9 +754,10 @@ def run_cv(cfg: PipelineConfig) -> dict:
 
     rows: dict = {"modality": cfg.modality, "seed": cfg.seed, "n_folds": n_folds}
     lines = ["fold,session_id,y_true,y_pred"]
-    pooled_y, pooled_p = [], []
+    pooled_y, pooled_p, pooled_base = [], [], []
     for fold_no, test_idx in enumerate(fold_indices):
-        model, extra = fit_predictor(cfg, data.subset(np.setdiff1d(np.arange(n), test_idx)))
+        train_idx = np.setdiff1d(np.arange(n), test_idx)
+        model, extra = fit_predictor(cfg, data.subset(train_idx))
         test = data.subset(test_idx)
         preds, _ = predict_sessions(model, extra, test)
         lines += [
@@ -781,9 +765,12 @@ def run_cv(cfg: PipelineConfig) -> dict:
         ]
         pooled_y.extend(test.y)
         pooled_p.extend(preds)
+        pooled_base.extend([float(np.mean(data.y[train_idx]))] * len(test_idx))
         rows[f"fold{fold_no}_n"] = len(test_idx)
         rows.update(_metric_rows(f"fold{fold_no}", test.y, preds, with_evs=False))
     rows.update(_metric_rows("pooled", pooled_y, pooled_p, with_evs=True))
+    rows["pooled_rmse_baseline"] = rmse_fn(pooled_y, pooled_base)
+    rows["pooled_mae_baseline"] = mae_fn(pooled_y, pooled_base)
 
     artifact_path(out_dir, "cv_predictions", cfg.modality).write_text("\n".join(lines) + "\n", encoding="utf-8")
     txt = artifact_path(out_dir, "cv_report", cfg.modality)

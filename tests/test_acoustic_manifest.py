@@ -1,9 +1,12 @@
-"""extract acoustic:M from the S, P and VQ stores when their manifests say they are current.
+"""One acoustic pass per corpus: every acoustic store is a column slice of its record.
 
-S, P and VQ each write ``manifest_acoustic_<V>.json``; M assembles its stores
-from theirs only while the corpus, the code and the stores are the ones the
-manifests record, and otherwise runs the full acoustic pass. Either way the
-M stores must be the bytes that M extracted into an empty directory gives.
+The first acoustic extract runs the full pass and records it:
+``acoustic_pass_<split>.csv`` holds the M columns and ``manifest_acoustic.json``
+the code and inputs digests, the session counts and each record store's
+sha256. Every later acoustic extract reads the record back, without a pass,
+while the corpus, the code and the record stores are the ones the manifest
+records, and otherwise runs the pass again. Either way each store must be
+the bytes that the same extract into an empty directory gives.
 """
 
 import hashlib
@@ -20,6 +23,7 @@ from phqreg.synth import SynthSpec, gen_synthetic
 
 SPEC = SynthSpec(n_train=6, n_dev=2, modalities=("transcript", "audio"), turn_pairs=4)
 GROUPS = ("S", "P", "VQ")
+RECORD = ("acoustic_pass_train.csv", "acoustic_pass_dev.csv", "manifest_acoustic.json")
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +43,12 @@ def extract(root, out, modality):
     return run_extract(load_config(None, {"root": str(root), "out_dir": str(out), "seed": 1, "modality": modality}))
 
 
-def m_stores(out) -> dict:
-    return {split: (Path(out) / f"features_acoustic_M_{split}.csv").read_bytes() for split in ("train", "dev")}
+def stores(out, group) -> dict:
+    return {split: (Path(out) / f"features_acoustic_{group}_{split}.csv").read_bytes() for split in ("train", "dev")}
+
+
+def corpus_sessions(root) -> list:
+    return sorted(sid for split in ("train", "dev") for sid in (Path(root) / f"{split}_ids.txt").read_text().split())
 
 
 def count_passes(monkeypatch) -> list:
@@ -58,24 +66,25 @@ def count_passes(monkeypatch) -> list:
 @pytest.mark.parametrize("modality", ["acoustic:M", "acoustic:M+FS"])
 @pytest.mark.parametrize("drop_wav", [False, True], ids=["all-sessions", "one-wav-missing"])
 def test_m_is_assembled_from_current_group_stores(corpus, tmp_path, monkeypatch, caplog, modality, drop_wav):
-    if drop_wav:  # a skipped session: no group store lists it, and neither does M
+    """After the S, P and VQ extracts, M's stores are cut from the record that S left, without a pass."""
+    if drop_wav:  # a skipped session: the record does not list it, and neither does M
         next((corpus / "sessions").glob("*/*_audio.wav")).unlink()
     out = tmp_path / "out"
-    for group in GROUPS:
-        written = extract(corpus, out, f"acoustic:{group}")
-        assert written[-1] == out / f"manifest_acoustic_{group}.json"
+    written = [[path.name for path in extract(corpus, out, f"acoustic:{group}")] for group in GROUPS]
+    assert written[0] == ["features_acoustic_S_train.csv", "features_acoustic_S_dev.csv", *RECORD]
+    assert written[1:] == [[f"features_acoustic_{g}_train.csv", f"features_acoustic_{g}_dev.csv"] for g in GROUPS[1:]]
     calls = count_passes(monkeypatch)
     with caplog.at_level("INFO", logger="phqreg.pipeline"):
         extract(corpus, out, modality)
     assert calls == []
-    assert any("assembled from the current S, P and VQ stores" in r.getMessage() for r in caplog.records)
+    assert any("read back from its current record" in r.getMessage() for r in caplog.records)
     monkeypatch.undo()
     extract(corpus, tmp_path / "fresh", "acoustic:M")
-    assert m_stores(out) == m_stores(tmp_path / "fresh")
+    assert stores(out, "M") == stores(tmp_path / "fresh", "M")
 
 
 def _edit_store(root, out, monkeypatch):
-    path = out / "features_acoustic_P_dev.csv"
+    path = out / "acoustic_pass_dev.csv"
     lines = path.read_text(encoding="utf-8").splitlines()
     cells = lines[1].split(",")
     cells[1] = repr(float(cells[1]) + 1.0)
@@ -84,7 +93,7 @@ def _edit_store(root, out, monkeypatch):
 
 
 def _drop_manifest(root, out, monkeypatch):
-    (out / "manifest_acoustic_VQ.json").unlink()
+    (out / "manifest_acoustic.json").unlink()
 
 
 def _resynthesise(root, out, monkeypatch):
@@ -115,37 +124,59 @@ MISSES = {
 
 @pytest.mark.parametrize("case", list(MISSES))
 def test_m_falls_back_to_the_pass_when_a_group_store_is_not_current(corpus, tmp_path, monkeypatch, caplog, case):
+    """A record that no longer matches its store, corpus or code forces a full pass, which records afresh."""
     out = tmp_path / "out"
     for group in GROUPS:
         extract(corpus, out, f"acoustic:{group}")
     MISSES[case](corpus, out, monkeypatch)
     calls = count_passes(monkeypatch)
     with caplog.at_level("INFO", logger="phqreg.pipeline"):
-        extract(corpus, out, "acoustic:M")
-    sessions = [sid for split in ("train", "dev") for sid in (corpus / f"{split}_ids.txt").read_text().split()]
-    assert sorted(calls) == sorted(sessions)
+        written = extract(corpus, out, "acoustic:M")
+    assert sorted(calls) == corpus_sessions(corpus)
     assert any("full acoustic pass" in r.getMessage() for r in caplog.records)
+    assert [path.name for path in written[2:]] == list(RECORD)
     extract(corpus, tmp_path / "fresh", "acoustic:M")
-    assert m_stores(out) == m_stores(tmp_path / "fresh")
+    assert stores(out, "M") == stores(tmp_path / "fresh", "M")
+    assert all((out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes() for name in RECORD)
+
+
+def test_the_recipe_runs_one_pass_per_session(acoustic_corpus, tmp_path, monkeypatch):
+    calls = count_passes(monkeypatch)
+    for group in (*GROUPS, "M"):
+        extract(acoustic_corpus, tmp_path, f"acoustic:{group}")
+    assert sorted(calls) == corpus_sessions(acoustic_corpus)
+
+
+def test_a_group_cut_from_the_record_m_wrote_equals_a_fresh_extract(acoustic_corpus, tmp_path, monkeypatch):
+    extract(acoustic_corpus, tmp_path / "out", "acoustic:M")
+    calls = count_passes(monkeypatch)
+    extract(acoustic_corpus, tmp_path / "out", "acoustic:S")
+    assert calls == []
+    monkeypatch.undo()
+    extract(acoustic_corpus, tmp_path / "fresh", "acoustic:S")
+    assert stores(tmp_path / "out", "S") == stores(tmp_path / "fresh", "S")
 
 
 def test_manifests_are_byte_identical_for_copies_of_a_corpus_at_different_paths(acoustic_corpus, tmp_path):
-    manifests = []
+    records = []
     for copy in (tmp_path / "a" / "corpus", tmp_path / "b" / "deeper" / "other"):
         shutil.copytree(acoustic_corpus, copy)
         out = copy.parent / "out"
         for group in GROUPS:
             extract(copy, out, f"acoustic:{group}")
-        manifests.append({g: (out / f"manifest_acoustic_{g}.json").read_bytes() for g in GROUPS})
-    assert manifests[0] == manifests[1]
-    assert all(str(tmp_path).encode() not in text for text in manifests[0].values())
+        records.append({name: (out / name).read_bytes() for name in RECORD})
+    assert records[0] == records[1]
+    assert all(str(tmp_path).encode() not in text for text in records[0].values())
 
 
 def test_manifest_records_the_stores_and_session_counts(acoustic_corpus, tmp_path):
     extract(acoustic_corpus, tmp_path, "acoustic:S")
-    manifest = json.loads((tmp_path / "manifest_acoustic_S.json").read_text(encoding="utf-8"))
+    manifest = json.loads((tmp_path / "manifest_acoustic.json").read_text(encoding="utf-8"))
     assert sorted(manifest) == ["code", "inputs", "sessions", "stores"]
     assert manifest["sessions"] == {"train": SPEC.n_train, "dev": SPEC.n_dev}
     for split in ("train", "dev"):
-        store = (tmp_path / f"features_acoustic_S_{split}.csv").read_bytes()
+        store = (tmp_path / f"acoustic_pass_{split}.csv").read_bytes()
         assert manifest["stores"][split] == hashlib.sha256(store).hexdigest()
+        assert store.split(b"\n", 1)[0].decode() == ",".join(["session_id", *audio.GROUP_NAMES["M"]])
+    # the record is no feature store: S wrote exactly its own two
+    assert sorted(p.name for p in tmp_path.glob("features_*")) == ["features_acoustic_S_dev.csv", "features_acoustic_S_train.csv"]

@@ -801,6 +801,42 @@ class TestTrackMatrix:
             assert second.tobytes() == delta_per_track(delta_per_track(row)).tobytes()
 
 
+def multi_block_session(rate):
+    """13 s of noisy sawtooth with a silent second: more than two blocks of frames."""
+    rng = np.random.default_rng(21)
+    x = sawtooth(170, 13.0, rate, 0.3) + rng.normal(0.0, 0.05, 13 * rate)
+    x[3 * rate : 4 * rate] = 0.0
+    return session_with(x, rate)
+
+
+def group_pass_oracle(session, group):
+    """One group's values from a block pass over that group's LLDs alone (M: all three).
+
+    The per-group pass that session_acoustic_vector's column slices must
+    equal byte for byte: S runs no prosody, and P runs no spectrum or VQ.
+    """
+    frames = frame_signal(session.audio, session.turns)
+    groups = audio.M_GROUPS if group == "M" else (group,)
+    rows = [(g, name) for g in groups for name in GROUP_LLDS[g]]
+    base = np.empty((len(rows), len(frames)))
+    previous, held_f0 = None, 0.0
+    for lo in range(0, len(frames), BLOCK_FRAMES):
+        block = frames.block(lo, lo + BLOCK_FRAMES)
+        tracks = {}
+        if "S" in groups:
+            tracks["S"] = spectral_llds(block, previous)
+            previous = block.samples[-1].copy()
+        if group != "S":
+            tracks["P"] = prosodic_llds(block, held_f0)
+            held_f0 = tracks["P"]["f0_env"][-1]
+            if "VQ" in groups:
+                tracks["VQ"] = voice_quality_llds(block, tracks["P"]["f0"])
+        for i, (g, name) in enumerate(rows):
+            base[i, lo : lo + len(block)] = tracks[g][name]
+    values = np.stack([apply_functionals(m) for m in (base, *add_derivatives(base))], axis=1)
+    return values.reshape(-1)
+
+
 def two_turn_session(rate=RATE, sid="s1", freq=180.0, amp=0.5, silent=False):
     dur = 3.0
     samples = np.zeros(int(dur * rate))
@@ -852,23 +888,22 @@ class TestSessionVectors:
 
     @pytest.mark.parametrize("rate", [8000, 16000])
     def test_one_pass_merge_equals_merge_groups(self, rate):
-        s = two_turn_session(rate=rate)
-        # M from one pass equals the groups extracted one by one, merged in P, S, VQ order
-        m = session_acoustic_vector(s, "M")
-        groups = [session_acoustic_vector(s, g) for g in ("P", "S", "VQ")]
-        assert m.session_id == s.id
+        s = multi_block_session(rate)
+        assert len(frame_signal(s.audio, s.turns)) > 2 * BLOCK_FRAMES
+        # each group's columns of the one full pass equal that group's own pass
+        vectors = {g: session_acoustic_vector(s, g) for g in ("P", "S", "VQ", "M")}
+        for g, vec in vectors.items():
+            assert vec.session_id == s.id
+            assert len(vec.values) == len(GROUP_NAMES[g])
+            assert vec.values.tobytes() == group_pass_oracle(s, g).tobytes(), g
         assert GROUP_NAMES["M"] == sum((GROUP_NAMES[g] for g in ("P", "S", "VQ")), ())
-        assert [len(v.values) for v in groups] == [len(GROUP_NAMES[g]) for g in ("P", "S", "VQ")]
-        assert m.values.tobytes() == np.concatenate([v.values for v in groups]).tobytes()
+        merged = np.concatenate([vectors[g].values for g in ("P", "S", "VQ")])
+        assert vectors["M"].values.tobytes() == merged.tobytes()
 
     @pytest.mark.parametrize("kind", ["8000", "16000", "silent", "multi_block"])
     def test_every_column_within_1e9_of_per_track_definition(self, kind):
         if kind == "multi_block":
-            rate = 8000
-            rng = np.random.default_rng(21)
-            x = sawtooth(170, 13.0, rate, 0.3) + rng.normal(0.0, 0.05, 13 * rate)
-            x[3 * rate : 4 * rate] = 0.0
-            s = session_with(x, rate)
+            s = multi_block_session(8000)
         else:
             s = two_turn_session(rate=8000 if kind == "silent" else int(kind), silent=kind == "silent")
         frames = frame_signal(s.audio, s.turns)

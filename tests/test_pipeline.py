@@ -2,8 +2,11 @@ import ast
 import configparser
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -86,6 +89,15 @@ def cfg_for(root, out, **kw):
 
 def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def report_selection(path) -> list[str]:
+    """The feature names under ``[selected features]`` of a ``report_*.txt``; [] without the section."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if "[selected features]" not in lines:
+        return []
+    section = lines[lines.index("[selected features]") + 1 :]
+    return section[: section.index("")]
 
 
 class TestConfig:
@@ -439,9 +451,39 @@ class TestTrainEval:
             run_eval(cfg)
 
 
+# synth, the acoustic, behavioral and text extracts, then train, eval and cv for behavioral and text:BOOL
+HASH_SEED_RECIPE = [
+    ["synth", "--n-train", "9", "--n-dev", "3", "--synth-modalities", "transcript audio"],
+    *(["extract", "--modality", m] for m in ("acoustic:S", "acoustic:P", "acoustic:VQ", "acoustic:M",
+                                           "behavioral", "text:BOOL", "text:TFIDF")),
+    *([verb, "--modality", m] for m in ("behavioral", "text:BOOL") for verb in ("train", "eval", "cv")),
+]
+
+
 class TestDeterminismAndLeakage:
     def artifacts(self, out):
         return sorted(p for p in Path(out).rglob("*") if p.is_file())
+
+    def test_recipe_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """One interpreter per PYTHONHASHSEED runs the recipe through cli.main into its own directory."""
+        src = str(Path(phqreg.__file__).resolve().parent.parent)
+        trees = []
+        for hash_seed in ("0", "12345"):
+            run = tmp_path / f"hashseed_{hash_seed}"
+            common = ["--corpus", str(run / "corpus"), "--out", str(run / "out"), "--seed", "5"]
+            code = "\n".join([
+                "from phqreg.cli import main",
+                f"for args in {HASH_SEED_RECIPE!r}:",
+                f"    assert main(args + {common!r}) == 0, args",
+            ])
+            path = os.environ.get("PYTHONPATH")
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
+            assert done.returncode == 0, done.stderr[-2000:]
+            trees.append({p.relative_to(run).as_posix(): p.read_bytes() for p in self.artifacts(run)})
+        assert sorted(trees[0]) == sorted(trees[1])
+        assert {"out/cv_report_text_BOOL.txt", "out/report_behavioral.txt", "out/acoustic_pass_dev.csv"} <= set(trees[0])
+        assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
 
     def test_identical_seed_reproduces_artifacts(self, small_corpus, tmp_path):
         out = tmp_path / "out"
@@ -525,6 +567,19 @@ class TestCrossValidation:
         p = np.array([float(l.split(",")[3]) for l in lines])
         assert rows["pooled_mae"] == pytest.approx(np.mean(np.abs(y - p)), abs=1e-12)
 
+    def test_pooled_baseline_predicts_each_fold_by_its_training_folds_mean(self, behavioral_run):
+        cfg, out, _ = behavioral_run
+        rows = run_cv(cfg)
+        lines = [l.split(",") for l in (out / "cv_predictions_behavioral.csv").read_text().splitlines()[1:]]
+        fold = np.array([int(l[0]) for l in lines])
+        y = np.array([float(l[2]) for l in lines])
+        base = np.array([y[fold != f].mean() for f in fold])  # mean y_true of the other folds
+        assert rows["pooled_rmse_baseline"] == pytest.approx(np.sqrt(np.mean((y - base) ** 2)), abs=1e-12)
+        assert rows["pooled_mae_baseline"] == pytest.approx(np.mean(np.abs(y - base)), abs=1e-12)
+        report = (out / "cv_report_behavioral.txt").read_text().splitlines()
+        assert f"pooled_rmse_baseline = {rows['pooled_rmse_baseline']}" in report
+        assert f"pooled_mae_baseline = {rows['pooled_mae_baseline']}" in report
+
     def test_too_few_sessions(self, tmp_path):
         root = tmp_path / "mini"
         gen_synthetic(SynthSpec(n_train=2, n_dev=1, modalities=("transcript",), turn_pairs=4), root, seed=1)
@@ -558,16 +613,16 @@ class TestReliefIntegration:
         cfg = cfg_for(small_corpus, out, modality="acoustic:M+FS")
         cfg.relief_k = 3
         run_train(cfg)
-        sel_file = out / "selected_features_acoustic_M+FS.txt"
-        assert sel_file.is_file()
-        selected = sel_file.read_text().split()
+        assert not list(out.glob("selected_features_*"))  # the model extra is the one record of the selection
+        rows = run_eval(cfg)
+        selected = report_selection(out / "report_acoustic_M+FS.txt")
         assert 0 < len(selected) <= 20
         assert "M.f0" in selected
-        rows = run_eval(cfg)
         assert rows["n_features_used"] == len(selected)
         assert rows["relief_k"] == 3
         extra = json.loads((out / "model_acoustic_M+FS.json").read_text())["extra"]
         assert set(extra) == {"modality", "seed", "train_mean", "feature_names", "relief"}
+        assert extra["relief"]["selected_names"] == selected
 
     def test_selection_artifacts_do_not_overwrite_plain_m(self, small_corpus, tmp_path):
         out = tmp_path / "fs_vs_m"
@@ -585,10 +640,10 @@ class TestReliefIntegration:
         fs_rows = run_eval(fs)
         for name, before in m_bytes.items():
             assert (out / name).read_bytes() == before, name
-        for name in ("model_acoustic_M+FS.json", "report_acoustic_M+FS.csv", "predictions_acoustic_M+FS_dev.csv",
-                     "selected_features_acoustic_M+FS.txt"):
+        for name in ("model_acoustic_M+FS.json", "report_acoustic_M+FS.csv", "predictions_acoustic_M+FS_dev.csv"):
             assert (out / name).is_file(), name
-        assert not (out / "selected_features_acoustic_M.txt").exists()
+        assert report_selection(out / "report_acoustic_M+FS.txt")
+        assert report_selection(out / "report_acoustic_M.txt") == []
         assert m_rows["n_features_used"] == 30
         assert fs_rows["n_features_used"] <= 20
         # the plain M model still evaluates as the plain M model afterwards
@@ -668,9 +723,10 @@ class TestReliefIntegration:
             digests.append({p.name: sha(p) for p in sorted(out.iterdir())})
         assert digests[0] == digests[1]
         assert {
-            "relief_tuning_acoustic_M+FS.csv", "model_acoustic_M+FS.json", "selected_features_acoustic_M+FS.txt",
+            "relief_tuning_acoustic_M+FS.csv", "model_acoustic_M+FS.json",
             "predictions_acoustic_M+FS_dev.csv", "report_acoustic_M+FS.txt", "report_acoustic_M+FS.csv",
         } <= set(digests[0])
+        assert report_selection(tmp_path / "first" / "report_acoustic_M+FS.txt")
 
     def test_single_class_training_split_names_the_missing_class(self, tmp_path, capsys):
         root, out = tmp_path / "no_depressed", tmp_path / "out"
