@@ -156,7 +156,7 @@ class FrameSet:
 
 @dataclass(frozen=True)
 class AcousticVector:
-    """Per-session feature vector for one acoustic group, in GROUP_NAMES order."""
+    """Per-session merged acoustic vector M, in GROUP_NAMES["M"] order."""
 
     values: np.ndarray
     session_id: str
@@ -564,18 +564,16 @@ def _functionals(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
-    """One acoustic group's columns (S, P, VQ or the merge M) of a session's full pass.
+def session_acoustic_vector(session: Session) -> AcousticVector:
+    """A session's full acoustic pass: its merged vector M, in GROUP_NAMES["M"] order.
 
     The session is framed once and its P, S and VQ LLDs come from one pass
     over blocks of BLOCK_FRAMES frames. Each LLD over the blocks, its delta
     and its delta-delta are projected on the 24 functionals, which gives M;
-    ``group`` only picks its GROUP_COLUMNS. Sessions the recipe cannot
+    S, P and VQ are its GROUP_COLUMNS slices. Sessions the recipe cannot
     describe (no audio, no participant turns, a sample rate below 8 kHz,
     fewer frames than the delta window) raise EmptyInputError.
     """
-    if group not in GROUP_NAMES:
-        raise ValueError(f"unknown group {group!r}")
     if session.audio is None:
         raise EmptyInputError(f"session {session.id} has no audio")
     frames = frame_signal(session.audio, session.turns)
@@ -595,4 +593,4 @@ def session_acoustic_vector(session: Session, group: str) -> AcousticVector:
 
     # each LLD's functionals, then its delta's and its delta-delta's
     values = np.stack([apply_functionals(m) for m in (base, *add_derivatives(base))], axis=1)
-    return AcousticVector(values.reshape(-1)[GROUP_COLUMNS[group]], session.id)
+    return AcousticVector(values.reshape(-1), session.id)

@@ -135,7 +135,6 @@ class WindowBatch:
     """PCA-projected sliding windows of one session, all tracking-clean."""
 
     windows: np.ndarray  # (n_windows, W, q)
-    starts: tuple[int, ...] = ()  # window starts in downsampled-sample units
 
 
 def downsample_indices(timestamps: np.ndarray) -> np.ndarray:
@@ -168,17 +167,16 @@ def window_sequence(
     idx = downsample_indices(seq.timestamps)
     ok = seq.success[idx]
     feats = None  # projected lazily, only if some window survives
-    kept, starts = [], []
+    kept = []
     for start in range(0, len(idx) - window + 1, overlap):
         if not ok[start : start + window].all():
             continue
         if feats is None:
             feats = pca.transform(geometric_frames(seq))[idx]
         kept.append(feats[start : start + window])
-        starts.append(start)
     if not kept:
         return WindowBatch(np.zeros((0, window, pca.q)))
-    return WindowBatch(np.array(kept), tuple(starts))
+    return WindowBatch(np.array(kept))
 
 
 def aggregate_predictions(predictions) -> float:

@@ -1,8 +1,13 @@
 """Trainable predictors with a uniform predict contract, plus model file I/O.
 
-Model files are versioned, self-describing JSON: a format version, the model
-kind, hyperparameters, normalization statistics and parameters. Loading a
-file with a mismatched format version fails loudly.
+Model files are versioned JSON envelopes: a format version, the model kind,
+the model body and the pipeline's extra metadata. The body holds only what
+``predict`` and ``eval`` read: the fitted parameters, the SVR's kernel, C,
+gamma and min-max ranges, and the training record (SMO iterations and KKT
+gap, the LSTM's best epoch and loss curve). The fixed hyperparameters are the
+learners' module constants and are not stored. A file of another format
+version, or one that is not an envelope or whose body lacks or mistypes a
+field, fails loudly with ModelFormatError.
 
 Each learner lives in the submodule named after its kind (``svr``,
 ``reptree``, ``lstm``). The package imports none of them: ``load_model``
@@ -18,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 
 class ModelFormatError(ValueError):
@@ -51,15 +56,26 @@ def save_model(model, path, extra: dict | None = None) -> None:
 
 def load_model(path) -> tuple[object, dict]:
     """Read a model envelope; returns (model, extra metadata)."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ModelFormatError(f"{path}: not a model envelope (a JSON object)")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"{path}: model format version {version!r}, expected {MODEL_FORMAT_VERSION}")
     kind = payload.get("kind")
     if kind not in _MODEL_CLASSES:
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+    body, extra = payload.get("model"), payload.get("extra", {})
+    if not isinstance(body, dict) or not isinstance(extra, dict):
+        raise ModelFormatError(f"{path}: 'model' and 'extra' must be JSON objects")
     cls = getattr(importlib.import_module(f"{__name__}.{kind}"), _MODEL_CLASSES[kind])
-    return cls.from_dict(payload["model"]), payload.get("extra", {})
+    try:
+        return cls.from_dict(body), extra
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelFormatError(f"{path}: damaged {kind} model ({type(exc).__name__}: {exc})") from None
 
 
 __all__ = ["save_model", "load_model", "ModelFormatError", "MODEL_FORMAT_VERSION"]

@@ -4,10 +4,14 @@ Architecture: two stacked LSTM layers of hidden size 16; the last timestep's
 hidden state goes through batch normalization, dropout (0.5, training only)
 and a linear dense head producing one scalar per window. Loss is MSE,
 optimized with Adam (step 1e-3, batch 32, global gradient-norm clip 5.0).
-The head's bias starts at the training-label mean. Training runs up to 100
-epochs and keeps the parameter snapshot with the lowest validation loss (the
-training loss without a validation set), scored once per epoch; inference is
-deterministic (dropout off, frozen batch-norm statistics).
+These are the paper's fixed values and the module constants HIDDEN_SIZE,
+DEFAULT_DROPOUT, DEFAULT_LR, DEFAULT_BATCH and DEFAULT_CLIP; ``lstm_train``
+takes only the epoch budget and the seed, and the input width comes from the
+windows. The head's bias starts at the training-label mean. Training runs up
+to ``max_epochs`` epochs (100 in the paper's recipe) and keeps the parameter
+snapshot with the lowest validation loss (the training loss without a
+validation set), scored once per epoch; inference is deterministic (dropout
+off, frozen batch-norm statistics).
 
 Everything is plain numpy in double precision so the analytic gradients can
 be verified against central finite differences.
@@ -32,11 +36,9 @@ boolean-mask sigmoid; tests/test_lstm.py keeps that form as its oracle. One
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from ..config import DEFAULT_EPOCHS
 
 HIDDEN_SIZE = 16
 DEFAULT_DROPOUT = 0.5
@@ -73,22 +75,10 @@ def _sigmoid(x, out=None):
     return out
 
 
-@dataclass
-class LstmConfig:
-    input_dim: int
-    hidden: int = HIDDEN_SIZE
-    dropout: float = DEFAULT_DROPOUT
-    lr: float = DEFAULT_LR
-    batch_size: int = DEFAULT_BATCH
-    max_epochs: int = DEFAULT_EPOCHS
-    clip_norm: float = DEFAULT_CLIP
-    seed: int = 0
-
-
-def init_params(config: LstmConfig) -> dict:
+def init_params(input_dim: int, seed: int) -> dict:
     """Uniform fan-in initialization; forget-gate biases start at 1.0."""
-    rng = np.random.default_rng(config.seed)
-    H, D = config.hidden, config.input_dim
+    rng = np.random.default_rng(seed)
+    H, D = HIDDEN_SIZE, input_dim
 
     def unif(shape, fan_in):
         s = 1.0 / np.sqrt(fan_in)
@@ -279,7 +269,6 @@ def mse_loss_and_grads(params, state, X, y, training=False, dropout_mask=None):
 
 @dataclass
 class LstmModel:
-    config: LstmConfig
     params: dict
     running_mean: np.ndarray
     running_var: np.ndarray
@@ -293,14 +282,14 @@ class LstmModel:
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 3 or X.shape[2] != self.config.input_dim:
-            raise ValueError(f"expected (n, W, {self.config.input_dim}) windows, got {X.shape}")
+        q = self.params["W1"].shape[1]
+        if X.ndim != 3 or X.shape[2] != q:
+            raise ValueError(f"expected (n, W, {q}) windows, got {X.shape}")
         pred, _ = forward(self.params, self.state, X, training=False)
         return pred
 
     def to_dict(self) -> dict:
         return {
-            "config": asdict(self.config),
             "params": {k: v.tolist() for k, v in self.params.items()},
             "running_mean": self.running_mean.tolist(),
             "running_var": self.running_var.tolist(),
@@ -310,16 +299,14 @@ class LstmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LstmModel":
-        config = LstmConfig(**d["config"])
-        params = {k: np.array(v) for k, v in d["params"].items()}
         return cls(
-            config=config, params=params,
+            params={k: np.array(v) for k, v in d["params"].items()},
             running_mean=np.array(d["running_mean"]), running_var=np.array(d["running_var"]),
             curve=list(d["curve"]), best_epoch=d["best_epoch"],
         )
 
 
-def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
+def lstm_train(X, y, max_epochs: int, seed: int, X_val=None, y_val=None) -> LstmModel:
     """Fit on windows (N, T, D); keeps the snapshot with the lowest curve loss.
 
     The curve holds the deterministic-mode MSE before training (index 0) and
@@ -330,8 +317,6 @@ def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 3 or len(X) == 0:
         raise ValueError("need a non-empty (n, W, q) window array")
-    if X.shape[2] != config.input_dim:
-        raise ValueError(f"window dimension {X.shape[2]} does not match config input_dim {config.input_dim}")
     if y.shape != (len(X),):
         raise ValueError(f"{len(X)} training windows but labels of shape {y.shape}")
     if (X_val is None) != (y_val is None):
@@ -344,18 +329,18 @@ def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
         if y_val.shape != (len(X_val),):
             raise ValueError(f"{len(X_val)} validation windows but labels of shape {y_val.shape}")
 
-    params = init_params(config)
+    params = init_params(X.shape[2], seed)
     # the head starts at the label mean: from 0, the 1e-3 Adam steps cannot
     # reach labels far from 0 (PHQ-8 spans 0-24) within the paper's epochs
     params["b_out"][:] = y.mean()
-    state = {"running_mean": np.zeros(config.hidden), "running_var": np.ones(config.hidden)}
-    rng = np.random.default_rng(config.seed + 1)
+    state = {"running_mean": np.zeros(HIDDEN_SIZE), "running_var": np.ones(HIDDEN_SIZE)}
+    rng = np.random.default_rng(seed + 1)
 
     adam_m = {k: np.zeros_like(v) for k, v in params.items()}
     adam_v = {k: np.zeros_like(v) for k, v in params.items()}
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     step = 0
-    keep = 1.0 - config.dropout
+    keep = 1.0 - DEFAULT_DROPOUT
 
     X_score, y_score = (X, y) if X_val is None else (X_val, y_val)
 
@@ -368,27 +353,24 @@ def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
     best_state = {k: v.copy() for k, v in state.items()}
     best_epoch = 0
 
-    for epoch in range(1, config.max_epochs + 1):
+    for epoch in range(1, max_epochs + 1):
         order = rng.permutation(len(X))
-        for lo in range(0, len(X), config.batch_size):
-            batch = order[lo : lo + config.batch_size]
+        for lo in range(0, len(X), DEFAULT_BATCH):
+            batch = order[lo : lo + DEFAULT_BATCH]
             Xb, yb = X[batch], y[batch]
 
-            if keep < 1.0:
-                mask = (rng.random((len(batch), config.hidden)) < keep) / keep
-            else:
-                mask = None
+            mask = (rng.random((len(batch), HIDDEN_SIZE)) < keep) / keep
             loss, grads, cache = mse_loss_and_grads(params, state, Xb, yb, training=True, dropout_mask=mask)
             if not np.isfinite(loss):
-                raise LstmDivergenceError(f"training loss diverged at epoch {epoch} (config={config})")
+                raise LstmDivergenceError(f"training loss diverged at epoch {epoch} (seed {seed})")
             # update running statistics from this batch
             mu, var = cache["hT"].mean(axis=0), cache["hT"].var(axis=0)
             state["running_mean"] = (1 - BN_MOMENTUM) * state["running_mean"] + BN_MOMENTUM * mu
             state["running_var"] = (1 - BN_MOMENTUM) * state["running_var"] + BN_MOMENTUM * var
 
             gnorm = np.sqrt(sum(float((grads[k] ** 2).sum()) for k in CLIP_ORDER))
-            if config.clip_norm > 0 and gnorm > config.clip_norm:
-                scale = config.clip_norm / gnorm
+            if gnorm > DEFAULT_CLIP:
+                scale = DEFAULT_CLIP / gnorm
                 grads = {k: g * scale for k, g in grads.items()}
 
             step += 1
@@ -397,7 +379,7 @@ def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
                 adam_v[k] = beta2 * adam_v[k] + (1 - beta2) * grads[k] ** 2
                 mhat = adam_m[k] / (1 - beta1**step)
                 vhat = adam_v[k] / (1 - beta2**step)
-                params[k] = params[k] - config.lr * mhat / (np.sqrt(vhat) + adam_eps)
+                params[k] = params[k] - DEFAULT_LR * mhat / (np.sqrt(vhat) + adam_eps)
 
         curve.append(score())
         if curve[-1] < curve[best_epoch]:
@@ -406,7 +388,7 @@ def lstm_train(X, y, config: LstmConfig, X_val=None, y_val=None) -> LstmModel:
             best_epoch = epoch
 
     return LstmModel(
-        config=config, params=best,
+        params=best,
         running_mean=best_state["running_mean"], running_var=best_state["running_var"],
         curve=curve, best_epoch=best_epoch,
     )

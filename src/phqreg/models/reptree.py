@@ -24,7 +24,6 @@ DEFAULT_PRUNE_FRACTION = 1.0 / 3.0
 @dataclass
 class TreeNode:
     value: float  # growing-set mean at this node
-    n: int  # growing-set count
     feature: int | None = None
     threshold: float | None = None
     left: "TreeNode | None" = None
@@ -41,7 +40,7 @@ class TreeNode:
         return node.value
 
     def to_dict(self) -> dict:
-        d = {"value": self.value, "n": self.n}
+        d = {"value": self.value}
         if not self.is_leaf:
             d.update(feature=self.feature, threshold=self.threshold,
                      left=self.left.to_dict(), right=self.right.to_dict())
@@ -49,7 +48,7 @@ class TreeNode:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeNode":
-        node = cls(value=d["value"], n=d["n"])
+        node = cls(value=d["value"])
         if "feature" in d:
             node.feature = d["feature"]
             node.threshold = d["threshold"]
@@ -62,7 +61,7 @@ def grow_tree(X: np.ndarray, y: np.ndarray, min_leaf: int = DEFAULT_MIN_LEAF) ->
     """Greedy variance-reduction tree on the growing set."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    node = TreeNode(value=float(y.mean()), n=len(y))
+    node = TreeNode(value=float(y.mean()))
     var = float(np.var(y))
     if len(y) < 2 * min_leaf or var == 0.0:
         return node
@@ -95,13 +94,6 @@ def grow_tree(X: np.ndarray, y: np.ndarray, min_leaf: int = DEFAULT_MIN_LEAF) ->
     return node
 
 
-def subtree_sse(node: TreeNode, X: np.ndarray, y: np.ndarray) -> float:
-    if len(y) == 0:
-        return 0.0
-    preds = np.array([node.predict_one(x) for x in X])
-    return float(((preds - y) ** 2).sum())
-
-
 def prune_tree(node: TreeNode, X: np.ndarray, y: np.ndarray) -> float:
     """Reduced-error pruning in place; returns the node's pruning-set SSE."""
     if node.is_leaf:
@@ -119,11 +111,6 @@ def prune_tree(node: TreeNode, X: np.ndarray, y: np.ndarray) -> float:
 class RepTreeModel:
     tree: TreeNode
     n_features: int
-    min_leaf: int
-    prune_fraction: float
-    seed: int
-    prune_sse_before: float
-    prune_sse_after: float
     kind: str = field(default="reptree", init=False)
 
     def predict(self, X) -> np.ndarray:
@@ -133,28 +120,14 @@ class RepTreeModel:
         return np.array([self.tree.predict_one(x) for x in X])
 
     def to_dict(self) -> dict:
-        return {
-            "tree": self.tree.to_dict(), "n_features": self.n_features, "min_leaf": self.min_leaf,
-            "prune_fraction": self.prune_fraction, "seed": self.seed,
-            "prune_sse_before": self.prune_sse_before, "prune_sse_after": self.prune_sse_after,
-        }
+        return {"tree": self.tree.to_dict(), "n_features": self.n_features}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RepTreeModel":
-        return cls(
-            tree=TreeNode.from_dict(d["tree"]), n_features=d["n_features"], min_leaf=d["min_leaf"],
-            prune_fraction=d["prune_fraction"], seed=d["seed"],
-            prune_sse_before=d["prune_sse_before"], prune_sse_after=d["prune_sse_after"],
-        )
+        return cls(TreeNode.from_dict(d["tree"]), d["n_features"])
 
 
-def reptree_train(
-    X,
-    y,
-    min_leaf: int = DEFAULT_MIN_LEAF,
-    prune_fraction: float = DEFAULT_PRUNE_FRACTION,
-    seed: int = 0,
-) -> RepTreeModel:
+def reptree_train(X, y, seed: int = 0) -> RepTreeModel:
     """Grow on a seeded 2/3 split, prune on the held-out 1/3."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -165,10 +138,9 @@ def reptree_train(
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(y))
-    n_prune = max(int(round(len(y) * prune_fraction)), 1)
+    n_prune = max(int(round(len(y) * DEFAULT_PRUNE_FRACTION)), 1)
     prune_idx, grow_idx = order[:n_prune], order[n_prune:]
 
-    tree = grow_tree(X[grow_idx], y[grow_idx], min_leaf)
-    sse_before = subtree_sse(tree, X[prune_idx], y[prune_idx])
-    sse_after = prune_tree(tree, X[prune_idx], y[prune_idx])
-    return RepTreeModel(tree, X.shape[1], min_leaf, prune_fraction, seed, sse_before, sse_after)
+    tree = grow_tree(X[grow_idx], y[grow_idx])
+    prune_tree(tree, X[prune_idx], y[prune_idx])
+    return RepTreeModel(tree, X.shape[1])

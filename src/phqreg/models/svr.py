@@ -53,14 +53,12 @@ class SvrModel:
     kernel: str
     C: float
     gamma: float
-    epsilon: float
     alpha: np.ndarray  # (n,)
     alpha_star: np.ndarray  # (n,)
     bias: float
     train_X: np.ndarray  # normalized training inputs (n, d)
     mins: np.ndarray
     maxs: np.ndarray
-    dual_objective: float
     n_iter: int
     kkt_gap: float  # the KKT violation gap at which SMO stopped: <= tol, below 0 when no pair violates
     kind: str = field(default="svr", init=False)
@@ -78,28 +76,22 @@ class SvrModel:
 
     def to_dict(self) -> dict:
         return {
-            "kernel": self.kernel, "C": self.C, "gamma": self.gamma, "epsilon": self.epsilon,
+            "kernel": self.kernel, "C": self.C, "gamma": self.gamma,
             "alpha": self.alpha.tolist(), "alpha_star": self.alpha_star.tolist(),
             "bias": self.bias, "train_X": self.train_X.tolist(),
             "mins": self.mins.tolist(), "maxs": self.maxs.tolist(),
-            "dual_objective": self.dual_objective, "n_iter": self.n_iter, "kkt_gap": self.kkt_gap,
+            "n_iter": self.n_iter, "kkt_gap": self.kkt_gap,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SvrModel":
         return cls(
-            kernel=d["kernel"], C=d["C"], gamma=d["gamma"], epsilon=d["epsilon"],
+            kernel=d["kernel"], C=d["C"], gamma=d["gamma"],
             alpha=np.array(d["alpha"]), alpha_star=np.array(d["alpha_star"]),
             bias=d["bias"], train_X=np.array(d["train_X"]).reshape(len(d["alpha"]), -1),
             mins=np.array(d["mins"]), maxs=np.array(d["maxs"]),
-            dual_objective=d["dual_objective"], n_iter=d["n_iter"], kkt_gap=d["kkt_gap"],
+            n_iter=d["n_iter"], kkt_gap=d["kkt_gap"],
         )
-
-
-def svr_dual_objective(K: np.ndarray, y: np.ndarray, epsilon: float, alpha: np.ndarray, alpha_star: np.ndarray) -> float:
-    """f(z) = 1/2 beta^T K beta + eps * sum(alpha + alpha*) - y^T beta (minimized)."""
-    beta = alpha - alpha_star
-    return float(0.5 * beta @ K @ beta + epsilon * np.sum(alpha + alpha_star) - y @ beta)
 
 
 def svr_train(
@@ -169,11 +161,9 @@ def svr_train(
         grad += lam * (u[i] * qi - u[j] * qj)
         it += 1
 
-    alpha, alpha_star = z[:n].copy(), z[n:].copy()
     return SvrModel(
-        kernel=kernel, C=C, gamma=gamma, epsilon=epsilon,
-        alpha=alpha, alpha_star=alpha_star, bias=bias,
+        kernel=kernel, C=C, gamma=gamma,
+        alpha=z[:n].copy(), alpha_star=z[n:].copy(), bias=bias,
         train_X=Xn, mins=mins, maxs=maxs,
-        dual_objective=svr_dual_objective(K, y, epsilon, alpha, alpha_star),
         n_iter=it, kkt_gap=float(gap),
     )

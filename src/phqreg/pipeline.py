@@ -314,7 +314,7 @@ def _acoustic_pass(index, out_dir: Path, group: str):
     recorded = []
     if per_split is None:
         logger.info("full acoustic pass (%s)", why_not)
-        vectors = _session_rows(index, ("transcript", "audio"), partial(audio.session_acoustic_vector, group="M"))
+        vectors = _session_rows(index, ("transcript", "audio"), audio.session_acoustic_vector)
         if not any(vectors.values()):
             raise PipelineError("acoustic extraction produced no sessions")
         per_split = {split: {sid: vec.values for sid, vec in rows.items()} for split, rows in vectors.items()}
@@ -338,7 +338,7 @@ def _acoustic_pass(index, out_dir: Path, group: str):
 def _extract_behavioral(index):
     from . import turns
 
-    rows = _session_rows(index, ("transcript",), lambda session: turns.behavioral_vector(session.turns)[1])
+    rows = _session_rows(index, ("transcript",), lambda session: turns.behavioral_vector(session.turns))
     return turns.BEHAVIORAL_NAMES, rows
 
 
@@ -568,7 +568,7 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
             X = X[:, selected]
         return fit(X, data.y), extra
 
-    from .models.lstm import LstmConfig, lstm_train
+    from .models.lstm import lstm_train
 
     if len(data.windows) == 0:
         raise PipelineError("no tracking-clean training windows; cannot train the LSTM")
@@ -579,9 +579,8 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
     val = np.isin(data.win_sids, val_sessions)
     label = dict(zip(data.sids, data.y))
     y = np.array([label[sid] for sid in data.win_sids.tolist()])
-    lstm_cfg = LstmConfig(input_dim=data.windows.shape[2], max_epochs=cfg.lstm_max_epochs, seed=cfg.seed)
     model = lstm_train(
-        data.windows[~val], y[~val], lstm_cfg,
+        data.windows[~val], y[~val], cfg.lstm_max_epochs, cfg.seed,
         X_val=data.windows[val] if val.any() else None,
         y_val=y[val] if val.any() else None,
     )

@@ -126,9 +126,9 @@ def pdi_features(turns) -> tuple[np.ndarray, list[str]]:
     return np.array([flags[t] for t in PDI_TOPICS]), diagnostics
 
 
-def behavioral_vector(turns) -> tuple[tuple[str, ...], np.ndarray]:
-    """The full 12-dim behavioral vector with its feature names."""
+def behavioral_vector(turns) -> np.ndarray:
+    """The full 12-dim behavioral vector, in BEHAVIORAL_NAMES order."""
     nb = nonvocal_features(turns)
     tb = turn_taking_features(turns)
     pdi, _ = pdi_features(turns)
-    return BEHAVIORAL_NAMES, np.concatenate([nb, tb, pdi])
+    return np.concatenate([nb, tb, pdi])

@@ -9,23 +9,23 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from phqreg.audio import session_acoustic_vector
+from phqreg.audio import GROUP_COLUMNS, session_acoustic_vector
 from phqreg.cli import main
 from phqreg.corpus import AudioSignal, Session, Speaker, TurnRecord
 from phqreg.face import fit_pca, window_sequence
 from phqreg.metrics import evs, mae, rmse
-from phqreg.models.lstm import LstmConfig, LstmModel, init_params, lstm_train
+from phqreg.models.lstm import LstmModel, init_params, lstm_train
 from phqreg.models.reptree import grow_tree, prune_tree, reptree_train
 from phqreg.models.svr import kernel_matrix, svr_train
 from phqreg.relief import relief_weights
-from phqreg.turns import behavioral_vector
+from phqreg.turns import BEHAVIORAL_NAMES, behavioral_vector
 
-from test_face import geometric_vector, make_sequence, normalize_landmarks, window_oracle
+from test_face import geometric_vector, make_sequence, normalize_landmarks, windows_oracle
 from test_lstm import gradient_check
 from test_metrics import brute_force_metrics
 from test_pipeline import read_predictions
 from test_relief import relief_oracle
-from test_svr import qp_oracle
+from test_svr import qp_oracle, svr_dual_objective
 
 
 @contextmanager
@@ -57,13 +57,11 @@ def synthetic_session(rate=16000):
 def test_01_acoustic_dimension_parity():
     with criterion(1, "acoustic dimensions 864/288/288/1440"):
         s = synthetic_session()
-        p = session_acoustic_vector(s, "P")
-        sv = session_acoustic_vector(s, "S")
-        vq = session_acoustic_vector(s, "VQ")
-        assert len(sv.values) == 864
-        assert len(p.values) == 288
-        assert len(vq.values) == 288
-        assert len(session_acoustic_vector(s, "M").values) == 1440
+        m = session_acoustic_vector(s).values
+        assert len(m[GROUP_COLUMNS["S"]]) == 864
+        assert len(m[GROUP_COLUMNS["P"]]) == 288
+        assert len(m[GROUP_COLUMNS["VQ"]]) == 288
+        assert len(m) == 1440
 
 
 def test_02_behavioral_dimension_and_pdi_range():
@@ -75,8 +73,8 @@ def test_02_behavioral_dimension_and_pdi_range():
             TurnRecord(4.0, 5.0, Speaker.PARTICIPANT, ("um", "good", "<laughter>")),
             TurnRecord(5.3, 6.0, Speaker.PARTICIPANT, ("yeah",)),
         )
-        names, vec = behavioral_vector(turns)
-        assert len(names) == 12 and len(vec) == 12
+        vec = behavioral_vector(turns)
+        assert len(BEHAVIORAL_NAMES) == 12 and len(vec) == 12
         assert set(vec[9:].tolist()) <= {-1.0, 0.0, 1.0}
 
 
@@ -165,7 +163,8 @@ def test_07_svr_feasibility_and_small_qp():
         y5 = np.array([0.3, 1.2, -0.2, 1.9, 1.1])
         m = svr_train(X5, y5, kernel="rbf", C=1.0, gamma=0.01, epsilon=0.1, tol=1e-10)
         K = kernel_matrix("rbf", m.train_X, m.train_X, 0.01)
-        assert abs(m.dual_objective - qp_oracle(K, y5, 1.0, 0.1)) <= 1e-6
+        dual = svr_dual_objective(K, y5, 0.1, m.alpha, m.alpha_star)
+        assert abs(dual - qp_oracle(K, y5, 1.0, 0.1)) <= 1e-6
 
         Xl = np.linspace(0, 1, 12).reshape(-1, 1)
         yl = 4.0 * Xl[:, 0] - 1.0
@@ -198,13 +197,12 @@ def test_08_reptree_pruning_property():
 def test_09_lstm_gradient_training_windows():
     with criterion(9, "LSTM gradcheck <1e-4 + planted 90% drop + window oracle"):
         rng = np.random.default_rng(3)
-        cfg = LstmConfig(input_dim=3, seed=7)
-        model = LstmModel(cfg, init_params(cfg), np.full(16, 0.1), np.full(16, 0.9))
+        model = LstmModel(init_params(3, 7), np.full(16, 0.1), np.full(16, 0.9))
         assert gradient_check(model, rng.normal(size=(4, 3)), 1.3, h=1e-5) < 1e-4
 
         X = rng.normal(size=(256, 6, 3))
         y = 3.0 * X[:, :, 0].mean(axis=1)
-        trained = lstm_train(X, y, LstmConfig(input_dim=3, seed=3, max_epochs=100))
+        trained = lstm_train(X, y, 100, 3)
         assert min(trained.curve) <= 0.10 * trained.curve[0]
 
         pca = fit_pca([np.asarray([
@@ -215,8 +213,8 @@ def test_09_lstm_gradient_training_windows():
             fails = rng.choice(n, size=int(rng.integers(0, 5)), replace=False)
             seq = make_sequence(n, fail_at=fails, rng=np.random.default_rng(trial))
             batch = window_sequence(seq, pca, 60, 30)
-            want = window_oracle(len(seq), seq.success, 60, 30)
-            assert list(batch.starts) == want
+            _, want = windows_oracle(seq, pca, 60, 30)
+            assert batch.windows.shape == want.shape and batch.windows.tobytes() == want.tobytes()
 
 
 def test_10_end_to_end_beats_baseline(tmp_path):

@@ -55,9 +55,9 @@ def count_passes(monkeypatch) -> list:
     """Record the session of every session_acoustic_vector call from now on."""
     calls, real = [], audio.session_acoustic_vector
 
-    def counted(session, group):
+    def counted(session):
         calls.append(session.id)
-        return real(session, group)
+        return real(session)
 
     monkeypatch.setattr(audio, "session_acoustic_vector", counted)
     return calls

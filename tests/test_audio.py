@@ -10,6 +10,7 @@ from phqreg import audio
 from phqreg.audio import (
     BLOCK_FRAMES,
     FUNCTIONAL_NAMES,
+    GROUP_COLUMNS,
     GROUP_LLDS,
     GROUP_NAMES,
     HOP_SECONDS,
@@ -521,7 +522,7 @@ class TestBlockedPass:
 
         def vectors(block_frames):
             monkeypatch.setattr(audio, "BLOCK_FRAMES", block_frames)
-            return {g: session_acoustic_vector(s, g).values.tobytes() for g in ("S", "P", "VQ", "M")}
+            return session_acoustic_vector(s).values.tobytes()
 
         whole = vectors(len(frames) + 1)
         assert vectors(1) == whole
@@ -535,7 +536,7 @@ class TestBlockedPass:
             s = session_with(sawtooth(150, n / rate, rate, 0.3) + rng.normal(0.0, 0.01, n), rate)
             tracemalloc.start()
             try:
-                session_acoustic_vector(s, "M")
+                session_acoustic_vector(s)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -809,6 +810,11 @@ def multi_block_session(rate):
     return session_with(x, rate)
 
 
+def group_vector(session, group):
+    """``group``'s GROUP_COLUMNS slice of the session's acoustic pass."""
+    return session_acoustic_vector(session).values[GROUP_COLUMNS[group]]
+
+
 def group_pass_oracle(session, group):
     """One group's values from a block pass over that group's LLDs alone (M: all three).
 
@@ -857,33 +863,32 @@ def two_turn_session(rate=RATE, sid="s1", freq=180.0, amp=0.5, silent=False):
 class TestSessionVectors:
     def test_dimensions(self):
         s = two_turn_session()
-        assert len(session_acoustic_vector(s, "S").values) == 864
-        assert len(session_acoustic_vector(s, "P").values) == 288
-        assert len(session_acoustic_vector(s, "VQ").values) == 288
+        assert len(group_vector(s, "S")) == 864
+        assert len(group_vector(s, "P")) == 288
+        assert len(group_vector(s, "VQ")) == 288
 
     def test_deterministic(self):
         s = two_turn_session()
-        a = session_acoustic_vector(s, "S")
-        b = session_acoustic_vector(s, "S")
-        assert len(a.values) == len(b.values) == len(GROUP_NAMES["S"])
-        np.testing.assert_array_equal(a.values, b.values)
+        a = group_vector(s, "S")
+        b = group_vector(s, "S")
+        assert len(a) == len(b) == len(GROUP_NAMES["S"])
+        np.testing.assert_array_equal(a, b)
 
     def test_silent_session_finite(self):
         s = two_turn_session(silent=True)
         for group in ("S", "P", "VQ"):
-            vec = session_acoustic_vector(s, group)
-            assert np.all(np.isfinite(vec.values))
+            assert np.all(np.isfinite(group_vector(s, group)))
 
     def test_merge_dimensions_and_order(self):
         s = two_turn_session()
-        p = session_acoustic_vector(s, "P")
-        sv = session_acoustic_vector(s, "S")
-        m = session_acoustic_vector(s, "M")
-        assert len(m.values) == 1440
-        np.testing.assert_array_equal(m.values[:288], p.values)
-        np.testing.assert_array_equal(m.values[288:1152], sv.values)
+        p = group_vector(s, "P")
+        sv = group_vector(s, "S")
+        m = session_acoustic_vector(s).values
+        assert len(m) == 1440
+        np.testing.assert_array_equal(m[:288], p)
+        np.testing.assert_array_equal(m[288:1152], sv)
         assert GROUP_NAMES["M"][:288] == GROUP_NAMES["P"]
-        assert len(set(GROUP_NAMES["M"])) == len(m.values) == 1440
+        assert len(set(GROUP_NAMES["M"])) == len(m) == 1440
         assert all(n.startswith(("P.", "S.", "VQ.")) for n in GROUP_NAMES["M"])
 
     @pytest.mark.parametrize("rate", [8000, 16000])
@@ -891,14 +896,15 @@ class TestSessionVectors:
         s = multi_block_session(rate)
         assert len(frame_signal(s.audio, s.turns)) > 2 * BLOCK_FRAMES
         # each group's columns of the one full pass equal that group's own pass
-        vectors = {g: session_acoustic_vector(s, g) for g in ("P", "S", "VQ", "M")}
-        for g, vec in vectors.items():
-            assert vec.session_id == s.id
-            assert len(vec.values) == len(GROUP_NAMES[g])
-            assert vec.values.tobytes() == group_pass_oracle(s, g).tobytes(), g
+        vec = session_acoustic_vector(s)
+        assert vec.session_id == s.id
+        vectors = {g: vec.values[GROUP_COLUMNS[g]] for g in ("P", "S", "VQ", "M")}
+        for g, values in vectors.items():
+            assert len(values) == len(GROUP_NAMES[g])
+            assert values.tobytes() == group_pass_oracle(s, g).tobytes(), g
         assert GROUP_NAMES["M"] == sum((GROUP_NAMES[g] for g in ("P", "S", "VQ")), ())
-        merged = np.concatenate([vectors[g].values for g in ("P", "S", "VQ")])
-        assert vectors["M"].values.tobytes() == merged.tobytes()
+        merged = np.concatenate([vectors[g] for g in ("P", "S", "VQ")])
+        assert vectors["M"].tobytes() == merged.tobytes()
 
     @pytest.mark.parametrize("kind", ["8000", "16000", "silent", "multi_block"])
     def test_every_column_within_1e9_of_per_track_definition(self, kind):
@@ -917,7 +923,7 @@ class TestSessionVectors:
                 base = tracks[group][name]
                 d1 = delta_per_track(base)
                 want += [functionals_per_track(track) for track in (base, d1, delta_per_track(d1))]
-        got = session_acoustic_vector(s, "M").values
+        got = session_acoustic_vector(s).values
         np.testing.assert_allclose(got, np.concatenate(want), atol=1e-9, rtol=1e-9)
 
     def test_fewer_frames_than_delta_window(self):
@@ -927,21 +933,20 @@ class TestSessionVectors:
         s = Session(id="x", turns=(TurnRecord(0.0, stop, Speaker.PARTICIPANT, ()),), audio=audio)
         assert len(frames_of(np.zeros(RATE))) >= MIN_FRAMES
         assert len(frame_signal(audio, s.turns)) == MIN_FRAMES - 1
-        for group in ("S", "M"):
-            with pytest.raises(EmptyInputError, match="delta window"):
-                session_acoustic_vector(s, group)
+        with pytest.raises(EmptyInputError, match="delta window"):
+            session_acoustic_vector(s)
 
     def test_low_sample_rate_is_an_input_skip(self):
         s = session_with(np.zeros(4000), rate=4000)
         with pytest.raises(EmptyInputError, match="sample rate"):
-            session_acoustic_vector(s, "M")
+            session_acoustic_vector(s)
 
     def test_empty_frames_error(self):
         audio = AudioSignal(np.zeros(RATE), RATE)
         turns = (TurnRecord(0.0, 0.01, Speaker.PARTICIPANT, ()),)
         s = Session(id="x", turns=turns, audio=audio)
         with pytest.raises(EmptyInputError):
-            session_acoustic_vector(s, "S")
+            session_acoustic_vector(s)
 
 
 class TestInvariances:
@@ -954,9 +959,7 @@ class TestInvariances:
         )
         s2 = Session(id=s.id, turns=shifted_turns, audio=AudioSignal(shifted_samples, RATE))
         for group in ("S", "P", "VQ"):
-            a = session_acoustic_vector(s, group)
-            b = session_acoustic_vector(s2, group)
-            np.testing.assert_allclose(a.values, b.values, atol=1e-9)
+            np.testing.assert_allclose(group_vector(s, group), group_vector(s2, group), atol=1e-9)
 
     def test_amplitude_scaling_effects(self):
         g = 2.5
@@ -987,4 +990,4 @@ class TestInvariances:
         )
         s = Session(id="x", turns=turns, audio=audio)
         for group in ("S", "P", "VQ"):
-            assert np.all(np.isfinite(session_acoustic_vector(s, group).values))
+            assert np.all(np.isfinite(group_vector(s, group)))

@@ -281,6 +281,14 @@ def window_oracle(n_samples, success, W, O):
     return starts
 
 
+def windows_oracle(seq, pca, W, O):
+    """The expected window starts and the (n, W, q) windows cut at them from the projected 1 Hz samples."""
+    idx = downsample_oracle(seq.timestamps)
+    starts = window_oracle(len(idx), seq.success[idx], W, O)
+    feats = pca.transform(geometric_frames(seq))[idx]
+    return starts, np.array([feats[s : s + W] for s in starts]).reshape(len(starts), W, pca.q)
+
+
 class TestWindows:
     def fitted_pca(self):
         rng = np.random.default_rng(13)
@@ -291,13 +299,19 @@ class TestWindows:
         seq = make_sequence(120)
         pca = self.fitted_pca()
         batch = window_sequence(seq, pca, 60, 30)
-        assert batch.starts == (0, 30, 60)
+        starts, want = windows_oracle(seq, pca, 60, 30)
+        assert starts == [0, 30, 60]
         assert batch.windows.shape == (3, 60, pca.q)
+        assert batch.windows.tobytes() == want.tobytes()
 
     def test_failure_at_45_discards_overlapping_windows(self):
         seq = make_sequence(120, fail_at=[45])
-        batch = window_sequence(seq, self.fitted_pca(), 60, 30)
-        assert batch.starts == (60,)
+        pca = self.fitted_pca()
+        batch = window_sequence(seq, pca, 60, 30)
+        starts, want = windows_oracle(seq, pca, 60, 30)
+        assert starts == [60]
+        assert batch.windows.shape == (1, 60, pca.q)
+        assert batch.windows.tobytes() == want.tobytes()
 
     def test_59_samples_no_windows(self):
         seq = make_sequence(59)
@@ -312,9 +326,9 @@ class TestWindows:
             fails = rng.choice(n, size=rng.integers(0, 6), replace=False)
             seq = make_sequence(n, fail_at=fails, rng=np.random.default_rng(trial))
             batch = window_sequence(seq, pca, 60, 30)
-            idx = downsample_indices(seq.timestamps)
-            want = window_oracle(len(idx), seq.success[idx], 60, 30)
-            assert list(batch.starts) == want
+            _, want = windows_oracle(seq, pca, 60, 30)
+            assert batch.windows.shape == want.shape
+            assert batch.windows.tobytes() == want.tobytes()
 
     def test_downsampling_picks_nearest_frame(self):
         ts = np.array([0.0, 0.4, 1.1, 1.9, 3.05])
@@ -346,8 +360,10 @@ class TestWindows:
         pca = self.fitted_pca()
         seq = make_sequence(150, fail_at=rng.choice(150, 10, replace=False))
         batch = window_sequence(seq, pca, 60, 30)
-        idx = downsample_indices(seq.timestamps)
-        for s in batch.starts:
+        starts, want = windows_oracle(seq, pca, 60, 30)
+        assert batch.windows.shape == want.shape and batch.windows.tobytes() == want.tobytes()
+        idx = downsample_oracle(seq.timestamps)
+        for s in starts:
             assert seq.success[idx[s : s + 60]].all()
 
 

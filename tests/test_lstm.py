@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from phqreg.models import load_model, save_model
 from phqreg.models import lstm as lstm_mod
 from phqreg.models.lstm import (
-    LstmConfig,
     LstmDivergenceError,
     LstmModel,
     _sigmoid,
@@ -213,9 +212,7 @@ def same_bytes(a, b) -> bool:
 
 
 def tiny_model(q=3, seed=7):
-    cfg = LstmConfig(input_dim=q, seed=seed)
-    params = init_params(cfg)
-    return LstmModel(cfg, params, np.full(16, 0.1), np.full(16, 0.9))
+    return LstmModel(init_params(q, seed), np.full(16, 0.1), np.full(16, 0.9))
 
 
 class TestGradientCheck:
@@ -283,8 +280,7 @@ class TestTraining:
         N, W, q = 256, 6, 3
         X = rng.normal(size=(N, W, q))
         y = 3.0 * X[:, :, 0].mean(axis=1)
-        cfg = LstmConfig(input_dim=q, seed=3, max_epochs=100)
-        model = lstm_train(X, y, cfg)
+        model = lstm_train(X, y, 100, 3)
         assert len(model.curve) == 101
         assert min(model.curve) <= 0.10 * model.curve[0]
 
@@ -292,8 +288,7 @@ class TestTraining:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(96, 5, 2))
         y = X[:, :, 0].mean(axis=1)
-        cfg = LstmConfig(input_dim=2, seed=1, max_epochs=25)
-        model = lstm_train(X[:64], y[:64], cfg, X_val=X[64:], y_val=y[64:])
+        model = lstm_train(X[:64], y[:64], 25, 1, X_val=X[64:], y_val=y[64:])
         assert len(model.curve) == 26
         stored_min = min(model.curve)
         assert stored_min <= model.curve[-1]
@@ -307,7 +302,8 @@ class TestTraining:
         rng = np.random.default_rng(13)
         X = rng.normal(size=(20, 4, 2))
         y = rng.normal(size=20)
-        cfg = LstmConfig(input_dim=2, seed=0, max_epochs=4, batch_size=8)
+        monkeypatch.setattr(lstm_mod, "DEFAULT_BATCH", 8)
+        max_epochs = 4
         val = dict(X_val=X[14:], y_val=y[14:]) if with_val else {}
         modes = []
 
@@ -316,14 +312,9 @@ class TestTraining:
             return forward(params, state, X, training, dropout_mask)
 
         monkeypatch.setattr(lstm_mod, "forward", recorder)
-        model = lstm_train(X[:14], y[:14], cfg, **val)
-        assert modes.count(False) == cfg.max_epochs + 1 == len(model.curve)
-        assert modes.count(True) == cfg.max_epochs * 2  # two batches of 8 per epoch
-
-    def test_dimension_mismatch_rejected(self):
-        cfg = LstmConfig(input_dim=4, seed=0)
-        with pytest.raises(ValueError, match="input_dim"):
-            lstm_train(np.zeros((4, 5, 3)), np.zeros(4), cfg)
+        model = lstm_train(X[:14], y[:14], max_epochs, 0, **val)
+        assert modes.count(False) == max_epochs + 1 == len(model.curve)
+        assert modes.count(True) == max_epochs * 2  # two batches of 8 per epoch
 
     @pytest.mark.parametrize(
         "n_labels, val, match",
@@ -336,32 +327,30 @@ class TestTraining:
     )
     def test_label_mismatch_rejected(self, n_labels, val, match):
         rng = np.random.default_rng(14)
-        cfg = LstmConfig(input_dim=2, seed=0, max_epochs=2)
         kwargs = {}
         if val is not None:
             n_val, n_val_labels = val
             kwargs["X_val"] = rng.normal(size=(n_val, 4, 2))
             kwargs["y_val"] = None if n_val_labels is None else rng.normal(size=n_val_labels)
         with pytest.raises(ValueError, match=match):
-            lstm_train(rng.normal(size=(10, 4, 2)), rng.normal(size=n_labels), cfg, **kwargs)
+            lstm_train(rng.normal(size=(10, 4, 2)), rng.normal(size=n_labels), 2, 0, **kwargs)
 
     def test_divergence_raises_with_config(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(32, 4, 2))
         y = rng.normal(size=32)
         y[5] = np.nan  # poisoned target -> NaN loss on the first batch
-        cfg = LstmConfig(input_dim=2, seed=0, max_epochs=3)
-        with pytest.raises(LstmDivergenceError, match="config"):
-            lstm_train(X, y, cfg)
+        with pytest.raises(LstmDivergenceError, match=r"diverged at epoch 1 \(seed 0\)"):
+            lstm_train(X, y, 3, 0)
 
     def test_clip_norm_does_not_depend_on_gradient_dict_order(self, monkeypatch):
         rng = np.random.default_rng(14)
         X = rng.normal(0, 2, size=(40, 7, 3))
         y = rng.normal(size=40)
         # a clip norm this small clips every step, so the norm's last bits reach the parameters
-        cfg = LstmConfig(input_dim=3, seed=2, max_epochs=3, clip_norm=0.01)
-        assert sorted(lstm_mod.CLIP_ORDER) == sorted(init_params(cfg))
-        want = lstm_train(X, y, cfg)
+        monkeypatch.setattr(lstm_mod, "DEFAULT_CLIP", 0.01)
+        assert sorted(lstm_mod.CLIP_ORDER) == sorted(init_params(3, 2))
+        want = lstm_train(X, y, 3, 2)
         backward, orders = lstm_mod.backward, []
 
         def reversed_backward(params, cache, dpred):
@@ -371,7 +360,7 @@ class TestTraining:
 
         with monkeypatch.context() as m:
             m.setattr(lstm_mod, "backward", reversed_backward)
-            got = lstm_train(X, y, cfg)
+            got = lstm_train(X, y, 3, 2)
         assert orders and orders[0] != lstm_mod.CLIP_ORDER
         assert got.curve == want.curve
         for k in want.params:
@@ -381,9 +370,8 @@ class TestTraining:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(40, 4, 2))
         y = rng.normal(size=40)
-        cfg = LstmConfig(input_dim=2, seed=9, max_epochs=5)
-        a = lstm_train(X, y, cfg)
-        b = lstm_train(X, y, cfg)
+        a = lstm_train(X, y, 5, 9)
+        b = lstm_train(X, y, 5, 9)
         assert a.curve == b.curve
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
@@ -450,10 +438,10 @@ class TestBitIdentity:
         rng = np.random.default_rng(12)
         X = rng.normal(0, 2, size=(30, 7, 4))
         y = 4.0 * X[:, :, 2].mean(axis=1) + rng.normal(0, 0.1, size=30)
-        cfg = LstmConfig(input_dim=4, seed=5, max_epochs=12, batch_size=8, dropout=0.5)
+        monkeypatch.setattr(lstm_mod, "DEFAULT_BATCH", 8)
         val = dict(X_val=X[22:], y_val=y[22:]) if with_val else {}
-        got = lstm_train(X[:22], y[:22], cfg, **val)
-        want = train_oracle(monkeypatch, X[:22], y[:22], cfg, **val)
+        got = lstm_train(X[:22], y[:22], 12, 5, **val)
+        want = train_oracle(monkeypatch, X[:22], y[:22], 12, 5, **val)
         assert got.curve == want.curve
         assert len(got.curve) == 13
         assert got.best_epoch == want.best_epoch
@@ -465,17 +453,14 @@ class TestBitIdentity:
 
 
 class TestGolden:
-    def test_prediction_matches_golden_file(self):
+    def test_prediction_matches_golden_file(self, monkeypatch):
         golden = json.loads((DATA / "lstm_golden.json").read_text())
         rng = np.random.default_rng(golden["data_seed"])
         N, W, q = golden["n"], golden["W"], golden["q"]
         X = rng.normal(size=(N, W, q))
         y = 2.0 * X[:, :, 1].mean(axis=1)
-        cfg = LstmConfig(
-            input_dim=q, seed=golden["model_seed"],
-            max_epochs=golden["epochs"], batch_size=golden["batch_size"],
-        )
-        model = lstm_train(X, y, cfg)
+        monkeypatch.setattr(lstm_mod, "DEFAULT_BATCH", golden["batch_size"])
+        model = lstm_train(X, y, golden["epochs"], golden["model_seed"])
         window = rng.normal(size=(W, q))
         got = float(model.predict(window[None])[0])
         assert got == pytest.approx(golden["prediction"], abs=1e-9)
@@ -486,8 +471,7 @@ class TestPersistence:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(24, 4, 3))
         y = rng.normal(size=24)
-        cfg = LstmConfig(input_dim=3, seed=2, max_epochs=3)
-        m = lstm_train(X, y, cfg)
+        m = lstm_train(X, y, 3, 2)
         save_model(m, tmp_path / "m.json", {"q": 3})
         back, extra = load_model(tmp_path / "m.json")
         assert isinstance(back, LstmModel)

@@ -1,0 +1,101 @@
+"""Model files: what each kind's body holds, and how a damaged file fails.
+
+A model body holds only what ``predict`` and ``eval`` read (plus the SMO and
+LSTM training record); the learners' fixed hyperparameters are module
+constants and are not stored. A file that is not a current, well-formed
+envelope fails with ModelFormatError, which the CLI prints as one ``ERROR``
+line with exit code 2.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from phqreg.cli import main
+from phqreg.models import MODEL_FORMAT_VERSION, ModelFormatError, load_model, save_model
+from phqreg.models.lstm import CLIP_ORDER, lstm_train
+from phqreg.models.reptree import reptree_train
+from phqreg.models.svr import svr_train
+
+BODY_KEYS = {
+    "svr": {"kernel", "gamma", "C", "alpha", "alpha_star", "bias", "train_X", "mins", "maxs", "n_iter", "kkt_gap"},
+    "reptree": {"tree", "n_features"},
+    "lstm": {"params", "running_mean", "running_var", "best_epoch", "curve"},
+}
+
+
+def trained(kind):
+    rng = np.random.default_rng(3)
+    if kind == "lstm":
+        return lstm_train(rng.normal(size=(12, 4, 2)), rng.normal(size=12), 2, 0)
+    X = rng.normal(size=(30, 3))
+    y = np.where(X[:, 0] > 0, 5.0, 1.0) + rng.normal(0, 0.1, 30)
+    return svr_train(X, y) if kind == "svr" else reptree_train(X, y, seed=0)
+
+
+def tree_nodes(node):
+    yield node
+    if "left" in node:
+        yield from tree_nodes(node["left"])
+        yield from tree_nodes(node["right"])
+
+
+@pytest.mark.parametrize("kind", sorted(BODY_KEYS))
+def test_model_body_holds_only_what_predict_and_eval_read(tmp_path, kind):
+    path = tmp_path / "m.json"
+    save_model(trained(kind), path, {"seed": 0})
+    payload = json.loads(path.read_text())
+    assert set(payload) == {"format_version", "kind", "model", "extra"}
+    assert (payload["format_version"], payload["kind"]) == (MODEL_FORMAT_VERSION, kind) == (4, kind)
+    assert set(payload["model"]) == BODY_KEYS[kind]
+    if kind == "reptree":
+        nodes = list(tree_nodes(payload["model"]["tree"]))
+        assert len(nodes) > 1
+        for node in nodes:
+            assert set(node) in ({"value"}, {"value", "feature", "threshold", "left", "right"}), node
+    if kind == "lstm":
+        assert set(payload["model"]["params"]) == set(CLIP_ORDER)
+
+
+def damage(payload: dict, how: str):
+    if how == "not_an_object":
+        return [1, 2]
+    if how == "tree_missing":
+        del payload["model"]["tree"]
+    elif how == "tree_mistyped":
+        payload["model"]["tree"] = 5
+    elif how == "model_not_an_object":
+        payload["model"] = [payload["model"]]
+    elif how == "extra_not_an_object":
+        payload["extra"] = "seed"
+    elif how == "format_3":
+        payload["format_version"] = 3
+        payload["model"].update(min_leaf=2, prune_fraction=1.0 / 3.0, seed=0)
+    return payload
+
+
+HOW = ["not_an_object", "tree_missing", "tree_mistyped", "model_not_an_object", "extra_not_an_object", "format_3"]
+
+
+@pytest.mark.parametrize("how", HOW)
+def test_damaged_file_raises_model_format_error_naming_the_path(tmp_path, how):
+    path = tmp_path / "model_behavioral.json"
+    save_model(trained("reptree"), path, {"seed": 0})
+    path.write_text(json.dumps(damage(json.loads(path.read_text()), how)))
+    with pytest.raises(ModelFormatError, match=str(path)):
+        load_model(path)
+
+
+@pytest.mark.parametrize("how", ["tree_missing", "not_an_object", "format_3"])
+def test_eval_of_a_damaged_model_prints_one_error_line(small_corpus, tmp_path, capsys, how):
+    out = tmp_path / "out"
+    args = ["--corpus", str(small_corpus), "--out", str(out), "--modality", "behavioral", "--seed", "1"]
+    assert main(["extract", *args]) == 0
+    assert main(["train", *args]) == 0
+    path = out / "model_behavioral.json"
+    path.write_text(json.dumps(damage(json.loads(path.read_text()), how)))
+    capsys.readouterr()
+    assert main(["eval", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR {path}: ") and err.count("\n") == 1, err

@@ -825,11 +825,11 @@ class TestVisualPipeline:
         calls = []
         real_train = lstm_mod.lstm_train
 
-        def recorder(X, y, config, X_val=None, y_val=None):
+        def recorder(X, y, max_epochs, seed, X_val=None, y_val=None):
             fit_sids = {owner[w.tobytes()] for w in X}
             val_sids = set() if X_val is None else {owner[w.tobytes()] for w in X_val}
-            calls.append((fit_sids, val_sids, config.seed))
-            return real_train(X, y, config, X_val=X_val, y_val=y_val)
+            calls.append((fit_sids, val_sids, seed))
+            return real_train(X, y, max_epochs, seed, X_val=X_val, y_val=y_val)
 
         # fit_predictor imports lstm_train from its module on each visual fit
         monkeypatch.setattr(lstm_mod, "lstm_train", recorder)

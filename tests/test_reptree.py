@@ -10,7 +10,6 @@ from phqreg.models.reptree import (
     grow_tree,
     prune_tree,
     reptree_train,
-    subtree_sse,
 )
 
 
@@ -61,15 +60,15 @@ class TestGrowing:
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
         tree = grow_tree(X, y, min_leaf=5)
-
-        def check(node):
-            if node.is_leaf:
-                assert node.n >= 5
-            else:
-                check(node.left)
-                check(node.right)
-
-        check(tree)
+        # every growing row reaches one leaf; count them per leaf
+        counts = {}
+        for x in X:
+            node = tree
+            while not node.is_leaf:
+                node = node.left if x[node.feature] <= node.threshold else node.right
+            counts[id(node)] = counts.get(id(node), 0) + 1
+        assert len(counts) == n_leaves(tree) > 1
+        assert min(counts.values()) >= 5
 
     def test_too_few_instances(self):
         with pytest.raises(ValueError, match="at least 6"):
@@ -112,15 +111,24 @@ class TestPruning:
         X = rng.normal(size=(60, 3))
         y = rng.normal(size=60)
         m = reptree_train(X, y, seed=3)
-        assert m.prune_sse_after <= m.prune_sse_before + 1e-12
+        # reptree_train's split: a seeded permutation, the first third prunes
+        order = np.random.default_rng(3).permutation(60)
+        prune_idx, grow_idx = order[:20], order[20:]
+        grown = grow_tree(X[grow_idx], y[grow_idx], min_leaf=2)
+        before = sse_oracle(grown, X[prune_idx], y[prune_idx])
+        after = sse_oracle(m.tree, X[prune_idx], y[prune_idx])
+        assert after <= before + 1e-12
+        assert n_leaves(m.tree) < n_leaves(grown)
+        prune_tree(grown, X[prune_idx], y[prune_idx])
+        assert grown.to_dict() == m.tree.to_dict()
 
     def test_empty_pruning_branch_prunes_on_tie(self):
         # a subtree that never sees pruning data should collapse to a leaf
-        root = TreeNode(value=1.0, n=4, feature=0, threshold=0.5)
-        root.left = TreeNode(value=0.0, n=2)
-        root.right = TreeNode(value=2.0, n=2, feature=0, threshold=0.8)
-        root.right.left = TreeNode(value=1.5, n=1)
-        root.right.right = TreeNode(value=2.5, n=1)
+        root = TreeNode(value=1.0, feature=0, threshold=0.5)
+        root.left = TreeNode(value=0.0)
+        root.right = TreeNode(value=2.0, feature=0, threshold=0.8)
+        root.right.left = TreeNode(value=1.5)
+        root.right.right = TreeNode(value=2.5)
         X = np.array([[0.0]])  # routes left only
         y = np.array([0.0])
         prune_tree(root, X, y)
@@ -157,10 +165,3 @@ class TestDeterminismAndPersistence:
         back, _ = load_model(tmp_path / "t.json")
         assert isinstance(back, RepTreeModel)
         np.testing.assert_array_equal(back.predict(X), m.predict(X))
-
-    def test_subtree_sse_matches_oracle(self):
-        rng = np.random.default_rng(12)
-        X = rng.normal(size=(50, 3))
-        y = rng.normal(size=50)
-        tree = grow_tree(X[:35], y[:35])
-        assert subtree_sse(tree, X[35:], y[35:]) == pytest.approx(sse_oracle(tree, X[35:], y[35:]), abs=1e-12)

@@ -175,9 +175,8 @@ class TestBehavioralVector:
         ]
 
     def test_dimension_12(self):
-        names, vec = behavioral_vector(self.session_turns())
-        assert names == BEHAVIORAL_NAMES
-        assert len(vec) == 12
+        vec = behavioral_vector(self.session_turns())
+        assert len(vec) == len(BEHAVIORAL_NAMES) == 12
         assert set(vec[9:].tolist()) <= {-1.0, 0.0, 1.0}
 
     def test_token_permutation_invariance(self):
@@ -187,8 +186,8 @@ class TestBehavioralVector:
             TurnRecord(t.start, t.stop, t.speaker, tuple(rng.permutation(list(t.text))))
             for t in turns
         ]
-        _, v1 = behavioral_vector(turns)
-        _, v2 = behavioral_vector(shuffled)
+        v1 = behavioral_vector(turns)
+        v2 = behavioral_vector(shuffled)
         # PDI answer classification and all frequency counts ignore order
         np.testing.assert_array_equal(v1, v2)
 
