@@ -20,13 +20,14 @@ measures (f0, jitter, shimmer, HNR) use the raw frame samples so that a
 perfectly periodic tone reports zero cycle variation.
 
 A session is processed in one pass over blocks of BLOCK_FRAMES frames.
-Framing only records where each frame starts; each block's frames are copied
-once, and from that copy come its power spectrum (S) and one normalised
-autocorrelation (ACF) per frame, cached on the block's FrameSet, which feeds
-both P and VQ; VQ reuses the f0 track from P. VQ takes the block's frames
-together, with no Python loop over frames: their cycle-peak candidates sit in
-zero-padded matrices, the greedy merge walks them one candidate rank at a
-time, and the means sum in np.mean's order, so its values equal a per-frame
+Framing only records where each frame starts. A FrameSet is one block: its
+frames are copied once out of the signal's sliding-window view, and from
+that copy come its power spectrum (S) and one normalised autocorrelation
+(ACF) per frame, cached on the FrameSet, which feeds both P and VQ; VQ
+reuses the f0 track from P. VQ takes the block's frames together, with no
+Python loop over frames: their cycle-peak candidates sit in zero-padded
+matrices, the greedy merge walks them one candidate rank at a time, and the
+means sum in np.mean's order, so its values equal a per-frame
 loop's byte for byte. Every LLD is computed per frame, so the block split does
 not change a value. The two descriptors that look across frames carry their
 state over a block edge: flux gets the frame before the block, and the f0
@@ -120,33 +121,17 @@ _LOUDNESS_FLOOR = 1e-30
 
 @dataclass(frozen=True)
 class FrameSet:
-    """Raw 25 ms frames (rows) taken from participant turn spans.
+    """A block of raw 25 ms frames (rows), copied out of the signal, and its sample rate."""
 
-    The frames are the rows ``starts`` of ``windows``, or every row when
-    ``starts`` is None. frame_signal passes the signal's sliding-window view
-    as ``windows``, so no frame is copied until ``block`` or ``samples`` asks.
-    """
-
-    windows: np.ndarray  # (n_windows, frame_len)
+    samples: np.ndarray  # (n_frames, frame_len)
     rate: int
-    starts: np.ndarray | None = None  # row of windows for each frame
 
     def __len__(self) -> int:
-        return len(self.windows) if self.starts is None else len(self.starts)
+        return len(self.samples)
 
     @property
     def frame_len(self) -> int:
-        return self.windows.shape[1]
-
-    @property
-    def samples(self) -> np.ndarray:
-        """(n_frames, frame_len); a fresh copy of every frame when ``starts`` is set."""
-        return self.windows if self.starts is None else self.windows[self.starts]
-
-    def block(self, lo: int, hi: int) -> FrameSet:
-        """Frames lo..hi-1 as a FrameSet of their own; frames picked by ``starts`` are copied."""
-        rows = slice(lo, hi)
-        return FrameSet(self.windows[rows] if self.starts is None else self.windows[self.starts[rows]], self.rate)
+        return self.samples.shape[1]
 
     @cached_property
     def acf(self) -> np.ndarray:
@@ -167,8 +152,12 @@ class AcousticVector:
 # ---------------------------------------------------------------------------
 
 
-def frame_signal(audio: AudioSignal, turns) -> FrameSet:
-    """Cut 25 ms / 10 ms-hop frames from participant turn spans.
+def _frame_len(rate: int) -> int:
+    return int(round(FRAME_SECONDS * rate))
+
+
+def frame_signal(audio: AudioSignal, turns) -> np.ndarray:
+    """The start sample of each 25 ms / 10 ms-hop frame of the participant turn spans.
 
     Frames crossing a turn boundary are dropped; turns shorter than one
     window contribute no frames.
@@ -179,7 +168,7 @@ def frame_signal(audio: AudioSignal, turns) -> FrameSet:
     if not spans:
         raise EmptyInputError("no participant turns")
 
-    flen = int(round(FRAME_SECONDS * audio.rate))
+    flen = _frame_len(audio.rate)
     hop = int(round(HOP_SECONDS * audio.rate))
     n = len(audio.samples)
 
@@ -188,11 +177,7 @@ def frame_signal(audio: AudioSignal, turns) -> FrameSet:
         lo = min(max(int(round(t.start * audio.rate)), 0), n)
         hi = min(max(int(round(t.stop * audio.rate)), 0), n)
         starts.append(np.arange(lo, hi - flen + 1, hop))
-    starts = np.concatenate(starts)
-    if not len(starts):
-        return FrameSet(np.zeros((0, flen)), audio.rate)
-    windows = np.lib.stride_tricks.sliding_window_view(audio.samples, flen)
-    return FrameSet(windows, audio.rate, starts)
+    return np.concatenate(starts)
 
 
 # ---------------------------------------------------------------------------
@@ -567,24 +552,27 @@ def _functionals(x: np.ndarray) -> np.ndarray:
 def session_acoustic_vector(session: Session) -> AcousticVector:
     """A session's full acoustic pass: its merged vector M, in GROUP_NAMES["M"] order.
 
-    The session is framed once and its P, S and VQ LLDs come from one pass
-    over blocks of BLOCK_FRAMES frames. Each LLD over the blocks, its delta
-    and its delta-delta are projected on the 24 functionals, which gives M;
-    S, P and VQ are its GROUP_COLUMNS slices. Sessions the recipe cannot
+    The session is framed once, and its P, S and VQ LLDs come from one pass
+    over blocks of BLOCK_FRAMES frame starts, each block's frames copied into
+    a FrameSet. Each LLD over the blocks, its delta and its delta-delta are
+    projected on the 24 functionals, which gives M; S, P and VQ are its
+    GROUP_COLUMNS slices. Sessions the recipe cannot
     describe (no audio, no participant turns, a sample rate below 8 kHz,
     fewer frames than the delta window) raise EmptyInputError.
     """
-    if session.audio is None:
+    audio = session.audio
+    if audio is None:
         raise EmptyInputError(f"session {session.id} has no audio")
-    frames = frame_signal(session.audio, session.turns)
-    if len(frames) < MIN_FRAMES:
-        raise EmptyInputError(f"session {session.id}: {len(frames)} frames, fewer than the delta window ({MIN_FRAMES})")
+    starts = frame_signal(audio, session.turns)
+    if len(starts) < MIN_FRAMES:
+        raise EmptyInputError(f"session {session.id}: {len(starts)} frames, fewer than the delta window ({MIN_FRAMES})")
 
+    windows = np.lib.stride_tricks.sliding_window_view(audio.samples, _frame_len(audio.rate))
     rows = [(g, name) for g in M_GROUPS for name in GROUP_LLDS[g]]
-    base = np.empty((len(rows), len(frames)))  # one row per LLD, in GROUP_NAMES["M"] order
+    base = np.empty((len(rows), len(starts)))  # one row per LLD, in GROUP_NAMES["M"] order
     previous, held_f0 = None, 0.0  # state carried over block edges
-    for lo in range(0, len(frames), BLOCK_FRAMES):
-        block = frames.block(lo, lo + BLOCK_FRAMES)
+    for lo in range(0, len(starts), BLOCK_FRAMES):
+        block = FrameSet(windows[starts[lo : lo + BLOCK_FRAMES]], audio.rate)  # the block's one copy
         tracks = {"S": spectral_llds(block, previous), "P": prosodic_llds(block, held_f0)}
         tracks["VQ"] = voice_quality_llds(block, tracks["P"]["f0"])
         previous, held_f0 = block.samples[-1].copy(), tracks["P"]["f0_env"][-1]

@@ -28,11 +28,13 @@ def _error_line(parser: argparse.ArgumentParser, message: str) -> None:
     parser.exit(2, f"ERROR {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, run: bool = True) -> None:
+    """--config, --corpus and --seed; with ``run``, also a pipeline verb's --out and --modality."""
     parser.add_argument("--config", help="INI config file (defaults apply otherwise)")
     parser.add_argument("--corpus", dest="root", help="corpus root directory")
-    parser.add_argument("--out", dest="out_dir", help="output directory")
-    parser.add_argument("--modality", help="e.g. acoustic:M, behavioral, text:BOOL, visual")
+    if run:
+        parser.add_argument("--out", dest="out_dir", help="output directory")
+        parser.add_argument("--modality", help="e.g. acoustic:M, behavioral, text:BOOL, visual")
     parser.add_argument("--seed", type=int, help="run seed (mandatory)")
 
 
@@ -49,13 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("tune-relief", "grid-tune Relief (threshold, k) by 3-fold CV"),
         ("synth", "generate a synthetic corpus"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "synth":
-            p.add_argument("--n-train", type=int, dest="synth_n_train")
-            p.add_argument("--n-dev", type=int, dest="synth_n_dev")
-            p.add_argument("--synth-modalities", dest="synth_modalities",
-                           help="space-separated subset of: transcript audio landmarks")
+        _add_common(sub.add_parser(name, help=help_text), run=name != "synth")
 
     p = sub.add_parser("show-config", help="print the effective configuration")
     p.add_argument("--config", help="INI config file")
@@ -64,10 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "root", "out_dir", "modality", "seed",
-    "synth_n_train", "synth_n_dev", "synth_modalities",
-)
+_OVERRIDE_KEYS = ("root", "out_dir", "modality", "seed")
 
 
 def _config_from_args(args) -> PipelineConfig:

@@ -10,6 +10,10 @@ File formats:
     labels       CSV, header ``Participant_ID,PHQ8_Binary,PHQ8_Score``
     audio        16-bit PCM WAV, mono
 
+The three text formats share one row reader (header line, blank lines
+skipped, one field per header cell); each loader parses its own cells. A
+refusal is a ParseError naming the path and the offending line.
+
 All types are immutable after construction; loaders are pure functions of
 file content.
 """
@@ -30,6 +34,9 @@ PHQ8_DEPRESSED_CUTOFF = 10  # PHQ8_Binary is 1 from this score up
 
 TRANSCRIPT_HEADER = ("start_time", "stop_time", "speaker", "value")
 LABELS_HEADER = ("Participant_ID", "PHQ8_Binary", "PHQ8_Score")
+LANDMARK_HEADER = ("frame", "timestamp", "confidence", "success") + tuple(
+    f"{axis}{i}" for axis in "XYZ" for i in range(N_LANDMARKS)
+)
 
 # Annotation tokens: maximal <...> substrings, kept intact and lowercased.
 _TOKEN_RE = re.compile(r"<[^<>\s]+>|[^\s<>]+")
@@ -152,27 +159,44 @@ class Session:
 
 
 # ---------------------------------------------------------------------------
+# delimited rows
+# ---------------------------------------------------------------------------
+
+
+def _rows(path, header: tuple[str, ...], sep: str = ",", fold=str.strip):
+    """Yield (line number, fields) for each non-blank data row of a delimited file.
+
+    The first line must name ``header`` (each cell compared after ``fold``),
+    and every data row must have one field per header cell; anything else
+    raises ParseError naming the path and line.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ParseError(path, 1, "empty file, expected a header line")
+    found = tuple(fold(h) for h in lines[0].split(sep))
+    if found != header:
+        got, want = found + (None,), header + (None,)  # None: past the last column
+        col = next(i for i in range(len(got)) if got[i] != want[i])
+        raise ParseError(path, 1, f"bad header: column {col + 1} is {got[col]!r}, expected {want[col]!r}")
+    sep_name = "tab" if sep == "\t" else "comma"
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split(sep)
+        if len(parts) != len(header):
+            raise ParseError(path, lineno, f"expected {len(header)} {sep_name}-separated fields, got {len(parts)}")
+        yield lineno, parts
+
+
+# ---------------------------------------------------------------------------
 # transcript TSV
 # ---------------------------------------------------------------------------
 
 
 def load_transcript(path) -> list[TurnRecord]:
     """Parse a tab-separated transcript into TurnRecords (file order)."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ParseError(path, 1, "empty file, expected transcript header")
-    header = tuple(h.strip().lower() for h in lines[0].split("\t"))
-    if header != TRANSCRIPT_HEADER:
-        raise ParseError(path, 1, f"bad header {header!r}, expected {TRANSCRIPT_HEADER!r}")
-
     turns = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 4:
-            raise ParseError(path, lineno, f"expected 4 tab-separated fields, got {len(parts)}")
+    for lineno, parts in _rows(path, TRANSCRIPT_HEADER, "\t", fold=lambda h: h.strip().lower()):
         try:
             start, stop = float(parts[0]), float(parts[1])
         except ValueError:
@@ -199,33 +223,12 @@ def save_transcript(turns, path) -> None:
 # landmarks CSV
 # ---------------------------------------------------------------------------
 
-_N_LM_COLS = 4 + 3 * N_LANDMARKS
-
-
-def landmark_header() -> str:
-    cols = ["frame", "timestamp", "confidence", "success"]
-    for axis in ("X", "Y", "Z"):
-        cols += [f"{axis}{i}" for i in range(N_LANDMARKS)]
-    return ",".join(cols)
-
 
 def load_landmarks(path) -> LandmarkSequence:
     """Parse a landmark CSV (frame, timestamp, confidence, success, 204 coords)."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ParseError(path, 1, "empty file, expected landmark header")
     # the header fixes the coordinate layout, so a file with any other header is refused
-    if ",".join(h.strip() for h in lines[0].split(",")) != landmark_header():
-        raise ParseError(path, 1, "bad header, expected frame,timestamp,confidence,success,X0..X67,Y0..Y67,Z0..Z67")
-
-    ts, conf, succ, pts = [], [], [], []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != _N_LM_COLS:
-            raise ParseError(path, lineno, f"expected {_N_LM_COLS} columns, got {len(parts)}")
+    linenos, ts, conf, succ, pts = [], [], [], [], []
+    for lineno, parts in _rows(path, LANDMARK_HEADER):
         try:
             vals = np.array([float(p) for p in parts], dtype=np.float64)
         except ValueError:
@@ -233,6 +236,7 @@ def load_landmarks(path) -> LandmarkSequence:
         flag = int(vals[3])
         if flag not in (0, 1):
             raise ParseError(path, lineno, f"success flag must be 0 or 1, got {parts[3]!r}")
+        linenos.append(lineno)
         ts.append(vals[1])
         conf.append(vals[2])
         succ.append(bool(flag))
@@ -242,13 +246,13 @@ def load_landmarks(path) -> LandmarkSequence:
     ts = np.array(ts)
     if len(ts) > 1 and not np.all(np.diff(ts) > 0):
         bad = int(np.argmax(np.diff(ts) <= 0))
-        raise ParseError(path, bad + 3, "timestamps must be strictly increasing")
+        raise ParseError(path, linenos[bad + 1], "timestamps must be strictly increasing")
     return LandmarkSequence(ts, np.array(conf), np.array(succ), np.array(pts).reshape(-1, N_LANDMARKS, 3))
 
 
 def save_landmarks(seq: LandmarkSequence, path) -> None:
     path = Path(path)
-    rows = [landmark_header()]
+    rows = [",".join(LANDMARK_HEADER)]
     for i in range(len(seq)):
         coords = seq.points[i].T.reshape(-1)  # X0..X67, Y0..Y67, Z0..Z67
         cells = [str(i), repr(float(seq.timestamps[i])), repr(float(seq.confidence[i])), str(int(seq.success[i]))]
@@ -264,20 +268,9 @@ def save_landmarks(seq: LandmarkSequence, path) -> None:
 
 def load_labels(path) -> dict[str, int]:
     """Map session id -> PHQ-8 score. The binary column is parsed but unused."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ParseError(path, 1, "empty file, expected labels header")
-    header = tuple(h.strip() for h in lines[0].split(","))
-    if header != LABELS_HEADER:
-        raise ParseError(path, 1, f"bad header {header!r}, expected {LABELS_HEADER!r}")
     labels = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != 3:
-            raise ParseError(path, lineno, f"expected 3 columns, got {len(parts)}")
+    for lineno, parts in _rows(path, LABELS_HEADER):
+        parts = [p.strip() for p in parts]
         try:
             int(parts[1])  # binary flag, unused
             score = int(parts[2])

@@ -78,7 +78,7 @@ import numpy as np
 from . import corpus
 from .config import MACHINE_PATHS, PipelineConfig, config_text
 from .metrics import MetricError, evs as evs_fn, mae as mae_fn, rmse as rmse_fn
-from .models import load_model, save_model
+from .models import ModelFormatError, load_model, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -678,6 +678,24 @@ def write_report(out_dir, cfg: PipelineConfig, rows: dict, selected=None) -> tup
     return txt_path, csv_path
 
 
+def _check_extra(path, kind: str, extra: dict) -> None:
+    """Refuse a model extra that lacks or mistypes a key that predict_sessions or run_eval reads."""
+    number, relief = (int, float), extra.get("relief", {})
+    want = {"train_mean": (extra.get("train_mean"), number)}
+    if kind == "lstm":
+        want.update(window=(extra.get("window"), int), q=(extra.get("q"), int))
+    else:
+        want.update(feature_names=(extra.get("feature_names"), list), relief=(relief, dict))
+        if isinstance(relief, dict) and "relief" in extra:
+            want.update({f"relief.{key}": (relief.get(key), types)
+                         for key, types in (("threshold", number), ("k", int), ("selected_names", list))})
+    for key, (value, types) in want.items():
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ModelFormatError(f"{path}: extra key {key!r} is missing or of the wrong type")
+    if kind != "lstm" and any(name not in extra["feature_names"] for name in relief.get("selected_names", [])):
+        raise ModelFormatError(f"{path}: extra key 'relief.selected_names' names a feature the model lacks")
+
+
 def run_eval(cfg: PipelineConfig) -> dict:
     """Evaluate the persisted model on the dev split; write predictions + report."""
     t0 = time.monotonic()
@@ -687,6 +705,7 @@ def run_eval(cfg: PipelineConfig) -> dict:
     if not model_path.is_file():
         raise PipelineError(f"missing model file {model_path}; run `train` first")
     model, extra = load_model(model_path)
+    _check_extra(model_path, model.kind, extra)
 
     with_evs = cfg.family() == "visual"  # EVS belongs to the visual report
     rows: dict = {"modality": cfg.modality, "model": model.kind, "seed": cfg.seed}

@@ -92,43 +92,33 @@ def _topic_in_turn(turn: TurnRecord, keywords) -> bool:
     return False
 
 
-def pdi_features(turns) -> tuple[np.ndarray, list[str]]:
-    """PDI flags in PDI_TOPICS order plus a list of ambiguous-answer diagnostics.
+def pdi_features(turns) -> np.ndarray:
+    """PDI flags in PDI_TOPICS order.
 
     For each topic: -1 if no agent turn mentions it; otherwise the first
     participant turn after the first mentioning agent turn is classified with
-    the negation lexicon (0) then the affirmation lexicon (1). An answer
-    matching neither counts as -1 and is reported.
+    the negation lexicon (0) then the affirmation lexicon (1). An unanswered
+    query, or an answer matching neither lexicon, counts as -1.
     """
     turns = list(turns)
     flags = {}
-    diagnostics = []
     for topic in PDI_TOPICS:
         flags[topic] = -1.0
-        asked_at = None
-        for i, t in enumerate(turns):
-            if t.speaker is Speaker.AGENT and _topic_in_turn(t, TOPIC_KEYWORDS[topic]):
-                asked_at = i
-                break
+        asked_at = next((i for i, t in enumerate(turns)
+                         if t.speaker is Speaker.AGENT and _topic_in_turn(t, TOPIC_KEYWORDS[topic])), None)
         if asked_at is None:
             continue
         answer = next((t for t in turns[asked_at + 1 :] if t.speaker is Speaker.PARTICIPANT), None)
         if answer is None:
-            diagnostics.append(f"{topic}: query has no participant answer")
             continue
         tokens = [tok.lower() for tok in answer.text]
-        if any(_contains_phrase(tokens, p) if " " in p else p in tokens for p in NEGATIONS):
+        if any(_contains_phrase(tokens, p) for p in NEGATIONS):
             flags[topic] = 0.0
-        elif any(_contains_phrase(tokens, p) if " " in p else p in tokens for p in AFFIRMATIONS):
+        elif any(_contains_phrase(tokens, p) for p in AFFIRMATIONS):
             flags[topic] = 1.0
-        else:
-            diagnostics.append(f"{topic}: ambiguous answer {' '.join(tokens)!r}")
-    return np.array([flags[t] for t in PDI_TOPICS]), diagnostics
+    return np.array([flags[t] for t in PDI_TOPICS])
 
 
 def behavioral_vector(turns) -> np.ndarray:
     """The full 12-dim behavioral vector, in BEHAVIORAL_NAMES order."""
-    nb = nonvocal_features(turns)
-    tb = turn_taking_features(turns)
-    pdi, _ = pdi_features(turns)
-    return np.concatenate([nb, tb, pdi])
+    return np.concatenate([nonvocal_features(turns), turn_taking_features(turns), pdi_features(turns)])

@@ -221,12 +221,13 @@ def test_10_end_to_end_beats_baseline(tmp_path):
     with criterion(10, "end-to-end behavioral beats mean baseline by >=20%"):
         from phqreg.metrics import mae as mae_fn
 
+        ini = tmp_path / "synth.ini"
+        ini.write_text("[synth]\nmodalities = transcript\n", encoding="utf-8")
         for seed in (1, 2, 3, 4, 5):
             root = str(tmp_path / f"c{seed}")
             out = str(tmp_path / f"o{seed}")
             args = ["--corpus", root, "--out", out, "--modality", "behavioral", "--seed", str(seed)]
-            assert main(["synth", "--corpus", root, "--seed", str(seed),
-                         "--synth-modalities", "transcript"]) == 0
+            assert main(["synth", "--config", str(ini), "--corpus", root, "--seed", str(seed)]) == 0
             assert main(["extract"] + args) == 0
             assert main(["train"] + args) == 0
             assert main(["eval"] + args) == 0

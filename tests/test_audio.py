@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from phqreg import audio
 from phqreg.audio import (
     BLOCK_FRAMES,
+    FRAME_SECONDS,
     FUNCTIONAL_NAMES,
     GROUP_COLUMNS,
     GROUP_LLDS,
@@ -60,9 +61,20 @@ def session_with(samples, rate=RATE, sid="s1"):
     return Session(id=sid, turns=turns, audio=AudioSignal(samples, rate))
 
 
+def session_frames(session):
+    """Every frame of the session's participant turns, copied into one block."""
+    starts = frame_signal(session.audio, session.turns)
+    windows = np.lib.stride_tricks.sliding_window_view(session.audio.samples, round(FRAME_SECONDS * session.audio.rate))
+    return FrameSet(windows[starts], session.audio.rate)
+
+
 def frames_of(samples, rate=RATE):
-    s = session_with(samples, rate)
-    return frame_signal(s.audio, s.turns)
+    return session_frames(session_with(samples, rate))
+
+
+def blocks_of(frames, size=BLOCK_FRAMES):
+    """``frames`` cut into blocks of ``size`` frames, as the acoustic pass cuts a session."""
+    return [FrameSet(frames.samples[lo : lo + size], frames.rate) for lo in range(0, len(frames), size)]
 
 
 class TestFraming:
@@ -123,7 +135,7 @@ class TestSpectral:
         rng = np.random.default_rng(3)
         frames = frames_of(rng.normal(0, 0.3, rate // 2), rate)
         freqs = np.fft.rfftfreq(frames.frame_len, d=1.0 / rate)
-        for block in (frames, *(frames.block(i, i + 1) for i in range(8))):
+        for block in (frames, *blocks_of(frames, 1)[:8]):
             tracks = spectral_llds(block)
             power = np.abs(np.fft.rfft(block.samples * np.hamming(block.frame_len), axis=1)) ** 2
             for (lo, hi), name in zip(SPECTRAL_BANDS, SPECTRAL_LLDS[:4]):
@@ -479,17 +491,13 @@ class TestBlocks:
         assert len(frames) > 2 * BLOCK_FRAMES
         return frames
 
-    @staticmethod
-    def blocks(frames):
-        return [frames.block(lo, lo + BLOCK_FRAMES) for lo in range(0, len(frames), BLOCK_FRAMES)]
-
     def test_blocked_acf_equals_single_block(self, long_frames):
-        got = np.concatenate([block.acf for block in self.blocks(long_frames)])
+        got = np.concatenate([block.acf for block in blocks_of(long_frames)])
         assert got.tobytes() == acf_oracle(long_frames.samples).tobytes()
 
     def test_blocked_spectrum_equals_single_block(self, long_frames):
         want = spectral_oracle(long_frames)
-        blocks = self.blocks(long_frames)
+        blocks = blocks_of(long_frames)
         per_block = [spectral_llds(blocks[0])]
         per_block += [spectral_llds(block, before.samples[-1]) for before, block in zip(blocks, blocks[1:])]
         assert list(per_block[0]) == list(want)
@@ -511,7 +519,7 @@ class TestBlockedPass:
     @pytest.mark.parametrize("rate", [8000, 16000])
     def test_vectors_do_not_depend_on_block_size(self, rate, monkeypatch):
         s = edge_session(rate)
-        frames = frame_signal(s.audio, s.turns)
+        frames = session_frames(s)
         # with 7-frame blocks, the block at frame 35 starts inside the unvoiced
         # gap (the f0 envelope carries the last voiced f0 into it) and the one
         # at frame 56 starts at the gap-to-tone spectral change (flux carries
@@ -821,13 +829,12 @@ def group_pass_oracle(session, group):
     The per-group pass that session_acoustic_vector's column slices must
     equal byte for byte: S runs no prosody, and P runs no spectrum or VQ.
     """
-    frames = frame_signal(session.audio, session.turns)
+    frames = session_frames(session)
     groups = audio.M_GROUPS if group == "M" else (group,)
     rows = [(g, name) for g in groups for name in GROUP_LLDS[g]]
     base = np.empty((len(rows), len(frames)))
     previous, held_f0 = None, 0.0
-    for lo in range(0, len(frames), BLOCK_FRAMES):
-        block = frames.block(lo, lo + BLOCK_FRAMES)
+    for lo, block in zip(range(0, len(frames), BLOCK_FRAMES), blocks_of(frames)):
         tracks = {}
         if "S" in groups:
             tracks["S"] = spectral_llds(block, previous)
@@ -912,7 +919,7 @@ class TestSessionVectors:
             s = multi_block_session(8000)
         else:
             s = two_turn_session(rate=8000 if kind == "silent" else int(kind), silent=kind == "silent")
-        frames = frame_signal(s.audio, s.turns)
+        frames = session_frames(s)
         assert kind != "multi_block" or len(frames) > 2 * BLOCK_FRAMES
         # LLDs of all frames in one block, then each track's deltas and functionals alone
         prosody = prosodic_llds(frames)

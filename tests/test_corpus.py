@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from phqreg.corpus import (
+    LABELS_HEADER,
+    LANDMARK_HEADER,
     AudioSignal,
     LandmarkSequence,
     ParseError,
     Session,
     Speaker,
     TurnRecord,
-    landmark_header,
     load_labels,
     load_landmarks,
     load_transcript,
@@ -89,7 +90,7 @@ class TestTokenize:
 
 class TestLandmarks:
     def make_rows(self, n, n_coords=204, start_ts=0.0, step=0.5, success=None):
-        rows = [landmark_header()]
+        rows = [",".join(LANDMARK_HEADER)]
         for i in range(n):
             flag = 1 if success is None else int(success[i])
             cells = [str(i), str(start_ts + i * step), "0.9", str(flag)]
@@ -116,6 +117,15 @@ class TestLandmarks:
     def test_non_monotone_timestamps(self, tmp_path):
         text = self.make_rows(2, step=-0.5, start_ts=1.0)
         with pytest.raises(ParseError):
+            load_landmarks(write(tmp_path, "l.csv", text))
+
+    def test_non_monotone_timestamp_names_its_own_line_after_blank_lines(self, tmp_path):
+        header, *rows = self.make_rows(3).splitlines()
+        rows = [row.split(",") for row in rows]
+        for row, ts in zip(rows, ("0", "1", "0.5")):
+            row[1] = ts
+        text = "\n".join([header, ",".join(rows[0]), "", "", ",".join(rows[1]), ",".join(rows[2])]) + "\n"
+        with pytest.raises(ParseError, match=r"l\.csv:6: timestamps must be strictly increasing"):
             load_landmarks(write(tmp_path, "l.csv", text))
 
     def test_coordinate_layout_roundtrip(self, tmp_path):
@@ -146,6 +156,37 @@ class TestLandmarks:
         rows = self.make_rows(2).splitlines()
         rows[0] = rows[0].replace(",", ", ")
         assert len(load_landmarks(write(tmp_path, "l.csv", "\n".join(rows) + "\n"))) == 2
+
+
+# each loader's header, one good row, the row with one field too few, and a non-numeric row
+LOADERS = {
+    "transcript": (load_transcript, "t.tsv", HEADER, "0.0\t1.0\tEllie\thi", "0.0\t1.0\tEllie", "x\t1.0\tEllie\thi"),
+    "landmarks": (
+        load_landmarks, "l.csv", ",".join(LANDMARK_HEADER),
+        ",".join(["0", "0.0", "0.9", "1"] + ["0.5"] * 204),
+        ",".join(["0", "0.0", "0.9", "1"] + ["0.5"] * 203),
+        ",".join(["1", "0.5", "0.9", "1"] + ["0.5"] * 203 + ["x"]),
+    ),
+    "labels": (load_labels, "labels.csv", ",".join(LABELS_HEADER), "300,0,3", "301,1", "301,1,x"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("case", ["empty", "bad_header", "field_count", "non_numeric"])
+def test_loader_refusal_names_path_and_line(tmp_path, kind, case):
+    load, name, header, good, short, non_numeric = LOADERS[kind]
+    text, line = {
+        "empty": ("", 1),
+        "bad_header": ("garbage\n" + good + "\n", 1),
+        "field_count": ("\n".join([header, good, short]) + "\n", 3),
+        "non_numeric": ("\n".join([header, good, "", "  ", non_numeric]) + "\n", 5),
+    }[case]
+    path = write(tmp_path, name, text)
+    assert load(write(tmp_path, "ok_" + name, header + "\n" + good + "\n"))
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert (err.value.path, err.value.line) == (str(path), line)
+    assert str(err.value).startswith(f"{path}:{line}: ")
 
 
 class TestLabels:

@@ -99,3 +99,40 @@ def test_eval_of_a_damaged_model_prints_one_error_line(small_corpus, tmp_path, c
     assert main(["eval", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"ERROR {path}: ") and err.count("\n") == 1, err
+
+
+# a key of the model extra that eval reads, and a bad value for it (None: the key is removed)
+BAD_EXTRA = {
+    "relief_not_an_object": ("relief", 5),
+    "relief_k_text": ("relief", {"threshold": 0.0, "k": "3", "selected_names": []}),
+    "relief_name_not_a_feature": ("relief", {"threshold": 0.0, "k": 3, "selected_names": ["nope"]}),
+    "feature_names_number": ("feature_names", 3),
+    "train_mean_missing": ("train_mean", None),
+    "lstm_window_text": ("window", "60"),
+    "lstm_q_missing": ("q", None),
+}
+
+
+@pytest.mark.parametrize("how", sorted(BAD_EXTRA))
+def test_eval_of_a_bad_model_extra_prints_one_error_line(small_corpus, tmp_path, capsys, how):
+    key, value = BAD_EXTRA[how]
+    out = tmp_path / "out"
+    modality = "visual" if how.startswith("lstm") else "behavioral"
+    args = ["--corpus", str(small_corpus), "--out", str(out), "--modality", modality, "--seed", "1"]
+    if modality == "visual":  # the extra is checked before any window store is read
+        out.mkdir()
+        save_model(trained("lstm"), out / "model_visual.json", {"train_mean": 5.0, "window": 4, "q": 2})
+    else:
+        assert main(["extract", *args]) == 0
+        assert main(["train", *args]) == 0
+    path = out / f"model_{modality}.json"
+    payload = json.loads(path.read_text())
+    if value is None:
+        del payload["extra"][key]
+    else:
+        payload["extra"][key] = value
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["eval", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR {path}: extra key '{key}") and err.count("\n") == 1, err

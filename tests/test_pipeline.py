@@ -87,6 +87,12 @@ def cfg_for(root, out, **kw):
     return load_config(None, over)
 
 
+def synth_config(path, **synth) -> str:
+    """Write ``synth`` as the ``[synth]`` keys of an INI file; returns its path for ``--config``."""
+    Path(path).write_text("[synth]\n" + "".join(f"{k} = {v}\n" for k, v in synth.items()), encoding="utf-8")
+    return str(path)
+
+
 def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -451,9 +457,8 @@ class TestTrainEval:
             run_eval(cfg)
 
 
-# synth, the acoustic, behavioral and text extracts, then train, eval and cv for behavioral and text:BOOL
+# after synth: the acoustic, behavioral and text extracts, then train, eval and cv for behavioral and text:BOOL
 HASH_SEED_RECIPE = [
-    ["synth", "--n-train", "9", "--n-dev", "3", "--synth-modalities", "transcript audio"],
     *(["extract", "--modality", m] for m in ("acoustic:S", "acoustic:P", "acoustic:VQ", "acoustic:M",
                                            "behavioral", "text:BOOL", "text:TFIDF")),
     *([verb, "--modality", m] for m in ("behavioral", "text:BOOL") for verb in ("train", "eval", "cv")),
@@ -470,9 +475,13 @@ class TestDeterminismAndLeakage:
         trees = []
         for hash_seed in ("0", "12345"):
             run = tmp_path / f"hashseed_{hash_seed}"
+            run.mkdir()
+            ini = synth_config(run / "synth.ini", n_train=9, n_dev=3, modalities="transcript audio")
             common = ["--corpus", str(run / "corpus"), "--out", str(run / "out"), "--seed", "5"]
+            synth = ["synth", "--config", ini, "--corpus", str(run / "corpus"), "--seed", "5"]
             code = "\n".join([
                 "from phqreg.cli import main",
+                f"assert main({synth!r}) == 0",
                 f"for args in {HASH_SEED_RECIPE!r}:",
                 f"    assert main(args + {common!r}) == 0, args",
             ])
@@ -730,10 +739,9 @@ class TestReliefIntegration:
 
     def test_single_class_training_split_names_the_missing_class(self, tmp_path, capsys):
         root, out = tmp_path / "no_depressed", tmp_path / "out"
-        ini = tmp_path / "synth.ini"
-        ini.write_text("[synth]\ndepressed_fraction_train = 0.0\n", encoding="utf-8")
-        assert main(["synth", "--config", str(ini), "--corpus", str(root), "--seed", "3", "--n-train", "24",
-                     "--n-dev", "4", "--synth-modalities", "transcript"]) == 0
+        ini = synth_config(tmp_path / "synth.ini", depressed_fraction_train=0.0, n_train=24, n_dev=4,
+                           modalities="transcript")
+        assert main(["synth", "--config", ini, "--corpus", str(root), "--seed", "3"]) == 0
         index = scan_corpus(root)
         assert all(index.labels[sid] < 10 for sid in index.ids["train"])
         self.fabricate_acoustic_store(root, out)
@@ -855,8 +863,8 @@ class TestVisualPipeline:
 class TestCli:
     def test_full_cli_flow(self, tmp_path, capsys):
         root, out = str(tmp_path / "c"), str(tmp_path / "o")
-        assert main(["synth", "--corpus", root, "--seed", "3", "--n-train", "8", "--n-dev", "4",
-                     "--synth-modalities", "transcript"]) == 0
+        ini = synth_config(tmp_path / "synth.ini", n_train=8, n_dev=4, modalities="transcript")
+        assert main(["synth", "--config", ini, "--corpus", root, "--seed", "3"]) == 0
         assert main(["extract", "--corpus", root, "--out", out, "--modality", "behavioral", "--seed", "3"]) == 0
         assert main(["train", "--corpus", root, "--out", out, "--modality", "behavioral", "--seed", "3"]) == 0
         assert main(["eval", "--corpus", root, "--out", out, "--modality", "behavioral", "--seed", "3"]) == 0
@@ -877,6 +885,9 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["train", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
         (["train", "--model", "svr", "--seed", "1"], "unrecognized arguments: --model svr"),
+        (["synth", "--n-train", "9", "--seed", "1"], "unrecognized arguments: --n-train 9"),
+        (["synth", "--out", "o", "--modality", "behavioral", "--seed", "1"],
+         "unrecognized arguments: --out o --modality behavioral"),
     ])
     def test_argument_errors_end_with_error_line(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -900,8 +911,8 @@ class TestCli:
 
     def tiny_corpus(self, tmp_path):
         root = tmp_path / "c"
-        assert main(["synth", "--corpus", str(root), "--seed", "3", "--n-train", "8", "--n-dev", "4",
-                     "--synth-modalities", "transcript"]) == 0
+        ini = synth_config(tmp_path / "synth.ini", n_train=8, n_dev=4, modalities="transcript")
+        assert main(["synth", "--config", ini, "--corpus", str(root), "--seed", "3"]) == 0
         return root, ["--corpus", str(root), "--out", str(tmp_path / "o"), "--modality", "behavioral", "--seed", "3"]
 
     def test_session_listed_twice_is_error(self, tmp_path, capsys):
@@ -1014,8 +1025,8 @@ class TestCli:
 
     def test_degenerate_landmark_frame_names_session_and_frame(self, tmp_path, capsys):
         root = tmp_path / "c"
-        assert main(["synth", "--corpus", str(root), "--seed", "3", "--n-train", "4", "--n-dev", "2",
-                     "--synth-modalities", "landmarks"]) == 0
+        ini = synth_config(tmp_path / "synth.ini", n_train=4, n_dev=2, modalities="landmarks")
+        assert main(["synth", "--config", ini, "--corpus", str(root), "--seed", "3"]) == 0
         sid = (root / "train_ids.txt").read_text().split()[0]
         path = root / "sessions" / sid / f"{sid}_landmarks.csv"
         lines = path.read_text().splitlines()

@@ -115,7 +115,7 @@ class TestTurnTaking:
 class TestPdi:
     def test_topic_never_asked(self):
         turns = [turn(0, 1, A, "how are you"), turn(1.5, 2, P, "fine")]
-        pdi, _ = pdi_features(turns)
+        pdi = pdi_features(turns)
         assert pdi.tolist() == [-1.0, -1.0, -1.0]
 
     def test_disconfirmation(self):
@@ -123,7 +123,7 @@ class TestPdi:
             turn(0, 1, A, "have you been diagnosed with depression"),
             turn(1.5, 2, P, "no"),
         ]
-        pdi, _ = pdi_features(turns)
+        pdi = pdi_features(turns)
         assert pdi[1] == 0.0
 
     def test_confirmation(self):
@@ -131,7 +131,7 @@ class TestPdi:
             turn(0, 1, A, "did you serve in the military"),
             turn(1.5, 2, P, "yes i served"),
         ]
-        pdi, _ = pdi_features(turns)
+        pdi = pdi_features(turns)
         assert pdi[2] == 1.0
 
     def test_ptsd_phrase_keyword(self):
@@ -139,17 +139,23 @@ class TestPdi:
             turn(0, 1, A, "any post traumatic stress"),
             turn(1.5, 2, P, "yeah"),
         ]
-        pdi, _ = pdi_features(turns)
+        pdi = pdi_features(turns)
         assert pdi[0] == 1.0
 
-    def test_ambiguous_answer_reported(self):
+    def test_ambiguous_or_missing_answer_is_unknown(self):
         turns = [
             turn(0, 1, A, "do you have ptsd"),
             turn(1.5, 2, P, "perhaps sometimes"),
+            turn(3, 4, A, "did you serve in the military"),
         ]
-        pdi, diag = pdi_features(turns)
-        assert pdi[0] == -1.0
-        assert any("ptsd" in d for d in diag)
+        assert pdi_features(turns).tolist() == [-1.0, -1.0, -1.0]
+
+    def test_one_word_lexicon_entries_match_whole_tokens(self):
+        turns = [
+            turn(0, 1, A, "have you been diagnosed with depression"),
+            turn(1.5, 2, P, "nothing like that, yes"),
+        ]
+        assert pdi_features(turns)[1] == 1.0
 
     def test_values_in_range(self):
         turns = [
@@ -158,7 +164,7 @@ class TestPdi:
             turn(3, 4, A, "do you have ptsd"),
             turn(4.5, 5, P, "no never"),
         ]
-        pdi, _ = pdi_features(turns)
+        pdi = pdi_features(turns)
         assert set(pdi.tolist()) <= {-1.0, 0.0, 1.0}
 
 
