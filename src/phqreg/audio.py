@@ -452,7 +452,8 @@ def add_derivatives(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d1, _delta(d1)
 
 
-def _delta(values: np.ndarray, width: int = DELTA_WIDTH) -> np.ndarray:
+def _delta(values: np.ndarray) -> np.ndarray:
+    width = DELTA_WIDTH
     values = _track_matrix(values)
     n = values.shape[1]
     if n < 2 * width + 1:

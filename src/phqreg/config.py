@@ -3,13 +3,12 @@
 ``phqreg show-config`` prints every default. The seed is mandatory for any
 command that touches data. The modality alone picks the learner (see
 pipeline), so no key names one. The paper's fixed hyperparameters are not
-keys here either: the learners' own defaults hold them.
+keys here either: they are module constants of the code that reads them.
 Relief's ``[relief] threshold`` and ``k`` are the one place a tuned point
 goes: ``tune-relief`` prints the pair to copy there.
 
-Every verb loads this module, so it imports no other phqreg module: the
-defaults that the config shares with a family (the LSTM epoch budget, the
-Relief point, ``SynthSpec``) are defined here and imported by that family.
+Every verb loads this module, so it imports no other phqreg module. The one
+definition it shares with a family is ``SynthSpec``, which synth imports.
 """
 
 from __future__ import annotations
@@ -24,13 +23,6 @@ MODALITIES = (
     "text:BOOL", "text:TFIDF", "text:WE",
     "visual",
 )
-
-
-# the paper's fixed LSTM epoch budget and Relief operating point; models.lstm
-# and relief take their defaults from here
-DEFAULT_EPOCHS = 100
-DEFAULT_RELIEF_THRESHOLD = 0.02
-DEFAULT_RELIEF_K = 20
 
 
 class ConfigError(ValueError):
@@ -74,10 +66,10 @@ class PipelineConfig:
     modality: str = "behavioral"
     seed: int | None = None
     # [lstm]
-    lstm_max_epochs: int = DEFAULT_EPOCHS
-    # [relief]
-    relief_threshold: float = DEFAULT_RELIEF_THRESHOLD
-    relief_k: int = DEFAULT_RELIEF_K
+    lstm_max_epochs: int = 100  # the paper's epoch budget
+    # [relief] the paper's operating point
+    relief_threshold: float = 0.02
+    relief_k: int = 20
     # [text]
     text_embeddings: str = ""
     # [synth]

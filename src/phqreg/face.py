@@ -64,7 +64,7 @@ def geometric_frames(seq: LandmarkSequence) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PcaProjection:
-    """Mean vector + orthonormal component rows retaining >= variance_keep."""
+    """Mean vector + orthonormal component rows retaining >= DEFAULT_VARIANCE_KEEP."""
 
     mean: np.ndarray
     components: np.ndarray  # (q, d)
@@ -78,9 +78,9 @@ class PcaProjection:
         return (np.asarray(X, dtype=np.float64) - self.mean) @ self.components.T
 
 
-def fit_pca(blocks, variance_keep: float = DEFAULT_VARIANCE_KEEP) -> PcaProjection:
+def fit_pca(blocks) -> PcaProjection:
     """PCA by eigen-decomposition, keeping the smallest q with cumulative
-    explained variance >= variance_keep.
+    explained variance >= DEFAULT_VARIANCE_KEEP.
 
     ``blocks`` is an iterable of (rows, d) arrays, for example one session's
     frames each. The fit concatenates them into a matrix of its own, so the
@@ -94,8 +94,6 @@ def fit_pca(blocks, variance_keep: float = DEFAULT_VARIANCE_KEEP) -> PcaProjecti
     X = np.concatenate(list(blocks), dtype=np.float64)
     if X.ndim != 2 or len(X) < 2:
         raise ValueError("need row blocks of a 2-d matrix with at least 2 rows")
-    if not 0.0 < variance_keep <= 1.0:
-        raise ValueError("variance_keep must be in (0, 1]")
     n, d = X.shape
     mean = X.mean(axis=0)
     X -= mean
@@ -124,7 +122,7 @@ def fit_pca(blocks, variance_keep: float = DEFAULT_VARIANCE_KEEP) -> PcaProjecti
     if total == 0.0:
         raise ValueError("zero-variance matrix; PCA undefined")
     ratios = np.cumsum(evals) / total
-    q = int(np.searchsorted(ratios, variance_keep - 1e-12) + 1)
+    q = int(np.searchsorted(ratios, DEFAULT_VARIANCE_KEEP - 1e-12) + 1)
     q = min(q, len(evals))
     comps = comps[:q] if n < d else evecs[:, order[:q]].T
     return PcaProjection(mean, comps, float(ratios[q - 1]))

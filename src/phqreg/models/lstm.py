@@ -300,9 +300,10 @@ class LstmModel:
     @classmethod
     def from_dict(cls, d: dict) -> "LstmModel":
         return cls(
-            params={k: np.array(v) for k, v in d["params"].items()},
-            running_mean=np.array(d["running_mean"]), running_var=np.array(d["running_var"]),
-            curve=list(d["curve"]), best_epoch=d["best_epoch"],
+            params={k: np.asarray(v, dtype=np.float64) for k, v in d["params"].items()},
+            running_mean=np.asarray(d["running_mean"], dtype=np.float64),
+            running_var=np.asarray(d["running_var"], dtype=np.float64),
+            curve=[float(v) for v in d["curve"]], best_epoch=int(d["best_epoch"]),
         )
 
 

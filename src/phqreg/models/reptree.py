@@ -6,9 +6,10 @@ distinct values) maximizing
 
     dVar = Var(node) - (n_L * Var(L) + n_R * Var(R)) / n
 
-is taken, subject to a minimum leaf size. Pruning: bottom-up, a subtree is
-replaced by a leaf holding its growing-set mean whenever the pruning-set SSE
-does not increase (ties prune), so pruning-set SSE never goes up.
+is taken, subject to leaves of at least DEFAULT_MIN_LEAF rows. Pruning:
+bottom-up, a subtree is replaced by a leaf holding its growing-set mean
+whenever the pruning-set SSE does not increase (ties prune), so pruning-set
+SSE never goes up.
 """
 
 from __future__ import annotations
@@ -47,23 +48,25 @@ class TreeNode:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        node = cls(value=d["value"])
+    def from_dict(cls, d: dict, n_features: int) -> "TreeNode":
+        node = cls(value=float(d["value"]))
         if "feature" in d:
-            node.feature = d["feature"]
-            node.threshold = d["threshold"]
-            node.left = cls.from_dict(d["left"])
-            node.right = cls.from_dict(d["right"])
+            node.feature = int(d["feature"])
+            if not 0 <= node.feature < n_features:
+                raise ValueError(f"split on feature {node.feature} of {n_features}")
+            node.threshold = float(d["threshold"])
+            node.left = cls.from_dict(d["left"], n_features)
+            node.right = cls.from_dict(d["right"], n_features)
         return node
 
 
-def grow_tree(X: np.ndarray, y: np.ndarray, min_leaf: int = DEFAULT_MIN_LEAF) -> TreeNode:
+def grow_tree(X: np.ndarray, y: np.ndarray) -> TreeNode:
     """Greedy variance-reduction tree on the growing set."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     node = TreeNode(value=float(y.mean()))
     var = float(np.var(y))
-    if len(y) < 2 * min_leaf or var == 0.0:
+    if len(y) < 2 * DEFAULT_MIN_LEAF or var == 0.0:
         return node
 
     best = None  # (dvar, feature, threshold)
@@ -73,7 +76,7 @@ def grow_tree(X: np.ndarray, y: np.ndarray, min_leaf: int = DEFAULT_MIN_LEAF) ->
         csum = np.cumsum(ys)
         csq = np.cumsum(ys**2)
         total_sum, total_sq, n = csum[-1], csq[-1], len(ys)
-        for pos in range(min_leaf, n - min_leaf + 1):
+        for pos in range(DEFAULT_MIN_LEAF, n - DEFAULT_MIN_LEAF + 1):
             if xs[pos - 1] == xs[pos]:
                 continue
             nl, nr = pos, n - pos
@@ -89,8 +92,8 @@ def grow_tree(X: np.ndarray, y: np.ndarray, min_leaf: int = DEFAULT_MIN_LEAF) ->
         return node
     node.feature, node.threshold = best[1], best[2]
     mask = X[:, node.feature] <= node.threshold
-    node.left = grow_tree(X[mask], y[mask], min_leaf)
-    node.right = grow_tree(X[~mask], y[~mask], min_leaf)
+    node.left = grow_tree(X[mask], y[mask])
+    node.right = grow_tree(X[~mask], y[~mask])
     return node
 
 
@@ -124,10 +127,11 @@ class RepTreeModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RepTreeModel":
-        return cls(TreeNode.from_dict(d["tree"]), d["n_features"])
+        n_features = int(d["n_features"])
+        return cls(TreeNode.from_dict(d["tree"], n_features), n_features)
 
 
-def reptree_train(X, y, seed: int = 0) -> RepTreeModel:
+def reptree_train(X, y, seed: int) -> RepTreeModel:
     """Grow on a seeded 2/3 split, prune on the held-out 1/3."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

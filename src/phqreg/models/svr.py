@@ -8,9 +8,13 @@ u = [+1...; -1...]:
 
 with Qhat[s,t] = u_s u_t K(x_s, x_t) and p = [eps - y; eps + y]. Working pairs
 are chosen by maximal KKT violation; training stops when the violation gap
-drops below ``tol``, and the model keeps that final gap as ``kkt_gap``.
-Inputs are min-max normalized to [0,1] with ranges stored from the training
-data.
+drops below ``DEFAULT_TOL``, and the model keeps that final gap as
+``kkt_gap``. Inputs are min-max normalized to [0,1] with ranges stored from
+the training data.
+
+The paper's C, gamma, epsilon and tolerance are the DEFAULT_* constants,
+which ``svr_train`` reads when it is called; SMO gives up after
+max(MAX_ITER_MIN, MAX_ITER_PER_ROW * n) iterations.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ DEFAULT_C = 1.0
 DEFAULT_GAMMA = 0.01
 DEFAULT_EPSILON = 1e-3
 DEFAULT_TOL = 1e-3
+MAX_ITER_MIN = 100_000
+MAX_ITER_PER_ROW = 2000
 KERNELS = ("linear", "rbf")
 
 
@@ -60,7 +66,7 @@ class SvrModel:
     mins: np.ndarray
     maxs: np.ndarray
     n_iter: int
-    kkt_gap: float  # the KKT violation gap at which SMO stopped: <= tol, below 0 when no pair violates
+    kkt_gap: float  # the KKT violation gap at which SMO stopped: <= DEFAULT_TOL, below 0 when no pair violates
     kind: str = field(default="svr", init=False)
 
     @property
@@ -85,26 +91,23 @@ class SvrModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SvrModel":
+        if d["kernel"] not in KERNELS:
+            raise ValueError(f"unknown kernel {d['kernel']!r}")
+        alpha, alpha_star, mins, maxs = (
+            np.asarray(d[k], dtype=np.float64) for k in ("alpha", "alpha_star", "mins", "maxs")
+        )
+        train_X = np.asarray(d["train_X"], dtype=np.float64).reshape(len(alpha), -1)
+        if {alpha.shape, alpha_star.shape} != {(len(train_X),)} or {mins.shape, maxs.shape} != {train_X.shape[1:]}:
+            raise ValueError("alpha, alpha_star, train_X, mins and maxs do not agree in shape")
         return cls(
-            kernel=d["kernel"], C=d["C"], gamma=d["gamma"],
-            alpha=np.array(d["alpha"]), alpha_star=np.array(d["alpha_star"]),
-            bias=d["bias"], train_X=np.array(d["train_X"]).reshape(len(d["alpha"]), -1),
-            mins=np.array(d["mins"]), maxs=np.array(d["maxs"]),
-            n_iter=d["n_iter"], kkt_gap=d["kkt_gap"],
+            kernel=d["kernel"], C=float(d["C"]), gamma=float(d["gamma"]),
+            alpha=alpha, alpha_star=alpha_star, bias=float(d["bias"]), train_X=train_X,
+            mins=mins, maxs=maxs, n_iter=int(d["n_iter"]), kkt_gap=float(d["kkt_gap"]),
         )
 
 
-def svr_train(
-    X,
-    y,
-    kernel: str = "rbf",
-    C: float = DEFAULT_C,
-    gamma: float = DEFAULT_GAMMA,
-    epsilon: float = DEFAULT_EPSILON,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-) -> SvrModel:
-    """Fit epsilon-SVR by SMO to KKT violation <= tol."""
+def svr_train(X, y, kernel: str) -> SvrModel:
+    """Fit epsilon-SVR by SMO to KKT violation <= DEFAULT_TOL."""
     X = _check_finite(X, "X")
     y = _check_finite(y, "y")
     if X.ndim != 2 or len(X) != len(y):
@@ -112,11 +115,10 @@ def svr_train(
     n = len(X)
     if n < 2:
         raise ValueError("need at least 2 training instances")
-    if C <= 0 or epsilon < 0:
-        raise ValueError("C must be positive and epsilon non-negative")
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}, expected one of {KERNELS}")
 
+    C, gamma, epsilon, tol = DEFAULT_C, DEFAULT_GAMMA, DEFAULT_EPSILON, DEFAULT_TOL
     mins, maxs = X.min(axis=0), X.max(axis=0)
     Xn = min_max_scale(X, mins, maxs)
 
@@ -127,8 +129,7 @@ def svr_train(
 
     z = np.zeros(2 * n)
     grad = p.copy()  # Qhat @ 0 + p
-    if max_iter is None:
-        max_iter = max(100_000, 2000 * n)
+    max_iter = max(MAX_ITER_MIN, MAX_ITER_PER_ROW * n)
 
     it = 0
     while True:

@@ -394,7 +394,7 @@ def _extract_visual(index, out_dir: Path) -> list[Path]:
             with naming_session(sid):
                 yield face.geometric_frames(lm)
 
-    pca = face.fit_pca(train_geometry(), face.DEFAULT_VARIANCE_KEEP)
+    pca = face.fit_pca(train_geometry())
     logger.info("visual PCA: %d -> %d dims (%.4f%% variance)", len(pca.mean), pca.q, 100 * pca.explained_ratio)
 
     pca_path = artifact_path(out_dir, "pca", "visual")
@@ -444,8 +444,16 @@ def load_windows(out_dir, split) -> tuple[np.ndarray, dict]:
     npy_path, json_path = _windows_paths(Path(out_dir), split)
     if not npy_path.is_file() or not json_path.is_file():
         raise PipelineError(f"missing visual window batch for split {split}; run `extract` first")
-    windows = np.load(npy_path)
-    meta = json.loads(json_path.read_text(encoding="utf-8"))
+    try:
+        windows = np.load(npy_path)
+    except (ValueError, EOFError) as exc:
+        raise PipelineError(f"{npy_path}: not a window array ({exc}); run `extract` again") from None
+    try:
+        meta = json.loads(json_path.read_text(encoding="utf-8"))
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise PipelineError(f"{json_path}: window sidecar is not a JSON object; run `extract` again")
     for key in ("session_ids", "W", "q", "sessions"):
         if key not in meta:
             raise PipelineError(f"{json_path}: window sidecar has no {key!r} key; run `extract` again")
@@ -765,12 +773,12 @@ def run_cv(cfg: PipelineConfig) -> dict:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = _load_split(cfg, index, "train")
-    n, n_folds = len(data.sids), 3
-    if n < n_folds:
-        raise PipelineError(f"{n} sessions is fewer than {n_folds} folds")
-    fold_indices = relief.stratified_folds(relief.binarize_labels(data.y), n_folds, cfg.seed)
+    n = len(data.sids)
+    if n < relief.CV_FOLDS:
+        raise PipelineError(f"{n} sessions is fewer than {relief.CV_FOLDS} folds")
+    fold_indices = relief.stratified_folds(relief.binarize_labels(data.y), cfg.seed)
 
-    rows: dict = {"modality": cfg.modality, "seed": cfg.seed, "n_folds": n_folds}
+    rows: dict = {"modality": cfg.modality, "seed": cfg.seed, "n_folds": relief.CV_FOLDS}
     lines = ["fold,session_id,y_true,y_pred"]
     pooled_y, pooled_p, pooled_base = [], [], []
     for fold_no, test_idx in enumerate(fold_indices):

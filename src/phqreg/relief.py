@@ -1,5 +1,8 @@
 """Relief feature weighting, top-k selection, and grid tuning by 3-fold CV.
 
+The grid (GRID_THRESHOLDS x GRID_KS), the fold count CV_FOLDS (``cv`` uses
+it too) and the cap of DEFAULT_N_MAX features are the paper's constants.
+
 Multi-neighbor Relief on min-max-normalized features with Manhattan distance:
 every instance contributes the mean per-feature difference to its k nearest
 misses (other class) minus its k nearest hits (same class), accumulated as
@@ -22,7 +25,6 @@ import logging
 
 import numpy as np
 
-from .config import DEFAULT_RELIEF_K, DEFAULT_RELIEF_THRESHOLD
 from .corpus import PHQ8_DEPRESSED_CUTOFF
 from .models import min_max_scale
 
@@ -31,6 +33,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_N_MAX = 20  # at most this many features are selected
 GRID_THRESHOLDS = (0.02, 0.0, -0.02)
 GRID_KS = (5, 10, 15, 20)
+CV_FOLDS = 3
 
 
 def binarize_labels(y) -> np.ndarray:
@@ -85,53 +88,42 @@ def relief_weights_by_k(X, y_class, ks) -> dict[int, np.ndarray]:
     return {k: acc / (n * k) for k, acc in sums.items()}
 
 
-def relief_weights(X, y_class, k: int = DEFAULT_RELIEF_K) -> np.ndarray:
+def relief_weights(X, y_class, k: int) -> np.ndarray:
     """Relief weights for binary-class data; requires k+1 instances per class."""
     return relief_weights_by_k(X, y_class, (k,))[k]
 
 
-def select_top(
-    weights: np.ndarray, threshold: float = DEFAULT_RELIEF_THRESHOLD, n_max: int = DEFAULT_N_MAX
-) -> list[int]:
-    """Indices with weight > threshold, best first, at most n_max (ties by index)."""
+def select_top(weights: np.ndarray, threshold: float) -> list[int]:
+    """Indices with weight > threshold, best first, at most DEFAULT_N_MAX (ties by index)."""
     w = np.asarray(weights)
     above = [i for i in range(len(w)) if w[i] > threshold]
     above.sort(key=lambda i: (-w[i], i))
     if not above:
         logger.warning("relief selection empty: no weight above threshold %g", threshold)
-    return above[:n_max]
+    return above[:DEFAULT_N_MAX]
 
 
-def stratified_folds(y_class, n_folds: int, seed: int) -> list[np.ndarray]:
-    """Deterministic stratified fold assignment; returns per-fold index arrays.
+def stratified_folds(y_class, seed: int) -> list[np.ndarray]:
+    """Deterministic stratified CV_FOLDS-fold assignment; returns per-fold index arrays.
 
     The round-robin offset carries over between classes so overall fold sizes
     differ by at most one.
     """
     y_class = np.asarray(y_class).astype(int)
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(n_folds)]
+    folds: list[list[int]] = [[] for _ in range(CV_FOLDS)]
     offset = 0
     for cls in np.unique(y_class):
         members = np.where(y_class == cls)[0]
         rng.shuffle(members)
         for j, m in enumerate(members):
-            folds[(offset + j) % n_folds].append(int(m))
-        offset = (offset + len(members)) % n_folds
+            folds[(offset + j) % CV_FOLDS].append(int(m))
+        offset = (offset + len(members)) % CV_FOLDS
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
-def tune_relief(
-    X,
-    y,
-    fit,
-    thresholds=GRID_THRESHOLDS,
-    ks=GRID_KS,
-    n_folds: int = 3,
-    n_max: int = DEFAULT_N_MAX,
-    seed: int = 0,
-) -> tuple[float, int, dict]:
-    """Pick (threshold, k) minimizing mean fold MAE under 3-fold CV.
+def tune_relief(X, y, fit, seed: int) -> tuple[float, int, dict]:
+    """Pick the grid's (threshold, k) with the lowest mean fold MAE under CV_FOLDS-fold CV.
 
     ``fit(X, y)`` returns a fitted model with predict(X); Relief and the
     selection are refitted inside every fold on its training part only. The
@@ -142,8 +134,9 @@ def tune_relief(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    thresholds, ks = GRID_THRESHOLDS, GRID_KS
     y_class = binarize_labels(y)
-    folds = stratified_folds(y_class, n_folds, seed)
+    folds = stratified_folds(y_class, seed)
     trains = [np.setdiff1d(np.arange(len(y)), fold) for fold in folds]
 
     feasible = []
@@ -162,7 +155,7 @@ def tune_relief(
         for th in thresholds:
             maes = []
             for train, fold, by_k in zip(trains, folds, fold_weights):
-                sel = select_top(by_k[k], th, n_max)
+                sel = select_top(by_k[k], th)
                 if not sel:
                     logger.info("grid point (th=%g, k=%d): empty selection", th, k)
                     break

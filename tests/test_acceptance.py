@@ -11,6 +11,7 @@ import numpy as np
 
 from phqreg.audio import GROUP_COLUMNS, session_acoustic_vector
 from phqreg.cli import main
+from phqreg import face
 from phqreg.corpus import AudioSignal, Session, Speaker, TurnRecord
 from phqreg.face import fit_pca, window_sequence
 from phqreg.metrics import evs, mae, rmse
@@ -25,7 +26,7 @@ from test_lstm import gradient_check
 from test_metrics import brute_force_metrics
 from test_pipeline import read_predictions
 from test_relief import relief_oracle
-from test_svr import qp_oracle, svr_dual_objective
+from test_svr import qp_oracle, set_constants as set_svr_constants, svr_dual_objective
 
 
 @contextmanager
@@ -89,7 +90,7 @@ def test_03_geometric_vector_and_pca():
         for r in (2, 3, 5):
             basis = np.linalg.qr(rng.normal(size=(30, r)))[0]
             X = (rng.normal(size=(300, r)) * np.linspace(3.0, 1.0, r)) @ basis.T
-            pca = fit_pca([X], 0.995)
+            pca = fit_pca([X])
             assert pca.q == r
             assert pca.explained_ratio >= 0.995
 
@@ -148,27 +149,31 @@ def test_06_relief_ranking_and_oracle():
             assert np.max(np.abs(got - relief_oracle(X, y, 3))) <= 1e-9
 
 
-def test_07_svr_feasibility_and_small_qp():
+def test_07_svr_feasibility_and_small_qp(monkeypatch):
     with criterion(7, "SVR dual feasibility + 5-point QP oracle 1e-6 + tube"):
         rng = np.random.default_rng(2)
+        set_svr_constants(monkeypatch, DEFAULT_C=1.0, DEFAULT_EPSILON=0.1)
         for kernel, gamma in (("linear", 0.0), ("rbf", 0.5)):
             X = rng.normal(0, 1, (20, 3))
             y = rng.normal(0, 5, 20)
-            m = svr_train(X, y, kernel=kernel, C=1.0, gamma=gamma, epsilon=0.1)
+            set_svr_constants(monkeypatch, DEFAULT_GAMMA=gamma)
+            m = svr_train(X, y, kernel=kernel)
             assert np.all((m.alpha >= -1e-9) & (m.alpha <= 1.0 + 1e-9))
             assert np.all((m.alpha_star >= -1e-9) & (m.alpha_star <= 1.0 + 1e-9))
             assert abs((m.alpha - m.alpha_star).sum()) <= 1e-6
 
         X5 = np.array([[0.0], [0.25], [0.5], [0.75], [1.0]])
         y5 = np.array([0.3, 1.2, -0.2, 1.9, 1.1])
-        m = svr_train(X5, y5, kernel="rbf", C=1.0, gamma=0.01, epsilon=0.1, tol=1e-10)
+        set_svr_constants(monkeypatch, DEFAULT_GAMMA=0.01, DEFAULT_TOL=1e-10)
+        m = svr_train(X5, y5, kernel="rbf")
         K = kernel_matrix("rbf", m.train_X, m.train_X, 0.01)
         dual = svr_dual_objective(K, y5, 0.1, m.alpha, m.alpha_star)
         assert abs(dual - qp_oracle(K, y5, 1.0, 0.1)) <= 1e-6
 
         Xl = np.linspace(0, 1, 12).reshape(-1, 1)
         yl = 4.0 * Xl[:, 0] - 1.0
-        ml = svr_train(Xl, yl, kernel="linear", C=100.0, epsilon=0.1, tol=1e-8)
+        set_svr_constants(monkeypatch, DEFAULT_C=100.0, DEFAULT_TOL=1e-8)
+        ml = svr_train(Xl, yl, kernel="linear")
         assert np.max(np.abs(ml.predict(Xl) - yl)) <= 0.1 + 1e-6
 
 
@@ -194,7 +199,7 @@ def test_08_reptree_pruning_property():
         assert m.tree.is_leaf
 
 
-def test_09_lstm_gradient_training_windows():
+def test_09_lstm_gradient_training_windows(monkeypatch):
     with criterion(9, "LSTM gradcheck <1e-4 + planted 90% drop + window oracle"):
         rng = np.random.default_rng(3)
         model = LstmModel(init_params(3, 7), np.full(16, 0.1), np.full(16, 0.9))
@@ -205,9 +210,10 @@ def test_09_lstm_gradient_training_windows():
         trained = lstm_train(X, y, 100, 3)
         assert min(trained.curve) <= 0.10 * trained.curve[0]
 
+        monkeypatch.setattr(face, "DEFAULT_VARIANCE_KEEP", 0.99)
         pca = fit_pca([np.asarray([
             geometric_vector(normalize_landmarks(rng.normal(0, 20, (68, 3)))) for _ in range(40)
-        ])], 0.99)
+        ])])
         for trial in range(10):
             n = int(rng.integers(60, 200))
             fails = rng.choice(n, size=int(rng.integers(0, 5)), replace=False)

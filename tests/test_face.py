@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phqreg import face
 from phqreg.corpus import LandmarkSequence, N_LANDMARKS
 from phqreg.face import (
     GEOMETRIC_DIM,
@@ -155,34 +156,41 @@ def pca_oracle_q(X, keep):
     return int(np.searchsorted(ratios, keep - 1e-12) + 1)
 
 
+def fit_pca_keeping(blocks, keep):
+    """fit_pca with DEFAULT_VARIANCE_KEEP set to ``keep`` for this one fit."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(face, "DEFAULT_VARIANCE_KEEP", keep)
+        return fit_pca(blocks)
+
+
 class TestPca:
     def test_exact_rank_recovery(self):
         rng = np.random.default_rng(8)
         basis = np.linalg.qr(rng.normal(size=(40, 3)))[0]  # (40, 3) orthonormal cols
         Z = rng.normal(size=(200, 3)) * np.array([3.0, 2.0, 1.5])
         X = Z @ basis.T
-        pca = fit_pca([X], 0.995)
+        pca = fit_pca([X])
         assert pca.q == 3
         assert pca.explained_ratio >= 0.995
 
     def test_isotropic_needs_all_dims(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(500, 10))
-        pca = fit_pca([X], 0.995)
+        pca = fit_pca([X])
         assert pca.q == 10
         assert pca.q == pca_oracle_q(X, 0.995)
 
     def test_components_orthonormal(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(50, 12)) * np.linspace(3, 0.1, 12)
-        pca = fit_pca([X], 0.9)
+        pca = fit_pca_keeping([X], 0.9)
         gram = pca.components @ pca.components.T
         np.testing.assert_allclose(gram, np.eye(pca.q), atol=1e-9)
 
     def test_gram_trick_path_matches_oracle(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(20, 100))  # rows < columns
-        pca = fit_pca([X], 0.995)
+        pca = fit_pca([X])
         assert pca.q == pca_oracle_q(X, 0.995)
         gram = pca.components @ pca.components.T
         np.testing.assert_allclose(gram, np.eye(pca.q), atol=1e-9)
@@ -190,7 +198,7 @@ class TestPca:
     def test_roundtrip_retains_variance(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(80, 30)) * np.linspace(5, 0.01, 30)
-        pca = fit_pca([X], 0.995)
+        pca = fit_pca([X])
         recon = pca.transform(X) @ pca.components + pca.mean
         total = ((X - X.mean(axis=0)) ** 2).sum()
         resid = ((X - recon) ** 2).sum()
@@ -212,7 +220,7 @@ class TestPca:
         cuts = sorted(data.draw(st.lists(st.integers(0, shape[0]), max_size=6)))
         blocks = np.split(X, cuts)
         copies = [b.copy() for b in blocks]
-        whole, split = fit_pca([X], 0.99), fit_pca(blocks, 0.99)
+        whole, split = fit_pca_keeping([X], 0.99), fit_pca_keeping(blocks, 0.99)
         for b, c in zip(blocks, copies):
             assert b.tobytes() == c.tobytes()
         assert split.mean.tobytes() == whole.mean.tobytes()
@@ -238,7 +246,7 @@ class TestPca:
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
-            pca = fit_pca((rng.normal(size=(n // 8, d)) for _ in range(8)), 0.995)
+            pca = fit_pca(rng.normal(size=(n // 8, d)) for _ in range(8))
         finally:
             tracemalloc.stop()
         assert pca.components.shape[1] == d
@@ -293,7 +301,7 @@ class TestWindows:
     def fitted_pca(self):
         rng = np.random.default_rng(13)
         seq = make_sequence(30, rng=rng)
-        return fit_pca([geometric_frames(seq)], 0.9)
+        return fit_pca_keeping([geometric_frames(seq)], 0.9)
 
     def test_120_clean_samples_three_windows(self):
         seq = make_sequence(120)

@@ -8,6 +8,7 @@ line with exit code 2.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ def trained(kind):
         return lstm_train(rng.normal(size=(12, 4, 2)), rng.normal(size=12), 2, 0)
     X = rng.normal(size=(30, 3))
     y = np.where(X[:, 0] > 0, 5.0, 1.0) + rng.normal(0, 0.1, 30)
-    return svr_train(X, y) if kind == "svr" else reptree_train(X, y, seed=0)
+    return svr_train(X, y, "rbf") if kind == "svr" else reptree_train(X, y, seed=0)
 
 
 def tree_nodes(node):
@@ -65,6 +66,8 @@ def damage(payload: dict, how: str):
         del payload["model"]["tree"]
     elif how == "tree_mistyped":
         payload["model"]["tree"] = 5
+    elif how == "value_mistyped":
+        payload["model"]["tree"]["left"]["value"] = "x"
     elif how == "model_not_an_object":
         payload["model"] = [payload["model"]]
     elif how == "extra_not_an_object":
@@ -87,7 +90,7 @@ def test_damaged_file_raises_model_format_error_naming_the_path(tmp_path, how):
         load_model(path)
 
 
-@pytest.mark.parametrize("how", ["tree_missing", "not_an_object", "format_3"])
+@pytest.mark.parametrize("how", ["tree_missing", "value_mistyped", "not_an_object", "format_3"])
 def test_eval_of_a_damaged_model_prints_one_error_line(small_corpus, tmp_path, capsys, how):
     out = tmp_path / "out"
     args = ["--corpus", str(small_corpus), "--out", str(out), "--modality", "behavioral", "--seed", "1"]
@@ -99,6 +102,32 @@ def test_eval_of_a_damaged_model_prints_one_error_line(small_corpus, tmp_path, c
     assert main(["eval", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"ERROR {path}: ") and err.count("\n") == 1, err
+
+
+# a bad value at a place in each kind's body: (kind, key path, value)
+BAD_BODY_VALUES = {
+    "svr_alpha_text": ("svr", ["alpha", 0], "x"),
+    "svr_mins_short": ("svr", ["mins"], [0.0]),
+    "svr_kernel_unknown": ("svr", ["kernel"], "poly"),
+    "reptree_value_text": ("reptree", ["tree", "left", "value"], "x"),
+    "reptree_feature_out_of_range": ("reptree", ["tree", "feature"], 3),  # the trained model has 3 features
+    "lstm_weight_text": ("lstm", ["params", "W1", 0, 0], "x"),
+}
+
+
+@pytest.mark.parametrize("how", sorted(BAD_BODY_VALUES))
+def test_bad_value_in_a_model_body_fails_at_load_naming_the_path(tmp_path, how):
+    kind, where, value = BAD_BODY_VALUES[how]
+    path = tmp_path / "m.json"
+    save_model(trained(kind), path)
+    payload = json.loads(path.read_text())
+    node = payload["model"]
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: damaged {kind} model"):
+        load_model(path)
 
 
 # a key of the model extra that eval reads, and a bad value for it (None: the key is removed)

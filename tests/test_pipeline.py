@@ -49,10 +49,15 @@ def _public_definitions(scope, prefix=""):
                 yield from _public_definitions(node, f"{prefix}{node.name}.")
 
 
+def _src_trees() -> dict:
+    """Module path below src/phqreg -> its parsed source."""
+    src = Path(phqreg.__file__).parent
+    return {p.relative_to(src).as_posix(): ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.rglob("*.py"))}
+
+
 def test_every_public_definition_is_used_in_src():
     """A public name that no code under src/phqreg reads serves only the tests; it belongs in them."""
-    src = Path(phqreg.__file__).parent
-    trees = {p.relative_to(src).as_posix(): ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.rglob("*.py"))}
+    trees = _src_trees()
     uses = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -65,6 +70,43 @@ def test_every_public_definition_is_used_in_src():
             if node.name not in phqreg.__all__ and all(id(n) in own for n in uses.get(node.name, [])):
                 unused.append(f"{path} {qualname}")
     assert unused == []
+
+
+def _callee(func) -> str | None:
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    """A default that no call under src/phqreg overrides is a fixed value; it belongs in a module constant.
+
+    A call passes a parameter by position or by keyword; ``partial(fn, ...)``
+    counts as a call to ``fn``, and a ``*args`` or ``**kwargs`` call passes
+    everything. ``cli.main(argv)`` is the entry point: its None means sys.argv.
+    """
+    trees = _src_trees()
+    passed = {}  # callee name -> argument positions and keywords some call passes
+    for tree in trees.values():
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name, args = _callee(call.func), call.args
+            if name == "partial" and args:
+                name, args = _callee(args[0]), args[1:]
+            seen = passed.setdefault(name, set())
+            seen.update(range(len(args)), (kw.arg for kw in call.keywords))
+            if any(isinstance(a, ast.Starred) for a in args) or None in seen:
+                seen.add("*")
+    unpassed = []
+    for path, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            seen = passed.get(fn.name, set())
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = list(enumerate(positional))[len(positional) - len(fn.args.defaults):]
+            defaulted += [(None, a) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            unpassed += [
+                f"{path} {fn.name}({a.arg})" for i, a in defaulted if "*" not in seen and not {i, a.arg} & seen
+            ]
+    assert unpassed == ["cli.py main(argv)"]
 
 
 def read_predictions(path) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -1052,6 +1094,27 @@ class TestCli:
             capsys.readouterr()
             assert main(["train", *args]) == 2
             assert capsys.readouterr().err == f"ERROR {sidecar}: window sidecar has no {key!r} key; run `extract` again\n"
+
+    @pytest.fixture(scope="class")
+    def visual_store(self, full_corpus, tmp_path_factory):
+        out = tmp_path_factory.mktemp("visual_store")
+        assert main(["extract", "--corpus", str(full_corpus), "--out", str(out), "--modality", "visual", "--seed", "1"]) == 0
+        return out
+
+    @pytest.mark.parametrize("name, text, reason", [
+        ("visual_train_windows.json", "5", "window sidecar is not a JSON object"),
+        ("visual_train_windows.json", "{not json", "window sidecar is not a JSON object"),
+        ("visual_train_windows.npy", "not an array", "not a window array"),
+    ], ids=["sidecar_number", "sidecar_not_json", "npy_not_an_array"])
+    def test_damaged_window_store_names_its_file(self, full_corpus, visual_store, tmp_path, capsys, name, text, reason):
+        out = tmp_path / "o"
+        shutil.copytree(visual_store, out)
+        (out / name).write_text(text)
+        capsys.readouterr()
+        args = ["--corpus", str(full_corpus), "--out", str(out), "--modality", "visual", "--seed", "1"]
+        assert main(["train", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR {out / name}: {reason}") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("modality", ["text:BOOL", "text:TFIDF"])
     def test_token_with_comma_or_quote_keeps_the_store_readable(self, tmp_path, capsys, modality):

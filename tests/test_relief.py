@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phqreg.relief as relief_mod
 from phqreg.relief import (
     binarize_labels,
     relief_weights,
@@ -206,7 +207,7 @@ class TestSelectTop:
 
     def test_truncated_to_n_max(self):
         w = np.linspace(1.0, 0.1, 30)
-        sel = select_top(w, threshold=0.02, n_max=20)
+        sel = select_top(w, threshold=0.02)
         assert len(sel) == 20
         assert sel == list(range(20))
 
@@ -238,18 +239,26 @@ def tuning_data(rng, n=36, d=6):
     return X, y
 
 
+def set_grid(monkeypatch, thresholds, ks):
+    """Tune over a grid other than the paper's for one test."""
+    monkeypatch.setattr(relief_mod, "GRID_THRESHOLDS", thresholds)
+    monkeypatch.setattr(relief_mod, "GRID_KS", ks)
+
+
 class TestTune:
-    def test_single_pair_grid(self):
+    def test_single_pair_grid(self, monkeypatch):
         rng = np.random.default_rng(5)
         X, y = tuning_data(rng)
-        th, k, scores = tune_relief(X, y, _NearestMean().fit, thresholds=(0.02,), ks=(5,), seed=3)
+        set_grid(monkeypatch, (0.02,), (5,))
+        th, k, scores = tune_relief(X, y, _NearestMean().fit, seed=3)
         assert (th, k) == (0.02, 5)
         assert len(scores) == 1
 
-    def test_only_feasible_threshold_wins(self):
+    def test_only_feasible_threshold_wins(self, monkeypatch):
         rng = np.random.default_rng(6)
         X, y = tuning_data(rng)
-        th, k, scores = tune_relief(X, y, _NearestMean().fit, thresholds=(0.9, 0.5, 0.02), ks=(5,), seed=3)
+        set_grid(monkeypatch, (0.9, 0.5, 0.02), (5,))
+        th, k, scores = tune_relief(X, y, _NearestMean().fit, seed=3)
         assert th == 0.02
         assert scores[(0.9, 5)] == float("inf")
 
@@ -261,21 +270,20 @@ class TestTune:
         assert th in (0.02, 0.0, -0.02)
         assert k in (5, 10, 15, 20)
 
-    def test_oversized_k_skipped(self):
+    def test_oversized_k_skipped(self, monkeypatch):
         rng = np.random.default_rng(8)
         X, y = tuning_data(rng, n=24)  # folds of 8: k=20 infeasible
-        th, k, scores = tune_relief(X, y, _NearestMean().fit, thresholds=(0.0,), ks=(20, 3), seed=3)
+        set_grid(monkeypatch, (0.0,), (20, 3))
+        th, k, scores = tune_relief(X, y, _NearestMean().fit, seed=3)
         assert k == 3
         assert scores[(0.0, 20)] == float("inf")
 
     def test_weights_once_per_fold_and_k_with_unchanged_scores(self, monkeypatch):
-        import phqreg.relief as relief_mod
-
         rng = np.random.default_rng(11)
         X, y = tuning_data(rng, n=36)  # 12 per class in each training part: k=15 and k=20 infeasible
-        thresholds, ks = (0.02, 0.0, -0.02), (5, 10, 15, 20)
+        thresholds, ks = (0.02, 0.0, -0.02), (5, 10, 15, 20)  # the paper's grid
         y_class = binarize_labels(y)
-        folds = stratified_folds(y_class, 3, seed=3)
+        folds = stratified_folds(y_class, seed=3)
         # grid scores from the n x n x d oracle, one (fold, k) at a time
         oracle = {}
         for th in thresholds:
@@ -284,7 +292,7 @@ class TestTune:
                 for fold in folds:
                     train = np.setdiff1d(np.arange(len(y)), fold)
                     try:
-                        sel = select_top(relief_tensor_oracle(X[train], y_class[train], k), th, 20)
+                        sel = select_top(relief_tensor_oracle(X[train], y_class[train], k), th)
                     except ValueError:
                         break
                     if not sel:
@@ -301,24 +309,25 @@ class TestTune:
             return real(X, y_class, ks)
 
         monkeypatch.setattr(relief_mod, "relief_weights_by_k", counting)
-        th, k, scores = tune_relief(X, y, _NearestMean().fit, thresholds=thresholds, ks=ks, seed=3)
+        th, k, scores = tune_relief(X, y, _NearestMean().fit, seed=3)
         assert scores == oracle
         assert scores[(0.0, 15)] == scores[(0.0, 20)] == float("inf")
         # one pass per fold serves both feasible ks
         assert calls == [(5, 10)] * 3
 
-    def test_all_infeasible_raises(self):
+    def test_all_infeasible_raises(self, monkeypatch):
         rng = np.random.default_rng(9)
         X, y = tuning_data(rng, n=24)
+        set_grid(monkeypatch, (0.9,), (20,))
         with pytest.raises(ValueError, match="no feasible"):
-            tune_relief(X, y, _NearestMean().fit, thresholds=(0.9,), ks=(20,), seed=3)
+            tune_relief(X, y, _NearestMean().fit, seed=3)
 
 
 class TestStratifiedFolds:
     def test_partition_and_balance(self):
         rng = np.random.default_rng(10)
         y = rng.integers(0, 2, 31)
-        folds = stratified_folds(y, 3, seed=1)
+        folds = stratified_folds(y, seed=1)
         all_idx = sorted(int(i) for f in folds for i in f)
         assert all_idx == list(range(31))
         sizes = [len(f) for f in folds]
@@ -326,7 +335,7 @@ class TestStratifiedFolds:
 
     def test_deterministic(self):
         y = np.array([0, 1] * 15)
-        a = stratified_folds(y, 3, seed=5)
-        b = stratified_folds(y, 3, seed=5)
+        a = stratified_folds(y, seed=5)
+        b = stratified_folds(y, seed=5)
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from phqreg.models import load_model, save_model
+from phqreg.models import load_model, reptree as reptree_mod, save_model
 from phqreg.models.reptree import (
     RepTreeModel,
     TreeNode,
@@ -50,16 +50,17 @@ class TestGrowing:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(60, 4))
         y = rng.normal(10, 5, 60)
-        tree = grow_tree(X, y, min_leaf=2)
+        tree = grow_tree(X, y)
         preds = np.array([tree.predict_one(x) for x in rng.normal(size=(200, 4))])
         assert preds.min() >= y.min() - 1e-12
         assert preds.max() <= y.max() + 1e-12
 
-    def test_min_leaf_respected(self):
+    def test_min_leaf_respected(self, monkeypatch):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
-        tree = grow_tree(X, y, min_leaf=5)
+        monkeypatch.setattr(reptree_mod, "DEFAULT_MIN_LEAF", 5)
+        tree = grow_tree(X, y)
         # every growing row reaches one leaf; count them per leaf
         counts = {}
         for x in X:
@@ -72,7 +73,7 @@ class TestGrowing:
 
     def test_too_few_instances(self):
         with pytest.raises(ValueError, match="at least 6"):
-            reptree_train(np.zeros((5, 1)), np.arange(5.0))
+            reptree_train(np.zeros((5, 1)), np.arange(5.0), seed=0)
 
     def test_predict_dimension_mismatch(self):
         rng = np.random.default_rng(4)
@@ -90,7 +91,7 @@ class TestPruning:
             y = rng.normal(size=n)  # pure noise target
             order = rng.permutation(n)
             prune_idx, grow_idx = order[:20], order[20:]
-            tree = grow_tree(X[grow_idx], y[grow_idx], min_leaf=2)
+            tree = grow_tree(X[grow_idx], y[grow_idx])
             unpruned = copy.deepcopy(tree)
             prune_tree(tree, X[prune_idx], y[prune_idx])
             before = sse_oracle(unpruned, X[prune_idx], y[prune_idx])
@@ -103,7 +104,7 @@ class TestPruning:
         X = rng.normal(size=(90, 3))
         y = rng.normal(size=90)
         m = reptree_train(X, y, seed=2)
-        grown_only = grow_tree(X, y, min_leaf=2)
+        grown_only = grow_tree(X, y)
         assert n_leaves(m.tree) < n_leaves(grown_only)
 
     def test_model_sse_fields_consistent(self):
@@ -114,7 +115,7 @@ class TestPruning:
         # reptree_train's split: a seeded permutation, the first third prunes
         order = np.random.default_rng(3).permutation(60)
         prune_idx, grow_idx = order[:20], order[20:]
-        grown = grow_tree(X[grow_idx], y[grow_idx], min_leaf=2)
+        grown = grow_tree(X[grow_idx], y[grow_idx])
         before = sse_oracle(grown, X[prune_idx], y[prune_idx])
         after = sse_oracle(m.tree, X[prune_idx], y[prune_idx])
         assert after <= before + 1e-12

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from phqreg.models import load_model, save_model
+from phqreg.models import svr as svr_mod
 from phqreg.models.svr import SvrModel, kernel_matrix, svr_train
+
+
+def set_constants(monkeypatch, **constants):
+    """Give the SVR's fixed hyperparameters other values for one test, e.g. DEFAULT_EPSILON=0.1."""
+    for name, value in constants.items():
+        monkeypatch.setattr(svr_mod, name, value)
 
 
 def svr_dual_objective(K, y, epsilon, alpha, alpha_star) -> float:
@@ -69,27 +76,30 @@ def qp_oracle(K, y, C, epsilon, tol=1e-9):
 
 
 class TestTraining:
-    def test_constant_target(self):
+    def test_constant_target(self, monkeypatch):
+        set_constants(monkeypatch, DEFAULT_EPSILON=0.1)
         X = np.linspace(0, 1, 6).reshape(-1, 1)
-        m = svr_train(X, np.full(6, 4.2), kernel="linear", epsilon=0.1)
+        m = svr_train(X, np.full(6, 4.2), kernel="linear")
         assert np.all(m.alpha == 0) and np.all(m.alpha_star == 0)
         assert m.bias == pytest.approx(4.2)
         np.testing.assert_allclose(m.predict(X), 4.2)
 
-    def test_linear_data_fits_within_tube(self):
+    def test_linear_data_fits_within_tube(self, monkeypatch):
         rng = np.random.default_rng(0)
         X = rng.uniform(0, 1, (20, 2))
         y = 3.0 * X[:, 0] - 1.5 * X[:, 1] + 0.5
         eps = 0.1
-        m = svr_train(X, y, kernel="linear", C=100.0, epsilon=eps, tol=1e-8)
+        set_constants(monkeypatch, DEFAULT_C=100.0, DEFAULT_EPSILON=eps, DEFAULT_TOL=1e-8)
+        m = svr_train(X, y, kernel="linear")
         assert np.max(np.abs(m.predict(X) - y)) <= eps + 1e-6
 
-    def test_dual_feasibility_after_training(self):
+    def test_dual_feasibility_after_training(self, monkeypatch):
+        set_constants(monkeypatch, DEFAULT_GAMMA=0.5, DEFAULT_EPSILON=0.1)
         rng = np.random.default_rng(1)
         for kernel in ("linear", "rbf"):
             X = rng.normal(0, 1, (25, 3))
             y = rng.normal(0, 5, 25)
-            m = svr_train(X, y, kernel=kernel, C=1.0, gamma=0.5, epsilon=0.1)
+            m = svr_train(X, y, kernel=kernel)
             assert np.all(m.alpha >= -1e-12) and np.all(m.alpha <= m.C + 1e-12)
             assert np.all(m.alpha_star >= -1e-12) and np.all(m.alpha_star <= m.C + 1e-12)
             assert abs((m.alpha - m.alpha_star).sum()) <= 1e-6
@@ -97,33 +107,36 @@ class TestTraining:
             assert np.max(np.minimum(m.alpha, m.alpha_star)) <= 1e-6
 
     @pytest.mark.parametrize("kernel,gamma", [("linear", 0.0), ("rbf", 0.5)])
-    def test_five_point_dual_matches_enumeration_oracle(self, kernel, gamma):
+    def test_five_point_dual_matches_enumeration_oracle(self, kernel, gamma, monkeypatch):
         rng = np.random.default_rng(2)
         X = np.array([[0.0], [0.3], [0.45], [0.8], [1.0]])
         y = np.array([0.2, 1.1, -0.4, 2.0, 1.4]) + rng.normal(0, 0.1, 5)
         C, eps = 1.0, 0.1
-        m = svr_train(X, y, kernel=kernel, C=C, gamma=gamma, epsilon=eps, tol=1e-10)
+        set_constants(monkeypatch, DEFAULT_C=C, DEFAULT_GAMMA=gamma, DEFAULT_EPSILON=eps, DEFAULT_TOL=1e-10)
+        m = svr_train(X, y, kernel=kernel)
         K = kernel_matrix(kernel, m.train_X, m.train_X, gamma)
         want = qp_oracle(K, y, C, eps)
         assert svr_dual_objective(K, y, eps, m.alpha, m.alpha_star) == pytest.approx(want, abs=1e-6)
 
-    def test_affine_rescaling_leaves_predictions_unchanged(self):
+    def test_affine_rescaling_leaves_predictions_unchanged(self, monkeypatch):
+        set_constants(monkeypatch, DEFAULT_GAMMA=0.2, DEFAULT_EPSILON=0.1)
         rng = np.random.default_rng(3)
         X = rng.normal(0, 1, (30, 4))
         y = rng.normal(10, 4, 30)
         scale = np.array([1000.0, 0.01, 3.0, 42.0])
         shift = np.array([-5.0, 7.0, 0.0, 100.0])
-        m1 = svr_train(X, y, kernel="rbf", gamma=0.2, epsilon=0.1)
-        m2 = svr_train(X * scale + shift, y, kernel="rbf", gamma=0.2, epsilon=0.1)
+        m1 = svr_train(X, y, kernel="rbf")
+        m2 = svr_train(X * scale + shift, y, kernel="rbf")
         Xq = rng.normal(0, 1, (10, 4))
         np.testing.assert_allclose(m1.predict(Xq), m2.predict(Xq * scale + shift), atol=1e-6)
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-8])
-    def test_final_kkt_gap_is_kept_and_within_tol(self, tol):
+    def test_final_kkt_gap_is_kept_and_within_tol(self, tol, monkeypatch):
         rng = np.random.default_rng(7)
         X = rng.normal(0, 1, (25, 3))
         y = rng.normal(0, 5, 25)
-        m = svr_train(X, y, kernel="rbf", gamma=0.5, epsilon=0.1, tol=tol)
+        set_constants(monkeypatch, DEFAULT_GAMMA=0.5, DEFAULT_EPSILON=0.1, DEFAULT_TOL=tol)
+        m = svr_train(X, y, kernel="rbf")
         # the maximal KKT violation recomputed from the dual variables
         n, C = len(y), m.C
         z = np.concatenate([m.alpha, m.alpha_star])
@@ -135,12 +148,14 @@ class TestTraining:
         assert m.kkt_gap <= tol
         assert m.kkt_gap == pytest.approx(crit[up].max() - crit[low].min(), abs=1e-9)
 
-    def test_rbf_gamma_affects_model(self):
+    def test_rbf_gamma_affects_model(self, monkeypatch):
         rng = np.random.default_rng(4)
         X = rng.normal(0, 1, (15, 2))
         y = rng.normal(0, 3, 15)
-        m1 = svr_train(X, y, kernel="rbf", gamma=0.01, epsilon=0.01)
-        m2 = svr_train(X, y, kernel="rbf", gamma=5.0, epsilon=0.01)
+        set_constants(monkeypatch, DEFAULT_GAMMA=0.01, DEFAULT_EPSILON=0.01)
+        m1 = svr_train(X, y, kernel="rbf")
+        set_constants(monkeypatch, DEFAULT_GAMMA=5.0)
+        m2 = svr_train(X, y, kernel="rbf")
         assert not np.allclose(m1.predict(X), m2.predict(X))
 
 
@@ -148,15 +163,11 @@ class TestValidation:
     def test_non_finite_inputs_rejected(self):
         X = np.array([[0.0], [np.nan]])
         with pytest.raises(ValueError, match="non-finite"):
-            svr_train(X, np.array([1.0, 2.0]))
+            svr_train(X, np.array([1.0, 2.0]), kernel="rbf")
 
     def test_bad_hyperparameters(self):
         X = np.zeros((3, 1))
         y = np.zeros(3)
-        with pytest.raises(ValueError):
-            svr_train(X, y, C=-1.0)
-        with pytest.raises(ValueError):
-            svr_train(X, y, epsilon=-0.1)
         with pytest.raises(ValueError):
             svr_train(X, y, kernel="poly")
 
@@ -166,22 +177,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="expected"):
             m.predict(np.zeros((2, 3)))
 
-    def test_iteration_cap_raises_with_diagnostics(self):
+    def test_iteration_cap_raises_with_diagnostics(self, monkeypatch):
         from phqreg.models.svr import SvrConvergenceError
 
         rng = np.random.default_rng(6)
         X = rng.normal(size=(20, 2))
         y = rng.normal(0, 5, 20)
+        set_constants(monkeypatch, DEFAULT_GAMMA=0.5, DEFAULT_EPSILON=0.01, MAX_ITER_MIN=1, MAX_ITER_PER_ROW=0)
         with pytest.raises(SvrConvergenceError, match="did not converge"):
-            svr_train(X, y, kernel="rbf", gamma=0.5, epsilon=0.01, max_iter=1)
+            svr_train(X, y, kernel="rbf")
 
 
 class TestPersistence:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(5)
         X = rng.normal(0, 1, (12, 3))
         y = rng.normal(0, 2, 12)
-        m = svr_train(X, y, kernel="rbf", gamma=0.3, epsilon=0.05)
+        set_constants(monkeypatch, DEFAULT_GAMMA=0.3, DEFAULT_EPSILON=0.05)
+        m = svr_train(X, y, kernel="rbf")
         save_model(m, tmp_path / "m.json", {"note": "t"})
         back, extra = load_model(tmp_path / "m.json")
         assert isinstance(back, SvrModel)
