@@ -21,22 +21,27 @@ perfectly periodic tone reports zero cycle variation.
 
 A session is processed in one pass over blocks of BLOCK_FRAMES frames.
 Framing only records where each frame starts. A FrameSet is one block: its
-frames are copied once out of the signal's sliding-window view, and from
-that copy come its power spectrum (S) and one normalised autocorrelation
-(ACF) per frame, cached on the FrameSet, which feeds both P and VQ; VQ
-reuses the f0 track from P. VQ takes the block's frames together, with no
-Python loop over frames: their cycle-peak candidates sit in zero-padded
-matrices, the greedy merge walks them one candidate rank at a time, and the
-means sum in np.mean's order, so its values equal a per-frame
-loop's byte for byte. Every LLD is computed per frame, so the block split does
-not change a value. The two descriptors that look across frames carry their
-state over a block edge: flux gets the frame before the block, and the f0
-envelope the last voiced f0. A block's frames, spectrum
-and ACF are dropped before the next block, so what a session keeps is its
-samples plus the O(n_frames) LLD tracks, one row each of a (tracks, frames)
-matrix. After the pass, one call takes the deltas of every row, and the
-functionals run over row chunks of the base, delta and delta-delta matrices,
-the line and parabola fits in closed form. The pass always runs every group
+frames are read from the audio source, one sample span per run of
+hop-spaced frame starts (a run ends at a turn's last frame), so a WAV file
+is read block by block and never held whole; an in-memory AudioSignal
+serves the same spans as views. From the block's frames come its power
+spectrum (S) and one normalised autocorrelation (ACF) per frame, cached on
+the FrameSet, which feeds both P and VQ; VQ reuses the f0 track from P. The
+spectrum and ACF FFTs go through FFT_CHUNK_FRAMES rows at a time, so their
+temporaries stay small whatever the block size. VQ takes the block's frames
+together, with no Python loop over frames: their cycle-peak candidates sit
+in zero-padded matrices, the greedy merge walks them one candidate rank at
+a time, and the means sum in np.mean's order, so its values equal a
+per-frame loop's byte for byte. Every LLD is computed per frame, so neither
+the block nor the chunk split changes a value. The two descriptors that
+look across frames carry their state over a block edge: flux gets the
+frame before the block, and the f0 envelope the last voiced f0. A block's
+frames, spectrum and ACF are dropped before the next block, so what a
+session keeps is the O(n_frames) LLD tracks, one row each of a (tracks,
+frames) matrix. After the pass, one call takes the deltas of every row,
+each summed in place with one scratch matrix, and the functionals run over
+row chunks of the base, delta and delta-delta matrices, the line and
+parabola fits in closed form. The pass always runs every group
 and yields the merged vector M, the P, S and VQ values concatenated in that
 order; S, P and VQ are its GROUP_COLUMNS slices. Every reduction runs along a
 row, so a group's slice is byte for byte what a pass over that group alone
@@ -52,7 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import AudioSignal, EmptyInputError, Session, Speaker
+from .corpus import AudioSignal, EmptyInputError, Session, Speaker, WavReader
 
 FRAME_SECONDS = 0.025
 HOP_SECONDS = 0.010
@@ -100,11 +105,16 @@ GROUP_COLUMNS = {
 }
 
 # frames per block of the acoustic pass: bounds every frame-sized array (the
-# block's frames, spectrum and ACF, about 16 MB at 16 kHz) whatever the
-# session length. Blocks this small also let the allocator reuse one block's
-# arrays for the next; at 1024 frames they were unmapped and faulted in
-# again every block, and the pass ran slower than on whole-session arrays.
+# block's frames and ACF, 1.6 MB each at 16 kHz) whatever the session length.
 BLOCK_FRAMES = 512
+
+# frames per chunk of the spectrum and ACF FFTs within a block: bounds their
+# temporaries (at most 0.5 MB each at 16 kHz) whatever the block size. Small
+# temporaries are what lets glibc's malloc reuse one block's memory for the
+# next instead of returning it to the system and faulting it in again: on 3
+# sessions of 5.5 minutes at 16 kHz the pass took about 13k minor page
+# faults with 64-frame chunks, 51k with 128 and 260k with whole blocks.
+FFT_CHUNK_FRAMES = 64
 
 # values per chunk of track rows in apply_functionals: bounds its chunk-sized
 # temporaries (1 MB each) whatever the session length. On 60 tracks of 17,400
@@ -121,7 +131,7 @@ _LOUDNESS_FLOOR = 1e-30
 
 @dataclass(frozen=True)
 class FrameSet:
-    """A block of raw 25 ms frames (rows), copied out of the signal, and its sample rate."""
+    """A block of raw 25 ms frames (rows), read from the audio source, and its sample rate."""
 
     samples: np.ndarray  # (n_frames, frame_len)
     rate: int
@@ -156,7 +166,11 @@ def _frame_len(rate: int) -> int:
     return int(round(FRAME_SECONDS * rate))
 
 
-def frame_signal(audio: AudioSignal, turns) -> np.ndarray:
+def _hop(rate: int) -> int:
+    return int(round(HOP_SECONDS * rate))
+
+
+def frame_signal(audio: AudioSignal | WavReader, turns) -> np.ndarray:
     """The start sample of each 25 ms / 10 ms-hop frame of the participant turn spans.
 
     Frames crossing a turn boundary are dropped; turns shorter than one
@@ -168,9 +182,8 @@ def frame_signal(audio: AudioSignal, turns) -> np.ndarray:
     if not spans:
         raise EmptyInputError("no participant turns")
 
-    flen = _frame_len(audio.rate)
-    hop = int(round(HOP_SECONDS * audio.rate))
-    n = len(audio.samples)
+    flen, hop = _frame_len(audio.rate), _hop(audio.rate)
+    n = audio.n_samples
 
     starts = []
     for t in spans:
@@ -178,6 +191,16 @@ def frame_signal(audio: AudioSignal, turns) -> np.ndarray:
         hi = min(max(int(round(t.stop * audio.rate)), 0), n)
         starts.append(np.arange(lo, hi - flen + 1, hop))
     return np.concatenate(starts)
+
+
+def _read_frames(audio: AudioSignal | WavReader, starts: np.ndarray, flen: int, hop: int) -> np.ndarray:
+    """The (len(starts), flen) frames at ``starts``, read as one sample span per run of hop-spaced starts."""
+    frames = np.empty((len(starts), flen))
+    edges = np.flatnonzero(np.diff(starts) != hop) + 1  # a run ends where a turn's frames end
+    for a, b in zip(np.r_[0, edges], np.r_[edges, len(starts)]):
+        span = audio.read(starts[a], starts[b - 1] + flen)
+        frames[a:b] = np.lib.stride_tricks.sliding_window_view(span, flen)[::hop]
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +224,27 @@ def spectral_llds(frames: FrameSet, previous: np.ndarray | None = None) -> dict[
     All-zero frames report 0 for band energies, roll-offs and centroid. Flux
     compares each frame's normalised magnitude spectrum with the frame before
     it; ``previous`` is the raw frame just before the first one (a block's
-    carry), and without it the first frame's flux is 0.
+    carry), and without it the first frame's flux is 0. The frames go
+    through in chunks of FFT_CHUNK_FRAMES, each chunk carrying its last frame
+    to the next as ``previous``; every value is a function of its own frame
+    and, for flux, the frame before, so the chunks do not change a value.
     """
     if len(frames) == 0:
         raise EmptyInputError("empty frame set")
     freqs = np.fft.rfftfreq(frames.frame_len, d=1.0 / frames.rate)
     window = np.hamming(frames.frame_len)
-    mag = _magnitude_spectrum(frames.samples, window)
+    tracks = {name: np.empty(len(frames)) for name in SPECTRAL_LLDS}
+    for lo in range(0, len(frames), FFT_CHUNK_FRAMES):
+        x = frames.samples[lo : lo + FFT_CHUNK_FRAMES]
+        for name, values in _spectral_chunk(x, freqs, window, previous).items():
+            tracks[name][lo : lo + len(x)] = values
+        previous = x[-1]
+    return tracks
+
+
+def _spectral_chunk(x: np.ndarray, freqs: np.ndarray, window: np.ndarray, previous) -> dict[str, np.ndarray]:
+    """spectral_llds on one chunk of frames (rows of ``x``)."""
+    mag = _magnitude_spectrum(x, window)
     power = mag**2
     tracks = {}
 
@@ -216,10 +253,10 @@ def spectral_llds(frames: FrameSet, previous: np.ndarray | None = None) -> dict[
 
     # band energies are summed bin by bin, left to right: .sum(axis=1) on the
     # column-major masked copy does that for several frames but sums one
-    # frame pairwise, so the block size would change the last bits. A band
+    # frame pairwise, so the chunk size would change the last bits. A band
     # that starts at bin 0 is a column of the roll-off's cumulative sum, the
     # same prefix sum; the others sum a masked copy. The copies let the
-    # block's cumulative sums go.
+    # chunk's cumulative sums go.
     cum = np.cumsum(power, axis=1)
     for (lo, hi), name in zip(SPECTRAL_BANDS, SPECTRAL_LLDS[:4]):
         band = (freqs >= lo) & (freqs <= hi)
@@ -239,8 +276,8 @@ def spectral_llds(frames: FrameSet, previous: np.ndarray | None = None) -> dict[
     norm = _unit_sum(mag)
     if previous is not None:
         norm = np.concatenate([_unit_sum(_magnitude_spectrum(previous[None, :], window)), norm])
-    flux = np.zeros(len(frames))
-    flux[len(frames) + 1 - len(norm) :] = np.sqrt(((norm[1:] - norm[:-1]) ** 2).sum(axis=1))
+    flux = np.zeros(len(x))
+    flux[len(x) + 1 - len(norm) :] = np.sqrt(((norm[1:] - norm[:-1]) ** 2).sum(axis=1))
     tracks["flux"] = flux
 
     tracks["max_pos"] = freqs[np.argmax(power, axis=1)]
@@ -255,14 +292,24 @@ def spectral_llds(frames: FrameSet, previous: np.ndarray | None = None) -> dict[
 
 
 def _normalized_acf(x: np.ndarray) -> np.ndarray:
-    """Bias-corrected normalized autocorrelation r(tau) per frame (FFT-based)."""
-    flen = x.shape[1]
+    """Bias-corrected normalized autocorrelation r(tau) per frame (FFT-based).
+
+    The FFTs take FFT_CHUNK_FRAMES rows at a time, each chunk written into
+    one preallocated output; a row's values do not depend on the rows
+    transformed with it.
+    """
+    n, flen = x.shape
     nfft = 1 << int(np.ceil(np.log2(2 * flen)))
     corr = flen / np.maximum(flen - np.arange(flen), 1)
-    spec = np.fft.rfft(x, n=nfft, axis=1)
-    acf = np.fft.irfft(np.abs(spec) ** 2, n=nfft, axis=1)[:, :flen]
-    r0 = acf[:, 0:1]
-    return np.divide(acf, r0, out=np.zeros_like(acf), where=r0 > 0) * corr
+    out = np.zeros((n, flen))
+    for lo in range(0, n, FFT_CHUNK_FRAMES):
+        spec = np.fft.rfft(x[lo : lo + FFT_CHUNK_FRAMES], n=nfft, axis=1)
+        acf = np.fft.irfft(np.abs(spec) ** 2, n=nfft, axis=1)[:, :flen]
+        r0 = acf[:, 0:1]
+        chunk = out[lo : lo + FFT_CHUNK_FRAMES]
+        np.divide(acf, r0, out=chunk, where=r0 > 0)
+        chunk *= corr
+    return out
 
 
 def _pitch_lags(frames: FrameSet) -> tuple[int, int]:
@@ -453,17 +500,24 @@ def add_derivatives(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _delta(values: np.ndarray) -> np.ndarray:
+    """One regression delta of each row, summed in place: the result and one scratch matrix."""
     width = DELTA_WIDTH
     values = _track_matrix(values)
     n = values.shape[1]
     if n < 2 * width + 1:
         raise ValueError(f"track length {n} too short for delta window +-{width}")
-    padded = np.pad(values, ((0, 0), (width, width)), mode="edge")
     denom = 2.0 * sum(k * k for k in range(1, width + 1))
     out = np.zeros_like(values)
+    step = np.empty_like(values)
     for k in range(1, width + 1):
-        out += k * (padded[:, width + k : width + k + n] - padded[:, width - k : width - k + n])
-    return out / denom
+        # x[t + k] - x[t - k], the edge values held beyond either end
+        np.subtract(values[:, 2 * k :], values[:, : n - 2 * k], out=step[:, k : n - k])
+        np.subtract(values[:, k : 2 * k], values[:, :1], out=step[:, :k])
+        np.subtract(values[:, n - 1 :], values[:, n - 2 * k : n - k], out=step[:, n - k :])
+        step *= k
+        out += step
+    out /= denom
+    return out
 
 
 def apply_functionals(values: np.ndarray) -> np.ndarray:
@@ -554,8 +608,9 @@ def session_acoustic_vector(session: Session) -> AcousticVector:
     """A session's full acoustic pass: its merged vector M, in GROUP_NAMES["M"] order.
 
     The session is framed once, and its P, S and VQ LLDs come from one pass
-    over blocks of BLOCK_FRAMES frame starts, each block's frames copied into
-    a FrameSet. Each LLD over the blocks, its delta and its delta-delta are
+    over blocks of BLOCK_FRAMES frame starts, each block's frames read from
+    the session's audio (a WavReader or an AudioSignal) into a FrameSet.
+    Each LLD over the blocks, its delta and its delta-delta are
     projected on the 24 functionals, which gives M; S, P and VQ are its
     GROUP_COLUMNS slices. Sessions the recipe cannot
     describe (no audio, no participant turns, a sample rate below 8 kHz,
@@ -568,12 +623,12 @@ def session_acoustic_vector(session: Session) -> AcousticVector:
     if len(starts) < MIN_FRAMES:
         raise EmptyInputError(f"session {session.id}: {len(starts)} frames, fewer than the delta window ({MIN_FRAMES})")
 
-    windows = np.lib.stride_tricks.sliding_window_view(audio.samples, _frame_len(audio.rate))
+    flen, hop = _frame_len(audio.rate), _hop(audio.rate)
     rows = [(g, name) for g in M_GROUPS for name in GROUP_LLDS[g]]
     base = np.empty((len(rows), len(starts)))  # one row per LLD, in GROUP_NAMES["M"] order
     previous, held_f0 = None, 0.0  # state carried over block edges
     for lo in range(0, len(starts), BLOCK_FRAMES):
-        block = FrameSet(windows[starts[lo : lo + BLOCK_FRAMES]], audio.rate)  # the block's one copy
+        block = FrameSet(_read_frames(audio, starts[lo : lo + BLOCK_FRAMES], flen, hop), audio.rate)
         tracks = {"S": spectral_llds(block, previous), "P": prosodic_llds(block, held_f0)}
         tracks["VQ"] = voice_quality_llds(block, tracks["P"]["f0"])
         previous, held_f0 = block.samples[-1].copy(), tracks["P"]["f0_env"][-1]

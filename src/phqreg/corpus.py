@@ -10,6 +10,12 @@ File formats:
     labels       CSV, header ``Participant_ID,PHQ8_Binary,PHQ8_Score``
     audio        16-bit PCM WAV, mono
 
+load_wav checks a WAV file's header and data size and returns a WavReader,
+which reads samples on demand: a session's samples are never held whole, so
+extraction memory does not grow with the recording's length. The in-memory
+AudioSignal (synth, tests) has the same ``rate``, ``n_samples`` and
+``read(lo, hi)``, so the acoustic pass takes either.
+
 The three text formats share one row reader (header line, blank lines
 skipped, one field per header cell); each loader parses its own cells. A
 refusal is a ParseError naming the path and the offending line.
@@ -21,6 +27,7 @@ file content.
 from __future__ import annotations
 
 import enum
+import os
 import re
 import wave
 from dataclasses import dataclass
@@ -113,6 +120,40 @@ class AudioSignal:
             raise ValueError("audio samples must be a 1-d array (mono)")
         object.__setattr__(self, "samples", _frozen(samples))
 
+    @property
+    def n_samples(self) -> int:
+        return len(self.samples)
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples lo..hi-1 (a read-only view)."""
+        return self.samples[lo:hi]
+
+
+@dataclass(frozen=True)
+class WavReader:
+    """A 16-bit PCM mono WAV file whose header load_wav has checked; samples are read on demand."""
+
+    path: Path
+    rate: int
+    n_samples: int
+    data_offset: int  # byte offset of sample 0 in the file
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples lo..hi-1 in [-1, 1), as load_wav once read the whole file.
+
+        A file that now ends before sample ``hi`` fails with a ValueError that
+        names its path.
+        """
+        pcm = np.empty(hi - lo, dtype="<i2")
+        with open(self.path, "rb") as f:
+            f.seek(self.data_offset + 2 * lo)
+            got = f.readinto(pcm)
+        if got < pcm.nbytes:
+            raise ValueError(f"{self.path}: truncated WAV data: {lo + got // 2} of {self.n_samples} samples")
+        samples = pcm.astype(np.float64)
+        samples /= 32768.0  # in place: no second float64 copy
+        return samples
+
 
 @dataclass(frozen=True)
 class LandmarkSequence:
@@ -147,7 +188,7 @@ class Session:
 
     id: str
     turns: tuple[TurnRecord, ...] = ()
-    audio: AudioSignal | None = None
+    audio: AudioSignal | WavReader | None = None
     landmarks: LandmarkSequence | None = None
 
     def __post_init__(self):
@@ -298,29 +339,30 @@ def save_labels(labels: dict[str, int], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def load_wav(path) -> AudioSignal:
-    """Read a 16-bit PCM mono WAV file. Stereo input is rejected, not downmixed.
+def load_wav(path) -> WavReader:
+    """Check a 16-bit PCM mono WAV file and return a reader of its samples.
 
-    A file that is not a WAV file, or that holds fewer samples than its
-    header declares, fails with a ValueError that names its path.
+    Stereo input is rejected, not downmixed. A file that is not a WAV file,
+    or that holds fewer samples than its header declares, fails with a
+    ValueError that names its path. Only the header is read here; the
+    samples are read by WavReader.read.
     """
     path = Path(path)
     try:
-        with wave.open(str(path), "rb") as w:
+        with open(path, "rb") as f, wave.open(f, "rb") as w:
             if w.getnchannels() != 1:
                 raise ValueError(f"{path}: expected mono audio, got {w.getnchannels()} channels")
             if w.getsampwidth() != 2:
                 raise ValueError(f"{path}: expected 16-bit PCM, got {8 * w.getsampwidth()}-bit")
             rate = w.getframerate()
             declared = w.getnframes()
-            raw = w.readframes(declared)
+            offset = f.tell()  # wave stops reading the header at the start of the data chunk
+            available = os.fstat(f.fileno()).st_size - offset
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: not a readable WAV file: {str(exc) or 'unexpected end of file'}") from exc
-    if len(raw) < 2 * declared:
-        raise ValueError(f"{path}: truncated WAV data: {len(raw) // 2} of {declared} samples")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    samples /= 32768.0  # in place: no second float64 copy of the session
-    return AudioSignal(samples, rate)
+    if available < 2 * declared:
+        raise ValueError(f"{path}: truncated WAV data: {available // 2} of {declared} samples")
+    return WavReader(path, rate, declared, offset)
 
 
 def save_wav(signal: AudioSignal, path) -> None:

@@ -299,10 +299,21 @@ class LstmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LstmModel":
+        """The model a saved body describes; every array must have the shape init_params gives its input width."""
+        params = {k: np.asarray(v, dtype=np.float64) for k, v in d["params"].items()}
+        running_mean, running_var = (np.asarray(d[k], dtype=np.float64) for k in ("running_mean", "running_var"))
+        W1 = params.get("W1")
+        if W1 is None or W1.ndim != 2 or W1.shape[1] < 1:
+            raise ValueError("params.W1 is not a (4 * hidden, input width) matrix")
+        want = {k: v.shape for k, v in init_params(W1.shape[1], 0).items()}
+        want.update(running_mean=(HIDDEN_SIZE,), running_var=(HIDDEN_SIZE,))
+        got = {k: v.shape for k, v in params.items()}
+        got.update(running_mean=running_mean.shape, running_var=running_var.shape)
+        wrong = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+        if wrong:
+            raise ValueError(f"for input width {W1.shape[1]}, these arrays are missing or misshapen: {', '.join(wrong)}")
         return cls(
-            params={k: np.asarray(v, dtype=np.float64) for k, v in d["params"].items()},
-            running_mean=np.asarray(d["running_mean"], dtype=np.float64),
-            running_var=np.asarray(d["running_var"], dtype=np.float64),
+            params=params, running_mean=running_mean, running_var=running_var,
             curve=[float(v) for v in d["curve"]], best_epoch=int(d["best_epoch"]),
         )
 

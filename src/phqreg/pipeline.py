@@ -66,6 +66,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -86,6 +87,8 @@ SPLITS = ("train", "dev")
 PCA_FORMAT_VERSION = 1
 # share of the window-bearing training sessions held out to early-stop the LSTM
 LSTM_VAL_FRACTION = 0.2
+# bytes per read while the inputs digest hashes a transcript or WAV file
+DIGEST_CHUNK_BYTES = 1 << 20
 
 
 class PipelineError(ValueError):
@@ -231,7 +234,8 @@ def _session_rows(index, need: tuple[str, ...], describe) -> dict:
     A session that lacks a needed file, or whose ``describe`` raises
     ``corpus.EmptyInputError``, is logged and left out; a file that does not
     parse fails the run. A session lives only in its own ``describe`` call,
-    so its samples are freed before the next one is loaded.
+    so what it loaded is freed before the next one is loaded; its audio is a
+    reader (corpus.load_wav), so no session's samples are held whole.
     """
     per_split = {}
     for split in SPLITS:
@@ -261,8 +265,10 @@ def _inputs_digest(index) -> str:
             paths = session_paths(index, sid)
             for kind in ("transcript", "audio"):
                 if paths[kind].is_file():
-                    data = paths[kind].read_bytes()
-                    digest.update(b"+%d\n" % len(data) + data)
+                    with paths[kind].open("rb") as f:
+                        digest.update(b"+%d\n" % os.fstat(f.fileno()).st_size)
+                        for chunk in iter(lambda: f.read(DIGEST_CHUNK_BYTES), b""):
+                            digest.update(chunk)  # a WAV file is never held whole
                 else:
                     digest.update(b"-\n")  # missing: the session is skipped
     return digest.hexdigest()

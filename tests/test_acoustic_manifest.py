@@ -180,3 +180,24 @@ def test_manifest_records_the_stores_and_session_counts(acoustic_corpus, tmp_pat
         assert store.split(b"\n", 1)[0].decode() == ",".join(["session_id", *audio.GROUP_NAMES["M"]])
     # the record is no feature store: S wrote exactly its own two
     assert sorted(p.name for p in tmp_path.glob("features_*")) == ["features_acoustic_S_dev.csv", "features_acoustic_S_train.csv"]
+
+
+def test_inputs_digest_hashes_what_whole_file_reads_would(corpus, monkeypatch):
+    """The inputs digest reads each file in chunks, and its bytes are those of hashing the files whole."""
+    next((corpus / "sessions").glob("*/*_audio.wav")).unlink()  # a missing file hashes as "-"
+    index = pipeline.scan_corpus(corpus)
+    want = hashlib.sha256()
+    for split in ("train", "dev"):
+        want.update(f"{split} {len(index.ids[split])}\n".encode())
+        for sid in index.ids[split]:
+            want.update(f"{sid}\n".encode())
+            for kind in ("transcript", "audio"):
+                path = pipeline.session_paths(index, sid)[kind]
+                if path.is_file():
+                    data = path.read_bytes()
+                    want.update(b"+%d\n" % len(data) + data)
+                else:
+                    want.update(b"-\n")
+    assert pipeline._inputs_digest(index) == want.hexdigest()
+    monkeypatch.setattr(pipeline, "DIGEST_CHUNK_BYTES", 1000)  # several chunks per file
+    assert pipeline._inputs_digest(index) == want.hexdigest()

@@ -28,7 +28,7 @@ from phqreg.audio import (
     spectral_llds,
     voice_quality_llds,
 )
-from phqreg.corpus import AudioSignal, Session, Speaker, TurnRecord
+from phqreg.corpus import AudioSignal, Session, Speaker, TurnRecord, load_wav, save_wav
 
 RATE = 16000
 
@@ -536,24 +536,58 @@ class TestBlockedPass:
         assert vectors(1) == whole
         assert vectors(7) == whole
 
-    def test_peak_memory_flat_in_session_length(self):
+    def test_peak_memory_flat_in_session_length(self, tmp_path):
+        """The pass holds no session-length sample or frame array, only the LLD track matrices.
+
+        The sessions are WAV-backed and loaded inside the measurement, so
+        samples held whole would count: 160 float64 samples per frame at
+        16 kHz are eight track matrices' worth. From 16 to 48 blocks the peak
+        may grow by four track matrices (base, delta, delta-delta and
+        _delta's scratch); the functionals' row chunks are capped by
+        FUNCTIONAL_ELEMENTS at both lengths, so they add no growth.
+        """
+        rate = 16000
+
         def session_peak(n_blocks):
-            rate = 8000
             n = int((n_blocks * BLOCK_FRAMES + 3) * HOP_SECONDS * rate)
             rng = np.random.default_rng(n_blocks)
-            s = session_with(sawtooth(150, n / rate, rate, 0.3) + rng.normal(0.0, 0.01, n), rate)
+            path = tmp_path / f"{n_blocks}.wav"
+            save_wav(AudioSignal(sawtooth(150, n / rate, rate, 0.3) + rng.normal(0.0, 0.01, n), rate), path)
+            turns = (TurnRecord(0.0, n / rate, Speaker.PARTICIPANT, ("hi",)),)
             tracemalloc.start()
             try:
-                session_acoustic_vector(s)
+                session_acoustic_vector(Session("s1", turns, load_wav(path)))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         session_peak(1)  # warm-up: first-call allocations do not count
-        # frame-sized arrays of the whole session would make the 8-block
-        # peak about twice the 2-block one; the per-frame tracks add about 6 %
-        short, long = session_peak(2), session_peak(8)
-        assert long <= 1.25 * short, (short, long)
+        short, long = session_peak(16), session_peak(48)
+        track_matrix = 8 * sum(map(len, GROUP_LLDS.values())) * (48 - 16) * BLOCK_FRAMES
+        assert long - short <= 4 * track_matrix, (short, long, track_matrix)
+
+    @pytest.mark.parametrize("block_frames", [7, BLOCK_FRAMES])
+    def test_wav_backed_session_gives_the_bytes_of_its_samples_in_memory(self, tmp_path, monkeypatch, block_frames):
+        """Reading each block's frames from the file gives the vector of the same samples in memory.
+
+        Participant turns with gaps between them put several sample spans in
+        one block, 7-frame blocks straddle the gaps, and the last turn runs
+        past the end of the data.
+        """
+        rate = 16000
+        x = edge_session(rate).audio.samples
+        x = np.clip(np.round(x * 32768.0), -32768, 32767) / 32768.0  # the values a 16-bit file holds
+        path = tmp_path / "s.wav"
+        save_wav(AudioSignal(x, rate), path)
+        turns = tuple(TurnRecord(lo, hi, speaker, ("hi",)) for lo, hi, speaker in [
+            (0.0, 0.31, Speaker.PARTICIPANT), (0.31, 0.43, Speaker.AGENT), (0.43, 0.6, Speaker.PARTICIPANT),
+            (0.66, 0.71, Speaker.PARTICIPANT), (0.8, 5.0, Speaker.PARTICIPANT),
+        ])
+        assert turns[-1].stop * rate > len(x)
+        monkeypatch.setattr(audio, "BLOCK_FRAMES", block_frames)
+        in_memory = session_acoustic_vector(Session("s1", turns, AudioSignal(x, rate))).values
+        from_file = session_acoustic_vector(Session("s1", turns, load_wav(path))).values
+        assert from_file.tobytes() == in_memory.tobytes()
 
 
 def delta_oracle(values, width=2):

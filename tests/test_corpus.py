@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -216,8 +218,41 @@ class TestWav:
         sig = AudioSignal(np.clip(rng.normal(0, 0.2, 1600), -1, 1), 16000)
         save_wav(sig, tmp_path / "a.wav")
         back = load_wav(tmp_path / "a.wav")
-        assert back.rate == 16000
-        np.testing.assert_allclose(back.samples, sig.samples, atol=1.0 / 32768)
+        assert (back.rate, back.n_samples) == (16000, 1600)
+        np.testing.assert_allclose(back.read(0, back.n_samples), sig.samples, atol=1.0 / 32768)
+
+    def test_read_is_the_whole_file_conversion_of_any_span(self, tmp_path):
+        """read(lo, hi) is samples lo..hi-1 of int16 -> float64, then / 32768, as one whole-file read gives."""
+        import wave
+
+        rng = np.random.default_rng(1)
+        save_wav(AudioSignal(rng.uniform(-1.0, 1.0, 5000), 8000), tmp_path / "a.wav")
+        with wave.open(str(tmp_path / "a.wav"), "rb") as w:
+            whole = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2").astype(np.float64)
+        whole /= 32768.0
+        reader = load_wav(tmp_path / "a.wav")
+        for lo, hi in [(0, 5000), (0, 1), (1234, 4321), (4999, 5000), (17, 17)]:
+            got = reader.read(lo, hi)
+            assert got.dtype == np.float64 and got.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+        signal = AudioSignal(whole, 8000)
+        assert signal.n_samples == 5000 and signal.read(1234, 4321).tobytes() == whole[1234:4321].tobytes()
+
+    def test_truncated_data_is_refused_at_load(self, tmp_path):
+        path = tmp_path / "t.wav"
+        save_wav(AudioSignal(np.zeros(1000), 8000), path)
+        path.write_bytes(path.read_bytes()[:100])  # the 44-byte header and 28 samples
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated WAV data: 28 of 1000 samples$"):
+            load_wav(path)
+
+    def test_file_shortened_after_load_fails_read_with_its_path(self, tmp_path):
+        path = tmp_path / "t.wav"
+        save_wav(AudioSignal(np.zeros(1000), 8000), path)
+        reader = load_wav(path)
+        assert reader.read(900, 1000).shape == (100,)
+        path.write_bytes(path.read_bytes()[: 44 + 2 * 950])
+        assert reader.read(0, 950).shape == (950,)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated WAV data: 950 of 1000 samples$"):
+            reader.read(900, 1000)
 
     def test_stereo_rejected(self, tmp_path):
         import wave

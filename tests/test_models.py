@@ -165,3 +165,23 @@ def test_eval_of_a_bad_model_extra_prints_one_error_line(small_corpus, tmp_path,
     assert main(["eval", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"ERROR {path}: extra key '{key}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("where", [("params", "U1"), ("params", "W2"), ("running_var",)])
+def test_eval_of_an_lstm_with_a_misshapen_array_prints_one_error_line(small_corpus, tmp_path, capsys, where):
+    """Every array of a saved LSTM must have the shape init_params gives its input width, or eval names the file."""
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "model_visual.json"
+    save_model(trained("lstm"), path, {"train_mean": 5.0, "window": 4, "q": 2})
+    payload = json.loads(path.read_text())
+    node = payload["model"]
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = node[where[-1]][:-1]  # one row (or value) fewer
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    args = ["--corpus", str(small_corpus), "--out", str(out), "--modality", "visual", "--seed", "1"]
+    assert main(["eval", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR {path}: damaged lstm model") and where[-1] in err and err.count("\n") == 1, err
