@@ -101,13 +101,8 @@ def main(argv=None) -> int:
                 print(path)
         elif args.command == "train":
             print(run_train(cfg))
-        elif args.command == "eval":
-            rows = run_eval(cfg)
-            for k, v in rows.items():
-                print(f"{k} = {v}")
-        elif args.command == "cv":
-            rows = run_cv(cfg)
-            for k, v in rows.items():
+        elif args.command in ("eval", "cv"):
+            for k, v in (run_eval if args.command == "eval" else run_cv)(cfg).items():
                 print(f"{k} = {v}")
         elif args.command == "tune-relief":
             th, k = run_tune_relief(cfg)

@@ -21,7 +21,8 @@ skipped, one field per header cell); each loader parses its own cells. A
 refusal is a ParseError naming the path and the offending line.
 
 All types are immutable after construction; loaders are pure functions of
-file content.
+file content. whole_file is the one writer of every file phqreg writes, here
+and in the pipeline, so each appears whole or not at all.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import enum
 import os
 import re
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -200,6 +202,40 @@ class Session:
 
 
 # ---------------------------------------------------------------------------
+# writing a file whole
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def whole_file(path, binary: bool = False):
+    """A file object to write ``path`` with, so that it appears whole or not at all.
+
+    Every file phqreg writes goes through here. The bytes go to a hidden
+    ``.<name>.<pid>.tmp`` beside ``path`` (the directory is made if missing),
+    which os.replace moves onto ``path`` when the block ends; on any error it
+    is removed and ``path`` keeps what it held. Text is UTF-8 with ``\\n`` line
+    ends. The replace is atomic within one filesystem; nothing is fsynced, so
+    a power loss may still lose the new bytes.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_whole(path, text: str) -> None:
+    """Write ``text`` to ``path`` through whole_file."""
+    with whole_file(path) as f:
+        f.write(text)
+
+
+# ---------------------------------------------------------------------------
 # delimited rows
 # ---------------------------------------------------------------------------
 
@@ -252,12 +288,11 @@ def load_transcript(path) -> list[TurnRecord]:
 
 
 def save_transcript(turns, path) -> None:
-    path = Path(path)
     rows = ["\t".join(TRANSCRIPT_HEADER)]
     for t in turns:
         name = "Ellie" if t.speaker is Speaker.AGENT else "Participant"
         rows.append(f"{t.start!r}\t{t.stop!r}\t{name}\t{' '.join(t.text)}")
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_whole(path, "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +327,13 @@ def load_landmarks(path) -> LandmarkSequence:
 
 
 def save_landmarks(seq: LandmarkSequence, path) -> None:
-    path = Path(path)
     rows = [",".join(LANDMARK_HEADER)]
     for i in range(len(seq)):
         coords = seq.points[i].T.reshape(-1)  # X0..X67, Y0..Y67, Z0..Z67
         cells = [str(i), repr(float(seq.timestamps[i])), repr(float(seq.confidence[i])), str(int(seq.success[i]))]
         cells += [repr(float(c)) for c in coords]
         rows.append(",".join(cells))
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_whole(path, "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +360,11 @@ def load_labels(path) -> dict[str, int]:
 
 
 def save_labels(labels: dict[str, int], path) -> None:
-    path = Path(path)
     rows = [",".join(LABELS_HEADER)]
     for sid in sorted(labels):
         score = labels[sid]
         rows.append(f"{sid},{int(score >= PHQ8_DEPRESSED_CUTOFF)},{score}")
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_whole(path, "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +399,8 @@ def load_wav(path) -> WavReader:
 
 
 def save_wav(signal: AudioSignal, path) -> None:
-    path = Path(path)
     pcm = np.clip(np.round(signal.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as w:
+    with whole_file(path, binary=True) as f, wave.open(f, "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(signal.rate)

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..corpus import write_whole
+
 MODEL_FORMAT_VERSION = 4
 
 
@@ -51,7 +53,7 @@ def save_model(model, path, extra: dict | None = None) -> None:
         "model": model.to_dict(),
         "extra": extra or {},
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    write_whole(path, json.dumps(payload, sort_keys=True))
 
 
 def load_model(path) -> tuple[object, dict]:

@@ -45,8 +45,11 @@ procedure that train ships. tune-relief hands relief.tune_relief the same
 tabular fit step and prints the chosen (threshold, k); train applies a
 tuned point only through [relief] threshold and k.
 
-Outputs are deterministic for a fixed config + seed; wall-clock timing goes
-to the log only, never into report files.
+Outputs are deterministic for a fixed config + seed on one numpy/BLAS build
+and BLAS thread setting (across thread settings they agree within 1e-9);
+wall-clock timing goes to the log only, never into report files. Every
+artifact is written through corpus.whole_file, so it appears whole or not
+at all.
 
 Each verb is a short process, so this module imports at module level only
 what every verb needs (corpus, config, metrics and the model file I/O). A
@@ -192,7 +195,7 @@ def artifact_path(out_dir, kind: str, modality: str, split: str = "") -> Path:
 def write_feature_csv(path, names, rows: dict) -> None:
     # a cell is quoted only when it holds a comma or a quote (a transcript
     # token such as "yes," names a text feature), so other stores are plain
-    with Path(path).open("w", encoding="utf-8", newline="") as f:
+    with corpus.whole_file(path) as f:
         out = csv.writer(f, lineterminator="\n")
         out.writerow(["session_id", *names])
         for sid in sorted(rows):
@@ -298,10 +301,12 @@ def _read_pass_record(out_dir: Path, current: dict):
     stale = [key for key, digest in current.items() if manifest.get(key) != digest]
     if stale:
         return None, f"the {' and '.join(stale)} digest of {path.name} is not current"
+    if not isinstance(manifest.get("stores"), dict):
+        return None, f"the stores key of {path.name} is not a JSON object"
     per_split = {}
     for split in SPLITS:
         store = artifact_path(out_dir, "acoustic_pass", "acoustic", split)
-        if not store.is_file() or _sha256(store.read_bytes()).hexdigest() != manifest.get("stores", {}).get(split):
+        if not store.is_file() or _sha256(store.read_bytes()).hexdigest() != manifest["stores"].get(split):
             return None, f"{store.name} is not the store {path.name} records"
         per_split[split] = read_feature_csv(store)[1]
     return per_split, ""
@@ -333,7 +338,7 @@ def _acoustic_pass(index, out_dir: Path, group: str):
             stores={split: _sha256(path.read_bytes()).hexdigest() for split, path in zip(SPLITS, recorded)},
         )
         recorded.append(artifact_path(out_dir, "manifest", "acoustic"))
-        recorded[-1].write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        corpus.write_whole(recorded[-1], json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     else:
         logger.info("acoustic pass read back from its current record")
     columns = audio.GROUP_COLUMNS[group]
@@ -404,19 +409,14 @@ def _extract_visual(index, out_dir: Path) -> list[Path]:
     logger.info("visual PCA: %d -> %d dims (%.4f%% variance)", len(pca.mean), pca.q, 100 * pca.explained_ratio)
 
     pca_path = artifact_path(out_dir, "pca", "visual")
-    pca_path.write_text(
-        json.dumps(
-            {
-                "format_version": PCA_FORMAT_VERSION,
-                "mean": pca.mean.tolist(),
-                "components": pca.components.tolist(),
-                "explained_ratio": pca.explained_ratio,
-                "variance_keep": face.DEFAULT_VARIANCE_KEEP,
-            },
-            sort_keys=True,
-        ),
-        encoding="utf-8",
-    )
+    record = {
+        "format_version": PCA_FORMAT_VERSION,
+        "mean": pca.mean.tolist(),
+        "components": pca.components.tolist(),
+        "explained_ratio": pca.explained_ratio,
+        "variance_keep": face.DEFAULT_VARIANCE_KEEP,
+    }
+    corpus.write_whole(pca_path, json.dumps(record, sort_keys=True))
 
     written = [pca_path]
     for split in SPLITS:
@@ -429,19 +429,10 @@ def _extract_visual(index, out_dir: Path) -> list[Path]:
                 sids.extend([sid] * len(batch.windows))
         windows = np.concatenate(batches) if batches else np.zeros((0, face.DEFAULT_WINDOW, pca.q))
         npy_path, json_path = _windows_paths(out_dir, split)
-        np.save(npy_path, windows)
-        json_path.write_text(
-            json.dumps(
-                {
-                    "W": face.DEFAULT_WINDOW,
-                    "q": pca.q,
-                    "session_ids": sids,
-                    "sessions": list(landmarks[split]),
-                },
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
+        with corpus.whole_file(npy_path, binary=True) as f:
+            np.save(f, windows)
+        meta = {"W": face.DEFAULT_WINDOW, "q": pca.q, "session_ids": sids, "sessions": list(landmarks[split])}
+        corpus.write_whole(json_path, json.dumps(meta, sort_keys=True))
         written += [npy_path, json_path]
     return written
 
@@ -463,6 +454,9 @@ def load_windows(out_dir, split) -> tuple[np.ndarray, dict]:
     for key in ("session_ids", "W", "q", "sessions"):
         if key not in meta:
             raise PipelineError(f"{json_path}: window sidecar has no {key!r} key; run `extract` again")
+    for key in ("session_ids", "sessions"):
+        if not isinstance(meta[key], list) or not all(isinstance(sid, str) for sid in meta[key]):
+            raise PipelineError(f"{json_path}: window sidecar {key!r} is not a list of session ids; run `extract` again")
     want = (len(meta["session_ids"]), meta["W"], meta["q"])
     if windows.shape != want:
         raise PipelineError(f"{npy_path}: window array of shape {windows.shape}, but {json_path.name} describes {want}")
@@ -477,7 +471,6 @@ def run_extract(cfg: PipelineConfig) -> list[Path]:
     t0 = time.monotonic()
     index = scan_corpus(cfg.root)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     family, variant = cfg.family(), cfg.variant()
 
     if family == "visual":
@@ -641,7 +634,6 @@ def run_train(cfg: PipelineConfig) -> Path:
     t0 = time.monotonic()
     index = scan_corpus(cfg.root)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model, extra = fit_predictor(cfg, _load_split(cfg, index, "train"))
     path = artifact_path(out_dir, "model", cfg.modality)
     save_model(model, path, extra)
@@ -658,7 +650,7 @@ def write_predictions(path, sids, y_true, y_pred) -> None:
     lines = ["session_id,y_true,y_pred"]
     for sid, yt, yp in zip(sids, y_true, y_pred):
         lines.append(f"{sid},{repr(float(yt))},{repr(float(yp))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus.write_whole(path, "\n".join(lines) + "\n")
 
 
 def _metric_rows(prefix: str, y, yhat, with_evs: bool) -> dict:
@@ -686,9 +678,9 @@ def write_report(out_dir, cfg: PipelineConfig, rows: dict, selected=None) -> tup
         lines += ["", "[selected features]"] + list(selected)
     synth = tuple(f.name for f in fields(cfg) if f.name.startswith("synth_"))
     lines += ["", "[config]", config_text(cfg, omit=MACHINE_PATHS + synth)]
-    txt_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus.write_whole(txt_path, "\n".join(lines) + "\n")
     csv_lines = ["key,value"] + [f"{k},{v}" for k, v in rows.items()]
-    csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    corpus.write_whole(csv_path, "\n".join(csv_lines) + "\n")
     return txt_path, csv_path
 
 
@@ -777,7 +769,6 @@ def run_cv(cfg: PipelineConfig) -> dict:
     t0 = time.monotonic()
     index = scan_corpus(cfg.root)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     data = _load_split(cfg, index, "train")
     n = len(data.sids)
     if n < relief.CV_FOLDS:
@@ -804,9 +795,9 @@ def run_cv(cfg: PipelineConfig) -> dict:
     rows["pooled_rmse_baseline"] = rmse_fn(pooled_y, pooled_base)
     rows["pooled_mae_baseline"] = mae_fn(pooled_y, pooled_base)
 
-    artifact_path(out_dir, "cv_predictions", cfg.modality).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    txt = artifact_path(out_dir, "cv_report", cfg.modality)
-    txt.write_text("\n".join([f"phqreg cv report: {run_tag(cfg.modality)}", ""] + [f"{k} = {v}" for k, v in rows.items()]) + "\n", encoding="utf-8")
+    corpus.write_whole(artifact_path(out_dir, "cv_predictions", cfg.modality), "\n".join(lines) + "\n")
+    report = [f"phqreg cv report: {run_tag(cfg.modality)}", ""] + [f"{k} = {v}" for k, v in rows.items()]
+    corpus.write_whole(artifact_path(out_dir, "cv_report", cfg.modality), "\n".join(report) + "\n")
     logger.info("cv %s done in %.2fs", cfg.modality, time.monotonic() - t0)
     return rows
 
@@ -820,10 +811,8 @@ def run_tune_relief(cfg: PipelineConfig) -> tuple[float, int]:
     index = scan_corpus(cfg.root)
     data = _load_split(cfg, index, "train")
     th, k, scores = relief.tune_relief(data.X, data.y, _tabular_fitter(cfg), seed=cfg.seed)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["threshold,k,mean_mae"] + [f"{t},{kk},{v}" for (t, kk), v in sorted(scores.items())]
     lines.append(f"# chosen: threshold={th} k={k}")
-    artifact_path(out_dir, "relief_tuning", cfg.modality).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus.write_whole(artifact_path(cfg.out_dir, "relief_tuning", cfg.modality), "\n".join(lines) + "\n")
     logger.info("relief tuning chose threshold=%g k=%d", th, k)
     return th, k

@@ -45,6 +45,7 @@ from .corpus import (
     save_landmarks,
     save_transcript,
     save_wav,
+    write_whole,
 )
 
 BASE_WORDS = (
@@ -200,7 +201,6 @@ def _make_session(rng, spec: SynthSpec, depressed: bool):
 def gen_synthetic(spec: SynthSpec, root, seed: int) -> dict:
     """Write the corpus under ``root``; returns a small summary dict."""
     root = Path(root)
-    (root / "sessions").mkdir(parents=True, exist_ok=True)
 
     plan = []
     for split, n, frac, base in (
@@ -221,7 +221,6 @@ def gen_synthetic(spec: SynthSpec, root, seed: int) -> dict:
         ids[split].append(sid)
 
         sdir = root / "sessions" / sid
-        sdir.mkdir(parents=True, exist_ok=True)
         if "transcript" in spec.modalities:
             save_transcript(turns, sdir / f"{sid}_transcript.tsv")
         if "audio" in spec.modalities:
@@ -231,7 +230,7 @@ def gen_synthetic(spec: SynthSpec, root, seed: int) -> dict:
 
     save_labels(labels, root / "labels.csv")
     for split in ("train", "dev"):
-        (root / f"{split}_ids.txt").write_text("\n".join(ids[split]) + "\n", encoding="utf-8")
+        write_whole(root / f"{split}_ids.txt", "\n".join(ids[split]) + "\n")
     return {
         "n_train": len(ids["train"]),
         "n_dev": len(ids["dev"]),

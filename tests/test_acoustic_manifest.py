@@ -96,6 +96,11 @@ def _drop_manifest(root, out, monkeypatch):
     (out / "manifest_acoustic.json").unlink()
 
 
+def _stores_not_an_object(root, out, monkeypatch):
+    path = out / "manifest_acoustic.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text(encoding="utf-8")), stores=["x"])), encoding="utf-8")
+
+
 def _resynthesise(root, out, monkeypatch):
     gen_synthetic(SPEC, root, seed=4)
 
@@ -116,6 +121,7 @@ def _add_dev_session(root, out, monkeypatch):
 MISSES = {
     "store-edited": _edit_store,
     "manifest-missing": _drop_manifest,
+    "stores-not-an-object": _stores_not_an_object,
     "corpus-resynthesised": _resynthesise,
     "session-added-to-dev": _add_dev_session,
     "code-changed": _change_code,

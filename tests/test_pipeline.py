@@ -109,6 +109,47 @@ def test_every_defaulted_parameter_is_passed_in_src():
     assert unpassed == ["cli.py main(argv)"]
 
 
+def _writes_a_path(call, handles) -> bool:
+    """Whether ``call`` writes a file by its path rather than into a file object of corpus.whole_file.
+
+    ``handles`` are the names that ``with whole_file(...) as name`` binds in
+    the calling scope. An ``open`` writes when its mode holds w, a, x or +,
+    or when its mode is not a constant.
+    """
+    name, args = _callee(call.func), call.args
+    if args and isinstance(args[0], ast.Name) and args[0].id in handles:
+        return False
+    if name in ("write_text", "write_bytes", "save", "savez", "savez_compressed", "savetxt", "tofile"):
+        return True
+    if name != "open":
+        return False
+    modes = [a for a in args if isinstance(a, ast.Constant) and re.fullmatch(r"[rwaxbt+]+", str(a.value))]
+    modes += [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+
+
+def test_only_corpus_whole_file_writes_a_path():
+    """Every file phqreg writes goes through corpus.whole_file, so it appears whole or not at all."""
+    writes = set()
+    for path, tree in _src_trees().items():
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        writer = {id(n) for f in functions if (path, f.name) == ("corpus.py", "whole_file") for n in ast.walk(f)}
+        for scope in [tree, *functions]:
+            handles = {
+                item.optional_vars.id
+                for node in ast.walk(scope) if isinstance(node, ast.With)
+                for item in node.items
+                if _callee(getattr(item.context_expr, "func", None)) == "whole_file"
+                and isinstance(item.optional_vars, ast.Name)
+            }
+            writes.update(
+                f"{path}:{call.lineno} {ast.unparse(call.func)}"
+                for call in ast.walk(scope)
+                if isinstance(call, ast.Call) and id(call) not in writer and _writes_a_path(call, handles)
+            )
+    assert sorted(writes) == []
+
+
 def read_predictions(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Session ids, labels and predictions of a ``predictions_*.csv`` file."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -315,6 +356,18 @@ class TestExtract:
         before = [sha(p) for p in paths]
         paths2 = run_extract(cfg)
         assert [sha(p) for p in paths2] == before
+
+    def test_a_store_that_fails_part_way_is_not_written(self, tmp_path):
+        """A row that float() refuses, after the header and an earlier row: the old store or none, and no temporary file."""
+        kept, fresh = tmp_path / "features_kept.csv", tmp_path / "features_fresh.csv"
+        write_feature_csv(kept, ("a", "b"), {"1001": [1.0, 2.0]})
+        before = kept.read_bytes()
+        for path in (kept, fresh):
+            with pytest.raises(ValueError):
+                write_feature_csv(path, ("a", "b"), {"1001": [3.0, 4.0], "1002": [5.0, "not a number"]})
+        assert kept.read_bytes() == before
+        assert not fresh.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["features_kept.csv"]
 
     def test_text_bool_and_tfidf(self, small_corpus, tmp_path):
         for variant in ("text:BOOL", "text:TFIDF"):
@@ -1104,8 +1157,12 @@ class TestCli:
     @pytest.mark.parametrize("name, text, reason", [
         ("visual_train_windows.json", "5", "window sidecar is not a JSON object"),
         ("visual_train_windows.json", "{not json", "window sidecar is not a JSON object"),
+        ("visual_train_windows.json", '{"W": 4, "q": 3, "session_ids": 5, "sessions": []}',
+         "window sidecar 'session_ids' is not a list of session ids"),
+        ("visual_train_windows.json", '{"W": 4, "q": 3, "session_ids": [], "sessions": ["1001", 1002]}',
+         "window sidecar 'sessions' is not a list of session ids"),
         ("visual_train_windows.npy", "not an array", "not a window array"),
-    ], ids=["sidecar_number", "sidecar_not_json", "npy_not_an_array"])
+    ], ids=["sidecar_number", "sidecar_not_json", "session_ids_not_a_list", "sessions_not_a_list", "npy_not_an_array"])
     def test_damaged_window_store_names_its_file(self, full_corpus, visual_store, tmp_path, capsys, name, text, reason):
         out = tmp_path / "o"
         shutil.copytree(visual_store, out)
