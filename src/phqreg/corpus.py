@@ -4,6 +4,9 @@ One session = one recorded interview: mono audio, speaker turns from the
 transcript and a facial-landmark sequence. PHQ-8 labels (0-24) come from
 the labels CSV, keyed by session id.
 
+A corpus is a tree of these files (CORPUS_LAYOUT), one id list per split
+and a directory per session; corpus_path names each of them.
+
 File formats:
     transcript   TSV, header ``start_time  stop_time  speaker  value``
     landmarks    CSV, header ``frame,timestamp,confidence,success,X0..X67,Y0..Y67,Z0..Z67``
@@ -37,6 +40,15 @@ from pathlib import Path
 
 import numpy as np
 
+SPLITS = ("train", "dev")
+# file kind -> path under the corpus root; {0} is the split of an id list or the session id of a session file
+CORPUS_LAYOUT = {
+    "labels": "labels.csv",
+    "ids": "{0}_ids.txt",
+    "transcript": "sessions/{0}/{0}_transcript.tsv",
+    "audio": "sessions/{0}/{0}_audio.wav",
+    "landmarks": "sessions/{0}/{0}_landmarks.csv",
+}
 N_LANDMARKS = 68
 PHQ8_MIN, PHQ8_MAX = 0, 24
 PHQ8_DEPRESSED_CUTOFF = 10  # PHQ8_Binary is 1 from this score up
@@ -101,6 +113,11 @@ class TurnRecord:
         if not self.stop > self.start:
             raise ValueError(f"turn stop ({self.stop}) must exceed start ({self.start})")
         object.__setattr__(self, "text", tuple(self.text))
+
+
+def corpus_path(root, kind: str, key: str = "") -> Path:
+    """Path of one corpus file under ``root``; ``key`` is the split (ids) or the session id (session files)."""
+    return Path(root) / CORPUS_LAYOUT[kind].format(key)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -309,13 +326,15 @@ def load_landmarks(path) -> LandmarkSequence:
             vals = np.array([float(p) for p in parts], dtype=np.float64)
         except ValueError:
             raise ParseError(path, lineno, "non-numeric value") from None
-        flag = int(vals[3])
-        if flag not in (0, 1):
+        if vals[3] not in (0.0, 1.0):
             raise ParseError(path, lineno, f"success flag must be 0 or 1, got {parts[3]!r}")
+        if not np.isfinite(vals).all():
+            col = int(np.argmin(np.isfinite(vals)))
+            raise ParseError(path, lineno, f"non-finite {LANDMARK_HEADER[col]} {parts[col]!r}")
         linenos.append(lineno)
         ts.append(vals[1])
         conf.append(vals[2])
-        succ.append(bool(flag))
+        succ.append(vals[3] == 1.0)
         # columns are X0..X67, Y0..Y67, Z0..Z67
         pts.append(vals[4:].reshape(3, N_LANDMARKS).T)
 

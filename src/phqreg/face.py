@@ -175,11 +175,3 @@ def window_sequence(
     if not kept:
         return WindowBatch(np.zeros((0, window, pca.q)))
     return WindowBatch(np.array(kept))
-
-
-def aggregate_predictions(predictions) -> float:
-    """Session score = arithmetic mean of its window-level predictions."""
-    preds = np.asarray(predictions, dtype=np.float64)
-    if preds.size == 0:
-        raise ValueError("no window predictions to aggregate")
-    return float(preds.mean())

@@ -38,10 +38,11 @@ behavioral features, an SVR for acoustic (RBF) and text (linear) features,
 and an LSTM for visual windows. Every verb reaches the learners through one
 pair of functions. fit_predictor(cfg, sessions) runs Relief selection and
 the tabular learner, or the LSTM with its seeded validation hold-out, and
-predict_sessions(model, extra, sessions) gives per-session predictions.
-train fits and saves, eval predicts each split, and cv fits and predicts
-once per fold on index subsets of the training split, so a fold scores the
-procedure that train ships. tune-relief hands relief.tune_relief the same
+predict_sessions(model, extra, sessions) scores each session by the mean
+of its feature rows' predictions (a feature store's one row, or a window
+batch's windows). train fits and saves, eval predicts each split, and cv
+fits and predicts once per fold on index subsets of the training split, so
+a fold scores the procedure that train ships. tune-relief hands relief.tune_relief the same
 tabular fit step and prints the chosen (threshold, k); train applies a
 tuned point only through [relief] threshold and k.
 
@@ -55,9 +56,8 @@ Each verb is a short process, so this module imports at module level only
 what every verb needs (corpus, config, metrics and the model file I/O). A
 family's code is imported where the family is dispatched: audio, turns,
 textfeats and face in their ``_extract_*`` function, the LSTM in the visual
-branch of fit_predictor, face (window aggregation) in the visual branch of
-predict_sessions, the SVR and REPTree in _tabular_fitter, and relief in the
-Relief and fold paths.
+branch of fit_predictor, the SVR and REPTree in _tabular_fitter, and relief
+in the Relief and fold paths.
 
 A model's extra holds what eval reads back (train_mean, then feature_names
 and relief for a tabular model, window and q for the LSTM) and what the run
@@ -80,13 +80,13 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus
+from .corpus import SPLITS
 from .config import MACHINE_PATHS, PipelineConfig, config_text
 from .metrics import MetricError, evs as evs_fn, mae as mae_fn, rmse as rmse_fn
 from .models import ModelFormatError, load_model, save_model
 
 logger = logging.getLogger(__name__)
 
-SPLITS = ("train", "dev")
 PCA_FORMAT_VERSION = 1
 # share of the window-bearing training sessions held out to early-stop the LSTM
 LSTM_VAL_FRACTION = 0.2
@@ -116,7 +116,7 @@ def scan_corpus(root) -> CorpusIndex:
         raise PipelineError(f"corpus root {root} does not exist")
     ids = {}
     for split in SPLITS:
-        path = root / f"{split}_ids.txt"
+        path = corpus.corpus_path(root, "ids", split)
         if not path.is_file():
             raise PipelineError(f"missing split file {path}")
         ids[split] = tuple(sorted(x.strip() for x in path.read_text(encoding="utf-8").splitlines() if x.strip()))
@@ -124,23 +124,14 @@ def scan_corpus(root) -> CorpusIndex:
     repeated = sorted(sid for sid, n in Counter(sid for split in SPLITS for sid in ids[split]).items() if n > 1)
     if repeated:
         raise PipelineError(f"session ids listed more than once across the split files: {', '.join(repeated)}")
-    labels_path = root / "labels.csv"
+    labels_path = corpus.corpus_path(root, "labels")
     labels = corpus.load_labels(labels_path) if labels_path.is_file() else {}
     return CorpusIndex(root, ids, labels)
 
 
-def session_paths(index: CorpusIndex, sid: str) -> dict:
-    base = index.root / "sessions" / sid
-    return {
-        "transcript": base / f"{sid}_transcript.tsv",
-        "audio": base / f"{sid}_audio.wav",
-        "landmarks": base / f"{sid}_landmarks.csv",
-    }
-
-
 def load_session(index: CorpusIndex, sid: str, need: tuple[str, ...]) -> corpus.Session:
     """Load one session with the required modalities; missing file -> KeyError."""
-    paths = session_paths(index, sid)
+    paths = {kind: corpus.corpus_path(index.root, kind, sid) for kind in need}
     missing = [m for m in need if not paths[m].is_file()]
     if missing:
         raise KeyError(f"session {sid}: missing {', '.join(missing)}")
@@ -220,9 +211,13 @@ def read_feature_csv(path) -> tuple[tuple[str, ...], dict]:
         if cells[0] in rows:
             raise PipelineError(f"{path}:{lineno}: session {cells[0]} listed twice")
         try:
-            rows[cells[0]] = np.array([float(c) for c in cells[1:]])
+            values = np.array([float(c) for c in cells[1:]])
         except ValueError as exc:
             raise PipelineError(f"{path}:{lineno}: {exc}") from None
+        if not np.isfinite(values).all():
+            col = int(np.argmin(np.isfinite(values)))
+            raise PipelineError(f"{path}:{lineno}: non-finite {names[col]} {cells[col + 1]!r}")
+        rows[cells[0]] = values
     return names, rows
 
 
@@ -265,10 +260,10 @@ def _inputs_digest(index) -> str:
         digest.update(f"{split} {len(index.ids[split])}\n".encode())
         for sid in index.ids[split]:
             digest.update(f"{sid}\n".encode())
-            paths = session_paths(index, sid)
             for kind in ("transcript", "audio"):
-                if paths[kind].is_file():
-                    with paths[kind].open("rb") as f:
+                path = corpus.corpus_path(index.root, kind, sid)
+                if path.is_file():
+                    with path.open("rb") as f:
                         digest.update(b"+%d\n" % os.fstat(f.fileno()).st_size)
                         for chunk in iter(lambda: f.read(DIGEST_CHUNK_BYTES), b""):
                             digest.update(chunk)  # a WAV file is never held whole
@@ -500,40 +495,42 @@ def run_extract(cfg: PipelineConfig) -> list[Path]:
 
 @dataclass(frozen=True)
 class Sessions:
-    """Labelled sessions of one split: a feature row each, or their windows (visual)."""
+    """Labelled sessions of one split and the feature rows they own.
+
+    A feature store gives a session one row, a window batch its clean
+    windows (maybe none). A session's prediction is the mean of its rows'
+    predictions, or the training mean when it owns none (predict_sessions).
+    """
 
     split: str
-    sids: list  # sorted session ids
+    sids: list  # session ids
     y: np.ndarray  # label per session
-    names: tuple = ()  # tabular: feature names
-    X: np.ndarray | None = None  # tabular: one row per session
-    windows: np.ndarray | None = None  # visual: every window of these sessions
-    win_sids: np.ndarray | None = None  # visual: session id per window
+    rows: np.ndarray  # feature rows (n, d) or windows (m, W, q)
+    owner: np.ndarray  # session id of each row
+    names: tuple = ()  # a feature store's column names
 
     def subset(self, idx) -> "Sessions":
         sids = [self.sids[i] for i in idx]
-        if self.windows is None:
-            return replace(self, sids=sids, y=self.y[idx], X=self.X[idx])
-        mine = np.isin(self.win_sids, sids)
-        return replace(self, sids=sids, y=self.y[idx], windows=self.windows[mine], win_sids=self.win_sids[mine])
+        mine = np.isin(self.owner, sids)
+        return replace(self, sids=sids, y=self.y[idx], rows=self.rows[mine], owner=self.owner[mine])
 
 
 def _load_split(cfg: PipelineConfig, index: CorpusIndex, split: str) -> Sessions:
     """Read one split's feature store or window batch and look up every label."""
     if cfg.family() == "visual":
-        windows, meta = load_windows(cfg.out_dir, split)
-        sids = sorted(meta["sessions"])
-        stored = dict(windows=windows, win_sids=np.array(meta["session_ids"], dtype=str))
+        rows, meta = load_windows(cfg.out_dir, split)
+        names, sids, owner = (), sorted(meta["sessions"]), meta["session_ids"]
     else:
-        names, rows = read_feature_csv(artifact_path(cfg.out_dir, "features", cfg.modality, split))
-        sids = sorted(rows)
-        stored = dict(names=names, X=np.array([rows[sid] for sid in sids]))
+        names, store = read_feature_csv(artifact_path(cfg.out_dir, "features", cfg.modality, split))
+        sids = owner = sorted(store)
+        rows = np.array([store[sid] for sid in sids])
     if not sids:
         raise PipelineError(f"empty {split} split")
     unlabeled = [sid for sid in sids if sid not in index.labels]
     if unlabeled:
         raise PipelineError(f"unlabeled {split} sessions: {', '.join(unlabeled)}")
-    return Sessions(split, sids, np.array([float(index.labels[sid]) for sid in sids]), **stored)
+    y = np.array([float(index.labels[sid]) for sid in sids])
+    return Sessions(split, sids, y, rows, np.array(owner, dtype=str), names)
 
 
 def _tabular_fitter(cfg: PipelineConfig):
@@ -561,37 +558,37 @@ def _relief_select(cfg: PipelineConfig, names, X, y) -> tuple[list[int], dict]:
 def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
     """Fit the configured predictor on ``data``; returns the model and its saved metadata.
 
-    Tabular: Relief selection at ``[relief] threshold`` and ``k`` when the
-    modality uses it, then the modality's SVR or REPTree. Visual: an LSTM,
-    early-stopped on a seeded hold-out of the window-bearing sessions.
+    Every row is fitted to its owner's label. Tabular: Relief selection at
+    ``[relief] threshold`` and ``k`` when the modality uses it, then the
+    modality's SVR or REPTree. Visual: an LSTM, early-stopped on a seeded
+    hold-out of the window-bearing sessions.
     """
     extra = {"modality": cfg.modality, "seed": cfg.seed, "train_mean": float(np.mean(data.y))}
-    if data.windows is None:
+    label = dict(zip(data.sids, data.y))
+    X, y = data.rows, np.array([label[sid] for sid in data.owner.tolist()])
+    if cfg.family() != "visual":
         fit = _tabular_fitter(cfg)
         extra["feature_names"] = list(data.names)
-        X = data.X
         if cfg.uses_relief():
-            selected, extra["relief"] = _relief_select(cfg, data.names, X, data.y)
+            selected, extra["relief"] = _relief_select(cfg, data.names, X, y)
             X = X[:, selected]
-        return fit(X, data.y), extra
+        return fit(X, y), extra
 
     from .models.lstm import lstm_train
 
-    if len(data.windows) == 0:
+    if len(X) == 0:
         raise PipelineError("no tracking-clean training windows; cannot train the LSTM")
     # hold out a seeded fraction of the window-bearing sessions for early stopping
-    bearing = sorted(set(data.win_sids.tolist()))
+    bearing = sorted(set(data.owner.tolist()))
     n_val = int(round(LSTM_VAL_FRACTION * len(bearing)))
     val_sessions = sorted(np.random.default_rng(cfg.seed).permutation(bearing)[:n_val].tolist())
-    val = np.isin(data.win_sids, val_sessions)
-    label = dict(zip(data.sids, data.y))
-    y = np.array([label[sid] for sid in data.win_sids.tolist()])
+    val = np.isin(data.owner, val_sessions)
     model = lstm_train(
-        data.windows[~val], y[~val], cfg.lstm_max_epochs, cfg.seed,
-        X_val=data.windows[val] if val.any() else None,
+        X[~val], y[~val], cfg.lstm_max_epochs, cfg.seed,
+        X_val=X[val] if val.any() else None,
         y_val=y[val] if val.any() else None,
     )
-    W, q = data.windows.shape[1:]
+    W, q = X.shape[1:]
     extra.update(window=W, q=q, val_sessions=val_sessions)
     return model, extra
 
@@ -599,29 +596,25 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
 def predict_sessions(model, extra: dict, data: Sessions) -> tuple[np.ndarray, dict]:
     """Per-session predictions for ``data.sids``, plus report counters.
 
-    Tabular rows are cut to the model's Relief columns when it has them.
-    A visual session aggregates its window predictions; one without a clean
-    window falls back to the training mean.
+    One rule scores every modality: the mean of a session's row predictions
+    (exactly its one row's prediction for a feature-store session), or the
+    training mean for a session without rows. Feature rows are cut to the
+    model's Relief columns when it has them.
     """
-    if data.windows is None:
+    X, counters = data.rows, {}
+    if model.kind == "lstm":
+        if X.shape[1:] != (extra.get("window"), extra.get("q")):
+            raise PipelineError("window batch geometry does not match the trained model")
+        counters[f"n_windows_{data.split}"] = len(X)
+    else:
         if list(data.names) != extra.get("feature_names"):
             raise PipelineError(f"feature store for split {data.split} does not match the trained model's features")
-        X = data.X
         if "relief" in extra:
             X = X[:, [data.names.index(n) for n in extra["relief"]["selected_names"]]]
-        return model.predict(X), {}
-
-    from . import face
-
-    if data.windows.shape[1:] != (extra.get("window"), extra.get("q")):
-        raise PipelineError("window batch geometry does not match the trained model")
-    per_window = model.predict(data.windows) if len(data.windows) else np.zeros(0)
-    fallbacks = [sid for sid in data.sids if sid not in data.win_sids]
-    preds = np.array([
-        extra["train_mean"] if sid in fallbacks else face.aggregate_predictions(per_window[data.win_sids == sid])
-        for sid in data.sids
-    ])
-    counters = {f"n_windows_{data.split}": len(data.windows)}
+    per_row = model.predict(X) if len(X) else np.zeros(0)
+    owned = [per_row[data.owner == sid] for sid in data.sids]
+    preds = np.array([rows.mean() if len(rows) else extra["train_mean"] for rows in owned])
+    fallbacks = [sid for sid, rows in zip(data.sids, owned) if not len(rows)]
     if fallbacks:
         logger.warning("%d %s sessions had no clean windows; used training-mean fallback: %s",
                        len(fallbacks), data.split, ", ".join(fallbacks))
@@ -810,7 +803,7 @@ def run_tune_relief(cfg: PipelineConfig) -> tuple[float, int]:
 
     index = scan_corpus(cfg.root)
     data = _load_split(cfg, index, "train")
-    th, k, scores = relief.tune_relief(data.X, data.y, _tabular_fitter(cfg), seed=cfg.seed)
+    th, k, scores = relief.tune_relief(data.rows, data.y, _tabular_fitter(cfg), seed=cfg.seed)
     lines = ["threshold,k,mean_mae"] + [f"{t},{kk},{v}" for (t, kk), v in sorted(scores.items())]
     lines.append(f"# chosen: threshold={th} k={k}")
     corpus.write_whole(artifact_path(cfg.out_dir, "relief_tuning", cfg.modality), "\n".join(lines) + "\n")

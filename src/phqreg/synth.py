@@ -12,22 +12,11 @@ so the response-time median carries a monotone severity effect, and the
 depression-diagnosis answer (PDI dep flag) confirms with 95% probability for
 depressed sessions. Secondary effects follow the label: more disfluencies and
 sighs, less laughter, lower speaking pitch, and smaller facial motion for
-higher severity. Same spec + seed reproduces the corpus byte for byte.
-
-Corpus layout::
-
-    root/
-      labels.csv          Participant_ID,PHQ8_Binary,PHQ8_Score (all sessions)
-      train_ids.txt       one session id per line
-      dev_ids.txt
-      sessions/<id>/<id>_transcript.tsv
-      sessions/<id>/<id>_audio.wav
-      sessions/<id>/<id>_landmarks.csv
+higher severity. Same spec + seed reproduces the corpus byte for byte. The
+files go where corpus.corpus_path puts them.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
@@ -39,8 +28,10 @@ from .corpus import (
     PHQ8_DEPRESSED_CUTOFF,
     PHQ8_MAX,
     PHQ8_MIN,
+    SPLITS,
     Speaker,
     TurnRecord,
+    corpus_path,
     save_labels,
     save_landmarks,
     save_transcript,
@@ -200,19 +191,17 @@ def _make_session(rng, spec: SynthSpec, depressed: bool):
 
 def gen_synthetic(spec: SynthSpec, root, seed: int) -> dict:
     """Write the corpus under ``root``; returns a small summary dict."""
-    root = Path(root)
-
     plan = []
-    for split, n, frac, base in (
-        ("train", spec.n_train, spec.depressed_fraction_train, 1000),
-        ("dev", spec.n_dev, spec.depressed_fraction_dev, 2000),
-    ):
+    for split, (n, frac, base) in zip(SPLITS, (
+        (spec.n_train, spec.depressed_fraction_train, 1000),
+        (spec.n_dev, spec.depressed_fraction_dev, 2000),
+    )):
         n_dep = int(round(n * frac))
         for i in range(n):
             plan.append((split, f"{base + 1 + i}", i < n_dep))
 
     labels = {}
-    ids = {"train": [], "dev": []}
+    ids = {split: [] for split in SPLITS}
     seeds = np.random.SeedSequence(seed).spawn(len(plan))
     for (split, sid, depressed), ss in zip(plan, seeds):
         rng = np.random.default_rng(ss)
@@ -220,17 +209,16 @@ def gen_synthetic(spec: SynthSpec, root, seed: int) -> dict:
         labels[sid] = label
         ids[split].append(sid)
 
-        sdir = root / "sessions" / sid
         if "transcript" in spec.modalities:
-            save_transcript(turns, sdir / f"{sid}_transcript.tsv")
+            save_transcript(turns, corpus_path(root, "transcript", sid))
         if "audio" in spec.modalities:
-            save_wav(_session_audio(rng, spec, turns, label), sdir / f"{sid}_audio.wav")
+            save_wav(_session_audio(rng, spec, turns, label), corpus_path(root, "audio", sid))
         if "landmarks" in spec.modalities:
-            save_landmarks(_session_landmarks(rng, spec, turns, label), sdir / f"{sid}_landmarks.csv")
+            save_landmarks(_session_landmarks(rng, spec, turns, label), corpus_path(root, "landmarks", sid))
 
-    save_labels(labels, root / "labels.csv")
-    for split in ("train", "dev"):
-        write_whole(root / f"{split}_ids.txt", "\n".join(ids[split]) + "\n")
+    save_labels(labels, corpus_path(root, "labels"))
+    for split in SPLITS:
+        write_whole(corpus_path(root, "ids", split), "\n".join(ids[split]) + "\n")
     return {
         "n_train": len(ids["train"]),
         "n_dev": len(ids["dev"]),

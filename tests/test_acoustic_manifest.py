@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from phqreg import audio, pipeline
+from phqreg.corpus import corpus_path
 from phqreg.config import load_config
 from phqreg.pipeline import run_extract
 from phqreg.synth import SynthSpec, gen_synthetic
@@ -198,7 +199,7 @@ def test_inputs_digest_hashes_what_whole_file_reads_would(corpus, monkeypatch):
         for sid in index.ids[split]:
             want.update(f"{sid}\n".encode())
             for kind in ("transcript", "audio"):
-                path = pipeline.session_paths(index, sid)[kind]
+                path = corpus_path(corpus, kind, sid)
                 if path.is_file():
                     data = path.read_bytes()
                     want.update(b"+%d\n" % len(data) + data)

@@ -130,6 +130,20 @@ class TestLandmarks:
         with pytest.raises(ParseError, match=r"l\.csv:6: timestamps must be strictly increasing"):
             load_landmarks(write(tmp_path, "l.csv", text))
 
+    @pytest.mark.parametrize("column, cell", [
+        ("success", "inf"), ("success", "nan"), ("success", "0.7"), ("success", "1.9"), ("success", "-0.5"),
+        ("timestamp", "nan"), ("timestamp", "inf"), ("confidence", "-inf"), ("X0", "nan"), ("Z67", "inf"),
+    ])
+    def test_bad_flag_or_non_finite_value_names_its_line(self, tmp_path, column, cell):
+        reason = f"success flag must be 0 or 1, got {cell!r}" if column == "success" else f"non-finite {column} {cell!r}"
+        header, *rows = self.make_rows(3).splitlines()
+        cells = rows[1].split(",")
+        cells[LANDMARK_HEADER.index(column)] = cell
+        path = write(tmp_path, "l.csv", "\n".join([header, rows[0], ",".join(cells), rows[2]]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_landmarks(path)
+        assert str(err.value) == f"{path}:3: {reason}"
+
     def test_coordinate_layout_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
         seq = LandmarkSequence(

@@ -10,7 +10,6 @@ from phqreg.corpus import LandmarkSequence, N_LANDMARKS
 from phqreg.face import (
     GEOMETRIC_DIM,
     DegenerateFrameError,
-    aggregate_predictions,
     downsample_indices,
     fit_pca,
     geometric_frames,
@@ -374,20 +373,3 @@ class TestWindows:
         for s in starts:
             assert seq.success[idx[s : s + 60]].all()
 
-
-class TestAggregate:
-    def test_mean(self):
-        assert aggregate_predictions([4.0, 6.0]) == 5.0
-
-    def test_single(self):
-        assert aggregate_predictions([3.3]) == 3.3
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(16)
-        preds = rng.normal(0, 5, 100)
-        want = sum(float(p) for p in preds) / 100.0
-        assert aggregate_predictions(preds) == pytest.approx(want, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_predictions([])

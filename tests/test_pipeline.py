@@ -22,6 +22,7 @@ from phqreg.pipeline import (
     PipelineError,
     Sessions,
     fit_predictor,
+    predict_sessions,
     read_feature_csv,
     run_cv,
     run_eval,
@@ -310,12 +311,81 @@ class TestConfig:
     def test_pairing_defaults(self):
         """Each family trains the paper's learner; the acoustic:S, text:BOOL and visual runs check theirs too."""
         rng = np.random.default_rng(0)
-        data = Sessions("train", [f"s{i}" for i in range(12)], rng.uniform(0, 24, size=12),
-                        names=("a", "b", "c"), X=rng.normal(size=(12, 3)))
+        sids = [f"s{i}" for i in range(12)]
+        data = Sessions("train", sids, rng.uniform(0, 24, size=12), rng.normal(size=(12, 3)), np.array(sids),
+                        ("a", "b", "c"))
         want = {"behavioral": ("reptree", None), "acoustic:M": ("svr", "rbf"), "text:WE": ("svr", "linear")}
         for modality, (kind, kernel) in want.items():
             model, _ = fit_predictor(load_config(None, {"modality": modality, "seed": 1}), data)
             assert (model.kind, getattr(model, "kernel", None)) == (kind, kernel), modality
+
+
+class StubModel:
+    """A model whose prediction of a row is its first value."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def predict(self, X):
+        return X.reshape(len(X), -1)[:, 0]
+
+
+def store_sessions(split, sids, rows, names=("a", "b")) -> Sessions:
+    """A feature store's form: one row per session, each owning its row."""
+    return Sessions(split, list(sids), np.arange(len(sids), dtype=float), np.asarray(rows, dtype=float),
+                    np.array(sids), names)
+
+
+def window_sessions(split, sids, counts, W=2, q=1) -> Sessions:
+    """A window batch's form: ``counts[i]`` windows of session i, each filled with i, that session's label."""
+    owner = np.array([sid for sid, n in zip(sids, counts) for _ in range(n)], dtype=str)
+    rows = np.concatenate([np.full((n, W, q), float(i)) for i, n in enumerate(counts)])
+    return Sessions(split, list(sids), np.arange(len(sids), dtype=float), rows, owner)
+
+
+class TestSessions:
+    def test_a_session_scores_the_mean_of_its_rows(self):
+        rng = np.random.default_rng(16)
+        preds = {"a": rng.normal(0, 5, 100), "b": np.array([4.0, 6.0]), "c": rng.normal(0, 5, 7)}
+        owner = np.array([sid for sid, p in preds.items() for _ in p])
+        rows = np.concatenate(list(preds.values())).reshape(-1, 1, 1)
+        data = Sessions("dev", list(preds), np.zeros(3), rows, owner)
+        got, counters = predict_sessions(StubModel("lstm"), {"window": 1, "q": 1, "train_mean": 9.0}, data)
+        assert got[1] == 5.0
+        for value, p in zip(got, preds.values()):
+            assert value == pytest.approx(sum(float(x) for x in p) / len(p), abs=1e-12)
+        assert counters == {"n_windows_dev": 109}
+
+    def test_a_one_row_session_scores_its_row_exactly(self):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(0, 5, size=(9, 2)) / 3.0
+        data = store_sessions("dev", [f"s{i}" for i in range(9)], rows)
+        got, counters = predict_sessions(StubModel("svr"), {"feature_names": ["a", "b"], "train_mean": 9.0}, data)
+        assert got.tobytes() == rows[:, 0].tobytes()
+        assert counters == {}
+
+    def test_a_session_without_rows_scores_the_training_mean(self, caplog):
+        data = window_sessions("dev", ["a", "b", "c", "d"], [2, 0, 1, 0])
+        got, counters = predict_sessions(StubModel("lstm"), {"window": 2, "q": 1, "train_mean": 7.25}, data)
+        assert got.tolist() == [0.0, 7.25, 2.0, 7.25]
+        assert counters == {"n_windows_dev": 3, "dev_fallback_sessions": "b;d"}
+        assert "b, d" in caplog.text
+
+    @pytest.mark.parametrize("form", ["store", "windows"])
+    def test_subset_keeps_rows_and_labels_aligned(self, form):
+        sids = [f"s{i}" for i in range(6)]
+        if form == "store":
+            data = store_sessions("train", sids, [[float(i), -1.0] for i in range(6)])
+        else:
+            data = window_sessions("train", sids, [1, 3, 0, 2, 1, 2])
+        for idx in ([4, 1, 3], [0, 2, 5], [2]):
+            sub = data.subset(np.array(idx))
+            assert sub.sids == [sids[i] for i in idx] and sub.y.tolist() == [float(i) for i in idx]
+            label = dict(zip(sub.sids, sub.y))
+            # each kept row still holds its session's value, and every row of a kept session is kept
+            assert [row.flat[0] for row in sub.rows] == [label[sid] for sid in sub.owner.tolist()]
+            assert len(sub.rows) == len(sub.owner) == np.isin(data.owner, sub.sids).sum()
+            assert sub.names == data.names
 
 
 class TestSynth:
@@ -1064,6 +1134,21 @@ class TestCli:
         capsys.readouterr()
         assert main(["train", *args]) == 2
         assert capsys.readouterr().err == f"ERROR {store}:3: 12 cells, but the header names 13\n"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("split, verb", [("train", "train"), ("dev", "eval")])
+    def test_non_finite_feature_cell_is_error(self, tmp_path, capsys, cell, split, verb):
+        _, args = self.tiny_corpus(tmp_path)
+        for step in ("extract", "train"):
+            assert main([step, *args]) == 0
+        store = tmp_path / "o" / f"features_behavioral_{split}.csv"
+        lines = store.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + cell
+        store.write_text("\n".join(lines) + "\n")
+        name = lines[0].rsplit(",", 1)[1]
+        capsys.readouterr()
+        assert main([verb, *args]) == 2
+        assert capsys.readouterr().err == f"ERROR {store}:3: non-finite {name} {cell!r}\n"
 
     def test_window_batch_not_matching_its_sidecar_is_error(self, full_corpus, tmp_path, capsys):
         out = tmp_path / "o"

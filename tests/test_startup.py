@@ -80,10 +80,24 @@ def test_cv_behavioral_loads_relief_but_no_svr(small_corpus, tmp_path):
     assert loaded & (FAMILIES | LEARNERS) == {"phqreg.relief", "phqreg.models.reptree"}
 
 
-def test_train_visual_loads_the_lstm_but_no_face(full_corpus, tmp_path):
+def visual_run(full_corpus, tmp_path):
+    """Run the visual extract; returns the arguments that follow a verb, with one LSTM epoch configured."""
     ini = tmp_path / "visual.ini"
     ini.write_text("[lstm]\nmax_epochs = 1\n", encoding="utf-8")
     args = ["--corpus", str(full_corpus), "--out", str(tmp_path), "--modality", "visual", "--seed", "1"]
     assert main(["extract", *args]) == 0
-    loaded = loaded_after(f"from phqreg.cli import main\nassert main({['train', '--config', str(ini), *args]!r}) == 0")
+    return ["--config", str(ini), *args]
+
+
+def test_eval_and_cv_visual_load_the_lstm_but_no_face(full_corpus, tmp_path):
+    args = visual_run(full_corpus, tmp_path)
+    assert main(["train", *args]) == 0
+    for verb, learners in (("eval", {"phqreg.models.lstm"}), ("cv", {"phqreg.relief", "phqreg.models.lstm"})):
+        loaded = loaded_after(f"from phqreg.cli import main\nassert main({[verb, *args]!r}) == 0")
+        assert loaded & (FAMILIES | LEARNERS) == learners, verb
+
+
+def test_train_visual_loads_the_lstm_but_no_face(full_corpus, tmp_path):
+    args = visual_run(full_corpus, tmp_path)
+    loaded = loaded_after(f"from phqreg.cli import main\nassert main({['train', *args]!r}) == 0")
     assert loaded & (FAMILIES | LEARNERS) == {"phqreg.models.lstm"}
