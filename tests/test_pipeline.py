@@ -344,13 +344,23 @@ def window_sessions(split, sids, counts, W=2, q=1) -> Sessions:
 
 
 class TestSessions:
-    def test_a_session_scores_the_mean_of_its_rows(self):
-        rng = np.random.default_rng(16)
-        preds = {"a": rng.normal(0, 5, 100), "b": np.array([4.0, 6.0]), "c": rng.normal(0, 5, 7)}
+    @staticmethod
+    def _score_windows(preds: dict):
+        """Score sessions whose windows' predictions are ``preds[sid]``, one window a row."""
         owner = np.array([sid for sid, p in preds.items() for _ in p])
         rows = np.concatenate(list(preds.values())).reshape(-1, 1, 1)
-        data = Sessions("dev", list(preds), np.zeros(3), rows, owner)
-        got, counters = predict_sessions(StubModel("lstm"), {"window": 1, "q": 1, "train_mean": 9.0}, data)
+        data = Sessions("dev", list(preds), np.zeros(len(preds)), rows, owner)
+        return predict_sessions(StubModel("lstm"), {"window": 1, "q": 1, "train_mean": 9.0}, data)
+
+    def test_a_session_scores_the_mean_of_its_rows(self):
+        got, counters = self._score_windows({"a": np.array([4.0, 6.0]), "b": np.array([1.0, 2.0, 6.0])})
+        assert got.tolist() == [5.0, 3.0]
+        assert counters == {"n_windows_dev": 5}
+
+    def test_a_session_mean_matches_brute_force(self):
+        rng = np.random.default_rng(16)
+        preds = {"a": rng.normal(0, 5, 100), "b": np.array([4.0, 6.0]), "c": rng.normal(0, 5, 7)}
+        got, counters = self._score_windows(preds)
         assert got[1] == 5.0
         for value, p in zip(got, preds.values()):
             assert value == pytest.approx(sum(float(x) for x in p) / len(p), abs=1e-12)
