@@ -12,7 +12,6 @@ from .corpus import (
     AudioSignal,
     LandmarkSequence,
     ParseError,
-    Session,
     Speaker,
     TurnRecord,
     load_labels,
@@ -23,7 +22,7 @@ from .corpus import (
 from .metrics import evs, mae, rmse
 
 __all__ = [
-    "AudioSignal", "LandmarkSequence", "ParseError", "Session", "Speaker", "TurnRecord",
+    "AudioSignal", "LandmarkSequence", "ParseError", "Speaker", "TurnRecord",
     "load_labels", "load_landmarks", "load_transcript", "load_wav",
     "evs", "mae", "rmse",
     "__version__",

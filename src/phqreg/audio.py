@@ -57,7 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import AudioSignal, EmptyInputError, Session, Speaker, WavReader
+from .corpus import AudioSignal, EmptyInputError, Speaker, WavReader
 
 FRAME_SECONDS = 0.025
 HOP_SECONDS = 0.010
@@ -604,24 +604,21 @@ def _functionals(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def session_acoustic_vector(session: Session) -> AcousticVector:
-    """A session's full acoustic pass: its merged vector M, in GROUP_NAMES["M"] order.
+def session_acoustic_vector(sid: str, audio: AudioSignal | WavReader, turns) -> AcousticVector:
+    """Session ``sid``'s full acoustic pass: its merged vector M, in GROUP_NAMES["M"] order.
 
-    The session is framed once, and its P, S and VQ LLDs come from one pass
-    over blocks of BLOCK_FRAMES frame starts, each block's frames read from
-    the session's audio (a WavReader or an AudioSignal) into a FrameSet.
-    Each LLD over the blocks, its delta and its delta-delta are
+    The participant turns are framed once, and the P, S and VQ LLDs come
+    from one pass over blocks of BLOCK_FRAMES frame starts, each block's
+    frames read from ``audio`` (a WavReader or an AudioSignal) into a
+    FrameSet. Each LLD over the blocks, its delta and its delta-delta are
     projected on the 24 functionals, which gives M; S, P and VQ are its
     GROUP_COLUMNS slices. Sessions the recipe cannot
-    describe (no audio, no participant turns, a sample rate below 8 kHz,
+    describe (no participant turns, a sample rate below 8 kHz,
     fewer frames than the delta window) raise EmptyInputError.
     """
-    audio = session.audio
-    if audio is None:
-        raise EmptyInputError(f"session {session.id} has no audio")
-    starts = frame_signal(audio, session.turns)
+    starts = frame_signal(audio, turns)
     if len(starts) < MIN_FRAMES:
-        raise EmptyInputError(f"session {session.id}: {len(starts)} frames, fewer than the delta window ({MIN_FRAMES})")
+        raise EmptyInputError(f"session {sid}: {len(starts)} frames, fewer than the delta window ({MIN_FRAMES})")
 
     flen, hop = _frame_len(audio.rate), _hop(audio.rate)
     rows = [(g, name) for g in M_GROUPS for name in GROUP_LLDS[g]]
@@ -637,4 +634,4 @@ def session_acoustic_vector(session: Session) -> AcousticVector:
 
     # each LLD's functionals, then its delta's and its delta-delta's
     values = np.stack([apply_functionals(m) for m in (base, *add_derivatives(base))], axis=1)
-    return AcousticVector(values.reshape(-1), session.id)
+    return AcousticVector(values.reshape(-1), sid)

@@ -54,6 +54,10 @@ class SynthSpec:
             raise ValueError("depressed fractions must lie in [0, 1]")
         if self.turn_pairs < 4:
             raise ValueError("need at least 4 turn pairs to place the scripted queries")
+        if not (self.audio_rate > 0 and self.landmark_fps > 0):
+            raise ValueError(f"audio_rate ({self.audio_rate}) and landmark_fps ({self.landmark_fps}) must be positive")
+        if not 0.0 <= self.fail_prob <= 1.0:
+            raise ValueError(f"fail_prob ({self.fail_prob}) must lie in [0, 1]")
         object.__setattr__(self, "modalities", mods)
 
 

@@ -1,4 +1,4 @@
-"""Session data model and loaders/writers for the interview corpus formats.
+"""Loaders and writers for the interview corpus formats, and the types they return.
 
 One session = one recorded interview: mono audio, speaker turns from the
 transcript and a facial-landmark sequence. PHQ-8 labels (0-24) come from
@@ -8,7 +8,7 @@ A corpus is a tree of these files (CORPUS_LAYOUT), one id list per split
 and a directory per session; corpus_path names each of them.
 
 File formats:
-    transcript   TSV, header ``start_time  stop_time  speaker  value``
+    transcript   TSV, header ``start_time  stop_time  speaker  value``, rows in start-time order
     landmarks    CSV, header ``frame,timestamp,confidence,success,X0..X67,Y0..Y67,Z0..Z67``
     labels       CSV, header ``Participant_ID,PHQ8_Binary,PHQ8_Score``
     audio        16-bit PCM WAV, mono
@@ -31,6 +31,7 @@ and in the pipeline, so each appears whole or not at all.
 from __future__ import annotations
 
 import enum
+import math
 import os
 import re
 import wave
@@ -201,23 +202,6 @@ class LandmarkSequence:
         return len(self.timestamps)
 
 
-@dataclass(frozen=True)
-class Session:
-    """One interview: audio, turns and landmarks."""
-
-    id: str
-    turns: tuple[TurnRecord, ...] = ()
-    audio: AudioSignal | WavReader | None = None
-    landmarks: LandmarkSequence | None = None
-
-    def __post_init__(self):
-        turns = tuple(self.turns)
-        starts = [t.start for t in turns]
-        if starts != sorted(starts):
-            raise ValueError(f"session {self.id}: turns must be sorted by start time")
-        object.__setattr__(self, "turns", turns)
-
-
 # ---------------------------------------------------------------------------
 # writing a file whole
 # ---------------------------------------------------------------------------
@@ -288,15 +272,19 @@ def _rows(path, header: tuple[str, ...], sep: str = ",", fold=str.strip):
 
 
 def load_transcript(path) -> list[TurnRecord]:
-    """Parse a tab-separated transcript into TurnRecords (file order)."""
+    """Parse a tab-separated transcript into TurnRecords, whose rows must be in start-time order."""
     turns = []
     for lineno, parts in _rows(path, TRANSCRIPT_HEADER, "\t", fold=lambda h: h.strip().lower()):
         try:
             start, stop = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(path, lineno, f"non-numeric time in {parts[:2]!r}") from None
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ParseError(path, lineno, f"non-finite time in {parts[:2]!r}")
         if not stop > start:
             raise ParseError(path, lineno, f"stop ({stop}) must exceed start ({start})")
+        if turns and start < turns[-1].start:
+            raise ParseError(path, lineno, f"start ({start}) before the previous row's ({turns[-1].start})")
         speaker = _SPEAKER_ALIASES.get(parts[2].strip().lower())
         if speaker is None:
             raise ParseError(path, lineno, f"unknown speaker {parts[2]!r}")

@@ -129,22 +129,6 @@ def scan_corpus(root) -> CorpusIndex:
     return CorpusIndex(root, ids, labels)
 
 
-def load_session(index: CorpusIndex, sid: str, need: tuple[str, ...]) -> corpus.Session:
-    """Load one session with the required modalities; missing file -> KeyError."""
-    paths = {kind: corpus.corpus_path(index.root, kind, sid) for kind in need}
-    missing = [m for m in need if not paths[m].is_file()]
-    if missing:
-        raise KeyError(f"session {sid}: missing {', '.join(missing)}")
-    kw = {}
-    if "transcript" in need:
-        kw["turns"] = tuple(corpus.load_transcript(paths["transcript"]))
-    if "audio" in need:
-        kw["audio"] = corpus.load_wav(paths["audio"])
-    if "landmarks" in need:
-        kw["landmarks"] = corpus.load_landmarks(paths["landmarks"])
-    return corpus.Session(id=sid, **kw)
-
-
 # ---------------------------------------------------------------------------
 # feature store CSV
 # ---------------------------------------------------------------------------
@@ -226,22 +210,31 @@ def read_feature_csv(path) -> tuple[tuple[str, ...], dict]:
 # ---------------------------------------------------------------------------
 
 
-def _session_rows(index, need: tuple[str, ...], describe) -> dict:
-    """{split: {sid: describe(session)}} in id order, without the skipped sessions.
+def _session_rows(index, kinds: tuple[str, ...], describe) -> dict:
+    """{split: {sid: describe(sid, *files)}} in id order, without the skipped sessions.
 
-    A session that lacks a needed file, or whose ``describe`` raises
-    ``corpus.EmptyInputError``, is logged and left out; a file that does not
-    parse fails the run. A session lives only in its own ``describe`` call,
-    so what it loaded is freed before the next one is loaded; its audio is a
-    reader (corpus.load_wav), so no session's samples are held whole.
+    ``files`` are the session's corpus files of ``kinds``, in that order,
+    each read by its corpus loader. A session that lacks one of them, or
+    whose ``describe`` raises ``corpus.EmptyInputError``, is logged and left
+    out; a file that does not parse, and any other error, fails the run.
+    What a session loaded lives only in its own ``describe`` call, so it is
+    freed before the next one is loaded; its audio is a reader
+    (corpus.load_wav), so no session's samples are held whole.
     """
+    # looked up per call, not at import, so a wrapper bound on corpus later (perfbench/tracer.py) is the one called
+    load = {"transcript": corpus.load_transcript, "audio": corpus.load_wav, "landmarks": corpus.load_landmarks}
     per_split = {}
     for split in SPLITS:
         per_split[split] = rows = {}
         for sid in index.ids[split]:
+            paths = [corpus.corpus_path(index.root, kind, sid) for kind in kinds]
+            missing = [kind for kind, path in zip(kinds, paths) if not path.is_file()]
+            if missing:
+                logger.warning("skipping %s: missing %s", sid, ", ".join(missing))
+                continue
             try:
-                rows[sid] = describe(load_session(index, sid, need))
-            except (KeyError, corpus.EmptyInputError) as exc:
+                rows[sid] = describe(sid, *(load[kind](path) for kind, path in zip(kinds, paths)))
+            except corpus.EmptyInputError as exc:
                 logger.warning("skipping %s: %s", sid, exc)
     return per_split
 
@@ -320,7 +313,7 @@ def _acoustic_pass(index, out_dir: Path, group: str):
     recorded = []
     if per_split is None:
         logger.info("full acoustic pass (%s)", why_not)
-        vectors = _session_rows(index, ("transcript", "audio"), audio.session_acoustic_vector)
+        vectors = _session_rows(index, ("audio", "transcript"), audio.session_acoustic_vector)
         if not any(vectors.values()):
             raise PipelineError("acoustic extraction produced no sessions")
         per_split = {split: {sid: vec.values for sid, vec in rows.items()} for split, rows in vectors.items()}
@@ -344,14 +337,14 @@ def _acoustic_pass(index, out_dir: Path, group: str):
 def _extract_behavioral(index):
     from . import turns
 
-    rows = _session_rows(index, ("transcript",), lambda session: turns.behavioral_vector(session.turns))
+    rows = _session_rows(index, ("transcript",), lambda sid, transcript: turns.behavioral_vector(transcript))
     return turns.BEHAVIORAL_NAMES, rows
 
 
 def _extract_text(index, cfg: PipelineConfig, variant: str):
     from . import textfeats
 
-    docs = _session_rows(index, ("transcript",), textfeats.build_document)
+    docs = _session_rows(index, ("transcript",), lambda sid, transcript: textfeats.build_document(transcript))
     if not docs["train"]:
         raise PipelineError("text extraction found no training transcripts")
 
@@ -391,7 +384,7 @@ def _extract_visual(index, out_dir: Path) -> list[Path]:
         except face.DegenerateFrameError as exc:
             raise PipelineError(f"session {sid}: {exc}") from None
 
-    landmarks = _session_rows(index, ("landmarks",), lambda session: session.landmarks)
+    landmarks = _session_rows(index, ("landmarks",), lambda sid, seq: seq)
     if not landmarks["train"]:
         raise PipelineError("visual extraction found no training landmark files")
 

@@ -22,14 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Session, Speaker
+from .corpus import Speaker
 
 MODES = ("BOOL", "TFIDF")
 
 
-def build_document(session: Session) -> list[str]:
-    """All participant tokens in order, lowercased."""
-    return [tok.lower() for t in session.turns if t.speaker is Speaker.PARTICIPANT for tok in t.text]
+def build_document(turns) -> list[str]:
+    """All participant tokens of a session's turns in order, lowercased."""
+    return [tok.lower() for t in turns if t.speaker is Speaker.PARTICIPANT for tok in t.text]
 
 
 def build_vocabulary(docs) -> dict[str, int]:
@@ -82,7 +82,7 @@ def vectorize(docs, vocab: dict[str, int], mode: str, idf: np.ndarray | None = N
 
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
-    """Text format: one ``token v1 ... vd`` per line; d inferred from line 1. Non-empty, every vector d wide."""
+    """Text format: one ``token v1 ... vd`` per line; d inferred from line 1. Non-empty, every vector d wide and finite."""
     vectors = {}
     dim = None
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -95,7 +95,13 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
                 raise ValueError(f"{path}:{lineno}: no vector components")
         if len(parts) - 1 != dim:
             raise ValueError(f"{path}:{lineno}: expected {dim} components, got {len(parts) - 1}")
-        vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
+        try:
+            vector = np.array([float(v) for v in parts[1:]])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric component in the vector of {parts[0]!r}") from None
+        if not np.isfinite(vector).all():
+            raise ValueError(f"{path}:{lineno}: non-finite component in the vector of {parts[0]!r}")
+        vectors[parts[0]] = vector
     if dim is None:
         raise ValueError(f"{path}: empty embedding table")
     return vectors

@@ -12,7 +12,7 @@ import numpy as np
 from phqreg.audio import GROUP_COLUMNS, session_acoustic_vector
 from phqreg.cli import main
 from phqreg import face
-from phqreg.corpus import AudioSignal, Session, Speaker, TurnRecord
+from phqreg.corpus import AudioSignal, Speaker, TurnRecord
 from phqreg.face import fit_pca, window_sequence
 from phqreg.metrics import evs, mae, rmse
 from phqreg.models.lstm import LstmModel, init_params, lstm_train
@@ -52,13 +52,13 @@ def synthetic_session(rate=16000):
         TurnRecord(1.25, 1.45, Speaker.AGENT, ("and",)),
         TurnRecord(spans[1][0], spans[1][1], Speaker.PARTICIPANT, ("fine",)),
     )
-    return Session(id="acc", turns=turns, audio=AudioSignal(samples, rate))
+    return "acc", AudioSignal(samples, rate), turns
 
 
 def test_01_acoustic_dimension_parity():
     with criterion(1, "acoustic dimensions 864/288/288/1440"):
         s = synthetic_session()
-        m = session_acoustic_vector(s).values
+        m = session_acoustic_vector(*s).values
         assert len(m[GROUP_COLUMNS["S"]]) == 864
         assert len(m[GROUP_COLUMNS["P"]]) == 288
         assert len(m[GROUP_COLUMNS["VQ"]]) == 288

@@ -28,7 +28,7 @@ from phqreg.audio import (
     spectral_llds,
     voice_quality_llds,
 )
-from phqreg.corpus import AudioSignal, Session, Speaker, TurnRecord, load_wav, save_wav
+from phqreg.corpus import AudioSignal, Speaker, TurnRecord, load_wav, save_wav
 
 RATE = 16000
 
@@ -57,15 +57,17 @@ def pulse_train(periods, rate=RATE, amps=None):
 
 
 def session_with(samples, rate=RATE, sid="s1"):
+    """``(sid, audio, turns)``, the arguments of session_acoustic_vector: one participant turn over all of ``samples``."""
     turns = (TurnRecord(0.0, len(samples) / rate, Speaker.PARTICIPANT, ("hi",)),)
-    return Session(id=sid, turns=turns, audio=AudioSignal(samples, rate))
+    return sid, AudioSignal(samples, rate), turns
 
 
 def session_frames(session):
     """Every frame of the session's participant turns, copied into one block."""
-    starts = frame_signal(session.audio, session.turns)
-    windows = np.lib.stride_tricks.sliding_window_view(session.audio.samples, round(FRAME_SECONDS * session.audio.rate))
-    return FrameSet(windows[starts], session.audio.rate)
+    _, signal, turns = session
+    starts = frame_signal(signal, turns)
+    windows = np.lib.stride_tricks.sliding_window_view(signal.samples, round(FRAME_SECONDS * signal.rate))
+    return FrameSet(windows[starts], signal.rate)
 
 
 def frames_of(samples, rate=RATE):
@@ -530,7 +532,7 @@ class TestBlockedPass:
 
         def vectors(block_frames):
             monkeypatch.setattr(audio, "BLOCK_FRAMES", block_frames)
-            return session_acoustic_vector(s).values.tobytes()
+            return session_acoustic_vector(*s).values.tobytes()
 
         whole = vectors(len(frames) + 1)
         assert vectors(1) == whole
@@ -556,7 +558,7 @@ class TestBlockedPass:
             turns = (TurnRecord(0.0, n / rate, Speaker.PARTICIPANT, ("hi",)),)
             tracemalloc.start()
             try:
-                session_acoustic_vector(Session("s1", turns, load_wav(path)))
+                session_acoustic_vector("s1", load_wav(path), turns)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -575,7 +577,8 @@ class TestBlockedPass:
         past the end of the data.
         """
         rate = 16000
-        x = edge_session(rate).audio.samples
+        _, signal, _ = edge_session(rate)
+        x = signal.samples
         x = np.clip(np.round(x * 32768.0), -32768, 32767) / 32768.0  # the values a 16-bit file holds
         path = tmp_path / "s.wav"
         save_wav(AudioSignal(x, rate), path)
@@ -585,8 +588,8 @@ class TestBlockedPass:
         ])
         assert turns[-1].stop * rate > len(x)
         monkeypatch.setattr(audio, "BLOCK_FRAMES", block_frames)
-        in_memory = session_acoustic_vector(Session("s1", turns, AudioSignal(x, rate))).values
-        from_file = session_acoustic_vector(Session("s1", turns, load_wav(path))).values
+        in_memory = session_acoustic_vector("s1", AudioSignal(x, rate), turns).values
+        from_file = session_acoustic_vector("s1", load_wav(path), turns).values
         assert from_file.tobytes() == in_memory.tobytes()
 
 
@@ -854,7 +857,7 @@ def multi_block_session(rate):
 
 def group_vector(session, group):
     """``group``'s GROUP_COLUMNS slice of the session's acoustic pass."""
-    return session_acoustic_vector(session).values[GROUP_COLUMNS[group]]
+    return session_acoustic_vector(*session).values[GROUP_COLUMNS[group]]
 
 
 def group_pass_oracle(session, group):
@@ -898,7 +901,7 @@ def two_turn_session(rate=RATE, sid="s1", freq=180.0, amp=0.5, silent=False):
         + [TurnRecord(lo, hi, Speaker.PARTICIPANT, ("hi",)) for lo, hi in spans]
     )
     turns = tuple(sorted(turns, key=lambda t: t.start))
-    return Session(id=sid, turns=turns, audio=AudioSignal(samples, rate))
+    return sid, AudioSignal(samples, rate), turns
 
 
 class TestSessionVectors:
@@ -924,7 +927,7 @@ class TestSessionVectors:
         s = two_turn_session()
         p = group_vector(s, "P")
         sv = group_vector(s, "S")
-        m = session_acoustic_vector(s).values
+        m = session_acoustic_vector(*s).values
         assert len(m) == 1440
         np.testing.assert_array_equal(m[:288], p)
         np.testing.assert_array_equal(m[288:1152], sv)
@@ -935,10 +938,11 @@ class TestSessionVectors:
     @pytest.mark.parametrize("rate", [8000, 16000])
     def test_one_pass_merge_equals_merge_groups(self, rate):
         s = multi_block_session(rate)
-        assert len(frame_signal(s.audio, s.turns)) > 2 * BLOCK_FRAMES
+        sid, signal, turns = s
+        assert len(frame_signal(signal, turns)) > 2 * BLOCK_FRAMES
         # each group's columns of the one full pass equal that group's own pass
-        vec = session_acoustic_vector(s)
-        assert vec.session_id == s.id
+        vec = session_acoustic_vector(sid, signal, turns)
+        assert vec.session_id == sid
         vectors = {g: vec.values[GROUP_COLUMNS[g]] for g in ("P", "S", "VQ", "M")}
         for g, values in vectors.items():
             assert len(values) == len(GROUP_NAMES[g])
@@ -964,41 +968,41 @@ class TestSessionVectors:
                 base = tracks[group][name]
                 d1 = delta_per_track(base)
                 want += [functionals_per_track(track) for track in (base, d1, delta_per_track(d1))]
-        got = session_acoustic_vector(s).values
+        got = session_acoustic_vector(*s).values
         np.testing.assert_allclose(got, np.concatenate(want), atol=1e-9, rtol=1e-9)
 
     def test_fewer_frames_than_delta_window(self):
         audio = AudioSignal(np.zeros(RATE), RATE)
         # 25 ms window + (MIN_FRAMES - 2) hops: one frame short of the delta window
         stop = 0.025 + 0.010 * (MIN_FRAMES - 2) + 0.001
-        s = Session(id="x", turns=(TurnRecord(0.0, stop, Speaker.PARTICIPANT, ()),), audio=audio)
+        turns = (TurnRecord(0.0, stop, Speaker.PARTICIPANT, ()),)
         assert len(frames_of(np.zeros(RATE))) >= MIN_FRAMES
-        assert len(frame_signal(audio, s.turns)) == MIN_FRAMES - 1
+        assert len(frame_signal(audio, turns)) == MIN_FRAMES - 1
         with pytest.raises(EmptyInputError, match="delta window"):
-            session_acoustic_vector(s)
+            session_acoustic_vector("x", audio, turns)
 
     def test_low_sample_rate_is_an_input_skip(self):
         s = session_with(np.zeros(4000), rate=4000)
         with pytest.raises(EmptyInputError, match="sample rate"):
-            session_acoustic_vector(s)
+            session_acoustic_vector(*s)
 
     def test_empty_frames_error(self):
         audio = AudioSignal(np.zeros(RATE), RATE)
         turns = (TurnRecord(0.0, 0.01, Speaker.PARTICIPANT, ()),)
-        s = Session(id="x", turns=turns, audio=audio)
         with pytest.raises(EmptyInputError):
-            session_acoustic_vector(s)
+            session_acoustic_vector("x", audio, turns)
 
 
 class TestInvariances:
     def test_time_shift_leaves_functionals_unchanged(self):
         s = two_turn_session()
+        sid, signal, turns = s
         shift = 2.0
-        shifted_samples = np.concatenate([np.zeros(int(shift * RATE)), s.audio.samples])
+        shifted_samples = np.concatenate([np.zeros(int(shift * RATE)), signal.samples])
         shifted_turns = tuple(
-            TurnRecord(t.start + shift, t.stop + shift, t.speaker, t.text) for t in s.turns
+            TurnRecord(t.start + shift, t.stop + shift, t.speaker, t.text) for t in turns
         )
-        s2 = Session(id=s.id, turns=shifted_turns, audio=AudioSignal(shifted_samples, RATE))
+        s2 = (sid, AudioSignal(shifted_samples, RATE), shifted_turns)
         for group in ("S", "P", "VQ"):
             np.testing.assert_allclose(group_vector(s, group), group_vector(s2, group), atol=1e-9)
 
@@ -1029,6 +1033,6 @@ class TestInvariances:
             TurnRecord(0.0, 1.0, Speaker.PARTICIPANT, ()),
             TurnRecord(1.1, 1.1 + 1.0 / RATE, Speaker.PARTICIPANT, ()),  # single-sample turn
         )
-        s = Session(id="x", turns=turns, audio=audio)
+        s = ("x", audio, turns)
         for group in ("S", "P", "VQ"):
             assert np.all(np.isfinite(group_vector(s, group)))

@@ -9,7 +9,6 @@ from phqreg.corpus import (
     AudioSignal,
     LandmarkSequence,
     ParseError,
-    Session,
     Speaker,
     TurnRecord,
     load_labels,
@@ -54,6 +53,10 @@ class TestTranscript:
             ("5.0\t4.0\tParticipant\thi", "stop"),
             ("5.0\t7.0\tIntruder\thi", "unknown speaker"),
             ("5.0\t7.0\thi", "fields"),
+            ("0.5\tinf\tParticipant\thello there", "non-finite"),
+            ("-inf\t7.0\tParticipant\thi", "non-finite"),
+            ("nan\t7.0\tParticipant\thi", "non-finite"),
+            ("5.0\tnan\tParticipant\thi", "non-finite"),
         ],
     )
     def test_malformed_rows_name_line(self, tmp_path, row, fragment):
@@ -66,6 +69,15 @@ class TestTranscript:
     def test_bad_header(self, tmp_path):
         with pytest.raises(ParseError):
             load_transcript(write(tmp_path, "t.tsv", "a\tb\tc\td\n"))
+
+    def test_rows_out_of_start_order_name_path_and_line(self, tmp_path):
+        rows = ["2.0\t3.0\tEllie\thello", "2.0\t2.5\tParticipant\thi", "", "1.0\t4.0\tParticipant\tok"]
+        assert len(load_transcript(write(tmp_path, "ok.tsv", "\n".join([HEADER, *rows[:2]]) + "\n"))) == 2
+        p = write(tmp_path, "t.tsv", "\n".join([HEADER, *rows]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_transcript(p)
+        assert (err.value.path, err.value.line) == (str(p), 5)
+        assert str(err.value) == f"{p}:5: start (1.0) before the previous row's (2.0)"
 
     def test_roundtrip_identical(self, tmp_path):
         rows = [
@@ -281,12 +293,6 @@ class TestWav:
 
 
 class TestSessionInvariants:
-    def test_turns_must_be_sorted(self):
-        t1 = TurnRecord(2.0, 3.0, Speaker.AGENT, ())
-        t2 = TurnRecord(0.0, 1.0, Speaker.PARTICIPANT, ())
-        with pytest.raises(ValueError, match="sorted"):
-            Session(id="x", turns=(t1, t2))
-
     def test_stop_after_start(self):
         with pytest.raises(ValueError):
             TurnRecord(1.0, 1.0, Speaker.AGENT, ())

@@ -419,11 +419,24 @@ class TestSynth:
         train_dep = sum(index.labels[s] >= 10 for s in index.ids["train"])
         assert train_dep == round(30 * 0.28)
 
-    def test_invalid_spec_rejected(self):
+    def test_invalid_spec_rejected(self, tmp_path, capsys):
         with pytest.raises(ValueError):
             SynthSpec(modalities=("video",))
         with pytest.raises(ValueError):
             SynthSpec(turn_pairs=1)
+        bad_specs = [
+            {"audio_rate": 0}, {"audio_rate": -8000}, {"landmark_fps": -2}, {"landmark_fps": 0},
+            {"fail_prob": 1.5}, {"fail_prob": -0.1},
+        ]
+        for i, bad in enumerate(bad_specs):
+            with pytest.raises(ValueError):
+                SynthSpec(**bad)
+            # refused before synth writes anything
+            ini = synth_config(tmp_path / f"bad{i}.ini", n_train=2, n_dev=1, **bad)
+            root = tmp_path / f"corpus{i}"
+            assert main(["synth", "--config", ini, "--corpus", str(root), "--seed", "1"]) == 2, bad
+            assert capsys.readouterr().err.startswith("ERROR ")
+            assert not root.exists()
 
 
 class TestExtract:
@@ -479,7 +492,21 @@ class TestExtract:
         with caplog.at_level("WARNING"):
             with pytest.raises(PipelineError):  # no session has audio at all
                 run_extract(cfg)
-        assert any("skipping" in r.message for r in caplog.records)
+        first = scan_corpus(small_corpus).ids["train"][0]
+        assert f"skipping {first}: missing audio" in [r.getMessage() for r in caplog.records]
+
+    def test_key_error_in_a_describer_fails_the_run(self, small_corpus, tmp_path, monkeypatch):
+        """Only a missing file or an EmptyInputError skips a session; a KeyError from feature code stops extract."""
+        from phqreg import turns
+
+        def broken(session_turns):
+            raise KeyError("bug in feature code")
+
+        monkeypatch.setattr(turns, "behavioral_vector", broken)
+        out = tmp_path / "out"
+        with pytest.raises(KeyError, match="bug in feature code"):
+            run_extract(cfg_for(small_corpus, out, modality="behavioral"))
+        assert not out.exists()
 
     def test_acoustic_dims(self, full_corpus, tmp_path):
         cfg = cfg_for(full_corpus, tmp_path / "out_ac", modality="acoustic:M")
@@ -668,6 +695,43 @@ class TestDeterminismAndLeakage:
         assert sorted(trees[0]) == sorted(trees[1])
         assert {"out/cv_report_text_BOOL.txt", "out/report_behavioral.txt", "out/acoustic_pass_dev.csv"} <= set(trees[0])
         assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
+
+    def test_visual_and_acoustic_m_agree_across_blas_thread_counts(self, full_corpus, tmp_path):
+        """The recipe at one and at two BLAS threads: windows and predictions within 1e-9, the golden tolerance.
+
+        Bytes are promised for one BLAS thread setting only; across settings
+        the last bits may differ (see the README's "Determinism").
+        """
+        src = str(Path(phqreg.__file__).resolve().parent.parent)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[lstm]\nmax_epochs = 3\n", encoding="utf-8")
+        recipe = [[verb, "--modality", m] for m in ("visual", "acoustic:M") for verb in ("extract", "train", "eval")]
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            common = ["--config", str(ini), "--corpus", str(full_corpus), "--out", str(out), "--seed", "3"]
+            code = "\n".join([
+                "from phqreg.cli import main",
+                f"for args in {recipe!r}:",
+                f"    assert main(args + {common!r}) == 0, args",
+            ])
+            path = os.environ.get("PYTHONPATH")
+            env = {
+                **os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": src + (os.pathsep + path if path else ""),
+            }
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
+            assert done.returncode == 0, done.stderr[-2000:]
+            outs.append(out)
+        for split in ("train", "dev"):
+            one, two = (np.load(out / f"visual_{split}_windows.npy") for out in outs)
+            assert one.shape == two.shape and len(one) > 0
+            np.testing.assert_allclose(one, two, rtol=0, atol=1e-9)
+            for tag in ("visual", "acoustic_M"):
+                one, two = (read_predictions(out / f"predictions_{tag}_{split}.csv") for out in outs)
+                assert one[0] == two[0]
+                np.testing.assert_array_equal(one[1], two[1])
+                np.testing.assert_allclose(one[2], two[2], rtol=0, atol=1e-9)
 
     def test_identical_seed_reproduces_artifacts(self, small_corpus, tmp_path):
         out = tmp_path / "out"

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from phqreg.corpus import Session, Speaker, TurnRecord
+from phqreg.corpus import Speaker, TurnRecord
 from phqreg.textfeats import (
     build_document,
     build_vocabulary,
@@ -14,31 +15,31 @@ from phqreg.textfeats import (
 )
 
 
-def session(*turn_texts, speakers=None):
+def turns_of(*turn_texts, speakers=None):
     turns = []
     t = 0.0
     for i, text in enumerate(turn_texts):
         spk = Speaker.PARTICIPANT if speakers is None else speakers[i]
         turns.append(TurnRecord(t, t + 1.0, spk, tuple(text.split())))
         t += 1.5
-    return Session(id="s", turns=tuple(turns))
+    return tuple(turns)
 
 
 class TestBuildDocument:
     def test_concatenation_lowercased(self):
-        s = session("I Feel", "<laughter> OK")
+        s = turns_of("I Feel", "<laughter> OK")
         assert build_document(s) == ["i", "feel", "<laughter>", "ok"]
 
     def test_agent_turns_excluded(self):
-        s = session("hello there", "fine", speakers=[Speaker.AGENT, Speaker.PARTICIPANT])
+        s = turns_of("hello there", "fine", speakers=[Speaker.AGENT, Speaker.PARTICIPANT])
         assert build_document(s) == ["fine"]
 
     def test_empty_participant_side(self):
-        s = session("hi", speakers=[Speaker.AGENT])
+        s = turns_of("hi", speakers=[Speaker.AGENT])
         assert build_document(s) == []
 
     def test_annotation_is_ordinary_token(self):
-        docs = [build_document(session("<sigh> ok")), build_document(session("ok ok"))]
+        docs = [build_document(turns_of("<sigh> ok")), build_document(turns_of("ok ok"))]
         vocab = build_vocabulary(docs)
         assert "<sigh>" in vocab
 
@@ -135,4 +136,11 @@ class TestEmbeddings:
         p = tmp_path / "emb.txt"
         p.write_text("hello 0.5 1.0\nworld 1.0\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            load_embeddings(p)
+
+    @pytest.mark.parametrize("component", ["x", "nan", "inf", "-inf"])
+    def test_bad_component_names_file_and_line(self, tmp_path, component):
+        p = tmp_path / "emb.txt"
+        p.write_text(f"hello 0.5 1.0\n\nworld 1.0 {component}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: non-(numeric|finite) component"):
             load_embeddings(p)
