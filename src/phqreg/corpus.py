@@ -21,7 +21,10 @@ AudioSignal (synth, tests) has the same ``rate``, ``n_samples`` and
 
 The three text formats share one row reader (header line, blank lines
 skipped, one field per header cell); each loader parses its own cells. A
-refusal is a ParseError naming the path and the offending line.
+refusal is a ParseError naming the path and the offending line. The
+landmark loader parses its data rows with np.loadtxt first, and reads a file
+through the row reader only when numpy refuses it or a check fails, so each
+refusal still names its line.
 
 All types are immutable after construction; loaders are pure functions of
 file content. whole_file is the one writer of every file phqreg writes, here
@@ -241,12 +244,11 @@ def write_whole(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _rows(path, header: tuple[str, ...], sep: str = ",", fold=str.strip):
-    """Yield (line number, fields) for each non-blank data row of a delimited file.
+def _lines(path, header: tuple[str, ...], sep: str = ",", fold=str.strip) -> list[str]:
+    """The lines of a delimited file, as str.splitlines cuts them, whose first line names ``header``.
 
-    The first line must name ``header`` (each cell compared after ``fold``),
-    and every data row must have one field per header cell; anything else
-    raises ParseError naming the path and line.
+    Each header cell is compared after ``fold``; an empty file or any other
+    header raises ParseError naming line 1.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -256,8 +258,18 @@ def _rows(path, header: tuple[str, ...], sep: str = ",", fold=str.strip):
         got, want = found + (None,), header + (None,)  # None: past the last column
         col = next(i for i in range(len(got)) if got[i] != want[i])
         raise ParseError(path, 1, f"bad header: column {col + 1} is {got[col]!r}, expected {want[col]!r}")
+    return lines
+
+
+def _rows(path, header: tuple[str, ...], sep: str = ",", fold=str.strip):
+    """Yield (line number, fields) for each non-blank data row of a delimited file.
+
+    The first line must name ``header`` (see _lines), and every data row
+    must have one field per header cell; anything else raises ParseError
+    naming the path and line.
+    """
     sep_name = "tab" if sep == "\t" else "comma"
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(_lines(path, header, sep, fold)[1:], start=2):
         if not raw.strip():
             continue
         parts = raw.split(sep)
@@ -306,8 +318,43 @@ def save_transcript(turns, path) -> None:
 
 
 def load_landmarks(path) -> LandmarkSequence:
-    """Parse a landmark CSV (frame, timestamp, confidence, success, 204 coords)."""
+    """Parse a landmark CSV (frame, timestamp, confidence, success, 204 coords).
+
+    numpy parses the data rows as one table. A file that its parser refuses,
+    or whose table fails a check, is read again row by row, which names the
+    first offending line in a ParseError and accepts what float() accepts
+    (``1_0``, non-ASCII digits). numpy accepts a subset of float()'s syntax
+    and rounds the same way, so both readers give the same arrays.
+    """
+    table = _landmark_table(path)
+    if table is None:
+        return _load_landmark_rows(path)
+    n = len(table)
+    # columns are X0..X67, Y0..Y67, Z0..Z67; copies, so that the table is freed
+    points = table[:, 4:].reshape(n, 3, N_LANDMARKS).transpose(0, 2, 1).copy()
+    return LandmarkSequence(table[:, 1].copy(), table[:, 2].copy(), table[:, 3] == 1.0, points)
+
+
+def _landmark_table(path) -> np.ndarray | None:
+    """The (n, 208) data rows of a landmark CSV if numpy parses them and they pass every check, else None."""
     # the header fixes the coordinate layout, so a file with any other header is refused
+    rows = [line for line in _lines(path, LANDMARK_HEADER)[1:] if line.strip()]
+    if not rows:  # np.loadtxt warns on a table without rows
+        return None
+    try:
+        table = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if table.shape[1] != len(LANDMARK_HEADER) or not np.isfinite(table).all():
+        return None
+    flags, ts = table[:, 3], table[:, 1]
+    if not ((flags == 0.0) | (flags == 1.0)).all() or not (np.diff(ts) > 0).all():
+        return None
+    return table
+
+
+def _load_landmark_rows(path) -> LandmarkSequence:
+    """load_landmarks one Python float per cell, checking each row in file order."""
     linenos, ts, conf, succ, pts = [], [], [], [], []
     for lineno, parts in _rows(path, LANDMARK_HEADER):
         try:
@@ -323,7 +370,6 @@ def load_landmarks(path) -> LandmarkSequence:
         ts.append(vals[1])
         conf.append(vals[2])
         succ.append(vals[3] == 1.0)
-        # columns are X0..X67, Y0..Y67, Z0..Z67
         pts.append(vals[4:].reshape(3, N_LANDMARKS).T)
 
     ts = np.array(ts)

@@ -9,10 +9,11 @@ into sliding windows of W samples overlapped by O, discarding any window that
 contains a failed-tracking frame (0-tolerance).
 
 Memory: the distances are computed from the three (n, 68) coordinate planes,
-so no (n, 2278, 3) gather is made. ``fit_pca`` takes the training frames as
-row blocks (one per session) and concatenates them itself, so it owns the only
-n x d matrix; it centres that matrix in place and drops it before the
-eigen-solve.
+so no (n, 2278, 3) gather is made, and window_sequence computes them only for
+the 1 Hz samples it keeps. ``fit_pca`` appends the training frames' row
+blocks to one n x d matrix of its own as they arrive, so a caller that passes
+a generator holds one block at a time; it centres that matrix in place and
+drops it before the eigen-solve.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ class DegenerateFrameError(ValueError):
     pass
 
 
-def geometric_frames(seq: LandmarkSequence) -> np.ndarray:
-    """Geometric vectors for every frame of a sequence, shape (n, 2482).
+def normalized_coords(seq: LandmarkSequence) -> np.ndarray:
+    """The 204 normalized coordinates of every frame (all x, all y, all z), shape (n, 204).
 
-    Per frame: the 204 normalized coordinates (all x, all y, all z), then
-    the 2278 pairwise distances of the normalized points.
+    Each frame is centred on its centroid and scaled so that the mean
+    distance of its points to the origin is 1. A frame whose points all
+    coincide cannot be scaled: DegenerateFrameError names the first one.
     """
     pts = seq.points
     centered = pts - pts.mean(axis=1, keepdims=True)
@@ -48,8 +50,16 @@ def geometric_frames(seq: LandmarkSequence) -> np.ndarray:
             f"frame {bad} (timestamp {seq.timestamps[bad]:g} s) has all landmarks identical; cannot normalize"
         )
     normed = centered / scale[:, None, None]
-    coords = normed.transpose(0, 2, 1).reshape(len(pts), -1)
-    iu, ju = np.triu_indices(pts.shape[1], k=1)
+    return normed.transpose(0, 2, 1).reshape(len(pts), -1)
+
+
+def geometric_frames(coords: np.ndarray) -> np.ndarray:
+    """Geometric vectors of frames given by their normalized_coords, shape (n, 2482).
+
+    Per frame: the 204 normalized coordinates, then the 2278 pairwise
+    distances of the normalized points.
+    """
+    iu, ju = np.triu_indices(N_LANDMARKS, k=1)
     x, y, z = np.split(coords, 3, axis=1)
     dists = x[:, iu]
     dists -= x[:, ju]
@@ -82,17 +92,30 @@ def fit_pca(blocks) -> PcaProjection:
     """PCA by eigen-decomposition, keeping the smallest q with cumulative
     explained variance >= DEFAULT_VARIANCE_KEEP.
 
-    ``blocks`` is an iterable of (rows, d) arrays, for example one session's
-    frames each. The fit concatenates them into a matrix of its own, so the
-    caller's arrays are never modified and a generator lets the caller keep
-    no frames at all. That matrix is centred in place; with at least as many
-    rows as columns it is dropped once the covariance is formed, so nothing
-    of size n x d is alive during the eigen-solve. With fewer rows than
-    columns the Gram trick is used and the centred matrix is kept, because
-    the components are recovered from it. Covariance is 1/(n-1)-normalized.
+    ``blocks`` is an iterable of (rows, d) arrays, for example a few hundred
+    frames of one session each. The fit appends each block to one matrix of
+    its own as it arrives, so the caller's arrays are never modified, and a
+    generator's blocks are dropped once copied: the frames are held once,
+    plus the block being copied. That matrix is centred in place; with at
+    least as many rows as columns it is dropped once the covariance is
+    formed, so nothing of size n x d is alive during the eigen-solve. With
+    fewer rows than columns the Gram trick is used and the centred matrix is
+    kept, because the components are recovered from it. Covariance is
+    1/(n-1)-normalized.
     """
-    X = np.concatenate(list(blocks), dtype=np.float64)
-    if X.ndim != 2 or len(X) < 2:
+    X = None
+    for block in blocks:
+        block = np.asarray(block)
+        if block.ndim != 2 or (X is not None and block.shape[1] != X.shape[1]):
+            raise ValueError("need row blocks of a 2-d matrix with at least 2 rows")
+        if X is None:
+            X = np.empty((0, block.shape[1]))
+        n = len(X)
+        # grown by realloc, which remaps a large matrix rather than copying it
+        X.resize((n + len(block), X.shape[1]), refcheck=False)
+        X[n:] = block
+    block = None
+    if X is None or len(X) < 2:
         raise ValueError("need row blocks of a 2-d matrix with at least 2 rows")
     n, d = X.shape
     mean = X.mean(axis=0)
@@ -158,7 +181,9 @@ def window_sequence(
 
     Windows start every ``overlap`` samples; any window containing a sample
     whose source frame has success=False is discarded. An empty batch is a
-    valid output.
+    valid output. Once some window survives, every frame is normalized, so
+    a degenerate frame anywhere in the sequence is refused, but only the
+    1 Hz samples get distances and a projection.
     """
     if window < 1 or overlap < 1:
         raise ValueError("window and overlap must be positive")
@@ -170,7 +195,7 @@ def window_sequence(
         if not ok[start : start + window].all():
             continue
         if feats is None:
-            feats = pca.transform(geometric_frames(seq))[idx]
+            feats = pca.transform(geometric_frames(normalized_coords(seq)[idx]))
         kept.append(feats[start : start + window])
     if not kept:
         return WindowBatch(np.zeros((0, window, pca.q)))

@@ -92,6 +92,9 @@ PCA_FORMAT_VERSION = 1
 LSTM_VAL_FRACTION = 0.2
 # bytes per read while the inputs digest hashes a transcript or WAV file
 DIGEST_CHUNK_BYTES = 1 << 20
+# training frames per geometry block handed to face.fit_pca: no array is session length x 2482, and the
+# block's temporaries (about 2.5 MB each) leave little freed but resident heap behind for the eigen-solve
+GEOMETRY_BLOCK_FRAMES = 128
 
 
 class PipelineError(ValueError):
@@ -210,28 +213,39 @@ def read_feature_csv(path) -> tuple[tuple[str, ...], dict]:
 # ---------------------------------------------------------------------------
 
 
+def _session_paths(index, split: str, kinds: tuple[str, ...]):
+    """Yield (sid, paths) for each session of ``split`` that has its corpus files of ``kinds``, in id order.
+
+    ``paths`` are those files, in the order of ``kinds``. A session that
+    lacks one of them is logged and left out.
+    """
+    for sid in index.ids[split]:
+        paths = [corpus.corpus_path(index.root, kind, sid) for kind in kinds]
+        missing = [kind for kind, path in zip(kinds, paths) if not path.is_file()]
+        if missing:
+            logger.warning("skipping %s: missing %s", sid, ", ".join(missing))
+            continue
+        yield sid, paths
+
+
 def _session_rows(index, kinds: tuple[str, ...], describe) -> dict:
     """{split: {sid: describe(sid, *files)}} in id order, without the skipped sessions.
 
     ``files`` are the session's corpus files of ``kinds``, in that order,
-    each read by its corpus loader. A session that lacks one of them, or
-    whose ``describe`` raises ``corpus.EmptyInputError``, is logged and left
-    out; a file that does not parse, and any other error, fails the run.
-    What a session loaded lives only in its own ``describe`` call, so it is
-    freed before the next one is loaded; its audio is a reader
-    (corpus.load_wav), so no session's samples are held whole.
+    each read by its corpus loader. A session that lacks one of them
+    (_session_paths), or whose ``describe`` raises
+    ``corpus.EmptyInputError``, is logged and left out; a file that does not
+    parse, and any other error, fails the run. What a session loaded lives
+    only in its own ``describe`` call, so it is freed before the next one is
+    loaded; its audio is a reader (corpus.load_wav), so no session's samples
+    are held whole.
     """
     # looked up per call, not at import, so a wrapper bound on corpus later (perfbench/tracer.py) is the one called
     load = {"transcript": corpus.load_transcript, "audio": corpus.load_wav, "landmarks": corpus.load_landmarks}
     per_split = {}
     for split in SPLITS:
         per_split[split] = rows = {}
-        for sid in index.ids[split]:
-            paths = [corpus.corpus_path(index.root, kind, sid) for kind in kinds]
-            missing = [kind for kind, path in zip(kinds, paths) if not path.is_file()]
-            if missing:
-                logger.warning("skipping %s: missing %s", sid, ", ".join(missing))
-                continue
+        for sid, paths in _session_paths(index, split, kinds):
             try:
                 rows[sid] = describe(sid, *(load[kind](path) for kind, path in zip(kinds, paths)))
             except corpus.EmptyInputError as exc:
@@ -374,6 +388,14 @@ def _windows_paths(out_dir: Path, split: str) -> tuple[Path, Path]:
 
 
 def _extract_visual(index, out_dir: Path) -> list[Path]:
+    """Fit the PCA on the training frames, cut both splits' windows and write them with the PCA record.
+
+    One session's landmarks are held at a time: each training file is read
+    once for the PCA and once more when its windows are cut, and each dev
+    file once. A session without a landmark file is logged once and left
+    out of its split's sidecar. Nothing is written until every session's
+    windows are cut.
+    """
     from . import face
 
     @contextmanager
@@ -384,17 +406,34 @@ def _extract_visual(index, out_dir: Path) -> list[Path]:
         except face.DegenerateFrameError as exc:
             raise PipelineError(f"session {sid}: {exc}") from None
 
-    landmarks = _session_rows(index, ("landmarks",), lambda sid, seq: seq)
-    if not landmarks["train"]:
+    # corpus.load_landmarks is looked up per call, as in _session_rows, for perfbench/tracer.py
+    paths = {split: {sid: path for sid, (path,) in _session_paths(index, split, ("landmarks",))} for split in SPLITS}
+    if not paths["train"]:
         raise PipelineError("visual extraction found no training landmark files")
 
-    def train_geometry():  # keeps no frames: fit_pca concatenates and owns them
-        for sid, lm in landmarks["train"].items():
+    def train_geometry():  # keeps no frames: fit_pca copies and owns them
+        for sid, path in paths["train"].items():
             with naming_session(sid):
-                yield face.geometric_frames(lm)
+                coords = face.normalized_coords(corpus.load_landmarks(path))
+            for lo in range(0, len(coords), GEOMETRY_BLOCK_FRAMES):
+                yield face.geometric_frames(coords[lo : lo + GEOMETRY_BLOCK_FRAMES])
+            del coords
 
     pca = face.fit_pca(train_geometry())
     logger.info("visual PCA: %d -> %d dims (%.4f%% variance)", len(pca.mean), pca.q, 100 * pca.explained_ratio)
+
+    windows, sids = {}, {}
+    for split in SPLITS:
+        batches, sids[split] = [], []
+        for sid, path in paths[split].items():
+            with naming_session(sid):
+                batch = face.window_sequence(
+                    corpus.load_landmarks(path), pca, face.DEFAULT_WINDOW, face.DEFAULT_OVERLAP
+                )
+            if len(batch.windows):
+                batches.append(batch.windows)
+                sids[split].extend([sid] * len(batch.windows))
+        windows[split] = np.concatenate(batches) if batches else np.zeros((0, face.DEFAULT_WINDOW, pca.q))
 
     pca_path = artifact_path(out_dir, "pca", "visual")
     record = {
@@ -405,21 +444,12 @@ def _extract_visual(index, out_dir: Path) -> list[Path]:
         "variance_keep": face.DEFAULT_VARIANCE_KEEP,
     }
     corpus.write_whole(pca_path, json.dumps(record, sort_keys=True))
-
     written = [pca_path]
     for split in SPLITS:
-        batches, sids = [], []
-        for sid, lm in landmarks[split].items():
-            with naming_session(sid):
-                batch = face.window_sequence(lm, pca, face.DEFAULT_WINDOW, face.DEFAULT_OVERLAP)
-            if len(batch.windows):
-                batches.append(batch.windows)
-                sids.extend([sid] * len(batch.windows))
-        windows = np.concatenate(batches) if batches else np.zeros((0, face.DEFAULT_WINDOW, pca.q))
         npy_path, json_path = _windows_paths(out_dir, split)
         with corpus.whole_file(npy_path, binary=True) as f:
-            np.save(f, windows)
-        meta = {"W": face.DEFAULT_WINDOW, "q": pca.q, "session_ids": sids, "sessions": list(landmarks[split])}
+            np.save(f, windows[split])
+        meta = {"W": face.DEFAULT_WINDOW, "q": pca.q, "session_ids": sids[split], "sessions": list(paths[split])}
         corpus.write_whole(json_path, json.dumps(meta, sort_keys=True))
         written += [npy_path, json_path]
     return written

@@ -82,9 +82,14 @@ def vectorize(docs, vocab: dict[str, int], mode: str, idf: np.ndarray | None = N
 
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
-    """Text format: one ``token v1 ... vd`` per line; d inferred from line 1. Non-empty, every vector d wide and finite."""
-    vectors = {}
-    dim = None
+    """Text format: one ``token v1 ... vd`` per line; d inferred from line 1.
+
+    Non-empty, every vector d wide and finite, and every token listed once.
+    A first line of two integers followed by a wider vector is refused as a
+    word2vec ``<count> <dim>`` header line.
+    """
+    vectors, first_seen = {}, {}  # token -> line it is listed on
+    dim = header = None  # header: the line number of a first line that may be a word2vec header
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not raw.strip():
             continue
@@ -93,7 +98,13 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
             dim = len(parts) - 1
             if dim < 1:
                 raise ValueError(f"{path}:{lineno}: no vector components")
+            if len(parts) == 2 and all(p.isdecimal() for p in parts):
+                header = lineno
         if len(parts) - 1 != dim:
+            if header is not None and len(vectors) == 1 and len(parts) > 2:
+                raise ValueError(
+                    f"{path}:{header}: the line looks like a word2vec '<count> <dim>' header, not a vector; remove it"
+                )
             raise ValueError(f"{path}:{lineno}: expected {dim} components, got {len(parts) - 1}")
         try:
             vector = np.array([float(v) for v in parts[1:]])
@@ -101,6 +112,9 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
             raise ValueError(f"{path}:{lineno}: non-numeric component in the vector of {parts[0]!r}") from None
         if not np.isfinite(vector).all():
             raise ValueError(f"{path}:{lineno}: non-finite component in the vector of {parts[0]!r}")
+        if parts[0] in first_seen:
+            raise ValueError(f"{path}:{lineno}: token {parts[0]!r} listed twice (first on line {first_seen[parts[0]]})")
+        first_seen[parts[0]] = lineno
         vectors[parts[0]] = vector
     if dim is None:
         raise ValueError(f"{path}: empty embedding table")

@@ -1,8 +1,13 @@
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from phqreg import corpus
 from phqreg.corpus import (
     LABELS_HEADER,
     LANDMARK_HEADER,
@@ -184,6 +189,117 @@ class TestLandmarks:
         rows = self.make_rows(2).splitlines()
         rows[0] = rows[0].replace(",", ", ")
         assert len(load_landmarks(write(tmp_path, "l.csv", "\n".join(rows) + "\n"))) == 2
+
+
+def load_landmarks_oracle(path) -> LandmarkSequence:
+    """load_landmarks before numpy parsed the rows: one Python float per cell, each row checked in file order."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ParseError(path, 1, "empty file, expected a header line")
+    found = tuple(h.strip() for h in lines[0].split(","))
+    if found != LANDMARK_HEADER:
+        got, want = found + (None,), LANDMARK_HEADER + (None,)
+        col = next(i for i in range(len(got)) if got[i] != want[i])
+        raise ParseError(path, 1, f"bad header: column {col + 1} is {got[col]!r}, expected {want[col]!r}")
+    linenos, ts, conf, succ, pts = [], [], [], [], []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split(",")
+        if len(parts) != len(LANDMARK_HEADER):
+            raise ParseError(path, lineno, f"expected {len(LANDMARK_HEADER)} comma-separated fields, got {len(parts)}")
+        try:
+            vals = np.array([float(p) for p in parts], dtype=np.float64)
+        except ValueError:
+            raise ParseError(path, lineno, "non-numeric value") from None
+        if vals[3] not in (0.0, 1.0):
+            raise ParseError(path, lineno, f"success flag must be 0 or 1, got {parts[3]!r}")
+        if not np.isfinite(vals).all():
+            col = int(np.argmin(np.isfinite(vals)))
+            raise ParseError(path, lineno, f"non-finite {LANDMARK_HEADER[col]} {parts[col]!r}")
+        linenos.append(lineno)
+        ts.append(vals[1])
+        conf.append(vals[2])
+        succ.append(vals[3] == 1.0)
+        pts.append(vals[4:].reshape(3, 68).T)
+    ts = np.array(ts)
+    if len(ts) > 1 and not np.all(np.diff(ts) > 0):
+        bad = int(np.argmax(np.diff(ts) <= 0))
+        raise ParseError(path, linenos[bad + 1], "timestamps must be strictly increasing")
+    return LandmarkSequence(ts, np.array(conf), np.array(succ), np.array(pts).reshape(-1, 68, 3))
+
+
+def landmark_outcome(load, path):
+    """What ``load`` makes of ``path``: each array's dtype, shape and bytes, or the ParseError's path, line and text."""
+    try:
+        seq = load(path)
+    except ParseError as exc:
+        return ("refused", exc.path, exc.line, str(exc))
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in (seq.timestamps, seq.confidence, seq.success, seq.points))
+
+
+# cells that float() and np.loadtxt may read alike or differently, or that a check refuses
+ODD_CELLS = ["#", "1_0", "\uff11", "\u0661", "nan", "inf", "-INF", "x", "", " 2.5 ", "+3", ".5", "5.", "1E5", "-0",
+             "1e400", "\u30001", "0x10"]
+ODD_FLAGS = ["0", "1", "1.0", "-0", "0.7", "2", "nan", " 1"]
+
+
+@st.composite
+def landmark_files(draw):
+    """The text of a landmark CSV: seeded rows, a few odd cells, flags or timestamps, and blank lines and line ends."""
+    n = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ts = np.cumsum(rng.uniform(0.01, 1.0, n))
+    rows = [[str(i), repr(float(ts[i])), repr(float(rng.uniform(0.0, 1.0))), str(int(rng.integers(0, 2)))]
+            + [repr(float(v)) for v in rng.normal(0.0, 50.0, 204)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        row = rows[draw(st.integers(0, n - 1))]
+        change = draw(st.sampled_from(["cell", "flag", "timestamp", "short"]))
+        if change == "cell":
+            row[draw(st.integers(1, 207))] = draw(st.sampled_from(ODD_CELLS))
+        elif change == "flag":
+            row[3] = draw(st.sampled_from(ODD_FLAGS))
+        elif change == "timestamp":  # equal to or before every earlier frame's
+            row[1] = draw(st.sampled_from([row[1], "0", "-1.5"]))
+        else:
+            del row[draw(st.integers(0, len(row) - 1))]
+    lines = [",".join(LANDMARK_HEADER)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  ", "\t", " \t "])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(landmark_files())
+def test_landmark_loader_matches_the_row_by_row_oracle(tmp_path, text):
+    path = tmp_path / "l.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert landmark_outcome(load_landmarks, path) == landmark_outcome(load_landmarks_oracle, path)
+
+
+@pytest.mark.parametrize("data", ["", "\n", "\n\n  \n", "\r\n\t\r\n"])
+def test_header_only_landmark_file_loads_empty_without_a_warning(tmp_path, capfd, data):
+    path = write(tmp_path, "l.csv", ",".join(LANDMARK_HEADER) + data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = load_landmarks(path)
+    assert len(seq) == 0 and seq.points.shape == (0, 68, 3)
+    assert landmark_outcome(load_landmarks, path) == landmark_outcome(load_landmarks_oracle, path)
+    assert capfd.readouterr().err == ""
+
+
+def test_clean_landmark_file_is_parsed_by_numpy_alone(tmp_path, monkeypatch):
+    """CRLF line ends and blank lines keep a file on numpy's parser; only a refusal reads it row by row."""
+    text = TestLandmarks().make_rows(3).replace("\n", "\r\n").replace("\r\n", "\r\n  \r\n\r\n", 1)
+    path = write(tmp_path, "l.csv", text)
+    want = landmark_outcome(load_landmarks_oracle, path)
+
+    def refuse(path):
+        raise AssertionError("read row by row")
+
+    monkeypatch.setattr(corpus, "_load_landmark_rows", refuse)
+    assert landmark_outcome(load_landmarks, path) == want
 
 
 # each loader's header, one good row, the row with one field too few, and a non-numeric row

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from phqreg.face import (
     downsample_indices,
     fit_pca,
     geometric_frames,
+    normalized_coords,
     window_sequence,
 )
 
@@ -127,7 +129,7 @@ class TestGeometricVector:
         rng = np.random.default_rng(7)
         pts = np.stack([random_cloud(rng) for _ in range(3)])
         seq = LandmarkSequence(np.arange(3.0), np.ones(3), np.ones(3, bool), pts)
-        batch = geometric_frames(seq)
+        batch = geometric_frames(normalized_coords(seq))
         for i in range(3):
             np.testing.assert_allclose(batch[i], geometric_vector(normalize_landmarks(pts[i])), atol=1e-12)
 
@@ -141,7 +143,7 @@ class TestGeometricVector:
         rng = np.random.default_rng(seed)
         pts = rng.normal(0.0, scale, (n, N_LANDMARKS, 3)) + rng.normal(0.0, 10.0 * scale, 3)
         seq = LandmarkSequence(np.arange(float(n)), np.ones(n), np.ones(n, bool), pts)
-        got = geometric_frames(seq)
+        got = geometric_frames(normalized_coords(seq))
         assert got.shape == (n, GEOMETRIC_DIM)
         assert got.tobytes() == gathered_geometric_frames(seq).tobytes()
 
@@ -214,17 +216,20 @@ class TestPca:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([(60, 8), (12, 30)]), st.integers(0, 2**32 - 1), st.data())
     def test_any_row_split_gives_the_same_bytes(self, shape, seed, data):
+        """A list of blocks, or a generator of them, fits the bytes of the one concatenated matrix."""
         rng = np.random.default_rng(seed)
         X = rng.normal(size=shape) * np.linspace(4.0, 0.1, shape[1])
         cuts = sorted(data.draw(st.lists(st.integers(0, shape[0]), max_size=6)))
         blocks = np.split(X, cuts)
         copies = [b.copy() for b in blocks]
         whole, split = fit_pca_keeping([X], 0.99), fit_pca_keeping(blocks, 0.99)
+        streamed = fit_pca_keeping((b.copy() for b in blocks), 0.99)
         for b, c in zip(blocks, copies):
             assert b.tobytes() == c.tobytes()
-        assert split.mean.tobytes() == whole.mean.tobytes()
-        assert split.components.tobytes() == whole.components.tobytes()
-        assert split.explained_ratio == whole.explained_ratio
+        for fit in (split, streamed):
+            assert fit.mean.tobytes() == whole.mean.tobytes()
+            assert fit.components.tobytes() == whole.components.tobytes()
+            assert fit.explained_ratio == whole.explained_ratio
 
     def test_bare_matrix_rejected(self):
         # a 2-d array iterates as 1-d rows, which concatenate to a vector
@@ -292,7 +297,7 @@ def windows_oracle(seq, pca, W, O):
     """The expected window starts and the (n, W, q) windows cut at them from the projected 1 Hz samples."""
     idx = downsample_oracle(seq.timestamps)
     starts = window_oracle(len(idx), seq.success[idx], W, O)
-    feats = pca.transform(geometric_frames(seq))[idx]
+    feats = pca.transform(geometric_frames(normalized_coords(seq)))[idx]
     return starts, np.array([feats[s : s + W] for s in starts]).reshape(len(starts), W, pca.q)
 
 
@@ -300,7 +305,7 @@ class TestWindows:
     def fitted_pca(self):
         rng = np.random.default_rng(13)
         seq = make_sequence(30, rng=rng)
-        return fit_pca_keeping([geometric_frames(seq)], 0.9)
+        return fit_pca_keeping([geometric_frames(normalized_coords(seq))], 0.9)
 
     def test_120_clean_samples_three_windows(self):
         seq = make_sequence(120)
@@ -373,3 +378,53 @@ class TestWindows:
         for s in starts:
             assert seq.success[idx[s : s + 60]].all()
 
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 30),
+        st.integers(12, 40),
+        st.lists(st.tuples(st.integers(0, 40), st.integers(1, 4)), max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_projecting_every_frame(self, fps, seconds, gaps, seed):
+        """Any rate of 1-30 fps, with gaps of whole seconds that make one frame the sample of several seconds.
+
+        Projecting only the 1 Hz samples moves last bits where few rows or
+        few components are projected, so the windows agree to 1e-9, not to
+        the byte.
+        """
+        rng = np.random.default_rng(seed)
+        seq = make_sequence(seconds, fps=float(fps), fail_at=rng.choice(seconds * fps, 2, replace=False), rng=rng)
+        keep = np.ones(len(seq), bool)
+        for start, length in gaps:
+            keep[start * fps : (start + length) * fps] = False
+        seq = LandmarkSequence(seq.timestamps[keep], seq.confidence[keep], seq.success[keep], seq.points[keep])
+        pca = self.fitted_pca()
+        got = window_sequence(seq, pca, 5, 3).windows
+        _, want = windows_oracle(seq, pca, 5, 3)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    def test_gap_repeats_frames_in_the_samples(self):
+        seq = make_sequence(20)
+        keep = np.r_[0:8, 12:20]  # seconds 8-11 missing: frames 7 and 12 stand in for them
+        seq = LandmarkSequence(seq.timestamps[keep], seq.confidence[keep], seq.success[keep], seq.points[keep])
+        assert downsample_indices(seq.timestamps).tolist()[6:14] == [6, 7, 7, 7, 8, 8, 8, 9]
+        pca = self.fitted_pca()
+        got = window_sequence(seq, pca, 5, 3).windows
+        _, want = windows_oracle(seq, pca, 5, 3)
+        assert got.shape == want.shape == (6, 5, pca.q)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    def test_degenerate_frame_between_samples_is_refused(self):
+        """Frames 3 and 25 at 10 fps are none of the 1 Hz samples; the first is named, as when every frame was projected."""
+        seq = make_sequence(20, fps=10.0)
+        points = seq.points.copy()
+        points[[3, 25]] = 1.5
+        seq = LandmarkSequence(seq.timestamps, seq.confidence, seq.success, points)
+        assert 3 not in downsample_indices(seq.timestamps)
+        msg = "frame 3 (timestamp 0.3 s) has all landmarks identical; cannot normalize"
+        with pytest.raises(DegenerateFrameError, match=f"^{re.escape(msg)}$"):
+            window_sequence(seq, self.fitted_pca(), 5, 3)
+        with pytest.raises(DegenerateFrameError, match=f"^{re.escape(msg)}$"):
+            windows_oracle(seq, self.fitted_pca(), 5, 3)

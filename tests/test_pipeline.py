@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 
 import phqreg
 import phqreg.models
+import phqreg.pipeline as pipeline
 from phqreg.cli import main
 from phqreg.config import _LAYOUT, ConfigError, PipelineConfig, config_text, load_config
 from phqreg.metrics import mae, rmse
@@ -560,6 +562,62 @@ class TestExtract:
         # the keys load_windows reads, and no others
         for split in ("train", "dev"):
             assert set(json.loads((out / f"visual_{split}_windows.json").read_text())) == {"W", "q", "session_ids", "sessions"}
+
+
+
+class TestVisualExtractionHoldsOneSession:
+    def landmark_corpus(self, root, n_dev, **spec):
+        gen_synthetic(SynthSpec(n_dev=n_dev, modalities=("landmarks",), **spec), root, 1)
+        return root
+
+    def test_peak_memory_does_not_grow_with_the_dev_split(self, tmp_path):
+        """Two corpora with the same train sessions (SeedSequence.spawn) and 1 or 6 dev sessions.
+
+        Dev sessions never enter the PCA, where the peak is; each one's
+        landmarks are read when its windows are cut and dropped after, so
+        the traced peak may grow by one dev session's windows at most.
+        """
+        peaks = {}
+        for n_dev in (1, 6):
+            root = self.landmark_corpus(tmp_path / f"corpus{n_dev}", n_dev, n_train=2, landmark_fps=5.0, turn_pairs=14)
+            cfg = cfg_for(root, tmp_path / f"out{n_dev}", modality="visual")
+            tracemalloc.start()
+            try:
+                run_extract(cfg)
+                peaks[n_dev] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "out1" / "visual_pca.json").read_bytes() == (tmp_path / "out6" / "visual_pca.json").read_bytes()
+        meta = json.loads((tmp_path / "out6" / "visual_dev_windows.json").read_text())
+        windows = max([meta["session_ids"].count(sid) for sid in meta["sessions"]] + [1])
+        assert peaks[6] - peaks[1] <= windows * meta["W"] * meta["q"] * 8
+
+    def test_pca_does_not_depend_on_the_geometry_block_size(self, tmp_path, monkeypatch):
+        root = self.landmark_corpus(tmp_path / "corpus", 1, n_train=2, landmark_fps=5.0, turn_pairs=6)
+        run_extract(cfg_for(root, tmp_path / "whole", modality="visual"))
+        monkeypatch.setattr(pipeline, "GEOMETRY_BLOCK_FRAMES", 7)
+        run_extract(cfg_for(root, tmp_path / "blocks", modality="visual"))
+        for name in ("visual_pca.json", "visual_train_windows.npy", "visual_dev_windows.npy"):
+            assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "blocks" / name).read_bytes()
+
+    def test_missing_landmark_files_are_logged_once_and_left_out(self, tmp_path, caplog):
+        root = self.landmark_corpus(tmp_path / "corpus", 2, n_train=3, landmark_fps=2.0, turn_pairs=6)
+        for sid in ("1002", "2001"):
+            (root / "sessions" / sid / f"{sid}_landmarks.csv").unlink()
+        with caplog.at_level("WARNING", logger="phqreg"):
+            run_extract(cfg_for(root, tmp_path / "out", modality="visual"))
+        skips = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipping")]
+        assert skips == ["skipping 1002: missing landmarks", "skipping 2001: missing landmarks"]
+        for split, sessions in (("train", ["1001", "1003"]), ("dev", ["2002"])):
+            assert json.loads((tmp_path / "out" / f"visual_{split}_windows.json").read_text())["sessions"] == sessions
+
+    def test_no_training_landmark_file_fails_before_writing(self, tmp_path):
+        root = self.landmark_corpus(tmp_path / "corpus", 1, n_train=2, landmark_fps=2.0, turn_pairs=6)
+        for sid in ("1001", "1002"):
+            (root / "sessions" / sid / f"{sid}_landmarks.csv").unlink()
+        with pytest.raises(PipelineError, match="^visual extraction found no training landmark files$"):
+            run_extract(cfg_for(root, tmp_path / "out", modality="visual"))
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")

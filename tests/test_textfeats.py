@@ -144,3 +144,25 @@ class TestEmbeddings:
         p.write_text(f"hello 0.5 1.0\n\nworld 1.0 {component}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: non-(numeric|finite) component"):
             load_embeddings(p)
+
+    def test_token_listed_twice_names_both_lines(self, tmp_path):
+        p = tmp_path / "emb.txt"
+        p.write_text("hello 1 2 3\nworld 0 0 1\n\nhello 4 5 6\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:4: token 'hello' listed twice \\(first on line 1\\)$"):
+            load_embeddings(p)
+
+    @pytest.mark.parametrize("text", ["2 3\nhello 1 2 3\nworld 1 2 3\n", "\n2 3\n\nhello 1 2 3\n"])
+    def test_word2vec_header_line_is_named(self, tmp_path, text):
+        p = tmp_path / "emb.txt"
+        p.write_text(text, encoding="utf-8")
+        line = text.splitlines().index("2 3") + 1
+        want = f"^{re.escape(str(p))}:{line}: the line looks like a word2vec '<count> <dim>' header"
+        with pytest.raises(ValueError, match=want):
+            load_embeddings(p)
+
+    def test_one_component_table_of_integers_loads(self, tmp_path):
+        p = tmp_path / "emb.txt"
+        p.write_text("2 3\nhello 4\n", encoding="utf-8")
+        table = load_embeddings(p)
+        assert sorted(table) == ["2", "hello"]
+        assert table["2"].tolist() == [3.0] and table["hello"].tolist() == [4.0]
