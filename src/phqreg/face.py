@@ -14,6 +14,16 @@ the 1 Hz samples it keeps. ``fit_pca`` appends the training frames' row
 blocks to one n x d matrix of its own as they arrive, so a caller that passes
 a generator holds one block at a time; it centres that matrix in place and
 drops it before the eigen-solve.
+
+Eigen-solve: a block Krylov method (_leading_eigenpairs) computes only the
+leading eigenpairs that reach DEFAULT_VARIANCE_KEEP of the covariance's
+trace, from a start block with a fixed seed, so the fit does not depend on
+the run seed. Beyond the matrix it solves, it holds a basis of at most half
+the matrix's order and that basis's projection of the matrix; a spectrum too
+flat to converge within that basis falls back to ``np.linalg.eigh`` of the
+whole matrix. Each component's
+largest-magnitude loading is positive, so its sign does not depend on the
+solver.
 """
 
 from __future__ import annotations
@@ -89,8 +99,7 @@ class PcaProjection:
 
 
 def fit_pca(blocks) -> PcaProjection:
-    """PCA by eigen-decomposition, keeping the smallest q with cumulative
-    explained variance >= DEFAULT_VARIANCE_KEEP.
+    """PCA keeping the smallest q with cumulative explained variance >= DEFAULT_VARIANCE_KEEP.
 
     ``blocks`` is an iterable of (rows, d) arrays, for example a few hundred
     frames of one session each. The fit appends each block to one matrix of
@@ -101,7 +110,9 @@ def fit_pca(blocks) -> PcaProjection:
     formed, so nothing of size n x d is alive during the eigen-solve. With
     fewer rows than columns the Gram trick is used and the centred matrix is
     kept, because the components are recovered from it. Covariance is
-    1/(n-1)-normalized.
+    1/(n-1)-normalized. Both branches solve their symmetric matrix with
+    _leading_eigenpairs, and each component's sign is fixed: its
+    largest-magnitude loading is positive.
     """
     X = None
     for block in blocks:
@@ -122,33 +133,96 @@ def fit_pca(blocks) -> PcaProjection:
     X -= mean
 
     if n < d:
-        gram = (X @ X.T) / (n - 1)
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1]
-        evals, evecs = evals[order], evecs[:, order]
-        keep = evals > max(evals.max(), 0.0) * 1e-12
-        comps = (X.T @ evecs[:, keep]).T
-        norms = np.linalg.norm(comps, axis=1)
-        comps = comps / norms[:, None]
-        evals = evals[keep]
+        gram = X @ X.T
+        gram /= n - 1
+        vectors, ratio = _leading_eigenpairs(gram)
+        del gram
+        comps = vectors @ X
+        comps /= np.linalg.norm(comps, axis=1)[:, None]
     else:
         cov = X.T @ X
         del X
         cov /= n - 1
-        evals, evecs = np.linalg.eigh(cov)
+        comps, ratio = _leading_eigenpairs(cov)
         del cov
-        order = np.argsort(evals)[::-1]
-        evals = evals[order]
+    comps *= np.sign(comps[np.arange(len(comps)), np.argmax(np.abs(comps), axis=1)])[:, None]
+    return PcaProjection(mean, comps, ratio)
 
-    evals = np.clip(evals, 0.0, None)
-    total = evals.sum()
-    if total == 0.0:
-        raise ValueError("zero-variance matrix; PCA undefined")
-    ratios = np.cumsum(evals) / total
+
+# Block Krylov solve of _leading_eigenpairs: directions added per step, and the residual, relative to the
+# largest Ritz value, that every kept Ritz pair must reach
+KRYLOV_BLOCK = 32
+KRYLOV_TOL = 1e-12
+# fixed, so the start block and the fit never depend on the run seed
+KRYLOV_SEED = 20170918
+
+
+def _kept_pairs(evals: np.ndarray, total: float) -> tuple[int, np.ndarray]:
+    """How many of the descending ``evals`` reach DEFAULT_VARIANCE_KEEP of ``total``, and the cumulative ratios.
+
+    Negative eigenvalues (rounding of a semi-definite matrix) count as 0,
+    and a pair at most 1e-12 of the largest eigenvalue is never kept.
+    """
+    ratios = np.cumsum(np.clip(evals, 0.0, None)) / total
     q = int(np.searchsorted(ratios, DEFAULT_VARIANCE_KEEP - 1e-12) + 1)
-    q = min(q, len(evals))
-    comps = comps[:q] if n < d else evecs[:, order[:q]].T
-    return PcaProjection(mean, comps, float(ratios[q - 1]))
+    return min(q, int(np.count_nonzero(evals > evals[0] * 1e-12))), ratios
+
+
+def _leading_eigenpairs(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The leading eigenvectors of a symmetric positive semi-definite matrix that reach
+    DEFAULT_VARIANCE_KEEP of its trace, as rows in descending eigenvalue order, and
+    the share of the trace they explain.
+
+    Block Krylov (block Lanczos) with full reorthogonalization: from a start
+    block drawn with KRYLOV_SEED, each step adds A times the newest block of
+    KRYLOV_BLOCK directions, orthogonalized against the whole basis. Once
+    the basis holds the share of the trace, each step also makes a
+    Rayleigh-Ritz solve of the basis, and the solve stops when the Ritz
+    values reach the share and every kept Ritz pair has a residual of at
+    most KRYLOV_TOL times the largest Ritz value. A new direction that is
+    rounding noise (as of a rank-deficient matrix) is dropped, and the kept
+    ones are orthogonalized against the basis again, so the basis stays
+    orthonormal. When the basis would grow past half of the matrix's order,
+    or no new direction is left, the whole matrix is solved with
+    ``np.linalg.eigh`` instead: a flat spectrum converges no faster than
+    that, and a small matrix costs little.
+    """
+    d = len(a)
+    total = float(np.trace(a))
+    if total <= 0.0:
+        raise ValueError("zero-variance matrix; PCA undefined")
+    limit = d // 2
+    basis = np.empty((limit, d))  # orthonormal rows
+    ritz = np.empty((limit, limit))  # basis @ a @ basis.T
+    block = np.linalg.qr(np.random.default_rng(KRYLOV_SEED).standard_normal((d, KRYLOV_BLOCK)))[0].T
+    m = 0
+    while 0 < len(block) <= limit - m:
+        b = len(block)
+        basis[m : m + b] = block
+        m += b
+        V = basis[:m]
+        resid = block @ a
+        scale = np.linalg.norm(resid)
+        proj = V @ resid.T
+        ritz[:m, m - b : m] = proj
+        ritz[m - b : m, :m] = proj.T
+        resid -= proj.T @ V  # the part of A times the block outside the basis
+        p, sig, r = np.linalg.svd(resid, full_matrices=False)
+        # the Ritz values sum to the trace of ritz: below the share, no solve of this basis can stop
+        if np.trace(ritz[:m, :m]) >= (DEFAULT_VARIANCE_KEEP - 1e-12) * total:
+            theta, s = np.linalg.eigh(ritz[:m, :m])
+            theta, s = theta[::-1], s[:, ::-1]
+            q, ratios = _kept_pairs(theta, total)
+            # A @ (V.T @ s) - theta * (V.T @ s) is resid.T @ s[m - b:], whose norm is this
+            norms = np.linalg.norm(sig[:, None] * (p.T @ s[m - b :, :q]), axis=0)
+            if ratios[q - 1] >= DEFAULT_VARIANCE_KEEP - 1e-12 and np.all(norms <= KRYLOV_TOL * theta[0]):
+                return s[:, :q].T @ V, float(ratios[q - 1])
+        block = r[sig > 0.01 * KRYLOV_TOL * scale]  # the rest is rounding noise of the projection
+        if len(block):
+            block = np.linalg.qr((block - (block @ V.T) @ V).T)[0].T
+    evals, evecs = np.linalg.eigh(a)
+    q, ratios = _kept_pairs(evals[::-1], total)
+    return evecs[:, ::-1][:, :q].T.copy(), float(ratios[q - 1])  # a copy, so the d x d evecs are freed
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ the model body and the pipeline's extra metadata. The body holds only what
 gamma and min-max ranges, and the training record (SMO iterations and KKT
 gap, the LSTM's best epoch and loss curve). The fixed hyperparameters are the
 learners' module constants and are not stored. A file of another format
-version, or one that is not an envelope or whose body lacks or mistypes a
-field, fails loudly with ModelFormatError.
+version, or one that is not an envelope, whose body lacks or mistypes a
+field, or that holds a non-finite number (``json`` reads ``1e999`` as
+infinity), fails loudly with ModelFormatError.
 
 Each learner lives in the submodule named after its kind (``svr``,
 ``reptree``, ``lstm``). The package imports none of them: ``load_model``
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,28 @@ def save_model(model, path, extra: dict | None = None) -> None:
     write_whole(path, json.dumps(payload, sort_keys=True))
 
 
+def _non_finite(value) -> list | None:
+    """The keys down to the first non-finite number in a parsed JSON value, or None if it holds none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else []
+    if isinstance(value, list):
+        try:
+            if all(map(math.isfinite, value)):  # a row of numbers, checked in one call
+                return None
+        except (TypeError, OverflowError):  # nested lists, text, or an int too large for a float
+            pass
+        items = enumerate(value)
+    elif isinstance(value, dict):
+        items = value.items()
+    else:
+        return None
+    for key, item in items:
+        keys = _non_finite(item)
+        if keys is not None:
+            return [key, *keys]
+    return None
+
+
 def load_model(path) -> tuple[object, dict]:
     """Read a model envelope; returns (model, extra metadata)."""
     try:
@@ -73,6 +97,11 @@ def load_model(path) -> tuple[object, dict]:
     body, extra = payload.get("model"), payload.get("extra", {})
     if not isinstance(body, dict) or not isinstance(extra, dict):
         raise ModelFormatError(f"{path}: 'model' and 'extra' must be JSON objects")
+    for part, value in (("model", body), ("extra", extra)):
+        keys = _non_finite(value)
+        if keys is not None:
+            where = part + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)
+            raise ModelFormatError(f"{path}: damaged {kind} model (non-finite number at {where})")
     cls = getattr(importlib.import_module(f"{__name__}.{kind}"), _MODEL_CLASSES[kind])
     try:
         return cls.from_dict(body), extra

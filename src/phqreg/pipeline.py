@@ -92,8 +92,14 @@ PCA_FORMAT_VERSION = 1
 LSTM_VAL_FRACTION = 0.2
 # bytes per read while the inputs digest hashes a transcript or WAV file
 DIGEST_CHUNK_BYTES = 1 << 20
-# training frames per geometry block handed to face.fit_pca: no array is session length x 2482, and the
-# block's temporaries (about 2.5 MB each) leave little freed but resident heap behind for the eigen-solve
+# what extract fits on the whole training split, held-out CV folds included, by modality
+WHOLE_SPLIT_FITS = {
+    "visual": "the PCA was",
+    "text:BOOL": "the vocabulary was",
+    "text:TFIDF": "the vocabulary and IDF were",
+}
+# training frames per geometry block handed to face.fit_pca: no array is session length x 2482. The peak
+# is the PCA matrix and its covariance, whatever the block size; of 128, 512 and 2048 frames, 128 ran fastest
 GEOMETRY_BLOCK_FRAMES = 128
 
 
@@ -463,6 +469,8 @@ def load_windows(out_dir, split) -> tuple[np.ndarray, dict]:
         windows = np.load(npy_path)
     except (ValueError, EOFError) as exc:
         raise PipelineError(f"{npy_path}: not a window array ({exc}); run `extract` again") from None
+    if windows.dtype.kind not in "biuf" or not np.isfinite(windows).all():
+        raise PipelineError(f"{npy_path}: window array holds a non-numeric or non-finite value; run `extract` again")
     try:
         meta = json.loads(json_path.read_text(encoding="utf-8"))
     except ValueError:
@@ -813,6 +821,8 @@ def run_cv(cfg: PipelineConfig) -> dict:
 
     corpus.write_whole(artifact_path(out_dir, "cv_predictions", cfg.modality), "\n".join(lines) + "\n")
     report = [f"phqreg cv report: {run_tag(cfg.modality)}", ""] + [f"{k} = {v}" for k, v in rows.items()]
+    if cfg.modality in WHOLE_SPLIT_FITS:
+        report += ["", f"note: {WHOLE_SPLIT_FITS[cfg.modality]} fitted on the whole training split, held-out folds included"]
     corpus.write_whole(artifact_path(out_dir, "cv_report", cfg.modality), "\n".join(report) + "\n")
     logger.info("cv %s done in %.2fs", cfg.modality, time.monotonic() - t0)
     return rows

@@ -164,6 +164,35 @@ def fit_pca_keeping(blocks, keep):
         return fit_pca(blocks)
 
 
+def eigh_pca_oracle(X, keep) -> face.PcaProjection:
+    """PCA by the full np.linalg.eigh of the covariance, or of the Gram matrix when n < d.
+
+    Every eigenpair is computed; the kept rows are the leading eigenvectors
+    whose clipped eigenvalues reach ``keep`` of their sum, in eigh's own
+    signs.
+    """
+    n, d = X.shape
+    Xc = X - X.mean(axis=0)
+    evals, evecs = np.linalg.eigh((Xc @ Xc.T if n < d else Xc.T @ Xc) / (n - 1))
+    evals, evecs = np.clip(evals[::-1], 0.0, None), evecs[:, ::-1]
+    ratios = np.cumsum(evals) / evals.sum()
+    q = int(np.searchsorted(ratios, keep - 1e-12) + 1)
+    comps = evecs[:, :q].T
+    if n < d:
+        comps = comps @ Xc
+        comps /= np.linalg.norm(comps, axis=1)[:, None]
+    return face.PcaProjection(X.mean(axis=0), comps, float(ratios[q - 1]))
+
+
+def spectrum_matrix(rng, n, d, scales):
+    """n x d rows around a random mean whose covariance has eigenvalues scales**2 / (n - 1), on random directions."""
+    k = len(scales)
+    U = rng.normal(size=(n, k))
+    U = np.linalg.qr(U - U.mean(axis=0))[0]
+    B = np.linalg.qr(rng.normal(size=(d, k)))[0]
+    return (U * scales) @ B.T + rng.normal(size=d)
+
+
 class TestPca:
     def test_exact_rank_recovery(self):
         rng = np.random.default_rng(8)
@@ -240,13 +269,13 @@ class TestPca:
         n, d = 4000, 60
         rng = np.random.default_rng(16)
         traced_at_solve = []
-        eigh = np.linalg.eigh
+        solve = face._leading_eigenpairs
 
-        def traced_eigh(a, *args, **kwargs):
+        def traced_solve(a):
             traced_at_solve.append(tracemalloc.get_traced_memory()[0])
-            return eigh(a, *args, **kwargs)
+            return solve(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", traced_eigh)
+        monkeypatch.setattr(face, "_leading_eigenpairs", traced_solve)
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
@@ -256,6 +285,43 @@ class TestPca:
         assert pca.components.shape[1] == d
         assert len(traced_at_solve) == 1
         assert traced_at_solve[0] - baseline < n * d * 8
+
+    @settings(max_examples=24, deadline=None)
+    @given(st.sampled_from(["decaying", "flat", "exact-rank", "n<d"]), st.integers(0, 2**32 - 1))
+    def test_matches_the_eigh_oracle(self, kind, seed):
+        """The block Krylov solve gives the full eigh's q, ratio and components, with a fixed sign and bytes.
+
+        Decaying and exact-rank spectra, with or without the Gram trick,
+        converge in a basis of at most half the matrix's order; a flat one
+        falls back to eigh on the whole matrix.
+        """
+        rng = np.random.default_rng(seed)
+        n, d = {"decaying": (520, 340), "flat": (300, 160), "exact-rank": (360, 260), "n<d": (360, 520)}[kind]
+        n, d = n + int(rng.integers(0, 40)), d + int(rng.integers(0, 40))
+        if kind == "flat":
+            X = rng.normal(size=(n, d)) + rng.normal(size=d)
+        else:
+            k = int(rng.integers(5, 41)) if kind == "exact-rank" else min(n - 1, d)
+            X = spectrum_matrix(rng, n, d, rng.uniform(0.5, 0.8) ** np.arange(k))
+            if kind != "exact-rank":
+                X += 1e-4 * rng.normal(size=(n, d))
+        want = eigh_pca_oracle(X, face.DEFAULT_VARIANCE_KEEP)
+        orders = []
+        with pytest.MonkeyPatch.context() as m:
+            eigh = np.linalg.eigh
+            m.setattr(np.linalg, "eigh", lambda a: orders.append(len(a)) or eigh(a))
+            got = fit_pca([X])
+        assert (min(n, d) in orders) == (kind == "flat")
+        assert got.q == want.q
+        assert abs(got.explained_ratio - want.explained_ratio) <= 1e-12
+        signs = np.sign(np.sum(got.components * want.components, axis=1))[:, None]
+        np.testing.assert_allclose(got.components, signs * want.components, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(got.components @ got.components.T, np.eye(got.q), rtol=0.0, atol=1e-12)
+        rows = np.arange(got.q)
+        assert np.all(got.components[rows, np.argmax(np.abs(got.components), axis=1)] > 0.0)
+        again = fit_pca([X])
+        assert again.components.tobytes() == got.components.tobytes()
+        assert again.mean.tobytes() == got.mean.tobytes() and again.explained_ratio == got.explained_ratio
 
 
 def make_sequence(n_seconds, fps=1.0, fail_at=(), rng=None):

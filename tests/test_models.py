@@ -185,3 +185,42 @@ def test_eval_of_an_lstm_with_a_misshapen_array_prints_one_error_line(small_corp
     assert main(["eval", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"ERROR {path}: damaged lstm model") and where[-1] in err and err.count("\n") == 1, err
+
+
+# a number json reads as non-finite, at a place of each kind's model file: (kind, key path, literal)
+NON_FINITE = {
+    "svr_alpha_1e999": ("svr", ["model", "alpha", 0], "1e999"),
+    "svr_bias_nan": ("svr", ["model", "bias"], "NaN"),
+    "reptree_root_-1e999": ("reptree", ["model", "tree", "value"], "-1e999"),
+    "reptree_train_mean_1e999": ("reptree", ["extra", "train_mean"], "1e999"),
+    "lstm_weight_infinity": ("lstm", ["model", "params", "W1", 1, 0], "Infinity"),
+}
+
+
+@pytest.mark.parametrize("how", sorted(NON_FINITE))
+def test_eval_of_a_model_with_a_non_finite_number_prints_one_error_line(small_corpus, tmp_path, capsys, how):
+    """json reads 1e999 as inf and NaN/Infinity as themselves; eval names the file and the number's place."""
+    kind, where, literal = NON_FINITE[how]
+    out = tmp_path / "out"
+    modality = {"svr": "text:BOOL", "reptree": "behavioral", "lstm": "visual"}[kind]
+    args = ["--corpus", str(small_corpus), "--out", str(out), "--modality", modality, "--seed", "1"]
+    if kind == "lstm":  # the model is refused before any window store is read
+        out.mkdir()
+        save_model(trained("lstm"), out / "model_visual.json", {"train_mean": 5.0, "window": 4, "q": 2})
+    else:
+        assert main(["extract", *args]) == 0
+        assert main(["train", *args]) == 0
+    path = out / f"model_{modality.replace(':', '_')}.json"
+    payload = json.loads(path.read_text())
+    node = payload
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = 123456.5  # a marker that the dump writes as itself
+    text = json.dumps(payload)
+    assert text.count("123456.5") == 1
+    path.write_text(text.replace("123456.5", literal))
+    capsys.readouterr()
+    assert main(["eval", *args]) == 2
+    err = capsys.readouterr().err
+    place = where[0] + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in where[1:])
+    assert err == f"ERROR {path}: damaged {kind} model (non-finite number at {place})\n", err

@@ -885,6 +885,7 @@ class TestCrossValidation:
         report = (out / "cv_report_behavioral.txt").read_text().splitlines()
         assert f"pooled_rmse_baseline = {rows['pooled_rmse_baseline']}" in report
         assert f"pooled_mae_baseline = {rows['pooled_mae_baseline']}" in report
+        assert not any(line.startswith("note:") for line in report)  # behavioral fits nothing on the whole split
 
     def test_too_few_sessions(self, tmp_path):
         root = tmp_path / "mini"
@@ -1063,6 +1064,17 @@ class TestTextPipeline:
         rows = run_eval(cfg)
         assert "dev_mae" in rows and "dev_evs" not in rows
 
+    @pytest.mark.parametrize("modality, fitted", [
+        ("text:BOOL", "the vocabulary was"), ("text:TFIDF", "the vocabulary and IDF were"),
+    ])
+    def test_cv_report_says_what_extract_fitted_on_the_whole_split(self, small_corpus, tmp_path, modality, fitted):
+        cfg = cfg_for(small_corpus, tmp_path / "text", modality=modality)
+        run_extract(cfg)
+        rows = run_cv(cfg)
+        report = (tmp_path / "text" / f"cv_report_{modality.replace(':', '_')}.txt").read_text().splitlines()
+        assert report[-2:] == ["", f"note: {fitted} fitted on the whole training split, held-out folds included"]
+        assert f"pooled_rmse = {rows['pooled_rmse']}" in report
+
 
 class TestVisualPipeline:
     def test_train_eval_with_evs_and_fallback(self, full_corpus, tmp_path):
@@ -1115,6 +1127,8 @@ class TestVisualPipeline:
         rows = run_cv(cfg)
         assert rows["n_folds"] == 3
         assert np.isfinite(rows["pooled_mae"])
+        report = (out / "cv_report_visual.txt").read_text().splitlines()
+        assert report[-1] == "note: the PCA was fitted on the whole training split, held-out folds included"
 
     def test_visual_cv_folds_hold_out_validation_sessions_like_train(self, full_corpus, tmp_path, monkeypatch):
         import phqreg.models.lstm as lstm_mod
@@ -1389,6 +1403,20 @@ class TestCli:
         assert main(["train", *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR {out / name}: {reason}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_names_its_file(self, full_corpus, visual_store, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        shutil.copytree(visual_store, out)
+        npy = out / "visual_train_windows.npy"
+        windows = np.load(npy)
+        windows[-1, 2, 0] = value
+        np.save(npy, windows)
+        capsys.readouterr()
+        args = ["--corpus", str(full_corpus), "--out", str(out), "--modality", "visual", "--seed", "1"]
+        assert main(["train", *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ERROR {npy}: window array holds a non-numeric or non-finite value; run `extract` again\n"
 
     @pytest.mark.parametrize("modality", ["text:BOOL", "text:TFIDF"])
     def test_token_with_comma_or_quote_keeps_the_store_readable(self, tmp_path, capsys, modality):
