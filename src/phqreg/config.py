@@ -7,15 +7,17 @@ keys here either: they are module constants of the code that reads them.
 Relief's ``[relief] threshold`` and ``k`` are the one place a tuned point
 goes: ``tune-relief`` prints the pair to copy there.
 
-Every verb loads this module, so it imports no other phqreg module. The one
-definition it shares with a family is ``SynthSpec``, which synth imports.
+Every verb loads this module, so of phqreg it imports only corpus, which the
+package loads anyway, for its text reader. The one definition it shares with
+a family is ``SynthSpec``, which synth imports.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, fields
-from pathlib import Path
+
+from .corpus import read_text
 
 MODALITIES = (
     "acoustic:S", "acoustic:P", "acoustic:VQ", "acoustic:M", "acoustic:M+FS",
@@ -69,8 +71,6 @@ class PipelineConfig:
     # [run]
     modality: str = "behavioral"
     seed: int | None = None
-    # [lstm]
-    lstm_max_epochs: int = 100  # the paper's epoch budget
     # [relief] the paper's operating point
     relief_threshold: float = 0.02
     relief_k: int = 20
@@ -131,7 +131,7 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     if path is not None:
         # values are literal: a "%" in a path is kept as written
         cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path, ConfigError)
         try:
             cp.read_string(text)
         except configparser.Error as exc:
@@ -154,19 +154,10 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     return cfg
 
 
-# fields holding locations on the machine that runs the pipeline
-MACHINE_PATHS = ("root", "out_dir", "text_embeddings")
-
-
-def config_text(cfg: PipelineConfig, omit: tuple[str, ...] = ()) -> str:
-    """Render the effective config as INI text (deterministic order).
-
-    Fields named in ``omit`` are left out, and so is a section they empty.
-    """
+def config_text(cfg: PipelineConfig) -> str:
+    """Render the effective config as INI text (deterministic order)."""
     sections: dict[str, list[str]] = {}
     for field_name, (section, key) in _LAYOUT.items():
-        if field_name in omit:
-            continue
         value = getattr(cfg, field_name)
         if value is None:
             value = ""

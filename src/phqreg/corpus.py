@@ -19,12 +19,14 @@ extraction memory does not grow with the recording's length. The in-memory
 AudioSignal (synth, tests) has the same ``rate``, ``n_samples`` and
 ``read(lo, hi)``, so the acoustic pass takes either.
 
-The three text formats share one row reader (header line, blank lines
-skipped, one field per header cell); each loader parses its own cells. A
-refusal is a ParseError naming the path and the offending line. The
-landmark loader parses its data rows with np.loadtxt first, and reads a file
-through the row reader only when numpy refuses it or a check fails, so each
-refusal still names its line.
+Every text file phqreg reads, corpus file or artifact, is decoded by
+read_text: a byte that is not UTF-8 raises the reader's own error type,
+naming the file and the line. The three text formats share one row reader
+(header line, blank lines skipped, one field per header cell); each loader
+parses its own cells. A refusal is a ParseError naming the path and the
+offending line. The landmark loader parses its data rows with np.loadtxt
+first, and reads a file through the row reader only when numpy refuses it or
+a check fails, so each refusal still names its line.
 
 All types are immutable after construction; loaders are pure functions of
 file content. whole_file is the one writer of every file phqreg writes, here
@@ -244,13 +246,31 @@ def write_whole(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def read_text(path, error=None) -> str:
+    """The text of ``path``, as ``Path.read_text(encoding="utf-8")`` gives it.
+
+    A byte that is not UTF-8 raises ParseError, or ``error`` (an exception
+    type taking one message) when given, naming the path and the line that
+    holds the byte, counted as str.splitlines counts lines.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        message = f"byte 0x{data[exc.start]:02x} is not UTF-8"
+        raise (ParseError(path, line, message) if error is None else error(f"{path}:{line}: {message}")) from None
+    # the universal newlines of a text-mode read
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def _lines(path, header: tuple[str, ...], sep: str = ",", fold=str.strip) -> list[str]:
     """The lines of a delimited file, as str.splitlines cuts them, whose first line names ``header``.
 
     Each header cell is compared after ``fold``; an empty file or any other
     header raises ParseError naming line 1.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError(path, 1, "empty file, expected a header line")
     found = tuple(fold(h) for h in lines[0].split(sep))

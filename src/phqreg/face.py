@@ -105,13 +105,11 @@ def fit_pca(blocks) -> PcaProjection:
     frames of one session each. The fit appends each block to one matrix of
     its own as it arrives, so the caller's arrays are never modified, and a
     generator's blocks are dropped once copied: the frames are held once,
-    plus the block being copied. That matrix is centred in place; with at
-    least as many rows as columns it is dropped once the covariance is
-    formed, so nothing of size n x d is alive during the eigen-solve. With
-    fewer rows than columns the Gram trick is used and the centred matrix is
-    kept, because the components are recovered from it. Covariance is
-    1/(n-1)-normalized. Both branches solve their symmetric matrix with
-    _leading_eigenpairs, and each component's sign is fixed: its
+    plus the block being copied. That matrix is centred in place and dropped
+    once the covariance is formed, so nothing of size n x d is alive during
+    the eigen-solve. Covariance is 1/(n-1)-normalized and solved with
+    _leading_eigenpairs, whatever the shape (a training split holds far more
+    frames than the 2482 columns). Each component's sign is fixed: its
     largest-magnitude loading is positive.
     """
     X = None
@@ -128,23 +126,15 @@ def fit_pca(blocks) -> PcaProjection:
     block = None
     if X is None or len(X) < 2:
         raise ValueError("need row blocks of a 2-d matrix with at least 2 rows")
-    n, d = X.shape
+    n = len(X)
     mean = X.mean(axis=0)
     X -= mean
 
-    if n < d:
-        gram = X @ X.T
-        gram /= n - 1
-        vectors, ratio = _leading_eigenpairs(gram)
-        del gram
-        comps = vectors @ X
-        comps /= np.linalg.norm(comps, axis=1)[:, None]
-    else:
-        cov = X.T @ X
-        del X
-        cov /= n - 1
-        comps, ratio = _leading_eigenpairs(cov)
-        del cov
+    cov = X.T @ X
+    del X
+    cov /= n - 1
+    comps, ratio = _leading_eigenpairs(cov)
+    del cov
     comps *= np.sign(comps[np.arange(len(comps)), np.argmax(np.abs(comps), axis=1)])[:, None]
     return PcaProjection(mean, comps, ratio)
 

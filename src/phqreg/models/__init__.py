@@ -21,11 +21,10 @@ from __future__ import annotations
 import importlib
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 
-from ..corpus import write_whole
+from ..corpus import read_text, write_whole
 
 MODEL_FORMAT_VERSION = 4
 
@@ -83,7 +82,7 @@ def _non_finite(value) -> list | None:
 def load_model(path) -> tuple[object, dict]:
     """Read a model envelope; returns (model, extra metadata)."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_text(path, ModelFormatError))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not JSON ({exc})") from None
     if not isinstance(payload, dict):

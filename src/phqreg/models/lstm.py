@@ -8,10 +8,10 @@ These are the paper's fixed values and the module constants HIDDEN_SIZE,
 DEFAULT_DROPOUT, DEFAULT_LR, DEFAULT_BATCH and DEFAULT_CLIP; ``lstm_train``
 takes only the epoch budget and the seed, and the input width comes from the
 windows. The head's bias starts at the training-label mean. Training runs up
-to ``max_epochs`` epochs (100 in the paper's recipe) and keeps the parameter
-snapshot with the lowest validation loss (the training loss without a
-validation set), scored once per epoch; inference is deterministic (dropout
-off, frozen batch-norm statistics).
+to ``max_epochs`` epochs (the pipeline passes the paper's 100, MAX_EPOCHS)
+and keeps the parameter snapshot with the lowest validation loss (the
+training loss without a validation set), scored once per epoch; inference
+is deterministic (dropout off, frozen batch-norm statistics).
 
 Everything is plain numpy in double precision so the analytic gradients can
 be verified against central finite differences.
@@ -45,6 +45,7 @@ DEFAULT_DROPOUT = 0.5
 DEFAULT_LR = 1e-3
 DEFAULT_BATCH = 32
 DEFAULT_CLIP = 5.0
+MAX_EPOCHS = 100
 # the order in which lstm_train sums the squared gradients for the clip norm:
 # the norm's last bits, and so the trained parameters, depend on it. It is
 # the order backward fills its dict in, written out so that no dict order

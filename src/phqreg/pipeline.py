@@ -10,7 +10,7 @@ artifact_path alone:
     visual_pca.json                    PCA model (mean + components, versioned; no verb reads it)
     model_<tag>.json                   trained model envelope
     predictions_<tag>_<split>.csv      session_id,y_true,y_pred
-    report_<tag>.txt / .csv            run report (recomputable from predictions)
+    report_<tag>.csv                   run report, key,value (recomputable from predictions)
     relief_tuning_<tag>.csv            Relief (threshold, k) grid
     cv_predictions_<tag>.csv           per-fold CV predictions
     cv_report_<tag>.txt                CV report
@@ -73,7 +73,7 @@ import os
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -81,7 +81,7 @@ import numpy as np
 
 from . import corpus
 from .corpus import SPLITS
-from .config import MACHINE_PATHS, PipelineConfig, config_text
+from .config import PipelineConfig
 from .metrics import MetricError, evs as evs_fn, mae as mae_fn, rmse as rmse_fn
 from .models import ModelFormatError, load_model, save_model
 
@@ -128,7 +128,7 @@ def scan_corpus(root) -> CorpusIndex:
         path = corpus.corpus_path(root, "ids", split)
         if not path.is_file():
             raise PipelineError(f"missing split file {path}")
-        ids[split] = tuple(sorted(x.strip() for x in path.read_text(encoding="utf-8").splitlines() if x.strip()))
+        ids[split] = tuple(sorted(x.strip() for x in corpus.read_text(path, PipelineError).splitlines() if x.strip()))
     # a session in both splits would be trained on and then scored as dev
     repeated = sorted(sid for sid, n in Counter(sid for split in SPLITS for sid in ids[split]).items() if n > 1)
     if repeated:
@@ -152,8 +152,7 @@ ARTIFACT_NAMES = {
     "pca": "visual_pca.json",
     "model": "model_{tag}.json",
     "predictions": "predictions_{tag}_{split}.csv",
-    "report": "report_{tag}.txt",
-    "report_csv": "report_{tag}.csv",
+    "report": "report_{tag}.csv",
     "relief_tuning": "relief_tuning_{tag}.csv",
     "cv_predictions": "cv_predictions_{tag}.csv",
     "cv_report": "cv_report_{tag}.txt",
@@ -190,7 +189,7 @@ def read_feature_csv(path) -> tuple[tuple[str, ...], dict]:
     path = Path(path)
     if not path.is_file():
         raise PipelineError(f"missing feature store {path}; run `extract` first")
-    records = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    records = csv.reader(corpus.read_text(path, PipelineError).splitlines())
     header = next(records, [])
     if header[:1] != ["session_id"]:
         raise PipelineError(f"{path}: not a feature store CSV (no session_id header line)")
@@ -301,7 +300,7 @@ def _read_pass_record(out_dir: Path, current: dict):
     if not path.is_file():
         return None, f"no {path.name}"
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(corpus.read_text(path, PipelineError))
     except ValueError:
         manifest = None
     if not isinstance(manifest, dict):
@@ -472,7 +471,7 @@ def load_windows(out_dir, split) -> tuple[np.ndarray, dict]:
     if windows.dtype.kind not in "biuf" or not np.isfinite(windows).all():
         raise PipelineError(f"{npy_path}: window array holds a non-numeric or non-finite value; run `extract` again")
     try:
-        meta = json.loads(json_path.read_text(encoding="utf-8"))
+        meta = json.loads(corpus.read_text(json_path, PipelineError))
     except ValueError:
         meta = None
     if not isinstance(meta, dict):
@@ -547,19 +546,26 @@ class Sessions:
 
 
 def _load_split(cfg: PipelineConfig, index: CorpusIndex, split: str) -> Sessions:
-    """Read one split's feature store or window batch and look up every label."""
+    """Read one split's feature store or window batch and look up every label.
+
+    A split without sessions names the store or sidecar it was read from, and
+    a session without a label names the labels file.
+    """
     if cfg.family() == "visual":
         rows, meta = load_windows(cfg.out_dir, split)
         names, sids, owner = (), sorted(meta["sessions"]), meta["session_ids"]
+        source = _windows_paths(Path(cfg.out_dir), split)[1]
     else:
-        names, store = read_feature_csv(artifact_path(cfg.out_dir, "features", cfg.modality, split))
+        source = artifact_path(cfg.out_dir, "features", cfg.modality, split)
+        names, store = read_feature_csv(source)
         sids = owner = sorted(store)
         rows = np.array([store[sid] for sid in sids])
     if not sids:
-        raise PipelineError(f"empty {split} split")
+        raise PipelineError(f"{source}: empty {split} split")
     unlabeled = [sid for sid in sids if sid not in index.labels]
     if unlabeled:
-        raise PipelineError(f"unlabeled {split} sessions: {', '.join(unlabeled)}")
+        labels = corpus.corpus_path(index.root, "labels")
+        raise PipelineError(f"{labels}: unlabeled {split} sessions: {', '.join(unlabeled)}")
     y = np.array([float(index.labels[sid]) for sid in sids])
     return Sessions(split, sids, y, rows, np.array(owner, dtype=str), names)
 
@@ -591,8 +597,8 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
 
     Every row is fitted to its owner's label. Tabular: Relief selection at
     ``[relief] threshold`` and ``k`` when the modality uses it, then the
-    modality's SVR or REPTree. Visual: an LSTM, early-stopped on a seeded
-    hold-out of the window-bearing sessions.
+    modality's SVR or REPTree. Visual: an LSTM of up to lstm.MAX_EPOCHS
+    epochs, early-stopped on a seeded hold-out of the window-bearing sessions.
     """
     extra = {"modality": cfg.modality, "seed": cfg.seed, "train_mean": float(np.mean(data.y))}
     label = dict(zip(data.sids, data.y))
@@ -605,7 +611,7 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
             X = X[:, selected]
         return fit(X, y), extra
 
-    from .models.lstm import lstm_train
+    from .models.lstm import MAX_EPOCHS, lstm_train
 
     if len(X) == 0:
         raise PipelineError("no tracking-clean training windows; cannot train the LSTM")
@@ -615,7 +621,7 @@ def fit_predictor(cfg: PipelineConfig, data: Sessions) -> tuple[object, dict]:
     val_sessions = sorted(np.random.default_rng(cfg.seed).permutation(bearing)[:n_val].tolist())
     val = np.isin(data.owner, val_sessions)
     model = lstm_train(
-        X[~val], y[~val], cfg.lstm_max_epochs, cfg.seed,
+        X[~val], y[~val], MAX_EPOCHS, cfg.seed,
         X_val=X[val] if val.any() else None,
         y_val=y[val] if val.any() else None,
     )
@@ -687,27 +693,6 @@ def _metric_rows(prefix: str, y, yhat, with_evs: bool) -> dict:
     return rows
 
 
-def write_report(out_dir, cfg: PipelineConfig, rows: dict, selected=None) -> tuple[Path, Path]:
-    """Write the run report; its bytes do not depend on where corpus and outputs live.
-
-    The ``[config]`` block leaves out the machine paths and the ``[synth]``
-    settings, which no pipeline verb reads.
-    """
-    tag = run_tag(cfg.modality)
-    txt_path = artifact_path(out_dir, "report", cfg.modality)
-    csv_path = artifact_path(out_dir, "report_csv", cfg.modality)
-    lines = [f"phqreg run report: {tag}", "=" * (19 + len(tag)), ""]
-    lines += [f"{k} = {v}" for k, v in rows.items()]
-    if selected:
-        lines += ["", "[selected features]"] + list(selected)
-    synth = tuple(f.name for f in fields(cfg) if f.name.startswith("synth_"))
-    lines += ["", "[config]", config_text(cfg, omit=MACHINE_PATHS + synth)]
-    corpus.write_whole(txt_path, "\n".join(lines) + "\n")
-    csv_lines = ["key,value"] + [f"{k},{v}" for k, v in rows.items()]
-    corpus.write_whole(csv_path, "\n".join(csv_lines) + "\n")
-    return txt_path, csv_path
-
-
 def _check_extra(path, kind: str, extra: dict) -> None:
     """Refuse a model extra that lacks or mistypes a key that predict_sessions or run_eval reads."""
     number, relief = (int, float), extra.get("relief", {})
@@ -759,6 +744,7 @@ def run_eval(cfg: PipelineConfig) -> dict:
         rows["relief_threshold"] = extra["relief"]["threshold"]
         rows["relief_k"] = extra["relief"]["k"]
         rows["n_features_used"] = len(extra["relief"]["selected_names"])
+        rows["selected_features"] = ";".join(extra["relief"]["selected_names"])
     elif "feature_names" in extra:
         rows["n_features_used"] = len(extra["feature_names"])
     elif "q" in extra:
@@ -771,7 +757,9 @@ def run_eval(cfg: PipelineConfig) -> dict:
         z = np.concatenate([model.alpha, model.alpha_star])
         rows["smo_free_sv"] = int(np.count_nonzero((z > 0.0) & (z < model.C)))
 
-    write_report(out_dir, cfg, rows, selected=extra.get("relief", {}).get("selected_names"))
+    # one key,value line per row; no row holds a path, so the bytes do not depend on where corpus and outputs live
+    report = ["key,value"] + [f"{k},{v}" for k, v in rows.items()]
+    corpus.write_whole(artifact_path(out_dir, "report", cfg.modality), "\n".join(report) + "\n")
     logger.info("eval %s done in %.2fs", cfg.modality, time.monotonic() - t0)
     return rows
 

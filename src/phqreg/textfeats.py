@@ -18,11 +18,10 @@ that embed_average reads.
 from __future__ import annotations
 
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import Speaker
+from .corpus import Speaker, read_text
 
 MODES = ("BOOL", "TFIDF")
 
@@ -90,7 +89,7 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     """
     vectors, first_seen = {}, {}  # token -> line it is listed on
     dim = header = None  # header: the line number of a first line that may be a word2vec header
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, ValueError).splitlines(), start=1):
         if not raw.strip():
             continue
         parts = raw.split()

@@ -316,7 +316,7 @@ LOADERS = {
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
-@pytest.mark.parametrize("case", ["empty", "bad_header", "field_count", "non_numeric"])
+@pytest.mark.parametrize("case", ["empty", "bad_header", "field_count", "non_numeric", "not_utf8"])
 def test_loader_refusal_names_path_and_line(tmp_path, kind, case):
     load, name, header, good, short, non_numeric = LOADERS[kind]
     text, line = {
@@ -324,13 +324,46 @@ def test_loader_refusal_names_path_and_line(tmp_path, kind, case):
         "bad_header": ("garbage\n" + good + "\n", 1),
         "field_count": ("\n".join([header, good, short]) + "\n", 3),
         "non_numeric": ("\n".join([header, good, "", "  ", non_numeric]) + "\n", 5),
+        "not_utf8": ("\r\n".join([header, good, "ab\udce9c"]) + "\r\n", 3),  # the byte 0xe9 on line 3
     }[case]
-    path = write(tmp_path, name, text)
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert load(write(tmp_path, "ok_" + name, header + "\n" + good + "\n"))
     with pytest.raises(ParseError) as err:
         load(path)
     assert (err.value.path, err.value.line) == (str(path), line)
     assert str(err.value).startswith(f"{path}:{line}: ")
+
+
+# line breaks that text-mode reads translate or str.splitlines cuts at, a BOM, and non-ASCII text
+TEXT_PIECES = ["a", "1,2", " ", "\t", "é", "\u2028", "\x85", "\x0c", "\ufeff", "\n", "\r", "\r\n"]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(TEXT_PIECES)).map("".join))
+def test_read_text_gives_what_a_text_mode_read_gives(tmp_path, text):
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert corpus.read_text(path) == path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(st.sampled_from(TEXT_PIECES)).map("".join),
+    st.sampled_from([b"\x80", b"\xe9", b"\xff"]),
+    st.lists(st.sampled_from(TEXT_PIECES)).map("".join),
+)
+def test_read_text_names_the_line_of_the_first_bad_byte(tmp_path, before, bad, after):
+    path = tmp_path / "t.txt"
+    path.write_bytes(before.encode("utf-8") + bad + after.encode("utf-8"))
+    # the bad byte decodes to the one U+FFFD; its line, as str.splitlines cuts lines
+    lines = path.read_bytes().decode("utf-8", errors="replace").splitlines()
+    line = next(i for i, text in enumerate(lines, start=1) if "\ufffd" in text)
+    with pytest.raises(ParseError) as err:
+        corpus.read_text(path)
+    assert str(err.value) == f"{path}:{line}: byte 0x{bad[0]:02x} is not UTF-8"
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: byte 0x{bad[0]:02x} is not UTF-8$"):
+        corpus.read_text(path, ValueError)
 
 
 class TestLabels:

@@ -165,7 +165,7 @@ def fit_pca_keeping(blocks, keep):
 
 
 def eigh_pca_oracle(X, keep) -> face.PcaProjection:
-    """PCA by the full np.linalg.eigh of the covariance, or of the Gram matrix when n < d.
+    """PCA by the full np.linalg.eigh of the covariance, or of the Gram matrix when n < d (the smaller solve).
 
     Every eigenpair is computed; the kept rows are the leading eigenvectors
     whose clipped eigenvalues reach ``keep`` of their sum, in eigh's own
@@ -217,9 +217,9 @@ class TestPca:
         gram = pca.components @ pca.components.T
         np.testing.assert_allclose(gram, np.eye(pca.q), atol=1e-9)
 
-    def test_gram_trick_path_matches_oracle(self):
+    def test_fewer_rows_than_columns_matches_oracle(self):
         rng = np.random.default_rng(11)
-        X = rng.normal(size=(20, 100))  # rows < columns
+        X = rng.normal(size=(20, 100))  # rows < columns: the covariance has rank 19
         pca = fit_pca([X])
         assert pca.q == pca_oracle_q(X, 0.995)
         gram = pca.components @ pca.components.T
@@ -266,34 +266,36 @@ class TestPca:
             fit_pca(np.random.default_rng(15).normal(size=(20, 4)))
 
     def test_no_n_by_d_array_alive_during_eigen_solve(self, monkeypatch):
-        n, d = 4000, 60
+        """At the solve, what is alive beyond the covariance is smaller than the n x d frames, whichever is wider."""
         rng = np.random.default_rng(16)
-        traced_at_solve = []
         solve = face._leading_eigenpairs
 
         def traced_solve(a):
-            traced_at_solve.append(tracemalloc.get_traced_memory()[0])
+            traced_at_solve.append(tracemalloc.get_traced_memory()[0] - a.nbytes)
             return solve(a)
 
         monkeypatch.setattr(face, "_leading_eigenpairs", traced_solve)
-        tracemalloc.start()
-        try:
-            baseline = tracemalloc.get_traced_memory()[0]
-            pca = fit_pca(rng.normal(size=(n // 8, d)) for _ in range(8))
-        finally:
-            tracemalloc.stop()
-        assert pca.components.shape[1] == d
-        assert len(traced_at_solve) == 1
-        assert traced_at_solve[0] - baseline < n * d * 8
+        for n, d in ((4000, 60), (200, 600)):
+            traced_at_solve = []
+            tracemalloc.start()
+            try:
+                baseline = tracemalloc.get_traced_memory()[0]
+                pca = fit_pca(rng.normal(size=(n // 8, d)) for _ in range(8))
+            finally:
+                tracemalloc.stop()
+            assert pca.components.shape[1] == d
+            assert len(traced_at_solve) == 1
+            assert traced_at_solve[0] - baseline < n * d * 8, (n, d)
 
     @settings(max_examples=24, deadline=None)
     @given(st.sampled_from(["decaying", "flat", "exact-rank", "n<d"]), st.integers(0, 2**32 - 1))
     def test_matches_the_eigh_oracle(self, kind, seed):
         """The block Krylov solve gives the full eigh's q, ratio and components, with a fixed sign and bytes.
 
-        Decaying and exact-rank spectra, with or without the Gram trick,
-        converge in a basis of at most half the matrix's order; a flat one
-        falls back to eigh on the whole matrix.
+        Decaying and exact-rank spectra, with fewer rows than columns or not,
+        converge in a basis of at most half the covariance's order d; a flat
+        one falls back to eigh on the whole covariance. A Ritz solve's order
+        can equal n, so the fallback is told by order d.
         """
         rng = np.random.default_rng(seed)
         n, d = {"decaying": (520, 340), "flat": (300, 160), "exact-rank": (360, 260), "n<d": (360, 520)}[kind]
@@ -311,7 +313,7 @@ class TestPca:
             eigh = np.linalg.eigh
             m.setattr(np.linalg, "eigh", lambda a: orders.append(len(a)) or eigh(a))
             got = fit_pca([X])
-        assert (min(n, d) in orders) == (kind == "flat")
+        assert (d in orders) == (kind == "flat")
         assert got.q == want.q
         assert abs(got.explained_ratio - want.explained_ratio) <= 1e-12
         signs = np.sign(np.sum(got.components * want.components, axis=1))[:, None]

@@ -16,6 +16,7 @@ import pytest
 
 import phqreg
 import phqreg.models
+import phqreg.models.lstm as lstm_mod
 import phqreg.pipeline as pipeline
 from phqreg.cli import main
 from phqreg.config import _LAYOUT, ConfigError, PipelineConfig, config_text, load_config
@@ -40,6 +41,41 @@ from phqreg.synth import SynthSpec, gen_synthetic
 @pytest.mark.parametrize("module", [phqreg, phqreg.models], ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+# how each placeholder of an ARTIFACT_NAMES template is written in the docs: as itself, or split and tag spelt out
+_DOC_PLACEHOLDERS = {"split": r"(<split>|\{train,dev\})", "tag": r"(<tag>|\w+)", "ftag": r"(<ftag>|\w+)"}
+
+
+def _documented_artifacts(block: str) -> list[str]:
+    """The artifact names of a doc block: each line's names before its description, comma-separated.
+
+    ``x.npy/.json`` names x.npy and x.json.
+    """
+    names = []
+    for line in block.strip().splitlines():
+        for name in re.split(r"\s{2,}", line.strip())[0].split(", "):
+            stem, _, other = name.partition("/")
+            names += [stem, stem.rsplit(".", 1)[0] + other] if other else [stem]
+    return names
+
+
+@pytest.mark.parametrize("doc", ["README", "pipeline docstring"])
+def test_artifact_lists_match_artifact_names(doc):
+    if doc == "README":
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("feature tag `<ftag>` drops `+FS`):\n\n```\n", 1)[1].split("```", 1)[0]
+    else:
+        block = pipeline.__doc__.split("named by\nartifact_path alone:\n\n", 1)[1].split("\n\n", 1)[0]
+    patterns = {
+        kind: "".join(_DOC_PLACEHOLDERS[part] if i % 2 else re.escape(part)
+                      for i, part in enumerate(re.split(r"\{(\w+)\}", template)))
+        for kind, template in pipeline.ARTIFACT_NAMES.items()
+    }
+    matched = {name: [kind for kind, pattern in patterns.items() if re.fullmatch(pattern, name)]
+               for name in _documented_artifacts(block)}
+    assert {name: kinds for name, kinds in matched.items() if len(kinds) != 1} == {}
+    assert sorted(kinds[0] for kinds in matched.values()) == sorted(pipeline.ARTIFACT_NAMES)
 
 
 def _public_definitions(scope, prefix=""):
@@ -183,13 +219,15 @@ def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def report_rows(path) -> dict:
+    """The key,value rows of a ``report_*.csv``, values as written."""
+    return dict(line.split(",", 1) for line in Path(path).read_text(encoding="utf-8").splitlines()[1:])
+
+
 def report_selection(path) -> list[str]:
-    """The feature names under ``[selected features]`` of a ``report_*.txt``; [] without the section."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if "[selected features]" not in lines:
-        return []
-    section = lines[lines.index("[selected features]") + 1 :]
-    return section[: section.index("")]
+    """The feature names of the ``selected_features`` row of a ``report_*.csv``; [] without the row."""
+    value = report_rows(path).get("selected_features")
+    return value.split(";") if value else []
 
 
 class TestConfig:
@@ -197,7 +235,7 @@ class TestConfig:
         assert main(["show-config"]) == 0
         out = capsys.readouterr().out
         sections = [line for line in out.splitlines() if line.startswith("[")]
-        assert sections == ["[corpus]", "[run]", "[lstm]", "[relief]", "[text]", "[synth]"]
+        assert sections == ["[corpus]", "[run]", "[relief]", "[text]", "[synth]"]
 
     def test_ini_roundtrip_and_overrides(self, tmp_path):
         ini = tmp_path / "c.ini"
@@ -231,7 +269,7 @@ class TestConfig:
         ("svr", "kernel"), ("svr", "c"), ("svr", "gamma"), ("svr", "epsilon"), ("svr", "tol"),
         ("reptree", "min_leaf"), ("reptree", "prune_fraction"),
         ("lstm", "hidden"), ("lstm", "dropout"), ("lstm", "lr"), ("lstm", "batch_size"),
-        ("lstm", "clip_norm"), ("lstm", "val_fraction"),
+        ("lstm", "clip_norm"), ("lstm", "val_fraction"), ("lstm", "max_epochs"),
         ("visual", "window"), ("visual", "overlap"), ("visual", "variance_keep"),
         ("relief", "n_max"), ("relief", "tune"), ("run", "model"),
     ])
@@ -540,13 +578,12 @@ class TestExtract:
         rows = run_eval(cfg)
         assert rows["n_features_used"] == 864
         assert np.isfinite(rows["dev_mae"])
-        report = dict(line.split(",") for line in (out / "report_acoustic_S.csv").read_text().splitlines()[1:])
+        report = report_rows(out / "report_acoustic_S.csv")
         assert int(report["smo_iters"]) == model["model"]["n_iter"] > 0
         assert float(report["smo_kkt_gap"]) == model["model"]["kkt_gap"] <= 1e-3
         # dual variables strictly inside the box (0, C), counted from the model file
         z = np.array(model["model"]["alpha"] + model["model"]["alpha_star"])
         assert int(report["smo_free_sv"]) == rows["smo_free_sv"] == np.sum((z > 0) & (z < model["model"]["C"]))
-        assert "smo_free_sv = " in (out / "report_acoustic_S.txt").read_text()
 
     def test_visual_extraction_artifacts(self, full_corpus, tmp_path):
         out = tmp_path / "out_vis"
@@ -641,16 +678,19 @@ class TestTrainEval:
         _, _, rows = behavioral_run
         assert rows["dev_mae"] <= 0.8 * rows["dev_mae_baseline"]
 
-    def test_report_files_written(self, behavioral_run):
-        _, out, _ = behavioral_run
-        assert (out / "report_behavioral.txt").is_file()
-        report = (out / "report_behavioral.txt").read_text()
-        assert "[config]" in report
-        assert "dev_mae" in report
-        # no pipeline verb reads the [synth] settings, so the report does not list them
-        config_block = report.split("\n[config]\n", 1)[1]
-        assert re.findall(r"^\[\w+\]$", config_block, flags=re.M) == ["[run]", "[lstm]", "[relief]"]
-        assert "[synth]" not in report and "depressed_fraction_train" not in report
+    def test_report_files_written(self, small_corpus, tmp_path):
+        """eval writes both splits' predictions and one report, report_<tag>.csv, holding its rows."""
+        cfg = cfg_for(small_corpus, tmp_path, modality="behavioral")
+        run_extract(cfg)
+        run_train(cfg)
+        before = {p.name for p in tmp_path.iterdir()}
+        rows = run_eval(cfg)
+        written = {p.name for p in tmp_path.iterdir()} - before
+        assert written == {"predictions_behavioral_train.csv", "predictions_behavioral_dev.csv", "report_behavioral.csv"}
+        report = (tmp_path / "report_behavioral.csv").read_text(encoding="utf-8")
+        assert report == "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows.items())
+        assert report_rows(tmp_path / "report_behavioral.csv")["modality"] == "behavioral"
+        assert report_rows(tmp_path / "report_behavioral.csv")["seed"] == "7"
 
     def test_tabular_model_extra_holds_only_what_a_verb_reads(self, behavioral_run):
         _, out, _ = behavioral_run
@@ -667,15 +707,11 @@ class TestTrainEval:
             run_extract(cfg)
             run_train(cfg)
             run_eval(cfg)
-            reports.append({n: (out / n).read_bytes() for n in ("report_behavioral.txt", "report_behavioral.csv")})
-            # the rendered config itself still names both locations
-            assert f"root = {root}" in config_text(cfg)
-            assert f"out_dir = {out}" in config_text(cfg)
+            reports.append((out / "report_behavioral.csv").read_bytes())
         assert reports[0] == reports[1]
-        text = reports[0]["report_behavioral.txt"].decode()
+        text = reports[0].decode()
         assert str(tmp_path) not in text
-        assert "\n[run]\nmodality = behavioral\n" in text and "seed = 7" in text
-        assert "[corpus]" not in text
+        assert "\nmodality,behavioral\n" in text and "\nseed,7\n" in text
 
     def test_text_we_report_bytes_independent_of_embeddings_path(self, small_corpus, tmp_path):
         words = ["i", "think", "tired", "sad", "good", "fine", "well", "today"]
@@ -691,10 +727,9 @@ class TestTrainEval:
             run_extract(cfg)
             run_train(cfg)
             run_eval(cfg)
-            reports.append({n: (out / n).read_bytes() for n in ("report_text_WE.txt", "report_text_WE.csv")})
-            assert f"embeddings = {emb}" in config_text(cfg)
+            reports.append((out / "report_text_WE.csv").read_bytes())
         assert reports[0] == reports[1]
-        assert str(tmp_path) not in reports[0]["report_text_WE.txt"].decode()
+        assert str(tmp_path) not in reports[0].decode()
 
     def test_unlabeled_training_session_errors(self, small_corpus, tmp_path):
         import shutil
@@ -711,10 +746,72 @@ class TestTrainEval:
         with pytest.raises(PipelineError, match="unlabeled"):
             run_train(cfg)
 
+    def test_unlabeled_sessions_name_the_labels_file(self, small_corpus, tmp_path):
+        root = tmp_path / "broken"
+        shutil.copytree(small_corpus, root)
+        victim = scan_corpus(small_corpus).ids["dev"][-1]
+        lines = (root / "labels.csv").read_text(encoding="utf-8").splitlines()
+        (root / "labels.csv").write_text("\n".join(l for l in lines if not l.startswith(victim + ",")) + "\n")
+        cfg = cfg_for(root, tmp_path / "out", modality="behavioral")
+        run_extract(cfg)
+        run_train(cfg)
+        with pytest.raises(PipelineError) as err:
+            run_eval(cfg)
+        assert str(err.value) == f"{root / 'labels.csv'}: unlabeled dev sessions: {victim}"
+
+    @pytest.mark.parametrize("modality", ["behavioral", "visual"])
+    def test_empty_split_names_its_store_or_sidecar(self, small_corpus, tmp_path, modality):
+        if modality == "visual":
+            source = tmp_path / "visual_train_windows.json"
+            np.save(tmp_path / "visual_train_windows.npy", np.zeros((0, 60, 3)))
+            source.write_text(json.dumps({"W": 60, "q": 3, "session_ids": [], "sessions": []}), encoding="utf-8")
+        else:
+            source = tmp_path / "features_behavioral_train.csv"
+            write_feature_csv(source, ("a",), {})
+        with pytest.raises(PipelineError) as err:
+            run_train(cfg_for(small_corpus, tmp_path, modality=modality))
+        assert str(err.value) == f"{source}: empty train split"
+
     def test_eval_without_model_errors(self, small_corpus, tmp_path):
         cfg = cfg_for(small_corpus, tmp_path / "nowhere", modality="behavioral")
         with pytest.raises(PipelineError, match="model"):
             run_eval(cfg)
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 fails each reader with its own error type, naming the file and the line."""
+
+    @pytest.mark.parametrize("reader", ["id list", "feature store", "model", "embeddings", "config"])
+    def test_names_the_file_and_line(self, tmp_path, reader):
+        from phqreg.models import ModelFormatError, load_model
+        from phqreg.textfeats import load_embeddings
+
+        path = tmp_path / {"id list": "train_ids.txt", "feature store": "features_behavioral_train.csv",
+                           "model": "model_behavioral.json", "embeddings": "vectors.txt", "config": "run.ini"}[reader]
+        head = {"id list": "1001\n", "feature store": "session_id,a\n", "model": "{\n",
+                "embeddings": "good 1 2\n", "config": "[run]\n"}[reader]
+        path.write_bytes(head.encode() + b"caf\xe9 1 2\n")
+        error, read = {
+            "id list": (PipelineError, lambda: scan_corpus(tmp_path)),
+            "feature store": (PipelineError, lambda: read_feature_csv(path)),
+            "model": (ModelFormatError, lambda: load_model(path)),
+            "embeddings": (ValueError, lambda: load_embeddings(path)),
+            "config": (ConfigError, lambda: load_config(path)),
+        }[reader]
+        with pytest.raises(error) as err:
+            read()
+        assert str(err.value) == f"{path}:2: byte 0xe9 is not UTF-8"
+
+    def test_cli_prints_one_error_line(self, small_corpus, tmp_path, capsys):
+        cfg = cfg_for(small_corpus, tmp_path, modality="behavioral")
+        run_extract(cfg)
+        store = tmp_path / "features_behavioral_train.csv"
+        store.write_bytes(store.read_bytes() + b"\xff\n")
+        lines = len(store.read_bytes().splitlines())
+        capsys.readouterr()
+        args = ["--corpus", str(small_corpus), "--out", str(tmp_path), "--modality", "behavioral", "--seed", "7"]
+        assert main(["train", *args]) == 2
+        assert capsys.readouterr().err == f"ERROR {store}:{lines}: byte 0xff is not UTF-8\n"
 
 
 # after synth: the acoustic, behavioral and text extracts, then train, eval and cv for behavioral and text:BOOL
@@ -751,7 +848,7 @@ class TestDeterminismAndLeakage:
             assert done.returncode == 0, done.stderr[-2000:]
             trees.append({p.relative_to(run).as_posix(): p.read_bytes() for p in self.artifacts(run)})
         assert sorted(trees[0]) == sorted(trees[1])
-        assert {"out/cv_report_text_BOOL.txt", "out/report_behavioral.txt", "out/acoustic_pass_dev.csv"} <= set(trees[0])
+        assert {"out/cv_report_text_BOOL.txt", "out/report_behavioral.csv", "out/acoustic_pass_dev.csv"} <= set(trees[0])
         assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
 
     def test_visual_and_acoustic_m_agree_across_blas_thread_counts(self, full_corpus, tmp_path):
@@ -761,15 +858,15 @@ class TestDeterminismAndLeakage:
         the last bits may differ (see the README's "Determinism").
         """
         src = str(Path(phqreg.__file__).resolve().parent.parent)
-        ini = tmp_path / "run.ini"
-        ini.write_text("[lstm]\nmax_epochs = 3\n", encoding="utf-8")
         recipe = [[verb, "--modality", m] for m in ("visual", "acoustic:M") for verb in ("extract", "train", "eval")]
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads_{threads}"
-            common = ["--config", str(ini), "--corpus", str(full_corpus), "--out", str(out), "--seed", "3"]
+            common = ["--corpus", str(full_corpus), "--out", str(out), "--seed", "3"]
             code = "\n".join([
+                "import phqreg.models.lstm",
                 "from phqreg.cli import main",
+                "phqreg.models.lstm.MAX_EPOCHS = 3",
                 f"for args in {recipe!r}:",
                 f"    assert main(args + {common!r}) == 0, args",
             ])
@@ -836,8 +933,7 @@ class TestDeterminismAndLeakage:
             digests.append({p.name: sha(p) for p in sorted(out.iterdir())})
         assert digests[0] == digests[1]
         assert {
-            "features_acoustic_M_train.csv", "features_acoustic_M_dev.csv",
-            "report_acoustic_M.txt", "report_acoustic_M.csv",
+            "features_acoustic_M_train.csv", "features_acoustic_M_dev.csv", "report_acoustic_M.csv",
         } <= set(digests[0])
 
     def test_text_tfidf_artifacts_byte_identical_across_roots(self, small_corpus, tmp_path):
@@ -856,7 +952,7 @@ class TestDeterminismAndLeakage:
         assert digests[0] == digests[1]
         assert {
             "features_text_TFIDF_train.csv", "features_text_TFIDF_dev.csv", "model_text_TFIDF.json",
-            "predictions_text_TFIDF_dev.csv", "report_text_TFIDF.txt", "report_text_TFIDF.csv",
+            "predictions_text_TFIDF_dev.csv", "report_text_TFIDF.csv",
         } <= set(digests[0])
 
 
@@ -922,7 +1018,7 @@ class TestReliefIntegration:
         run_train(cfg)
         assert not list(out.glob("selected_features_*"))  # the model extra is the one record of the selection
         rows = run_eval(cfg)
-        selected = report_selection(out / "report_acoustic_M+FS.txt")
+        selected = report_selection(out / "report_acoustic_M+FS.csv")
         assert 0 < len(selected) <= 20
         assert "M.f0" in selected
         assert rows["n_features_used"] == len(selected)
@@ -938,7 +1034,7 @@ class TestReliefIntegration:
         run_train(plain)
         m_rows = run_eval(plain)
         m_bytes = {name: (out / name).read_bytes() for name in (
-            "model_acoustic_M.json", "report_acoustic_M.txt", "report_acoustic_M.csv",
+            "model_acoustic_M.json", "report_acoustic_M.csv",
             "predictions_acoustic_M_train.csv", "predictions_acoustic_M_dev.csv",
         )}
         fs = cfg_for(small_corpus, out, modality="acoustic:M+FS")
@@ -949,8 +1045,8 @@ class TestReliefIntegration:
             assert (out / name).read_bytes() == before, name
         for name in ("model_acoustic_M+FS.json", "report_acoustic_M+FS.csv", "predictions_acoustic_M+FS_dev.csv"):
             assert (out / name).is_file(), name
-        assert report_selection(out / "report_acoustic_M+FS.txt")
-        assert report_selection(out / "report_acoustic_M.txt") == []
+        assert report_selection(out / "report_acoustic_M+FS.csv")
+        assert report_selection(out / "report_acoustic_M.csv") == []
         assert m_rows["n_features_used"] == 30
         assert fs_rows["n_features_used"] <= 20
         # the plain M model still evaluates as the plain M model afterwards
@@ -1031,9 +1127,9 @@ class TestReliefIntegration:
         assert digests[0] == digests[1]
         assert {
             "relief_tuning_acoustic_M+FS.csv", "model_acoustic_M+FS.json",
-            "predictions_acoustic_M+FS_dev.csv", "report_acoustic_M+FS.txt", "report_acoustic_M+FS.csv",
+            "predictions_acoustic_M+FS_dev.csv", "report_acoustic_M+FS.csv",
         } <= set(digests[0])
-        assert report_selection(tmp_path / "first" / "report_acoustic_M+FS.txt")
+        assert report_selection(tmp_path / "first" / "report_acoustic_M+FS.csv")
 
     def test_single_class_training_split_names_the_missing_class(self, tmp_path, capsys):
         root, out = tmp_path / "no_depressed", tmp_path / "out"
@@ -1077,10 +1173,10 @@ class TestTextPipeline:
 
 
 class TestVisualPipeline:
-    def test_train_eval_with_evs_and_fallback(self, full_corpus, tmp_path):
+    def test_train_eval_with_evs_and_fallback(self, full_corpus, tmp_path, monkeypatch):
+        monkeypatch.setattr(lstm_mod, "MAX_EPOCHS", 5)
         out = tmp_path / "vis"
         cfg = cfg_for(full_corpus, out, modality="visual")
-        cfg.lstm_max_epochs = 5
         run_extract(cfg)
         run_train(cfg)
         rows = run_eval(cfg)
@@ -1097,18 +1193,18 @@ class TestVisualPipeline:
         assert rows["n_windows_train"] == len(np.load(out / "visual_train_windows.npy"))
         assert rows["n_windows_dev"] == len(np.load(out / "visual_dev_windows.npy"))
         assert rows["n_windows_train"] > 0
-        csv_rows = dict(line.split(",", 1) for line in (out / "report_visual.csv").read_text().splitlines()[1:])
+        csv_rows = report_rows(out / "report_visual.csv")
         for key in ("lstm_best_epoch", "n_windows_train", "n_windows_dev"):
             assert csv_rows[key] == str(rows[key])
 
-    def test_visual_artifacts_byte_identical_across_runs(self, full_corpus, tmp_path):
+    def test_visual_artifacts_byte_identical_across_runs(self, full_corpus, tmp_path, monkeypatch):
+        monkeypatch.setattr(lstm_mod, "MAX_EPOCHS", 4)
         ini = tmp_path / "visual.ini"
-        ini.write_text("[run]\nmodality = visual\nseed = 13\n[lstm]\nmax_epochs = 4\n", encoding="utf-8")
+        ini.write_text("[run]\nmodality = visual\nseed = 13\n", encoding="utf-8")
         digests = []
         for name in ("first", "second"):
             out = tmp_path / name
             cfg = load_config(ini, {"root": str(full_corpus), "out_dir": str(out)})
-            assert cfg.lstm_max_epochs == 4
             run_extract(cfg)
             run_train(cfg)
             run_eval(cfg)
@@ -1116,13 +1212,13 @@ class TestVisualPipeline:
         assert digests[0] == digests[1]
         assert {
             "visual_pca.json", "visual_train_windows.npy", "visual_dev_windows.json", "model_visual.json",
-            "predictions_visual_train.csv", "predictions_visual_dev.csv", "report_visual.txt", "report_visual.csv",
+            "predictions_visual_train.csv", "predictions_visual_dev.csv", "report_visual.csv",
         } <= set(digests[0])
 
-    def test_visual_kfold_cv(self, full_corpus, tmp_path):
+    def test_visual_kfold_cv(self, full_corpus, tmp_path, monkeypatch):
+        monkeypatch.setattr(lstm_mod, "MAX_EPOCHS", 2)
         out = tmp_path / "vis_cv"
         cfg = cfg_for(full_corpus, out, modality="visual")
-        cfg.lstm_max_epochs = 2
         run_extract(cfg)
         rows = run_cv(cfg)
         assert rows["n_folds"] == 3
@@ -1131,12 +1227,9 @@ class TestVisualPipeline:
         assert report[-1] == "note: the PCA was fitted on the whole training split, held-out folds included"
 
     def test_visual_cv_folds_hold_out_validation_sessions_like_train(self, full_corpus, tmp_path, monkeypatch):
-        import phqreg.models.lstm as lstm_mod
-        import phqreg.pipeline as pipeline
-
+        monkeypatch.setattr(lstm_mod, "MAX_EPOCHS", 2)
         out = tmp_path / "vis_val"
         cfg = cfg_for(full_corpus, out, modality="visual")
-        cfg.lstm_max_epochs = 2
         run_extract(cfg)
         meta = json.loads((out / "visual_train_windows.json").read_text())
         owner = {w.tobytes(): sid for w, sid in zip(np.load(out / "visual_train_windows.npy"), meta["session_ids"])}

@@ -81,16 +81,20 @@ def test_cv_behavioral_loads_relief_but_no_svr(small_corpus, tmp_path):
 
 
 def visual_run(full_corpus, tmp_path):
-    """Run the visual extract; returns the arguments that follow a verb, with one LSTM epoch configured."""
-    ini = tmp_path / "visual.ini"
-    ini.write_text("[lstm]\nmax_epochs = 1\n", encoding="utf-8")
+    """Run the visual extract; returns the arguments that follow a verb.
+
+    A verb run in a fresh interpreter trains for the paper's lstm.MAX_EPOCHS.
+    """
     args = ["--corpus", str(full_corpus), "--out", str(tmp_path), "--modality", "visual", "--seed", "1"]
     assert main(["extract", *args]) == 0
-    return ["--config", str(ini), *args]
+    return args
 
 
-def test_eval_and_cv_visual_load_the_lstm_but_no_face(full_corpus, tmp_path):
+def test_eval_and_cv_visual_load_the_lstm_but_no_face(full_corpus, tmp_path, monkeypatch):
+    import phqreg.models.lstm
+
     args = visual_run(full_corpus, tmp_path)
+    monkeypatch.setattr(phqreg.models.lstm, "MAX_EPOCHS", 1)  # this process's train; eval only reads the model
     assert main(["train", *args]) == 0
     for verb, learners in (("eval", {"phqreg.models.lstm"}), ("cv", {"phqreg.relief", "phqreg.models.lstm"})):
         loaded = loaded_after(f"from phqreg.cli import main\nassert main({[verb, *args]!r}) == 0")

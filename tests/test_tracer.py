@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import phqreg
+from phqreg.models.lstm import MAX_EPOCHS
 
 SRC = Path(phqreg.__file__).resolve().parent.parent
 TRACER = SRC.parent / "perfbench" / "tracer.py"
@@ -46,8 +47,6 @@ EXPECTED = {
 def traced(full_corpus, tmp_path_factory):
     """Spans of each verb in EXPECTED, run in order through the tracer on one output directory."""
     work = tmp_path_factory.mktemp("traced")
-    ini = work / "run.ini"
-    ini.write_text("[lstm]\nmax_epochs = 2\n", encoding="utf-8")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
     spans = {}
@@ -55,7 +54,7 @@ def traced(full_corpus, tmp_path_factory):
         spans_path = work / f"spans{i}.jsonl"
         cmd = [
             sys.executable, str(TRACER), str(spans_path), f"t{i}",
-            verb, "--config", str(ini), "--corpus", str(full_corpus), "--out", str(work / "out"),
+            verb, "--corpus", str(full_corpus), "--out", str(work / "out"),
             "--modality", modality, "--seed", "1",
         ]
         done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
@@ -79,7 +78,7 @@ def test_tracer_counters_match_the_run(traced, full_corpus):
     listed = {sid for split in ("train", "dev") for sid in (full_corpus / f"{split}_ids.txt").read_text().split()}
     assert sessions == listed
     (lstm,) = [span for span in traced["train", "visual"] if span["name"] == "models.lstm:lstm_train"]
-    assert 0 <= lstm["best_epoch"] <= 2 and lstm["windows"] > 0
+    assert 0 <= lstm["best_epoch"] <= MAX_EPOCHS and lstm["windows"] > 0
     windows = [span for span in traced["extract", "visual"] if span["name"] == "face:window_sequence"]
     assert sum(span["kept"] for span in windows) > 0
     assert all(span["kept"] <= span["candidates"] for span in windows)
