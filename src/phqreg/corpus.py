@@ -56,6 +56,9 @@ CORPUS_LAYOUT = {
     "landmarks": "sessions/{0}/{0}_landmarks.csv",
 }
 N_LANDMARKS = 68
+# a frame whose points spread less than this (mm) on every axis coincide: face.normalized_coords could not
+# scale it, since below about 1e-154 the squares it sums round to 0
+COINCIDENT_MM = 1e-100
 PHQ8_MIN, PHQ8_MAX = 0, 24
 PHQ8_DEPRESSED_CUTOFF = 10  # PHQ8_Binary is 1 from this score up
 
@@ -345,6 +348,9 @@ def load_landmarks(path) -> LandmarkSequence:
     first offending line in a ParseError and accepts what float() accepts
     (``1_0``, non-ASCII digits). numpy accepts a subset of float()'s syntax
     and rounds the same way, so both readers give the same arrays.
+
+    A frame whose 68 points all coincide, which face could not normalize, is
+    refused like any other bad row.
     """
     table = _landmark_table(path)
     if table is None:
@@ -370,7 +376,13 @@ def _landmark_table(path) -> np.ndarray | None:
     flags, ts = table[:, 3], table[:, 1]
     if not ((flags == 0.0) | (flags == 1.0)).all() or not (np.diff(ts) > 0).all():
         return None
-    return table
+    return None if _coinciding(table[:, 4:]).any() else table
+
+
+def _coinciding(coords: np.ndarray) -> np.ndarray:
+    """Per row of X0..X67, Y0..Y67, Z0..Z67 cells, whether its 68 points coincide (to within COINCIDENT_MM)."""
+    # the np.ptp function: numpy 2 removed the ndarray method
+    return (np.ptp(coords.reshape(-1, 3, N_LANDMARKS), axis=2) < COINCIDENT_MM).all(axis=1)
 
 
 def _load_landmark_rows(path) -> LandmarkSequence:
@@ -386,6 +398,8 @@ def _load_landmark_rows(path) -> LandmarkSequence:
         if not np.isfinite(vals).all():
             col = int(np.argmin(np.isfinite(vals)))
             raise ParseError(path, lineno, f"non-finite {LANDMARK_HEADER[col]} {parts[col]!r}")
+        if _coinciding(vals[4:])[0]:
+            raise ParseError(path, lineno, f"all {N_LANDMARKS} landmarks coincide")
         linenos.append(lineno)
         ts.append(vals[1])
         conf.append(vals[2])

@@ -40,27 +40,16 @@ DEFAULT_OVERLAP = 30
 DEFAULT_VARIANCE_KEEP = 0.995
 
 
-class DegenerateFrameError(ValueError):
-    pass
-
-
-def normalized_coords(seq: LandmarkSequence) -> np.ndarray:
-    """The 204 normalized coordinates of every frame (all x, all y, all z), shape (n, 204).
+def normalized_coords(points: np.ndarray) -> np.ndarray:
+    """The 204 normalized coordinates of each frame of (n, 68, 3) points (all x, all y, all z), shape (n, 204).
 
     Each frame is centred on its centroid and scaled so that the mean
-    distance of its points to the origin is 1. A frame whose points all
-    coincide cannot be scaled: DegenerateFrameError names the first one.
+    distance of its points to the origin is 1. corpus.load_landmarks refuses
+    a frame whose points all coincide, the one frame that cannot be scaled.
     """
-    pts = seq.points
-    centered = pts - pts.mean(axis=1, keepdims=True)
-    scale = np.linalg.norm(centered, axis=2).mean(axis=1)
-    if np.any(scale == 0.0):
-        bad = int(np.argmax(scale == 0.0))
-        raise DegenerateFrameError(
-            f"frame {bad} (timestamp {seq.timestamps[bad]:g} s) has all landmarks identical; cannot normalize"
-        )
-    normed = centered / scale[:, None, None]
-    return normed.transpose(0, 2, 1).reshape(len(pts), -1)
+    centered = points - points.mean(axis=1, keepdims=True)
+    normed = centered / np.linalg.norm(centered, axis=2).mean(axis=1)[:, None, None]
+    return normed.transpose(0, 2, 1).reshape(len(points), -1)
 
 
 def geometric_frames(coords: np.ndarray) -> np.ndarray:
@@ -245,22 +234,15 @@ def window_sequence(
 
     Windows start every ``overlap`` samples; any window containing a sample
     whose source frame has success=False is discarded. An empty batch is a
-    valid output. Once some window survives, every frame is normalized, so
-    a degenerate frame anywhere in the sequence is refused, but only the
-    1 Hz samples get distances and a projection.
+    valid output. Only the 1 Hz samples are normalized, get distances and
+    a projection, and only when some window survives.
     """
     if window < 1 or overlap < 1:
         raise ValueError("window and overlap must be positive")
     idx = downsample_indices(seq.timestamps)
     ok = seq.success[idx]
-    feats = None  # projected lazily, only if some window survives
-    kept = []
-    for start in range(0, len(idx) - window + 1, overlap):
-        if not ok[start : start + window].all():
-            continue
-        if feats is None:
-            feats = pca.transform(geometric_frames(normalized_coords(seq)[idx]))
-        kept.append(feats[start : start + window])
-    if not kept:
+    starts = [s for s in range(0, len(idx) - window + 1, overlap) if ok[s : s + window].all()]
+    if not starts:
         return WindowBatch(np.zeros((0, window, pca.q)))
-    return WindowBatch(np.array(kept))
+    feats = pca.transform(geometric_frames(normalized_coords(seq.points[idx])))
+    return WindowBatch(np.array([feats[s : s + window] for s in starts]))

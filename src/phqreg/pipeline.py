@@ -72,7 +72,6 @@ import logging
 import os
 import time
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -116,7 +115,7 @@ class PipelineError(ValueError):
 class CorpusIndex:
     root: Path
     ids: dict  # split -> tuple of session ids (sorted)
-    labels: dict  # sid -> int
+    labels: dict | None  # sid -> int; None when the corpus has no labels file, which extract does not read
 
 
 def scan_corpus(root) -> CorpusIndex:
@@ -132,9 +131,10 @@ def scan_corpus(root) -> CorpusIndex:
     # a session in both splits would be trained on and then scored as dev
     repeated = sorted(sid for sid, n in Counter(sid for split in SPLITS for sid in ids[split]).items() if n > 1)
     if repeated:
-        raise PipelineError(f"session ids listed more than once across the split files: {', '.join(repeated)}")
+        files = " and ".join(str(corpus.corpus_path(root, "ids", split)) for split in SPLITS)
+        raise PipelineError(f"session ids listed more than once across the split files {files}: {', '.join(repeated)}")
     labels_path = corpus.corpus_path(root, "labels")
-    labels = corpus.load_labels(labels_path) if labels_path.is_file() else {}
+    labels = corpus.load_labels(labels_path) if labels_path.is_file() else None
     return CorpusIndex(root, ids, labels)
 
 
@@ -403,23 +403,14 @@ def _extract_visual(index, out_dir: Path) -> list[Path]:
     """
     from . import face
 
-    @contextmanager
-    def naming_session(sid: str):
-        """Re-raise a degenerate landmark frame as an error that names its session."""
-        try:
-            yield
-        except face.DegenerateFrameError as exc:
-            raise PipelineError(f"session {sid}: {exc}") from None
-
     # corpus.load_landmarks is looked up per call, as in _session_rows, for perfbench/tracer.py
     paths = {split: {sid: path for sid, (path,) in _session_paths(index, split, ("landmarks",))} for split in SPLITS}
     if not paths["train"]:
         raise PipelineError("visual extraction found no training landmark files")
 
     def train_geometry():  # keeps no frames: fit_pca copies and owns them
-        for sid, path in paths["train"].items():
-            with naming_session(sid):
-                coords = face.normalized_coords(corpus.load_landmarks(path))
+        for path in paths["train"].values():
+            coords = face.normalized_coords(corpus.load_landmarks(path).points)
             for lo in range(0, len(coords), GEOMETRY_BLOCK_FRAMES):
                 yield face.geometric_frames(coords[lo : lo + GEOMETRY_BLOCK_FRAMES])
             del coords
@@ -431,10 +422,7 @@ def _extract_visual(index, out_dir: Path) -> list[Path]:
     for split in SPLITS:
         batches, sids[split] = [], []
         for sid, path in paths[split].items():
-            with naming_session(sid):
-                batch = face.window_sequence(
-                    corpus.load_landmarks(path), pca, face.DEFAULT_WINDOW, face.DEFAULT_OVERLAP
-                )
+            batch = face.window_sequence(corpus.load_landmarks(path), pca, face.DEFAULT_WINDOW, face.DEFAULT_OVERLAP)
             if len(batch.windows):
                 batches.append(batch.windows)
                 sids[split].extend([sid] * len(batch.windows))
@@ -548,9 +536,13 @@ class Sessions:
 def _load_split(cfg: PipelineConfig, index: CorpusIndex, split: str) -> Sessions:
     """Read one split's feature store or window batch and look up every label.
 
-    A split without sessions names the store or sidecar it was read from, and
-    a session without a label names the labels file.
+    A split without sessions names the store or sidecar it was read from,
+    and a missing labels file or a session without a label names the labels
+    file.
     """
+    labels = corpus.corpus_path(index.root, "labels")
+    if index.labels is None:
+        raise PipelineError(f"missing labels file {labels}")
     if cfg.family() == "visual":
         rows, meta = load_windows(cfg.out_dir, split)
         names, sids, owner = (), sorted(meta["sessions"]), meta["session_ids"]
@@ -564,7 +556,6 @@ def _load_split(cfg: PipelineConfig, index: CorpusIndex, split: str) -> Sessions
         raise PipelineError(f"{source}: empty {split} split")
     unlabeled = [sid for sid in sids if sid not in index.labels]
     if unlabeled:
-        labels = corpus.corpus_path(index.root, "labels")
         raise PipelineError(f"{labels}: unlabeled {split} sessions: {', '.join(unlabeled)}")
     y = np.array([float(index.labels[sid]) for sid in sids])
     return Sessions(split, sids, y, rows, np.array(owner, dtype=str), names)
@@ -575,7 +566,15 @@ def _tabular_fitter(cfg: PipelineConfig):
     if cfg.family() == "behavioral":
         from .models.reptree import reptree_train
 
-        return partial(reptree_train, seed=cfg.seed)
+        store = artifact_path(cfg.out_dir, "features", cfg.modality, "train")
+
+        def fit(X, y):  # every tabular fit is of the training store's rows, so a refusal names that store
+            try:
+                return reptree_train(X, y, seed=cfg.seed)
+            except ValueError as exc:
+                raise PipelineError(f"{store}: {exc}") from None
+
+        return fit
     from .models.svr import svr_train
 
     return partial(svr_train, kernel="linear" if cfg.family() == "text" else "rbf")
@@ -643,11 +642,8 @@ def predict_sessions(model, extra: dict, data: Sessions) -> tuple[np.ndarray, di
         if X.shape[1:] != (extra.get("window"), extra.get("q")):
             raise PipelineError("window batch geometry does not match the trained model")
         counters[f"n_windows_{data.split}"] = len(X)
-    else:
-        if list(data.names) != extra.get("feature_names"):
-            raise PipelineError(f"feature store for split {data.split} does not match the trained model's features")
-        if "relief" in extra:
-            X = X[:, [data.names.index(n) for n in extra["relief"]["selected_names"]]]
+    elif "relief" in extra:
+        X = X[:, [data.names.index(n) for n in extra["relief"]["selected_names"]]]
     per_row = model.predict(X) if len(X) else np.zeros(0)
     owned = [per_row[data.owner == sid] for sid in data.sids]
     preds = np.array([rows.mean() if len(rows) else extra["train_mean"] for rows in owned])
@@ -728,6 +724,9 @@ def run_eval(cfg: PipelineConfig) -> dict:
     all_y = {}
     for split in SPLITS:
         data = _load_split(cfg, index, split)
+        if model.kind != "lstm" and list(data.names) != extra["feature_names"]:
+            store = artifact_path(out_dir, "features", cfg.modality, split)
+            raise PipelineError(f"{store}: feature store for split {split} does not match the features of {model_path}")
         preds, counters = predict_sessions(model, extra, data)
         write_predictions(artifact_path(out_dir, "predictions", cfg.modality, split), data.sids, data.y, preds)
         rows[f"n_{split}"] = len(data.sids)
@@ -751,6 +750,8 @@ def run_eval(cfg: PipelineConfig) -> dict:
         rows["n_features_used"] = extra["q"]
     if model.kind == "lstm":
         rows["lstm_best_epoch"] = model.best_epoch
+        rows["lstm_epochs"] = len(model.curve) - 1  # best_epoch == epochs: the budget ended the fit
+        rows["lstm_last_loss"] = model.curve[-1]
     elif model.kind == "svr":
         rows["smo_iters"] = model.n_iter
         rows["smo_kkt_gap"] = model.kkt_gap

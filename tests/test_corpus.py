@@ -161,6 +161,33 @@ class TestLandmarks:
             load_landmarks(path)
         assert str(err.value) == f"{path}:3: {reason}"
 
+    @pytest.mark.parametrize("flag", ["0", "1"])
+    @pytest.mark.parametrize("reader", ["table", "rows"])
+    def test_coinciding_points_name_their_line(self, tmp_path, reader, flag):
+        """A frame whose 68 points coincide cannot be normalized, whether or not it tracked, on both readers."""
+        header, *rows = self.make_rows(4).splitlines()
+        cells = rows[2].split(",")
+        rows[2] = ",".join(cells[:3] + [flag] + ["7.25"] * 204)
+        if reader == "rows":  # float() reads 1_0, numpy does not: the file is read row by row
+            rows[0] = rows[0].replace(",0.9,", ",1_0,", 1)
+        path = write(tmp_path, "l.csv", "\n".join([header, *rows]) + "\n")
+        assert corpus._landmark_table(path) is None
+        with pytest.raises(ParseError) as err:
+            load_landmarks(path)
+        assert str(err.value) == f"{path}:4: all 68 landmarks coincide"
+
+    @pytest.mark.parametrize("last, refused", [("7.5", False), ("1e-90", False), ("1e-200", True)])
+    def test_points_that_differ_in_one_cell(self, tmp_path, last, refused):
+        """Points within COINCIDENT_MM coincide: the squares face.normalized_coords sums would round to 0."""
+        header, *rows = self.make_rows(2).splitlines()
+        rows[1] = ",".join(rows[1].split(",")[:4] + ["0"] * 203 + [last])
+        path = write(tmp_path, "l.csv", "\n".join([header, *rows]) + "\n")
+        if refused:
+            with pytest.raises(ParseError, match=r":3: all 68 landmarks coincide$"):
+                load_landmarks(path)
+        else:
+            assert load_landmarks(path).points[1, 67].tolist() == [0.0, 0.0, float(last)]
+
     def test_coordinate_layout_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
         seq = LandmarkSequence(
@@ -192,7 +219,11 @@ class TestLandmarks:
 
 
 def load_landmarks_oracle(path) -> LandmarkSequence:
-    """load_landmarks before numpy parsed the rows: one Python float per cell, each row checked in file order."""
+    """load_landmarks before numpy parsed the rows: one Python float per cell, each row checked in file order.
+
+    A row's flag, then its finiteness, then its 68 points (which must not all coincide) are checked as it is
+    read; the timestamps once every row is read.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ParseError(path, 1, "empty file, expected a header line")
@@ -217,6 +248,8 @@ def load_landmarks_oracle(path) -> LandmarkSequence:
         if not np.isfinite(vals).all():
             col = int(np.argmin(np.isfinite(vals)))
             raise ParseError(path, lineno, f"non-finite {LANDMARK_HEADER[col]} {parts[col]!r}")
+        if max(max(axis) - min(axis) for axis in vals[4:].reshape(3, 68).tolist()) < corpus.COINCIDENT_MM:
+            raise ParseError(path, lineno, "all 68 landmarks coincide")
         linenos.append(lineno)
         ts.append(vals[1])
         conf.append(vals[2])
@@ -246,7 +279,8 @@ ODD_FLAGS = ["0", "1", "1.0", "-0", "0.7", "2", "nan", " 1"]
 
 @st.composite
 def landmark_files(draw):
-    """The text of a landmark CSV: seeded rows, a few odd cells, flags or timestamps, and blank lines and line ends."""
+    """The text of a landmark CSV: seeded rows, a few odd cells, flags or timestamps, rows whose points coincide,
+    and blank lines and line ends."""
     n = draw(st.integers(0, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ts = np.cumsum(rng.uniform(0.01, 1.0, n))
@@ -254,13 +288,16 @@ def landmark_files(draw):
             + [repr(float(v)) for v in rng.normal(0.0, 50.0, 204)] for i in range(n)]
     for _ in range(draw(st.integers(0, 3)) if n else 0):
         row = rows[draw(st.integers(0, n - 1))]
-        change = draw(st.sampled_from(["cell", "flag", "timestamp", "short"]))
+        change = draw(st.sampled_from(["cell", "flag", "timestamp", "short", "coincide"]))
         if change == "cell":
             row[draw(st.integers(1, 207))] = draw(st.sampled_from(ODD_CELLS))
         elif change == "flag":
             row[3] = draw(st.sampled_from(ODD_FLAGS))
         elif change == "timestamp":  # equal to or before every earlier frame's
             row[1] = draw(st.sampled_from([row[1], "0", "-1.5"]))
+        elif change == "coincide":  # -0 and 0 are one point; 1_0 sends the file to the row reader
+            cells = draw(st.sampled_from([["0", "-0"], ["12.5"], ["1_0"], ["nan"], ["0", "1e-200"], ["0", "1e-50"]]))
+            row[4:] = [cells[j % len(cells)] for j in range(204)]
         else:
             del row[draw(st.integers(0, len(row) - 1))]
     lines = [",".join(LANDMARK_HEADER)] + [",".join(row) for row in rows]
@@ -307,7 +344,7 @@ LOADERS = {
     "transcript": (load_transcript, "t.tsv", HEADER, "0.0\t1.0\tEllie\thi", "0.0\t1.0\tEllie", "x\t1.0\tEllie\thi"),
     "landmarks": (
         load_landmarks, "l.csv", ",".join(LANDMARK_HEADER),
-        ",".join(["0", "0.0", "0.9", "1"] + ["0.5"] * 204),
+        ",".join(["0", "0.0", "0.9", "1"] + [str(0.5 * j) for j in range(204)]),
         ",".join(["0", "0.0", "0.9", "1"] + ["0.5"] * 203),
         ",".join(["1", "0.5", "0.9", "1"] + ["0.5"] * 203 + ["x"]),
     ),

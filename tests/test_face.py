@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 
 import numpy as np
@@ -7,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phqreg import face
-from phqreg.corpus import LandmarkSequence, N_LANDMARKS
+from phqreg.corpus import COINCIDENT_MM, LandmarkSequence, N_LANDMARKS
 from phqreg.face import (
     GEOMETRIC_DIM,
-    DegenerateFrameError,
     downsample_indices,
     fit_pca,
     geometric_frames,
@@ -25,10 +23,7 @@ def normalize_landmarks(points: np.ndarray) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (n, 3) points, got {pts.shape}")
     centered = pts - pts.mean(axis=0)
-    scale = np.linalg.norm(centered, axis=1).mean()
-    if scale == 0.0:
-        raise DegenerateFrameError("all landmarks identical; cannot normalize")
-    return centered / scale
+    return centered / np.linalg.norm(centered, axis=1).mean()
 
 
 def geometric_vector(normalized: np.ndarray) -> np.ndarray:
@@ -74,9 +69,13 @@ class TestNormalize:
             assert np.linalg.norm(out.mean(axis=0)) < 1e-12
             assert abs(np.linalg.norm(out, axis=1).mean() - 1.0) < 1e-12
 
-    def test_degenerate_frame(self):
-        with pytest.raises(DegenerateFrameError):
-            normalize_landmarks(np.ones((68, 3)))
+    def test_smallest_spread_the_loader_accepts(self):
+        """One point COINCIDENT_MM from the 67 others on one axis: the frame still scales to a mean norm of 1."""
+        points = np.zeros((1, N_LANDMARKS, 3))
+        points[0, 0, 0] = COINCIDENT_MM
+        normed = normalized_coords(points).reshape(3, N_LANDMARKS).T
+        assert np.isfinite(normed).all()
+        assert abs(np.linalg.norm(normed, axis=1).mean() - 1.0) < 1e-12
 
 
 class TestGeometricVector:
@@ -129,7 +128,7 @@ class TestGeometricVector:
         rng = np.random.default_rng(7)
         pts = np.stack([random_cloud(rng) for _ in range(3)])
         seq = LandmarkSequence(np.arange(3.0), np.ones(3), np.ones(3, bool), pts)
-        batch = geometric_frames(normalized_coords(seq))
+        batch = geometric_frames(normalized_coords(seq.points))
         for i in range(3):
             np.testing.assert_allclose(batch[i], geometric_vector(normalize_landmarks(pts[i])), atol=1e-12)
 
@@ -143,7 +142,7 @@ class TestGeometricVector:
         rng = np.random.default_rng(seed)
         pts = rng.normal(0.0, scale, (n, N_LANDMARKS, 3)) + rng.normal(0.0, 10.0 * scale, 3)
         seq = LandmarkSequence(np.arange(float(n)), np.ones(n), np.ones(n, bool), pts)
-        got = geometric_frames(normalized_coords(seq))
+        got = geometric_frames(normalized_coords(seq.points))
         assert got.shape == (n, GEOMETRIC_DIM)
         assert got.tobytes() == gathered_geometric_frames(seq).tobytes()
 
@@ -365,7 +364,7 @@ def windows_oracle(seq, pca, W, O):
     """The expected window starts and the (n, W, q) windows cut at them from the projected 1 Hz samples."""
     idx = downsample_oracle(seq.timestamps)
     starts = window_oracle(len(idx), seq.success[idx], W, O)
-    feats = pca.transform(geometric_frames(normalized_coords(seq)))[idx]
+    feats = pca.transform(geometric_frames(normalized_coords(seq.points)))[idx]
     return starts, np.array([feats[s : s + W] for s in starts]).reshape(len(starts), W, pca.q)
 
 
@@ -373,7 +372,7 @@ class TestWindows:
     def fitted_pca(self):
         rng = np.random.default_rng(13)
         seq = make_sequence(30, rng=rng)
-        return fit_pca_keeping([geometric_frames(normalized_coords(seq))], 0.9)
+        return fit_pca_keeping([geometric_frames(normalized_coords(seq.points))], 0.9)
 
     def test_120_clean_samples_three_windows(self):
         seq = make_sequence(120)
@@ -483,16 +482,3 @@ class TestWindows:
         _, want = windows_oracle(seq, pca, 5, 3)
         assert got.shape == want.shape == (6, 5, pca.q)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
-
-    def test_degenerate_frame_between_samples_is_refused(self):
-        """Frames 3 and 25 at 10 fps are none of the 1 Hz samples; the first is named, as when every frame was projected."""
-        seq = make_sequence(20, fps=10.0)
-        points = seq.points.copy()
-        points[[3, 25]] = 1.5
-        seq = LandmarkSequence(seq.timestamps, seq.confidence, seq.success, points)
-        assert 3 not in downsample_indices(seq.timestamps)
-        msg = "frame 3 (timestamp 0.3 s) has all landmarks identical; cannot normalize"
-        with pytest.raises(DegenerateFrameError, match=f"^{re.escape(msg)}$"):
-            window_sequence(seq, self.fitted_pca(), 5, 3)
-        with pytest.raises(DegenerateFrameError, match=f"^{re.escape(msg)}$"):
-            windows_oracle(seq, self.fitted_pca(), 5, 3)

@@ -759,6 +759,41 @@ class TestTrainEval:
             run_eval(cfg)
         assert str(err.value) == f"{root / 'labels.csv'}: unlabeled dev sessions: {victim}"
 
+    def test_missing_labels_file_is_named_by_every_verb_that_reads_labels(self, small_corpus, tmp_path):
+        root = tmp_path / "c"
+        shutil.copytree(small_corpus, root)
+        cfg = cfg_for(root, tmp_path / "out", modality="behavioral")
+        run_extract(cfg)
+        run_train(cfg)
+        (root / "labels.csv").unlink()
+        run_extract(cfg)  # extract reads no labels
+        for run in (run_train, run_eval, run_cv, run_tune_relief):
+            with pytest.raises(PipelineError) as err:
+                run(cfg)
+            assert str(err.value) == f"missing labels file {root / 'labels.csv'}", run.__name__
+
+    def test_feature_store_not_matching_the_model_names_both(self, small_corpus, tmp_path):
+        cfg = cfg_for(small_corpus, tmp_path, modality="behavioral")
+        run_extract(cfg)
+        run_train(cfg)
+        store = tmp_path / "features_behavioral_dev.csv"
+        names, rows = read_feature_csv(store)
+        write_feature_csv(store, ("renamed",) + names[1:], rows)
+        with pytest.raises(PipelineError) as err:
+            run_eval(cfg)
+        model = tmp_path / "model_behavioral.json"
+        assert str(err.value) == f"{store}: feature store for split dev does not match the features of {model}"
+
+    def test_too_few_reptree_rows_name_the_training_store(self, small_corpus, tmp_path):
+        cfg = cfg_for(small_corpus, tmp_path, modality="behavioral")
+        run_extract(cfg)
+        store = tmp_path / "features_behavioral_train.csv"
+        names, rows = read_feature_csv(store)
+        write_feature_csv(store, names, dict(list(rows.items())[:3]))
+        with pytest.raises(PipelineError) as err:
+            run_train(cfg)
+        assert str(err.value) == f"{store}: need at least 6 instances to split growing/pruning, got 3"
+
     @pytest.mark.parametrize("modality", ["behavioral", "visual"])
     def test_empty_split_names_its_store_or_sidecar(self, small_corpus, tmp_path, modality):
         if modality == "visual":
@@ -1190,11 +1225,16 @@ class TestVisualPipeline:
         assert model["kind"] == "lstm"
         assert set(model["extra"]) == {"modality", "seed", "train_mean", "window", "q", "val_sessions"}
         assert rows["lstm_best_epoch"] == model["model"]["best_epoch"]
+        # the curve holds the loss before training and after each of the 5 epochs
+        assert rows["lstm_epochs"] == len(model["model"]["curve"]) - 1 == 5
+        assert rows["lstm_last_loss"] == model["model"]["curve"][-1]
         assert rows["n_windows_train"] == len(np.load(out / "visual_train_windows.npy"))
         assert rows["n_windows_dev"] == len(np.load(out / "visual_dev_windows.npy"))
         assert rows["n_windows_train"] > 0
         csv_rows = report_rows(out / "report_visual.csv")
-        for key in ("lstm_best_epoch", "n_windows_train", "n_windows_dev"):
+        keys = list(csv_rows)
+        assert keys[keys.index("lstm_best_epoch") + 1 :][:2] == ["lstm_epochs", "lstm_last_loss"]
+        for key in ("lstm_best_epoch", "lstm_epochs", "lstm_last_loss", "n_windows_train", "n_windows_dev"):
             assert csv_rows[key] == str(rows[key])
 
     def test_visual_artifacts_byte_identical_across_runs(self, full_corpus, tmp_path, monkeypatch):
@@ -1264,6 +1304,35 @@ class TestVisualPipeline:
         assert set(model["extra"]["val_sessions"]) == calls[0][1]
 
 
+LANDMARK_DAMAGE = ["empty", "half", "cut_at_line", "bom", "crlf", "no_header", "header_twice", "byte", "nan",
+                   "1e999", "nul", "latin1", "coincide_flag0", "coincide_flag1"]
+
+
+def damage_landmarks(data: bytes, damage: str) -> bytes:
+    """A landmark CSV's bytes with one ``damage`` of LANDMARK_DAMAGE; a cell or row damage hits the middle row."""
+    lines = data.splitlines()
+    mid = len(lines) // 2
+    cells = lines[mid].split(b",")
+    if damage in ("nan", "1e999"):
+        cells[4 + mid % 204] = damage.encode()
+    elif damage in ("nul", "latin1"):
+        cells[4] += b"\x00" if damage == "nul" else b"\xe9"
+    elif damage.startswith("coincide"):
+        cells[3:] = [damage[-1:].encode()] + [b"3.5"] * 204
+    lines[mid] = b",".join(cells)
+    if damage == "header_twice":
+        lines.insert(1, lines[0])
+    rebuilt = b"\n".join(lines[1:] if damage == "no_header" else lines) + b"\n"
+    return {
+        "empty": b"",
+        "half": data[: len(data) // 2],
+        "cut_at_line": b"\n".join(lines[:mid]) + b"\n",
+        "bom": b"\xef\xbb\xbf" + data,
+        "crlf": data.replace(b"\n", b"\r\n"),
+        "byte": data[: len(data) // 2] + b"#" + data[len(data) // 2 + 1 :],
+    }.get(damage, rebuilt)
+
+
 class TestCli:
     def test_full_cli_flow(self, tmp_path, capsys):
         root, out = str(tmp_path / "c"), str(tmp_path / "o")
@@ -1327,9 +1396,10 @@ class TestCli:
         (root / "train_ids.txt").write_text("\n".join(train + [dev[0], train[1]]) + "\n")
         capsys.readouterr()
         assert main(["extract", *args]) == 2
+        files = f"{root / 'train_ids.txt'} and {root / 'dev_ids.txt'}"
+        repeated = ", ".join(sorted([dev[0], train[1]]))
         err = capsys.readouterr().err
-        assert err.startswith("ERROR session ids listed more than once")
-        assert ", ".join(sorted([dev[0], train[1]])) in err
+        assert err == f"ERROR session ids listed more than once across the split files {files}: {repeated}\n"
 
     def test_empty_feature_store_is_error(self, tmp_path, capsys):
         _, args = self.tiny_corpus(tmp_path)
@@ -1442,21 +1512,51 @@ class TestCli:
         assert err.startswith(f"ERROR {wav}: {reason}") and err.count("\n") == 1, err
         assert not list(out.glob("features_*"))
 
-    def test_degenerate_landmark_frame_names_session_and_frame(self, tmp_path, capsys):
+    @pytest.mark.parametrize("split, windows", [("train", True), ("dev", True), ("dev", False)])
+    def test_coinciding_landmark_frame_names_file_and_line(self, tmp_path, capsys, split, windows):
+        """Refused at load, so a dev session is refused whether or not a window of it survives.
+
+        Without failed frames, the first dev session of this corpus has a window; failed flags take it away.
+        """
         root = tmp_path / "c"
-        ini = synth_config(tmp_path / "synth.ini", n_train=4, n_dev=2, modalities="landmarks")
+        ini = synth_config(tmp_path / "synth.ini", n_train=4, n_dev=2, modalities="landmarks", turn_pairs=18,
+                           fail_prob=0.0)
         assert main(["synth", "--config", ini, "--corpus", str(root), "--seed", "3"]) == 0
-        sid = (root / "train_ids.txt").read_text().split()[0]
+        sid = (root / f"{split}_ids.txt").read_text().split()[0]
         path = root / "sessions" / sid / f"{sid}_landmarks.csv"
-        lines = path.read_text().splitlines()
-        cells = lines[1 + 4].split(",")  # frame 4, after the header
-        lines[1 + 4] = ",".join(cells[:3] + ["0"] + ["0.0"] * (len(cells) - 4))
-        path.write_text("\n".join(lines) + "\n")
+        rows = [row.split(",") for row in path.read_text().splitlines()]
+        if not windows:  # every frame failed tracking
+            rows[1:] = [row[:3] + ["0"] + row[4:] for row in rows[1:]]
+        rows[1 + 4][3:] = ["0"] + ["0.0"] * 204  # frame 4, after the header
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
         capsys.readouterr()
         assert main(["extract", "--corpus", str(root), "--out", str(tmp_path / "o"), "--modality", "visual",
                      "--seed", "3"]) == 2
+        assert capsys.readouterr().err == f"ERROR {path}:6: all 68 landmarks coincide\n"
+
+    @pytest.fixture(scope="class")
+    def landmark_corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("landmark_corpus")
+        gen_synthetic(SynthSpec(n_train=6, n_dev=2, modalities=("landmarks",), landmark_fps=2.0), root, seed=4)
+        return root
+
+    @pytest.mark.parametrize("damage", LANDMARK_DAMAGE)
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_damaged_landmark_file_is_accepted_or_named(self, landmark_corpus, tmp_path, capsys, split, damage):
+        """Each damage to one landmark file either loads or fails extract with one ERROR line naming the file."""
+        root = tmp_path / "c"
+        shutil.copytree(landmark_corpus, root)
+        sid = (root / f"{split}_ids.txt").read_text().split()[0]
+        path = root / "sessions" / sid / f"{sid}_landmarks.csv"
+        path.write_bytes(damage_landmarks(path.read_bytes(), damage))
+        capsys.readouterr()
+        rc = main(["extract", "--corpus", str(root), "--out", str(tmp_path / "o"), "--modality", "visual",
+                   "--seed", "1"])
         err = capsys.readouterr().err
-        assert err == f"ERROR session {sid}: frame 4 (timestamp {float(cells[1]):g} s) has all landmarks identical; cannot normalize\n"
+        if damage.startswith("coincide") or rc != 0:
+            assert rc == 2 and err.startswith(f"ERROR {path}:") and err.count("\n") == 1, err
+        else:
+            assert err == ""
 
     def test_sidecar_without_a_key_is_error(self, full_corpus, tmp_path, capsys):
         out = tmp_path / "o"
