@@ -24,9 +24,9 @@ read_text: a byte that is not UTF-8 raises the reader's own error type,
 naming the file and the line. The three text formats share one row reader
 (header line, blank lines skipped, one field per header cell); each loader
 parses its own cells. A refusal is a ParseError naming the path and the
-offending line. The landmark loader parses its data rows with np.loadtxt
-first, and reads a file through the row reader only when numpy refuses it or
-a check fails, so each refusal still names its line.
+offending line. The landmark loader reads its file once: np.loadtxt parses
+the data rows, float() parses them only when numpy refuses them, and each
+rule is checked once over the parsed table.
 
 All types are immutable after construction; loaders are pure functions of
 file content. whole_file is the one writer of every file phqreg writes, here
@@ -59,6 +59,9 @@ N_LANDMARKS = 68
 # a frame whose points spread less than this (mm) on every axis coincide: face.normalized_coords could not
 # scale it, since below about 1e-154 the squares it sums round to 0
 COINCIDENT_MM = 1e-100
+FAR_MM = 1e100  # a coordinate beyond this (mm) could overflow the squares that face.normalized_coords sums
+# face.downsample_indices takes one sample per second up to the last frame; a DAIC session lasts about 33 min at most
+MAX_SPAN_S = 86400.0
 PHQ8_MIN, PHQ8_MAX = 0, 24
 PHQ8_DEPRESSED_CUTOFF = 10  # PHQ8_Binary is 1 from this score up
 
@@ -284,20 +287,20 @@ def _lines(path, header: tuple[str, ...], sep: str = ",", fold=str.strip) -> lis
     return lines
 
 
-def _rows(path, header: tuple[str, ...], sep: str = ",", fold=str.strip):
-    """Yield (line number, fields) for each non-blank data row of a delimited file.
+def _rows(path, lines: list[str], sep: str = ","):
+    """Yield (line number, fields) for each non-blank data row of ``lines``, a file's lines from _lines.
 
-    The first line must name ``header`` (see _lines), and every data row
-    must have one field per header cell; anything else raises ParseError
-    naming the path and line.
+    Every data row must have one field per header cell; any other raises
+    ParseError naming the path and line.
     """
+    width = len(lines[0].split(sep))
     sep_name = "tab" if sep == "\t" else "comma"
-    for lineno, raw in enumerate(_lines(path, header, sep, fold)[1:], start=2):
+    for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         parts = raw.split(sep)
-        if len(parts) != len(header):
-            raise ParseError(path, lineno, f"expected {len(header)} {sep_name}-separated fields, got {len(parts)}")
+        if len(parts) != width:
+            raise ParseError(path, lineno, f"expected {width} {sep_name}-separated fields, got {len(parts)}")
         yield lineno, parts
 
 
@@ -309,7 +312,8 @@ def _rows(path, header: tuple[str, ...], sep: str = ",", fold=str.strip):
 def load_transcript(path) -> list[TurnRecord]:
     """Parse a tab-separated transcript into TurnRecords, whose rows must be in start-time order."""
     turns = []
-    for lineno, parts in _rows(path, TRANSCRIPT_HEADER, "\t", fold=lambda h: h.strip().lower()):
+    lines = _lines(path, TRANSCRIPT_HEADER, "\t", fold=lambda h: h.strip().lower())
+    for lineno, parts in _rows(path, lines, "\t"):
         try:
             start, stop = float(parts[0]), float(parts[1])
         except ValueError:
@@ -341,76 +345,69 @@ def save_transcript(turns, path) -> None:
 
 
 def load_landmarks(path) -> LandmarkSequence:
-    """Parse a landmark CSV (frame, timestamp, confidence, success, 204 coords).
+    """Parse a landmark CSV (frame, timestamp, confidence, success, 204 coords), reading the file once.
 
-    numpy parses the data rows as one table. A file that its parser refuses,
-    or whose table fails a check, is read again row by row, which names the
-    first offending line in a ParseError and accepts what float() accepts
-    (``1_0``, non-ASCII digits). numpy accepts a subset of float()'s syntax
-    and rounds the same way, so both readers give the same arrays.
-
-    A frame whose 68 points all coincide, which face could not normalize, is
-    refused like any other bad row.
+    numpy parses the data rows; only when it refuses them does float() parse
+    them, up to the first row it refuses too, so what float() accepts loads
+    (``1_0``, non-ASCII digits). Each rule is then checked once, and the
+    earliest offending line is refused. Within a row: a row that does not
+    parse, its success flag, a non-finite value, 68 points that coincide, a
+    coordinate beyond FAR_MM; then increasing timestamps, none more than
+    MAX_SPAN_S after the first.
     """
-    table = _landmark_table(path)
-    if table is None:
-        return _load_landmark_rows(path)
-    n = len(table)
-    # columns are X0..X67, Y0..Y67, Z0..Z67; copies, so that the table is freed
-    points = table[:, 4:].reshape(n, 3, N_LANDMARKS).transpose(0, 2, 1).copy()
-    return LandmarkSequence(table[:, 1].copy(), table[:, 2].copy(), table[:, 3] == 1.0, points)
-
-
-def _landmark_table(path) -> np.ndarray | None:
-    """The (n, 208) data rows of a landmark CSV if numpy parses them and they pass every check, else None."""
-    # the header fixes the coordinate layout, so a file with any other header is refused
-    rows = [line for line in _lines(path, LANDMARK_HEADER)[1:] if line.strip()]
-    if not rows:  # np.loadtxt warns on a table without rows
-        return None
-    try:
-        table = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+    lines = _lines(path, LANDMARK_HEADER)
+    data = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    try:  # np.loadtxt warns on a table without rows
+        table = np.loadtxt([line for _, line in data], delimiter=",", ndmin=2, comments=None) if data else None
     except ValueError:
-        return None
-    if table.shape[1] != len(LANDMARK_HEADER) or not np.isfinite(table).all():
-        return None
-    flags, ts = table[:, 3], table[:, 1]
-    if not ((flags == 0.0) | (flags == 1.0)).all() or not (np.diff(ts) > 0).all():
-        return None
-    return None if _coinciding(table[:, 4:]).any() else table
-
-
-def _coinciding(coords: np.ndarray) -> np.ndarray:
-    """Per row of X0..X67, Y0..Y67, Z0..Z67 cells, whether its 68 points coincide (to within COINCIDENT_MM)."""
-    # the np.ptp function: numpy 2 removed the ndarray method
-    return (np.ptp(coords.reshape(-1, 3, N_LANDMARKS), axis=2) < COINCIDENT_MM).all(axis=1)
-
-
-def _load_landmark_rows(path) -> LandmarkSequence:
-    """load_landmarks one Python float per cell, checking each row in file order."""
-    linenos, ts, conf, succ, pts = [], [], [], [], []
-    for lineno, parts in _rows(path, LANDMARK_HEADER):
+        table = None
+    unparsable = None
+    if table is None or table.shape[1] != len(LANDMARK_HEADER):
+        parsed = []
         try:
-            vals = np.array([float(p) for p in parts], dtype=np.float64)
+            for lineno, cells in _rows(path, lines):
+                parsed.append([float(c) for c in cells])
+        except ParseError as exc:  # a row with another number of fields
+            unparsable = exc
         except ValueError:
-            raise ParseError(path, lineno, "non-numeric value") from None
-        if vals[3] not in (0.0, 1.0):
-            raise ParseError(path, lineno, f"success flag must be 0 or 1, got {parts[3]!r}")
-        if not np.isfinite(vals).all():
-            col = int(np.argmin(np.isfinite(vals)))
-            raise ParseError(path, lineno, f"non-finite {LANDMARK_HEADER[col]} {parts[col]!r}")
-        if _coinciding(vals[4:])[0]:
-            raise ParseError(path, lineno, f"all {N_LANDMARKS} landmarks coincide")
-        linenos.append(lineno)
-        ts.append(vals[1])
-        conf.append(vals[2])
-        succ.append(vals[3] == 1.0)
-        pts.append(vals[4:].reshape(3, N_LANDMARKS).T)
+            unparsable = ParseError(path, lineno, "non-numeric value")
+        table = np.array(parsed, dtype=np.float64).reshape(-1, len(LANDMARK_HEADER))
 
-    ts = np.array(ts)
-    if len(ts) > 1 and not np.all(np.diff(ts) > 0):
-        bad = int(np.argmax(np.diff(ts) <= 0))
-        raise ParseError(path, linenos[bad + 1], "timestamps must be strictly increasing")
-    return LandmarkSequence(ts, np.array(conf), np.array(succ), np.array(pts).reshape(-1, N_LANDMARKS, 3))
+    flags = table[:, 3]
+    axes = table[:, 4:].reshape(-1, 3, N_LANDMARKS)  # columns X0..X67, Y0..Y67, Z0..Z67
+    top, bottom = axes.max(axis=2), axes.min(axis=2)
+    bad_flag = (flags != 0.0) & (flags != 1.0)
+    non_finite = ~np.isfinite(table).all(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf, in a row refused as non-finite first
+        coinciding = (top - bottom < COINCIDENT_MM).all(axis=1)
+    far = ((top > FAR_MM) | (bottom < -FAR_MM)).any(axis=1)
+    bad = bad_flag | non_finite | coinciding | far
+    if bad.any():
+        i = int(np.argmax(bad))
+        cells = data[i][1].split(",")
+        if bad_flag[i]:
+            message = f"success flag must be 0 or 1, got {cells[3]!r}"
+        elif non_finite[i]:
+            col = int(np.argmin(np.isfinite(table[i])))
+            message = f"non-finite {LANDMARK_HEADER[col]} {cells[col]!r}"
+        elif coinciding[i]:
+            message = f"all {N_LANDMARKS} landmarks coincide"
+        else:
+            col = 4 + int(np.argmax(np.abs(table[i, 4:]) > FAR_MM))
+            message = f"{LANDMARK_HEADER[col]} {cells[col]!r} is beyond {FAR_MM:g} mm"
+        raise ParseError(path, data[i][0], message)
+    if unparsable is not None:
+        raise unparsable
+
+    ts = table[:, 1]
+    back = ts[1:] <= ts[:-1]
+    if back.any():
+        raise ParseError(path, data[1 + int(np.argmax(back))][0], "timestamps must be strictly increasing")
+    if len(ts) and ts[-1] > ts[0] + MAX_SPAN_S:
+        i = int(np.argmax(ts > ts[0] + MAX_SPAN_S))
+        raise ParseError(path, data[i][0], f"timestamp {float(ts[i])} is over {MAX_SPAN_S:g} s after the first frame")
+    # copies, so that the table is freed
+    return LandmarkSequence(ts.copy(), table[:, 2].copy(), flags == 1.0, axes.transpose(0, 2, 1).copy())
 
 
 def save_landmarks(seq: LandmarkSequence, path) -> None:
@@ -431,7 +428,7 @@ def save_landmarks(seq: LandmarkSequence, path) -> None:
 def load_labels(path) -> dict[str, int]:
     """Map session id -> PHQ-8 score. The binary column is parsed but unused."""
     labels = {}
-    for lineno, parts in _rows(path, LABELS_HEADER):
+    for lineno, parts in _rows(path, _lines(path, LABELS_HEADER)):
         parts = [p.strip() for p in parts]
         try:
             int(parts[1])  # binary flag, unused

@@ -45,7 +45,7 @@ def normalized_coords(points: np.ndarray) -> np.ndarray:
 
     Each frame is centred on its centroid and scaled so that the mean
     distance of its points to the origin is 1. corpus.load_landmarks refuses
-    a frame whose points all coincide, the one frame that cannot be scaled.
+    the frames that cannot be scaled: points that coincide or lie beyond corpus.FAR_MM.
     """
     centered = points - points.mean(axis=1, keepdims=True)
     normed = centered / np.linalg.norm(centered, axis=2).mean(axis=1)[:, None, None]

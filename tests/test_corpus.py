@@ -164,14 +164,14 @@ class TestLandmarks:
     @pytest.mark.parametrize("flag", ["0", "1"])
     @pytest.mark.parametrize("reader", ["table", "rows"])
     def test_coinciding_points_name_their_line(self, tmp_path, reader, flag):
-        """A frame whose 68 points coincide cannot be normalized, whether or not it tracked, on both readers."""
+        """A frame whose 68 points coincide cannot be normalized, whether or not it tracked, whether numpy parses
+        the file as a table or float() parses its rows."""
         header, *rows = self.make_rows(4).splitlines()
         cells = rows[2].split(",")
         rows[2] = ",".join(cells[:3] + [flag] + ["7.25"] * 204)
-        if reader == "rows":  # float() reads 1_0, numpy does not: the file is read row by row
+        if reader == "rows":  # float() reads 1_0, numpy does not
             rows[0] = rows[0].replace(",0.9,", ",1_0,", 1)
         path = write(tmp_path, "l.csv", "\n".join([header, *rows]) + "\n")
-        assert corpus._landmark_table(path) is None
         with pytest.raises(ParseError) as err:
             load_landmarks(path)
         assert str(err.value) == f"{path}:4: all 68 landmarks coincide"
@@ -221,8 +221,9 @@ class TestLandmarks:
 def load_landmarks_oracle(path) -> LandmarkSequence:
     """load_landmarks before numpy parsed the rows: one Python float per cell, each row checked in file order.
 
-    A row's flag, then its finiteness, then its 68 points (which must not all coincide) are checked as it is
-    read; the timestamps once every row is read.
+    A row's flag, then its finiteness, then its 68 points (which must not all coincide), then its coordinates
+    (none beyond FAR_MM) are checked as it is read; the timestamps (increasing, none more than MAX_SPAN_S after
+    the first) once every row is read.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -250,6 +251,9 @@ def load_landmarks_oracle(path) -> LandmarkSequence:
             raise ParseError(path, lineno, f"non-finite {LANDMARK_HEADER[col]} {parts[col]!r}")
         if max(max(axis) - min(axis) for axis in vals[4:].reshape(3, 68).tolist()) < corpus.COINCIDENT_MM:
             raise ParseError(path, lineno, "all 68 landmarks coincide")
+        for col in range(4, len(LANDMARK_HEADER)):
+            if abs(vals[col]) > corpus.FAR_MM:
+                raise ParseError(path, lineno, f"{LANDMARK_HEADER[col]} {parts[col]!r} is beyond 1e+100 mm")
         linenos.append(lineno)
         ts.append(vals[1])
         conf.append(vals[2])
@@ -259,6 +263,9 @@ def load_landmarks_oracle(path) -> LandmarkSequence:
     if len(ts) > 1 and not np.all(np.diff(ts) > 0):
         bad = int(np.argmax(np.diff(ts) <= 0))
         raise ParseError(path, linenos[bad + 1], "timestamps must be strictly increasing")
+    for lineno, t in zip(linenos, ts.tolist()):
+        if t > float(ts[0]) + corpus.MAX_SPAN_S:
+            raise ParseError(path, lineno, f"timestamp {t} is over 86400 s after the first frame")
     return LandmarkSequence(ts, np.array(conf), np.array(succ), np.array(pts).reshape(-1, 68, 3))
 
 
@@ -275,12 +282,13 @@ def landmark_outcome(load, path):
 ODD_CELLS = ["#", "1_0", "\uff11", "\u0661", "nan", "inf", "-INF", "x", "", " 2.5 ", "+3", ".5", "5.", "1E5", "-0",
              "1e400", "\u30001", "0x10"]
 ODD_FLAGS = ["0", "1", "1.0", "-0", "0.7", "2", "nan", " 1"]
+FAR_CELLS = ["1e100", "-1e100", "1.0000000000000002e100", "-3e200", "1e308", "1_0e200"]
 
 
 @st.composite
 def landmark_files(draw):
     """The text of a landmark CSV: seeded rows, a few odd cells, flags or timestamps, rows whose points coincide,
-    and blank lines and line ends."""
+    coordinates beyond FAR_MM, frames late after the first, and blank lines and line ends."""
     n = draw(st.integers(0, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ts = np.cumsum(rng.uniform(0.01, 1.0, n))
@@ -288,15 +296,21 @@ def landmark_files(draw):
             + [repr(float(v)) for v in rng.normal(0.0, 50.0, 204)] for i in range(n)]
     for _ in range(draw(st.integers(0, 3)) if n else 0):
         row = rows[draw(st.integers(0, n - 1))]
-        change = draw(st.sampled_from(["cell", "flag", "timestamp", "short", "coincide"]))
+        change = draw(st.sampled_from(["cell", "flag", "timestamp", "short", "coincide", "far", "late"]))
         if change == "cell":
             row[draw(st.integers(1, 207))] = draw(st.sampled_from(ODD_CELLS))
         elif change == "flag":
             row[3] = draw(st.sampled_from(ODD_FLAGS))
         elif change == "timestamp":  # equal to or before every earlier frame's
             row[1] = draw(st.sampled_from([row[1], "0", "-1.5"]))
+        elif change == "far":  # FAR_MM itself is not beyond it
+            row[draw(st.integers(4, 207))] = draw(st.sampled_from(FAR_CELLS))
+        elif change == "late":  # at, just past or far past MAX_SPAN_S after the first frame
+            first = float(ts[0]) + corpus.MAX_SPAN_S
+            row[1] = draw(st.sampled_from([repr(first), repr(float(np.nextafter(first, np.inf))), "1e13", "1.7e308"]))
         elif change == "coincide":  # -0 and 0 are one point; 1_0 sends the file to the row reader
-            cells = draw(st.sampled_from([["0", "-0"], ["12.5"], ["1_0"], ["nan"], ["0", "1e-200"], ["0", "1e-50"]]))
+            cells = draw(st.sampled_from([["0", "-0"], ["12.5"], ["1_0"], ["nan"], ["-inf"], ["0", "1e-200"],
+                                          ["0", "1e-50"]]))
             row[4:] = [cells[j % len(cells)] for j in range(204)]
         else:
             del row[draw(st.integers(0, len(row) - 1))]
@@ -327,16 +341,19 @@ def test_header_only_landmark_file_loads_empty_without_a_warning(tmp_path, capfd
 
 
 def test_clean_landmark_file_is_parsed_by_numpy_alone(tmp_path, monkeypatch):
-    """CRLF line ends and blank lines keep a file on numpy's parser; only a refusal reads it row by row."""
+    """CRLF line ends and blank lines keep a file on numpy's parser; only what numpy refuses goes to float()."""
     text = TestLandmarks().make_rows(3).replace("\n", "\r\n").replace("\r\n", "\r\n  \r\n\r\n", 1)
     path = write(tmp_path, "l.csv", text)
     want = landmark_outcome(load_landmarks_oracle, path)
+    refused = write(tmp_path, "refused.csv", text.replace(",0.9,", ",1_0,", 1))
 
-    def refuse(path):
-        raise AssertionError("read row by row")
+    def refuse(cell):
+        raise AssertionError(f"float() parsed {cell!r}")
 
-    monkeypatch.setattr(corpus, "_load_landmark_rows", refuse)
+    monkeypatch.setattr(corpus, "float", refuse, raising=False)
     assert landmark_outcome(load_landmarks, path) == want
+    with pytest.raises(AssertionError, match="float"):
+        load_landmarks(refused)
 
 
 # each loader's header, one good row, the row with one field too few, and a non-numeric row

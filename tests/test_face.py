@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phqreg import face
-from phqreg.corpus import COINCIDENT_MM, LandmarkSequence, N_LANDMARKS
+from phqreg.corpus import COINCIDENT_MM, FAR_MM, LandmarkSequence, N_LANDMARKS
 from phqreg.face import (
     GEOMETRIC_DIM,
     downsample_indices,
@@ -75,6 +76,14 @@ class TestNormalize:
         points[0, 0, 0] = COINCIDENT_MM
         normed = normalized_coords(points).reshape(3, N_LANDMARKS).T
         assert np.isfinite(normed).all()
+        assert abs(np.linalg.norm(normed, axis=1).mean() - 1.0) < 1e-12
+
+    def test_farthest_points_the_loader_accepts(self):
+        """Points at +-FAR_MM on every axis: the squares normalization sums stay finite, with no overflow warning."""
+        points = np.where(np.random.default_rng(5).random((1, N_LANDMARKS, 3)) < 0.5, -FAR_MM, FAR_MM)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            normed = normalized_coords(points).reshape(3, N_LANDMARKS).T
         assert abs(np.linalg.norm(normed, axis=1).mean() - 1.0) < 1e-12
 
 

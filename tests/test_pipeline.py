@@ -1305,11 +1305,14 @@ class TestVisualPipeline:
 
 
 LANDMARK_DAMAGE = ["empty", "half", "cut_at_line", "bom", "crlf", "no_header", "header_twice", "byte", "nan",
-                   "1e999", "nul", "latin1", "coincide_flag0", "coincide_flag1"]
+                   "1e999", "nul", "latin1", "coincide_flag0", "coincide_flag1", "far_coords", "far_timestamp"]
+# damages that are always refused, by file and line
+LANDMARK_REFUSALS = ("coincide", "far")
 
 
 def damage_landmarks(data: bytes, damage: str) -> bytes:
-    """A landmark CSV's bytes with one ``damage`` of LANDMARK_DAMAGE; a cell or row damage hits the middle row."""
+    """A landmark CSV's bytes with one ``damage`` of LANDMARK_DAMAGE; a cell or row damage hits the middle row,
+    except ``far_timestamp``, which moves the last frame 1e13 s on."""
     lines = data.splitlines()
     mid = len(lines) // 2
     cells = lines[mid].split(b",")
@@ -1319,7 +1322,12 @@ def damage_landmarks(data: bytes, damage: str) -> bytes:
         cells[4] += b"\x00" if damage == "nul" else b"\xe9"
     elif damage.startswith("coincide"):
         cells[3:] = [damage[-1:].encode()] + [b"3.5"] * 204
+    elif damage == "far_coords":  # the squares that normalization sums overflow
+        cells[4:] = [repr(float(c) * 1e200).encode() for c in cells[4:]]
     lines[mid] = b",".join(cells)
+    if damage == "far_timestamp":  # one sample per second up to it would not fit in memory
+        last = lines[-1].split(b",")
+        lines[-1] = b",".join(last[:1] + [b"1e13"] + last[2:])
     if damage == "header_twice":
         lines.insert(1, lines[0])
     rebuilt = b"\n".join(lines[1:] if damage == "no_header" else lines) + b"\n"
@@ -1553,7 +1561,7 @@ class TestCli:
         rc = main(["extract", "--corpus", str(root), "--out", str(tmp_path / "o"), "--modality", "visual",
                    "--seed", "1"])
         err = capsys.readouterr().err
-        if damage.startswith("coincide") or rc != 0:
+        if damage.startswith(LANDMARK_REFUSALS) or rc != 0:
             assert rc == 2 and err.startswith(f"ERROR {path}:") and err.count("\n") == 1, err
         else:
             assert err == ""
