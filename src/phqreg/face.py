@@ -8,12 +8,16 @@ of variance) reduces the dimension; sequences are downsampled to 1 Hz and cut
 into sliding windows of W samples overlapped by O, discarding any window that
 contains a failed-tracking frame (0-tolerance).
 
-Memory: the distances are computed from the three (n, 68) coordinate planes,
-so no (n, 2278, 3) gather is made, and window_sequence computes them only for
-the 1 Hz samples it keeps. ``fit_pca`` appends the training frames' row
-blocks to one n x d matrix of its own as they arrive, so a caller that passes
-a generator holds one block at a time; it centres that matrix in place and
-drops it before the eigen-solve.
+Memory and time: geometric_frames writes the distances into the (n, 2482)
+result one point at a time, from row slices of the three coordinate planes
+with the frames along the contiguous axis, so no gather of point pairs is
+made and its work buffer holds 3 x 67 rows of the frames. window_sequence
+computes distances only for the 1 Hz samples it keeps, and sampled_frames
+keeps just the frames it reads, so a caller can cut a session's windows
+after the PCA fit without reading its landmarks again. ``fit_pca`` appends
+the training frames' row blocks to one n x d matrix of its own as they
+arrive, so a caller that passes a generator holds one block at a time; it
+centres that matrix in place and drops it before the eigen-solve.
 
 Eigen-solve: a block Krylov method (_leading_eigenpairs) computes only the
 leading eigenpairs that reach DEFAULT_VARIANCE_KEEP of the covariance's
@@ -49,26 +53,35 @@ def normalized_coords(points: np.ndarray) -> np.ndarray:
     """
     centered = points - points.mean(axis=1, keepdims=True)
     normed = centered / np.linalg.norm(centered, axis=2).mean(axis=1)[:, None, None]
-    return normed.transpose(0, 2, 1).reshape(len(points), -1)
+    return normed.transpose(0, 2, 1).reshape(len(points), 3 * N_LANDMARKS)
 
 
 def geometric_frames(coords: np.ndarray) -> np.ndarray:
     """Geometric vectors of frames given by their normalized_coords, shape (n, 2482).
 
     Per frame: the 204 normalized coordinates, then the 2278 pairwise
-    distances of the normalized points.
+    distances of the normalized points, in np.triu_indices order. Point p's
+    distances to points p+1..67 come from one row slice of each coordinate
+    plane, with the frames along the contiguous axis so that every inner
+    loop runs over the frames, and are written into the result: no gather
+    of point pairs and no concatenate.
     """
-    iu, ju = np.triu_indices(N_LANDMARKS, k=1)
-    x, y, z = np.split(coords, 3, axis=1)
-    dists = x[:, iu]
-    dists -= x[:, ju]
-    dists *= dists
-    for plane in (y, z):  # x, y, z summed in the order of np.linalg.norm(..., axis=2): same bytes
-        gaps = plane[:, iu]
-        gaps -= plane[:, ju]
-        gaps *= gaps
-        dists += gaps
-    return np.concatenate([coords, np.sqrt(dists, out=dists)], axis=1)
+    n = len(coords)
+    out = np.empty((n, GEOMETRIC_DIM))
+    out[:, : 3 * N_LANDMARKS] = coords
+    planes = np.ascontiguousarray(coords.T).reshape(3, N_LANDMARKS, n)  # (plane, point, frame)
+    squares = np.empty((3, N_LANDMARKS - 1, n))
+    lo = 3 * N_LANDMARKS
+    for p in range(N_LANDMARKS - 1):
+        sq = squares[:, : N_LANDMARKS - 1 - p]
+        np.subtract(planes[:, p : p + 1], planes[:, p + 1 :], out=sq)
+        sq *= sq
+        dists = sq[0]
+        dists += sq[1]  # x, y, z summed in the order of np.linalg.norm(..., axis=2): same bytes
+        dists += sq[2]
+        np.sqrt(dists.T, out=out[:, lo : lo + len(dists)])
+        lo += len(dists)
+    return out
 
 
 @dataclass(frozen=True)
@@ -222,6 +235,19 @@ def downsample_indices(timestamps: np.ndarray) -> np.ndarray:
     hi = np.minimum(idx, len(ts) - 1)
     # ties go to the earlier frame
     return np.where(np.abs(ts[lo] - seconds) <= np.abs(ts[hi] - seconds), lo, hi)
+
+
+def sampled_frames(seq: LandmarkSequence) -> LandmarkSequence:
+    """The frames of ``seq`` that downsample_indices samples, with its first and last frame.
+
+    They cover the same seconds, and the frame nearest each second is the
+    same frame, so window_sequence cuts the same windows from them as from
+    ``seq``.
+    """
+    if len(seq) == 0:
+        return seq
+    keep = np.unique(np.r_[0, downsample_indices(seq.timestamps), len(seq) - 1])
+    return LandmarkSequence(seq.timestamps[keep], seq.confidence[keep], seq.success[keep], seq.points[keep])
 
 
 def window_sequence(

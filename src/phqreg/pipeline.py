@@ -98,7 +98,9 @@ WHOLE_SPLIT_FITS = {
     "text:TFIDF": "the vocabulary and IDF were",
 }
 # training frames per geometry block handed to face.fit_pca: no array is session length x 2482. The peak
-# is the PCA matrix and its covariance, whatever the block size; of 128, 512 and 2048 frames, 128 ran fastest
+# is the PCA matrix and its covariance, whatever the block size. face.geometric_frames took about 21 / 19 /
+# 22 / 26 us per frame at 128 / 256 / 512 / 2048 frames (one Xeon core, numpy 2.4): 128 is within the
+# spread of the fastest and holds the smallest block
 GEOMETRY_BLOCK_FRAMES = 128
 
 
@@ -395,11 +397,13 @@ def _windows_paths(out_dir: Path, split: str) -> tuple[Path, Path]:
 def _extract_visual(index, out_dir: Path) -> list[Path]:
     """Fit the PCA on the training frames, cut both splits' windows and write them with the PCA record.
 
-    One session's landmarks are held at a time: each training file is read
-    once for the PCA and once more when its windows are cut, and each dev
-    file once. A session without a landmark file is logged once and left
-    out of its split's sidecar. Nothing is written until every session's
-    windows are cut.
+    Each landmark file is read once, and one session's landmarks are held at
+    a time. A training file is read for the PCA, which keeps its
+    face.sampled_frames, about 1.7 KB per second of the session; its windows
+    are cut from those after the fit. A dev file is read when its windows are
+    cut. A session without a landmark file is logged once and left out of its
+    split's sidecar; a landmark file without frames gives its session no
+    windows. Nothing is written until every session's windows are cut.
     """
     from . import face
 
@@ -408,12 +412,21 @@ def _extract_visual(index, out_dir: Path) -> list[Path]:
     if not paths["train"]:
         raise PipelineError("visual extraction found no training landmark files")
 
-    def train_geometry():  # keeps no frames: fit_pca copies and owns them
-        for path in paths["train"].values():
-            coords = face.normalized_coords(corpus.load_landmarks(path).points)
+    sampled = {}  # training session id -> the frames its windows are cut from
+
+    def train_geometry():  # keeps no whole session: fit_pca copies and owns the frames
+        n_frames = 0
+        for sid, path in paths["train"].items():
+            seq = corpus.load_landmarks(path)
+            sampled[sid] = face.sampled_frames(seq)
+            coords = face.normalized_coords(seq.points)
+            del seq
+            n_frames += len(coords)
             for lo in range(0, len(coords), GEOMETRY_BLOCK_FRAMES):
                 yield face.geometric_frames(coords[lo : lo + GEOMETRY_BLOCK_FRAMES])
             del coords
+        if n_frames < 2:
+            raise PipelineError(f"visual extraction needs at least 2 training landmark frames, found {n_frames}")
 
     pca = face.fit_pca(train_geometry())
     logger.info("visual PCA: %d -> %d dims (%.4f%% variance)", len(pca.mean), pca.q, 100 * pca.explained_ratio)
@@ -422,7 +435,9 @@ def _extract_visual(index, out_dir: Path) -> list[Path]:
     for split in SPLITS:
         batches, sids[split] = [], []
         for sid, path in paths[split].items():
-            batch = face.window_sequence(corpus.load_landmarks(path), pca, face.DEFAULT_WINDOW, face.DEFAULT_OVERLAP)
+            seq = sampled.pop(sid) if split == "train" else corpus.load_landmarks(path)
+            batch = face.window_sequence(seq, pca, face.DEFAULT_WINDOW, face.DEFAULT_OVERLAP)
+            del seq  # before the next session is read
             if len(batch.windows):
                 batches.append(batch.windows)
                 sids[split].extend([sid] * len(batch.windows))

@@ -14,6 +14,7 @@ from phqreg.face import (
     fit_pca,
     geometric_frames,
     normalized_coords,
+    sampled_frames,
     window_sequence,
 )
 
@@ -377,6 +378,18 @@ def windows_oracle(seq, pca, W, O):
     return starts, np.array([feats[s : s + W] for s in starts]).reshape(len(starts), W, pca.q)
 
 
+# gaps of whole seconds, (first second, length): a frame on either side stands in for each missing second
+GAPS = st.lists(st.tuples(st.integers(0, 40), st.integers(1, 4)), max_size=3)
+
+
+def without_gaps(seq, gaps):
+    """``seq`` without the frames timed within any of ``gaps``."""
+    keep = np.ones(len(seq), bool)
+    for start, length in gaps:
+        keep &= (seq.timestamps < start) | (seq.timestamps >= start + length)
+    return LandmarkSequence(seq.timestamps[keep], seq.confidence[keep], seq.success[keep], seq.points[keep])
+
+
 class TestWindows:
     def fitted_pca(self):
         rng = np.random.default_rng(13)
@@ -456,12 +469,7 @@ class TestWindows:
 
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(1, 30),
-        st.integers(12, 40),
-        st.lists(st.tuples(st.integers(0, 40), st.integers(1, 4)), max_size=3),
-        st.integers(0, 2**32 - 1),
-    )
+    @given(st.integers(1, 30), st.integers(12, 40), GAPS, st.integers(0, 2**32 - 1))
     def test_matches_projecting_every_frame(self, fps, seconds, gaps, seed):
         """Any rate of 1-30 fps, with gaps of whole seconds that make one frame the sample of several seconds.
 
@@ -471,15 +479,29 @@ class TestWindows:
         """
         rng = np.random.default_rng(seed)
         seq = make_sequence(seconds, fps=float(fps), fail_at=rng.choice(seconds * fps, 2, replace=False), rng=rng)
-        keep = np.ones(len(seq), bool)
-        for start, length in gaps:
-            keep[start * fps : (start + length) * fps] = False
-        seq = LandmarkSequence(seq.timestamps[keep], seq.confidence[keep], seq.success[keep], seq.points[keep])
+        seq = without_gaps(seq, gaps)
         pca = self.fitted_pca()
         got = window_sequence(seq, pca, 5, 3).windows
         _, want = windows_oracle(seq, pca, 5, 3)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.5, 30.0), st.floats(0.0, 1.0), st.integers(12, 40), GAPS, st.integers(0, 2**32 - 1))
+    def test_sampled_frames_give_the_windows_of_the_whole_sequence(self, fps, start, seconds, gaps, seed):
+        """A fractional first timestamp, gaps of whole seconds and failed frames, at 0.5-30 fps."""
+        rng = np.random.default_rng(seed)
+        seq = make_sequence(seconds, fps=fps, rng=rng)
+        seq = LandmarkSequence(seq.timestamps + start, seq.confidence, rng.random(len(seq)) >= 0.02, seq.points)
+        seq = without_gaps(seq, gaps)
+        kept = sampled_frames(seq)
+        idx, kept_idx = downsample_indices(seq.timestamps), downsample_indices(kept.timestamps)
+        assert len(kept_idx) == len(idx)  # the tracer's window candidates
+        assert kept.timestamps[kept_idx].tobytes() == seq.timestamps[idx].tobytes()
+        pca = self.fitted_pca()
+        for window, overlap in ((5, 3), (2, 1)):
+            got = window_sequence(kept, pca, window, overlap).windows
+            assert got.tobytes() == window_sequence(seq, pca, window, overlap).windows.tobytes()
 
     def test_gap_repeats_frames_in_the_samples(self):
         seq = make_sequence(20)

@@ -18,6 +18,7 @@ import phqreg
 import phqreg.models
 import phqreg.models.lstm as lstm_mod
 import phqreg.pipeline as pipeline
+from phqreg import corpus, face
 from phqreg.cli import main
 from phqreg.config import _LAYOUT, ConfigError, PipelineConfig, config_text, load_config
 from phqreg.metrics import mae, rmse
@@ -653,6 +654,56 @@ class TestVisualExtractionHoldsOneSession:
         for sid in ("1001", "1002"):
             (root / "sessions" / sid / f"{sid}_landmarks.csv").unlink()
         with pytest.raises(PipelineError, match="^visual extraction found no training landmark files$"):
+            run_extract(cfg_for(root, tmp_path / "out", modality="visual"))
+        assert not (tmp_path / "out").exists()
+
+    def test_each_landmark_file_is_parsed_once(self, tmp_path, monkeypatch):
+        root = self.landmark_corpus(tmp_path / "corpus", 2, n_train=3, landmark_fps=2.0, turn_pairs=6)
+        calls, load = [], corpus.load_landmarks
+        monkeypatch.setattr(corpus, "load_landmarks", lambda path: calls.append(Path(path)) or load(path))
+        run_extract(cfg_for(root, tmp_path / "out", modality="visual"))
+        assert sorted(calls) == sorted(root.glob("sessions/*/*_landmarks.csv"))
+
+    @pytest.mark.parametrize("fps", [12.0, 30.0])
+    def test_training_windows_are_those_of_the_whole_file(self, tmp_path, fps):
+        root = self.landmark_corpus(tmp_path / "corpus", 1, n_train=2, landmark_fps=fps, turn_pairs=14, fail_prob=0.001)
+        out = tmp_path / "out"
+        run_extract(cfg_for(root, out, modality="visual"))
+        record = json.loads((out / "visual_pca.json").read_text())
+        pca = face.PcaProjection(np.array(record["mean"]), np.array(record["components"]), record["explained_ratio"])
+        windows = np.load(out / "visual_train_windows.npy")
+        meta = json.loads((out / "visual_train_windows.json").read_text())
+        owner = np.array(meta["session_ids"])
+        assert len(windows) and meta["sessions"] == ["1001", "1002"]
+        for sid in meta["sessions"]:
+            seq = corpus.load_landmarks(root / "sessions" / sid / f"{sid}_landmarks.csv")
+            want = face.window_sequence(seq, pca, face.DEFAULT_WINDOW, face.DEFAULT_OVERLAP).windows
+            assert windows[owner == sid].tobytes() == want.tobytes()
+
+    @staticmethod
+    def cut_to_header(path):
+        path.write_bytes(path.read_bytes().split(b"\n")[0] + b"\n")
+
+    def test_training_file_without_frames_adds_no_frames_or_windows(self, tmp_path):
+        """A header-only training file counts as its session, like a dev file: it is listed, owns no windows
+        and adds nothing to the PCA, so every other output is that of the corpus without the file."""
+        root = self.landmark_corpus(tmp_path / "corpus", 2, n_train=4, landmark_fps=2.0, turn_pairs=14)
+        landmarks = root / "sessions" / "1001" / "1001_landmarks.csv"
+        self.cut_to_header(landmarks)
+        run_extract(cfg_for(root, tmp_path / "header", modality="visual"))
+        landmarks.unlink()
+        run_extract(cfg_for(root, tmp_path / "missing", modality="visual"))
+        for name in ("visual_pca.json", "visual_train_windows.npy", "visual_dev_windows.npy", "visual_dev_windows.json"):
+            assert (tmp_path / "header" / name).read_bytes() == (tmp_path / "missing" / name).read_bytes()
+        meta = json.loads((tmp_path / "header" / "visual_train_windows.json").read_text())
+        assert meta["sessions"] == ["1001", "1002", "1003", "1004"]
+        assert len(meta["session_ids"]) and "1001" not in meta["session_ids"]
+
+    def test_no_training_frames_fails_before_writing(self, tmp_path):
+        root = self.landmark_corpus(tmp_path / "corpus", 1, n_train=2, landmark_fps=2.0, turn_pairs=6)
+        for sid in ("1001", "1002"):
+            self.cut_to_header(root / "sessions" / sid / f"{sid}_landmarks.csv")
+        with pytest.raises(PipelineError, match="^visual extraction needs at least 2 training landmark frames, found 0$"):
             run_extract(cfg_for(root, tmp_path / "out", modality="visual"))
         assert not (tmp_path / "out").exists()
 
